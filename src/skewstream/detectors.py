@@ -21,9 +21,14 @@ post-drift alarm.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
+import sys
+import tempfile
+import zipfile
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -174,7 +179,8 @@ class BoundTable:
     ladder of update counts n (saturating at max_n, past which the
     distribution is stationary), at four tail levels: detect-low, warn-low,
     warn-high, detect-high. Queries interpolate bilinearly and clamp outside
-    the grid.
+    the grid; the interpolation along n is done once, at construction, for
+    every integer n up to max_n, so a query interpolates only along p.
 
     Built once per parameter set from a fixed seed and cached on disk, so
     bounds are reproducible across processes.
@@ -214,6 +220,8 @@ class BoundTable:
         else:
             self.table = self._simulate()
             self._store_cache()
+        self._p_list = self.p_grid.tolist()
+        self._rows = self._n_rows()
 
     # -- cache ---------------------------------------------------------------
 
@@ -245,20 +253,34 @@ class BoundTable:
         try:
             with np.load(path) as data:
                 table = data["table"]
-        except Exception:
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+            print(f"skewstream: ignoring unreadable bound-table cache {path}: {exc}",
+                  file=sys.stderr)
             return None
         expected = (len(self.p_grid), len(self.n_grid), 4)
         return table if table.shape == expected else None
 
     def _store_cache(self) -> None:
+        """Write the table atomically: a unique temp file, then a rename, so
+        concurrent writers never see or leave a partial file. The cache is an
+        optimization only, so a failure is reported and the run goes on."""
         path = self._cache_path()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp.npz")
-            np.savez(tmp, table=self.table)
-            tmp.replace(path)
-        except OSError:
-            pass  # cache is an optimization only
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=path.stem + ".", suffix=".tmp.npz"
+            )
+            try:
+                with os.fdopen(fd, "wb") as f:
+                    np.savez(f, table=self.table)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            print(f"skewstream: could not cache bound table at {path}: {exc}",
+                  file=sys.stderr)
 
     # -- construction --------------------------------------------------------
 
@@ -266,17 +288,19 @@ class BoundTable:
         rng = np.random.default_rng(self.seed)
         n_p = len(self.p_grid)
         paths = np.full((n_p, self.n_paths), 0.5)
-        successes = np.zeros((n_p, self.n_paths))
+        successes = np.zeros((n_p, self.n_paths), dtype=np.int32)
+        hit = np.empty((n_p, self.n_paths), dtype=bool)
         p_col = self.p_grid[:, None]
         table = np.empty((n_p, len(self.n_grid), 4))
         record = {n: i for i, n in enumerate(self.n_grid)}
         gain = 1.0 - self.decay
         for n in range(1, self.max_n + 1):
             # one shared uniform vector per step: marginals per p stay exact
-            hit = rng.random(self.n_paths)[None, :] < p_col
+            np.less(rng.random(self.n_paths), p_col, out=hit)
             paths *= self.decay
-            np.add(paths, gain, out=paths, where=hit)
-            np.add(successes, 1.0, out=successes, where=hit)
+            # a miss adds 0.0, which leaves a (positive) path unchanged
+            paths += hit * gain
+            successes += hit
             i = record.get(n)
             if i is not None:
                 deviation = paths - (successes + 0.5) / (n + 1.0)
@@ -287,22 +311,37 @@ class BoundTable:
 
     # -- queries -------------------------------------------------------------
 
-    def bounds(self, p: float, n: int) -> np.ndarray:
-        """(detect_low, warn_low, warn_high, detect_high) deviation quantiles
-        for underlying rate p after n updates."""
-        p = min(max(p, self.p_grid[0]), self.p_grid[-1])
-        n = min(max(n, 1), self.max_n)
-        pi = np.searchsorted(self.p_grid, p)
-        pi = min(max(pi, 1), len(self.p_grid) - 1)
-        p0, p1 = self.p_grid[pi - 1], self.p_grid[pi]
-        fp = (p - p0) / (p1 - p0)
-        ni = np.searchsorted(self.n_grid, n)
-        ni = min(max(ni, 1), len(self.n_grid) - 1)
+    def _n_rows(self) -> np.ndarray:
+        """rows[n - 1] = the table interpolated along n at update count n,
+        for n = 1..max_n, shape (max_n, len(p_grid), 4)."""
+        n = np.arange(1, self.max_n + 1)
+        ni = np.clip(np.searchsorted(self.n_grid, n), 1, len(self.n_grid) - 1)
         n0, n1 = self.n_grid[ni - 1], self.n_grid[ni]
-        fn = (n - n0) / (n1 - n0) if n1 > n0 else 0.0
-        row0 = (1 - fn) * self.table[pi - 1, ni - 1] + fn * self.table[pi - 1, ni]
-        row1 = (1 - fn) * self.table[pi, ni - 1] + fn * self.table[pi, ni]
-        return (1 - fp) * row0 + fp * row1
+        # a one-point ladder (max_n = 1) has n0 == n1 == n, so fn = 0
+        fn = ((n - n0) / np.maximum(n1 - n0, 1))[:, None, None]
+        t = self.table.transpose(1, 0, 2)
+        return (1 - fn) * t[ni - 1] + fn * t[ni]
+
+    def bounds(self, p: float, n: int) -> tuple[float, float, float, float]:
+        """(detect_low, warn_low, warn_high, detect_high) deviation quantiles
+        for underlying rate p after n updates (an integer count)."""
+        grid = self._p_list
+        if p < grid[0]:
+            p = grid[0]
+        elif p > grid[-1]:
+            p = grid[-1]
+        if n > self.max_n:
+            n = self.max_n
+        elif n < 1:
+            n = 1
+        pi = bisect_left(grid, p, 1, len(grid) - 1)
+        p0 = grid[pi - 1]
+        fp = (p - p0) / (grid[pi] - p0)
+        q = 1 - fp
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = (
+            self._rows[n - 1, pi - 1 : pi + 1].tolist()
+        )
+        return (q * a0 + fp * b0, q * a1 + fp * b1, q * a2 + fp * b2, q * a3 + fp * b3)
 
 
 _default_tables: dict[tuple, BoundTable] = {}

@@ -313,12 +313,17 @@ def concept_averages(
     Pre window: steps warm_up+1 .. drift_start-1. Post window: drift_end ..
     total_steps. The transition interval between them is never averaged.
     """
+    return _window_means(_segmented_series(rec, schedule, decay), rec, schedule)
+
+
+def _window_means(series, rec: RunRecord, schedule: DriftSchedule) -> ConceptAverages:
+    """`concept_averages` of the record's (recall_pos, recall_neg, g_mean)."""
     warm_up = rec.warm_up
     if schedule.drift_start - 1 < warm_up + 1:
         raise ValueError("empty pre-drift averaging window")
     if schedule.total_steps < schedule.drift_end:
         raise ValueError("empty post-drift averaging window")
-    rp, rn, gm = _segmented_series(rec, schedule, decay)
+    rp, rn, gm = series
     pre = slice(0, schedule.drift_start - 1 - warm_up)
     post = slice(schedule.drift_end - warm_up - 1, None)
     return ConceptAverages(
@@ -410,10 +415,14 @@ def aggregate_and_test(
     if len(set(counts.values())) > 1:
         raise ValueError(f"run counts differ across pipelines: {counts}")
     n_runs = next(iter(counts.values())) if counts else 0
-    per_run = {
-        name: [concept_averages(r, cfg.schedule, cfg.metric_decay) for r in recs]
-        for name, recs in records.items()
-    }
+    # each record's series feeds both its concept averages and the curve
+    per_run, curves = {}, {}
+    for name, recs in records.items():
+        series = [_segmented_series(r, cfg.schedule, cfg.metric_decay) for r in recs]
+        per_run[name] = [
+            _window_means(s, r, cfg.schedule) for s, r in zip(series, recs)
+        ]
+        curves[name] = np.mean([s[2] for s in series], axis=0)
     summary = summarize_runs(per_run, n_runs) if per_run else []
     detector_scores = {}
     for pipe in cfg.pipelines:
@@ -423,12 +432,6 @@ def aggregate_and_test(
         detector_scores[pipe.name] = score_detections(
             logs, cfg.schedule.drift_start, n_runs
         )
-    curves = {
-        name: np.mean(
-            [gmean_curve(r, cfg.schedule, cfg.metric_decay) for r in recs], axis=0
-        )
-        for name, recs in records.items()
-    }
     return Report(
         config=cfg,
         n_runs=n_runs,

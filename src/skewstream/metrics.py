@@ -12,11 +12,11 @@ first step of a stream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.stats import rankdata
 
 from .labels import NEG, POS
 
@@ -113,44 +113,54 @@ def g_mean(c: ConfusionCounts) -> float:
 
 
 class ScoreWindow:
-    """Fixed-capacity FIFO of recent (score, label) pairs."""
+    """Fixed-capacity FIFO of recent (score, label) pairs.
+
+    Alongside the FIFO it keeps each class's scores in a sorted list and the
+    window's Mann-Whitney count doubled, 2U: over all (positive, negative)
+    pairs, 2 when the positive scores above the negative, 1 on a tie. Each
+    push or eviction moves 2U by a bisect count against the other class, so
+    the AUC needs no re-ranking, and 2U is an exact integer.
+    """
 
     def __init__(self, capacity: int = 500):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._scores = np.empty(self.capacity, dtype=float)
-        self._labels = np.empty(self.capacity, dtype=np.int8)
-        self._n = 0
-        self._head = 0
+        self._fifo: deque[tuple[float, bool]] = deque()
+        self._pos: list[float] = []
+        self._neg: list[float] = []
+        self._u2 = 0
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._fifo)
+
+    def _pair_count(self, score: float, positive: bool) -> int:
+        """2U contribution of one score against the other class's scores."""
+        if positive:
+            neg = self._neg
+            return bisect_left(neg, score) + bisect_right(neg, score)
+        pos = self._pos
+        return 2 * len(pos) - bisect_left(pos, score) - bisect_right(pos, score)
 
     def push(self, score: float, label: int) -> None:
-        i = self._head
-        self._scores[i] = score
-        self._labels[i] = label
-        self._head = (i + 1) % self.capacity
-        if self._n < self.capacity:
-            self._n += 1
+        score = float(score)
+        if score != score:
+            raise ValueError("score must not be NaN")
+        if len(self._fifo) == self.capacity:
+            old, old_positive = self._fifo.popleft()
+            mine = self._pos if old_positive else self._neg
+            del mine[bisect_left(mine, old)]
+            self._u2 -= self._pair_count(old, old_positive)
+        positive = label == POS
+        self._fifo.append((score, positive))
+        insort(self._pos if positive else self._neg, score)
+        self._u2 += self._pair_count(score, positive)
 
     def clear(self) -> None:
-        self._n = 0
-        self._head = 0
-
-    def entries(self) -> list[tuple[float, int]]:
-        """Contents oldest-first (diagnostic accessor; AUC does not need order)."""
-        if self._n < self.capacity:
-            idx = range(self._n)
-        else:
-            idx = [(self._head + j) % self.capacity for j in range(self.capacity)]
-        return [(float(self._scores[i]), int(self._labels[i])) for i in idx]
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._n < self.capacity:
-            return self._scores[: self._n], self._labels[: self._n]
-        return self._scores, self._labels
+        self._fifo.clear()
+        self._pos.clear()
+        self._neg.clear()
+        self._u2 = 0
 
 
 def prequential_auc(w: ScoreWindow) -> float:
@@ -160,15 +170,11 @@ def prequential_auc(w: ScoreWindow) -> float:
     the negative one, ties counted 0.5. Returns 0.5 while the window lacks one
     of the classes (undefined case).
     """
-    scores, labels = w._arrays()
-    pos_mask = labels == POS
-    n_pos = int(pos_mask.sum())
-    n_neg = scores.shape[0] - n_pos
+    n_pos = len(w._pos)
+    n_neg = len(w._neg)
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = rankdata(scores)
-    u = float(ranks[pos_mask].sum()) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    return (w._u2 / 2) / (n_pos * n_neg)
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,19 @@ class WilcoxonResult:
 
 class TooFewPairsError(ValueError):
     """Raised when fewer than 6 nonzero paired differences remain."""
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of x, tied values sharing the mean of their ranks."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    first = np.concatenate(([True], xs[1:] != xs[:-1]))
+    group = np.cumsum(first) - 1
+    # ranks (1-based) of each tie group run from starts[g] + 1 to starts[g + 1]
+    starts = np.concatenate((np.flatnonzero(first), [x.shape[0]]))
+    ranks = np.empty(x.shape[0])
+    ranks[order] = 0.5 * (starts[group] + starts[group + 1] + 1)
+    return ranks
 
 
 def _exact_signed_rank_cdf(ranks: np.ndarray, w: float) -> float:
@@ -222,7 +241,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
         raise TooFewPairsError(
             f"need >= 6 nonzero paired differences, got {n}"
         )
-    ranks = rankdata(np.abs(d))
+    ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
@@ -240,27 +259,37 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
     return WilcoxonResult(significant=p <= alpha, statistic=w, p_value=p, n=n)
 
 
+def _decayed_sum(hits: np.ndarray, eta: float) -> np.ndarray:
+    """y_t = eta * y_{t-1} + hits_t from y_0 = 0, stepped in order over
+    Python floats, so each value is rounded as a stepped update rounds it
+    (adding 0.0 leaves the non-negative y unchanged)."""
+    y = 0.0
+    out = []
+    append = out.append
+    for hit in hits.tolist():
+        y *= eta
+        if hit:
+            y += 1.0
+        append(y)
+    return np.array(out, dtype=float)
+
+
 def decayed_confusion_series(
     truths: np.ndarray, preds: np.ndarray, eta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decayed (tp, fn, fp, tn) trajectories over a whole prediction record.
 
-    Vectorized equivalent of stepping a DecayedConfusion through the record;
-    used when recomputing reporting metrics after a run.
+    Bit-identical to stepping a DecayedConfusion through the record; used
+    when recomputing reporting metrics after a run.
     """
     truths = np.asarray(truths)
     preds = np.asarray(preds)
-    cells = (
-        (truths == POS) & (preds == POS),
-        (truths == POS) & (preds == NEG),
-        (truths == NEG) & (preds == POS),
-        (truths == NEG) & (preds == NEG),
+    return (
+        _decayed_sum((truths == POS) & (preds == POS), eta),
+        _decayed_sum((truths == POS) & (preds == NEG), eta),
+        _decayed_sum((truths == NEG) & (preds == POS), eta),
+        _decayed_sum((truths == NEG) & (preds == NEG), eta),
     )
-    out = []
-    for ind in cells:
-        out.append(lfilter([1.0], [1.0, -eta], ind.astype(float)))
-    tp, fn, fp, tn = out
-    return tp, fn, fp, tn
 
 
 def decayed_recall_gmean_series(

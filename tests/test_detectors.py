@@ -4,6 +4,8 @@ The scripted scenarios are fully deterministic (fixed seeds, fixed scripts),
 so first-alarm step indices are frozen exactly.
 """
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +184,97 @@ def test_bound_table_clamps_out_of_grid_queries(tmp_path, monkeypatch):
     table = small_table()
     assert np.array_equal(table.bounds(1e-9, 10), table.bounds(table.p_grid[0], 10))
     assert np.array_equal(table.bounds(0.5, 10**9), table.bounds(0.5, table.max_n))
+
+
+def bilinear_bounds(table, p, n):
+    """The bilinear (p, n) interpolation of the table, evaluated from scratch."""
+    p = min(max(p, table.p_grid[0]), table.p_grid[-1])
+    n = min(max(n, 1), table.max_n)
+    pi = min(max(np.searchsorted(table.p_grid, p), 1), len(table.p_grid) - 1)
+    p0, p1 = table.p_grid[pi - 1], table.p_grid[pi]
+    fp = (p - p0) / (p1 - p0)
+    ni = min(max(np.searchsorted(table.n_grid, n), 1), len(table.n_grid) - 1)
+    n0, n1 = table.n_grid[ni - 1], table.n_grid[ni]
+    fn = (n - n0) / (n1 - n0)
+    row0 = (1 - fn) * table.table[pi - 1, ni - 1] + fn * table.table[pi - 1, ni]
+    row1 = (1 - fn) * table.table[pi, ni - 1] + fn * table.table[pi, ni]
+    return (1 - fp) * row0 + fp * row1
+
+
+def test_bound_table_rows_equal_bilinear_formula(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table()
+    rng = np.random.default_rng(12)
+    grid_p = [float(p) for p in table.p_grid]
+    mid_p = [0.5 * (a + b) for a, b in zip(grid_p, grid_p[1:])]
+    clamp_p = [-1.0, 0.0, 1e-9, 0.999, 1.0, 2.0]
+    ps = grid_p + mid_p + clamp_p + rng.uniform(-0.05, 1.05, 200).tolist()
+    ns = [int(n) for n in table.n_grid] + [-5, 0, 1, 2, table.max_n - 1,
+                                           table.max_n, table.max_n + 1, 10**6]
+    ns += rng.integers(1, table.max_n + 1, 50).tolist()
+    for p in ps:
+        for n in ns:
+            assert np.array_equal(table.bounds(p, n), bilinear_bounds(table, p, n))
+
+
+def masked_simulate(table):
+    """Reference build of the table with the masked-ufunc updates."""
+    rng = np.random.default_rng(table.seed)
+    n_p = len(table.p_grid)
+    paths = np.full((n_p, table.n_paths), 0.5)
+    successes = np.zeros((n_p, table.n_paths))
+    p_col = table.p_grid[:, None]
+    out = np.empty((n_p, len(table.n_grid), 4))
+    record = {n: i for i, n in enumerate(table.n_grid)}
+    gain = 1.0 - table.decay
+    for n in range(1, table.max_n + 1):
+        hit = rng.random(table.n_paths)[None, :] < p_col
+        paths *= table.decay
+        np.add(paths, gain, out=paths, where=hit)
+        np.add(successes, 1.0, out=successes, where=hit)
+        if n in record:
+            deviation = paths - (successes + 0.5) / (n + 1.0)
+            out[:, record[n], :] = np.quantile(deviation, table.levels, axis=1).T
+    return out
+
+
+def test_bound_table_build_equals_masked_reference(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table()
+    assert np.array_equal(table.table, masked_simulate(table))
+
+
+def test_bound_table_stores_through_unique_temp_files(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table()
+    sources = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(str(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    table._store_cache()
+    table._store_cache()
+    assert len(sources) == 2 and sources[0] != sources[1]
+    assert all(Path(src).parent == tmp_path for src in sources)
+    # nothing but the cache file is left behind
+    assert [f.name for f in tmp_path.iterdir()] == [table._cache_path().name]
+
+
+def test_bound_table_unwritable_cache_warns_and_still_builds(
+    tmp_path, monkeypatch, capsys
+):
+    # a cache root below a regular file can be neither created nor written
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(blocker / "cache"))
+    table = small_table()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and str(table._cache_path()) in lines[0]
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path / "ok"))
+    assert np.array_equal(table.table, small_table().table)
 
 
 def test_bound_table_matches_stationary_normal_approximation():

@@ -3,9 +3,15 @@
 Heavier runs use 3 ensemble members and 2 runs to stay fast; the full-size
 reproductions live in test_acceptance.py.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import skewstream
 from skewstream.cli import main
 from skewstream.detectors import AucDropDetector
 from skewstream.harness import (
@@ -558,3 +564,17 @@ def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_importing_the_harness_does_not_load_scipy():
+    # scipy is a test-only dependency: the program must run without it
+    src = str(Path(skewstream.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, skewstream.harness; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

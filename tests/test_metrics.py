@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.signal
 import scipy.stats
 
 from skewstream.labels import NEG, POS
@@ -14,6 +15,8 @@ from skewstream.metrics import (
     DecayedConfusion,
     ScoreWindow,
     TooFewPairsError,
+    _midranks,
+    decayed_confusion_series,
     decayed_recall_gmean_series,
     f_measure,
     g_mean,
@@ -222,9 +225,59 @@ def test_auc_respects_capacity_eviction():
     w = ScoreWindow(2)
     w.push(0.9, POS)
     w.push(0.1, NEG)
-    w.push(0.2, POS)  # evicts the 0.9 positive
-    assert w.entries() == [(0.1, NEG), (0.2, POS)]
-    assert prequential_auc(w) == 1.0
+    w.push(0.05, POS)  # evicts the 0.9 positive
+    assert len(w) == 2
+    # only (0.05 POS, 0.1 NEG) is left; with the 0.9 still in, AUC would be 0.5
+    assert prequential_auc(w) == 0.0
+
+
+def pair_count_auc(pairs):
+    """AUC from the doubled pairwise count 2U: 2 per win, 1 per tie."""
+    pos = [s for s, lab in pairs if lab == POS]
+    neg = [s for s, lab in pairs if lab == NEG]
+    if not pos or not neg:
+        return 0.5
+    u2 = sum(2 if sp > sn else 1 if sp == sn else 0 for sp in pos for sn in neg)
+    return (u2 / 2) / (len(pos) * len(neg))
+
+
+def rank_sum_auc(pairs):
+    """AUC from the positives' mid-rank sum, as a from-scratch re-ranking."""
+    scores = np.array([s for s, _ in pairs])
+    pos_mask = np.array([lab == POS for _, lab in pairs])
+    n_pos = int(pos_mask.sum())
+    n_neg = len(pairs) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    u = float(scipy.stats.rankdata(scores)[pos_mask].sum()) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def test_incremental_auc_equals_recount_exactly():
+    # ties (coarse grid), wrap-around eviction (long runs into small windows)
+    # and clear(), all compared with == against a from-scratch recount
+    rng = random.Random(41)
+    for capacity in (1, 2, 7, 33, 100):
+        w = ScoreWindow(capacity)
+        kept = []
+        for step in range(1500):
+            if rng.random() < 0.002:
+                w.clear()
+                kept = []
+            pair = (rng.randrange(0, 12) / 12.0, rng.choice((POS, NEG, NEG)))
+            w.push(*pair)
+            kept = (kept + [pair])[-capacity:]
+            assert len(w) == len(kept)
+            got = prequential_auc(w)
+            assert got == pair_count_auc(kept)
+            assert got == rank_sum_auc(kept)
+
+
+def test_score_window_rejects_nan_scores():
+    w = ScoreWindow(4)
+    with pytest.raises(ValueError):
+        w.push(float("nan"), POS)
+    assert len(w) == 0
 
 
 def test_auc_invariant_under_monotone_transform():
@@ -321,6 +374,17 @@ def test_wilcoxon_matches_scipy_exact_and_approx():
             assert res.p_value == pytest.approx(ref.pvalue, rel=1e-9)
 
 
+def test_midranks_equal_rankdata():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 5, 30, 200):
+        for _ in range(20):
+            # few distinct values, so most ranks are shared
+            x = rng.integers(0, max(2, n // 3), size=n) / 4.0
+            assert np.array_equal(_midranks(x), scipy.stats.rankdata(x))
+        x = rng.normal(size=n)
+        assert np.array_equal(_midranks(x), scipy.stats.rankdata(x))
+
+
 def test_wilcoxon_null_rejection_rate_calibrated():
     rng = np.random.default_rng(2024)
     for n in (20, 40):  # exact path and normal-approximation path
@@ -351,3 +415,22 @@ def test_decayed_series_matches_online_loop():
             assert rp[i] == pytest.approx(rp_i, abs=1e-9)
             assert rn[i] == pytest.approx(rn_i, abs=1e-9)
             assert gm[i] == pytest.approx(g_mean(d.counts), abs=1e-9)
+
+
+def test_decayed_series_bit_identical_to_lfilter():
+    rng = np.random.default_rng(10)
+    truths = rng.choice([POS, NEG], size=3000, p=[0.1, 0.9])
+    preds = rng.choice([POS, NEG], size=3000)
+    cells = (
+        (truths == POS) & (preds == POS),
+        (truths == POS) & (preds == NEG),
+        (truths == NEG) & (preds == POS),
+        (truths == NEG) & (preds == NEG),
+    )
+    for eta in (0.5, 0.9, 0.995, 1.0):
+        got = decayed_confusion_series(truths, preds, eta)
+        for series, ind in zip(got, cells):
+            ref = scipy.signal.lfilter([1.0], [1.0, -eta], ind.astype(float))
+            assert np.array_equal(series, ref)
+    empty = decayed_confusion_series(truths[:0], preds[:0], 0.9)
+    assert all(s.shape == (0,) for s in empty)
