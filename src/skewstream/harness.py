@@ -1,10 +1,10 @@
 """Configuration-driven experiment harness.
 
-Composes stream x learner x detector pipelines, repeats each over derived
-seeds (run r uses base_seed + r), computes per-concept averages under the
-reset-at-drift reporting convention, compares pipelines with the signed-rank
-test, and emits CSV tables plus a fully resolved ``config.lock`` for exact
-replay.
+Composes stream x learner x detector pipelines, runs them over derived seeds
+(run r uses base_seed + r, and all pipelines of a run step together on its
+one stream), computes per-concept averages under the reset-at-drift
+reporting convention, compares pipelines with the signed-rank test, and
+emits CSV tables plus a fully resolved ``config.lock`` for exact replay.
 
 Config files are INI-style::
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -168,14 +169,29 @@ class ExperimentConfig:
     designation_threshold: float = 1.5
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if not 0.0 < self.metric_decay <= 1.0:
-            raise ConfigError("metric_decay must be in (0, 1]")
-        if not 0 <= self.warm_up < self.schedule.total_steps:
-            raise ConfigError("warm_up must lie inside the stream")
-        if self.members < 1:
-            raise ConfigError("members must be >= 1")
+        checks = (
+            ("runs", self.runs >= 1, "must be >= 1"),
+            ("metric_decay", 0.0 < self.metric_decay <= 1.0, "must be in (0, 1]"),
+            (
+                "warm_up",
+                0 <= self.warm_up < self.schedule.total_steps,
+                "must lie inside the stream",
+            ),
+            ("members", self.members >= 1, "must be >= 1"),
+            ("lr", math.isfinite(self.lr) and self.lr > 0.0, "must be finite and > 0"),
+            ("tracker_theta", 0.0 <= self.tracker_theta < 1.0, "must be in [0, 1)"),
+            (
+                "designation_threshold",
+                math.isfinite(self.designation_threshold)
+                and self.designation_threshold >= 1.0,
+                "must be finite and >= 1",
+            ),
+        )
+        for key, ok, rule in checks:
+            if not ok:
+                raise ConfigError(
+                    f"[experiment] {key} {rule}, got {getattr(self, key)!r}"
+                )
         names = [p.name for p in self.pipelines]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -219,61 +235,92 @@ class ConceptAverages:
 METRICS = tuple(f.name for f in fields(ConceptAverages))
 
 
-def _run_pipeline_once(cfg: ExperimentConfig, pipe: PipelineSpec, r: int) -> RunRecord:
+def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
+    """Run ``r`` of every pipeline, stepped in lockstep; one record each.
+
+    All pipelines of a run see the same stream (seed ``base_seed + r``), so
+    the stream, the class-size tracker and its status are computed once per
+    step and shared. Each pipeline's ensemble is one slice of a stacked
+    `OnlineEnsemble` (its own Poisson generator and reset seeds), and its
+    detector, if any, is its own; a drift alarm resets only that slice. The
+    records are exactly those of running each pipeline alone.
+    """
     seed = cfg.base_seed + r
     schedule = cfg.schedule
+    pipes = cfg.pipelines
     stream = StreamGenerator(schedule, seed)
     tracker = ClassSizeTracker(cfg.tracker_theta)
     model = OnlineEnsemble(
         schedule.old.n_features,
         tracker,
-        sampler=pipe.learner,
+        samplers=[pipe.learner for pipe in pipes],
         n_members=cfg.members,
         seed=seed,
         lr=cfg.lr,
         designation_threshold=cfg.designation_threshold,
     )
-    detector = build_detector(pipe)
+    detectors = [
+        (e, det)
+        for e, det in enumerate(build_detector(pipe) for pipe in pipes)
+        if det is not None
+    ]
     n_recorded = schedule.total_steps - cfg.warm_up
     truths = np.empty(n_recorded, dtype=np.int8)
-    preds = np.empty(n_recorded, dtype=np.int8)
-    scores = np.empty(n_recorded, dtype=float)
-    events: list[tuple[int, str]] = []
+    preds = np.empty((len(pipes), n_recorded), dtype=np.int8)
+    scores = np.empty((len(pipes), n_recorded), dtype=float)
+    events: list[list[tuple[int, str]]] = [[] for _ in pipes]
     for t in range(1, schedule.total_steps + 1):
         ex = stream.next_example()
-        pred, score = model.predict(ex.features)
+        label = ex.label
+        x = np.asarray(ex.features, dtype=float)
+        step_preds, step_scores = model.predict(x)
         if t > cfg.warm_up:
             i = t - cfg.warm_up - 1
-            truths[i] = ex.label
-            preds[i] = pred
-            scores[i] = score
-        tracker.update(ex.label)
-        if detector is not None:
-            status = tracker.status(cfg.designation_threshold)
+            truths[i] = label
+            preds[:, i] = step_preds
+            scores[:, i] = step_scores
+        tracker.update(label)
+        status = tracker.status(cfg.designation_threshold)
+        for e, detector in detectors:
             verdict = detector.step(
-                ex.label, pred, score=score, minority=status.minority
+                label,
+                int(step_preds[e]),
+                score=float(step_scores[e]),
+                minority=status.minority,
             )
             if verdict is not Verdict.NORMAL:
-                events.append((t, verdict.value))
+                events[e].append((t, verdict.value))
             if verdict is Verdict.DRIFT:
-                model.reset()
-        model.train_one(ex.features, ex.label)
-    return RunRecord(
-        run=r,
-        seed=seed,
-        warm_up=cfg.warm_up,
-        truths=truths,
-        preds=preds,
-        scores=scores,
-        events=events,
-    )
+                model.reset(e)
+        model.train_one(x, label, status)
+    return [
+        RunRecord(
+            run=r,
+            seed=seed,
+            warm_up=cfg.warm_up,
+            truths=truths.copy(),
+            preds=preds[e],
+            scores=scores[e],
+            events=events[e],
+        )
+        for e in range(len(pipes))
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
-    """All pipelines x all runs; deterministic given the config."""
+    """All pipelines x all runs; deterministic given the config.
+
+    Run r steps every pipeline in lockstep on one stream seeded
+    ``base_seed + r`` (see `_run_once`); each pipeline's records are exactly
+    those it would get run alone. With no pipelines nothing is run, not even
+    a stream.
+    """
+    if not cfg.pipelines:
+        return {}
+    runs = [_run_once(cfg, r) for r in range(cfg.runs)]
     return {
-        pipe.name: [_run_pipeline_once(cfg, pipe, r) for r in range(cfg.runs)]
-        for pipe in cfg.pipelines
+        pipe.name: [records[e] for records in runs]
+        for e, pipe in enumerate(cfg.pipelines)
     }
 
 

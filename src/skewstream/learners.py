@@ -16,7 +16,11 @@ For speed the members' weights are stored stacked along a leading member axis
 and updated in lockstep "rounds": in round j every member whose k exceeds j
 takes one gradient step. Because members are independent, this is exactly
 sequential per-member training, but each round costs one numpy call instead
-of fifteen.
+of fifteen. An `OnlineEnsemble` goes one step further and stacks several
+ensembles (one per sampler, as the harness runs one per pipeline) in the same
+bank: one predict call and one set of rounds serve them all, while each keeps
+its own Poisson generator, its own reset seeds and exactly the outputs it
+would have alone.
 """
 from __future__ import annotations
 
@@ -64,18 +68,20 @@ class MlpBank:
         self.n_features = int(n_features)
         self.hidden = int(hidden) if hidden else default_hidden_size(n_features)
         self.lr = float(lr)
-        self.n_members = len(member_seeds)
-        self.init_weights(member_seeds)
-
-    def init_weights(self, member_seeds) -> None:
-        if len(member_seeds) != self.n_members:
-            raise ValueError("seed count must match member count")
-        m, h, d = self.n_members, self.hidden, self.n_features
+        self.n_members = m = len(member_seeds)
+        h, d = self.hidden, self.n_features
         self.W1 = np.empty((m, h, d))
         self.b1 = np.empty((m, h))
         self.W2 = np.empty((m, N_CLASSES, h))
         self.b2 = np.empty((m, N_CLASSES))
-        for i, seed in enumerate(member_seeds):
+        self.init_weights(member_seeds)
+
+    def init_weights(self, member_seeds, first: int = 0) -> None:
+        """Re-initialize members ``first`` .. ``first + len(member_seeds) - 1``."""
+        if not 0 <= first <= first + len(member_seeds) <= self.n_members:
+            raise ValueError("seeds must name members inside the bank")
+        h, d = self.hidden, self.n_features
+        for i, seed in enumerate(member_seeds, start=first):
             rng = np.random.default_rng(seed)
             self.W1[i] = rng.uniform(-0.5, 0.5, (h, d))
             self.b1[i] = rng.uniform(-0.5, 0.5, h)
@@ -118,7 +124,7 @@ class MlpBank:
             self.W1 -= dz1[:, :, None] * x[None, None, :]
             self.b1 -= dz1
 
-    # -- flat parameter access (diagnostics / checkpointing) ------------------
+    # -- flat parameter access (diagnostics) ----------------------------------
 
     def get_flat(self) -> np.ndarray:
         return np.concatenate(
@@ -192,92 +198,107 @@ class MlpModel:
 
 
 class OnlineEnsemble:
-    """Online bagging over MLP members with tracker-adaptive Poisson rates."""
+    """Online bagging ensembles, one per sampler, over one stacked MLP bank.
+
+    Ensemble ``e`` owns bank rows ``e * n_members`` up to ``(e + 1) *
+    n_members``, initialized from seeds ``[seed, reset_counts[e], i]``, and
+    its own Poisson generator ``default_rng([seed, 1])``; the ensembles share
+    the tracker. Because bank rows are independent, every ensemble learns
+    exactly as it would alone, so a one-sampler ensemble is the plain
+    single-pipeline case.
+    """
 
     def __init__(
         self,
         n_features: int,
         tracker: ClassSizeTracker,
-        sampler: str = OB,
+        samplers=(OB,),
         n_members: int = 15,
         seed: int = 0,
         lr: float = 0.1,
         hidden: int | None = None,
         designation_threshold: float = 1.5,
     ):
-        if sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
+        samplers = tuple(samplers)
+        if not samplers:
+            raise ValueError("need at least one sampler")
+        for sampler in samplers:
+            if sampler not in SAMPLERS:
+                raise ValueError(
+                    f"sampler must be one of {SAMPLERS}, got {sampler!r}"
+                )
         if n_members < 1:
             raise ValueError("need at least one member")
-        self.sampler = sampler
+        self.samplers = samplers
         self.tracker = tracker
         self.designation_threshold = designation_threshold
         self.seed = seed
-        self.reset_count = 0
-        self._poisson_rng = np.random.default_rng([seed, 1])
+        self.n_members = n_members
+        self.reset_counts = [0] * len(samplers)
+        self._poisson_rngs = [np.random.default_rng([seed, 1]) for _ in samplers]
         self._bank = MlpBank(
-            n_features, self._member_seeds(n_members), lr=lr, hidden=hidden
+            n_features,
+            self._member_seeds(0) * len(samplers),
+            lr=lr,
+            hidden=hidden,
         )
 
-    def _member_seeds(self, n_members=None):
-        n = self._bank.n_members if n_members is None else n_members
-        return [[self.seed, self.reset_count, i] for i in range(n)]
+    def _member_seeds(self, reset_count: int):
+        return [[self.seed, reset_count, i] for i in range(self.n_members)]
 
-    @property
-    def n_members(self) -> int:
-        return self._bank.n_members
+    def sampling_rates(self, label: int, status=None) -> list[float]:
+        """Each ensemble's Poisson lambda for an example of ``label``.
 
-    def sampling_rate(self, label: int) -> float:
-        """The Poisson lambda this ensemble would use for an example of ``label``."""
-        if self.sampler == OB:
-            return 1.0
-        status = self.tracker.status(self.designation_threshold)
+        ``status`` is the tracker's current designation, if the caller has
+        it already.
+        """
+        if status is None:
+            status = self.tracker.status(self.designation_threshold)
         if status.minority is None:
-            return 1.0
+            return [1.0] * len(self.samplers)
         w = self.tracker.w
-        ref = status.majority if self.sampler == OOB else status.minority
-        return w[ref] / w[label]
+        rate = {
+            OB: 1.0,
+            OOB: w[status.majority] / w[label],
+            UOB: w[status.minority] / w[label],
+        }
+        return [rate[s] for s in self.samplers]
 
-    def predict(self, features) -> tuple[int, float]:
-        """(label, score): score is the mean positive-class probability.
+    def predict(self, features) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, scores), one entry per ensemble: a score is the mean
+        positive-class probability of the ensemble's members.
 
         Ties at 0.5 go to the positive class.
         """
         x = np.asarray(features, dtype=float)
-        score = float(self._bank.positive_scores(x).mean())
-        return (POS if score >= 0.5 else NEG), score
+        scores = (
+            self._bank.positive_scores(x)
+            .reshape(len(self.samplers), self.n_members)
+            .mean(axis=1)
+        )
+        return np.where(scores >= 0.5, POS, NEG), scores
 
-    def train_one(self, features, label) -> None:
-        """Poisson-replicated bagging update; the tracker must already have
-        absorbed this example's label."""
+    def train_one(self, features, label, status=None) -> None:
+        """Poisson-replicated bagging update of every ensemble; the tracker
+        must already have absorbed this example's label (``status`` as in
+        `sampling_rates`)."""
         x = np.asarray(features, dtype=float)
-        lam = self.sampling_rate(label)
-        ks = self._poisson_rng.poisson(lam, self.n_members)
+        m = self.n_members
+        ks = np.concatenate(
+            [
+                rng.poisson(lam, m)
+                for rng, lam in zip(
+                    self._poisson_rngs, self.sampling_rates(label, status)
+                )
+            ]
+        )
         if ks.any():
             self._bank.train_rounds(x, label, ks)
 
-    def reset(self) -> None:
-        """Fresh member weights from seeds derived off (seed, reset count)."""
-        self.reset_count += 1
-        self._bank.init_weights(self._member_seeds())
-
-    # -- checkpointing (debug surface; format internal) -----------------------
-
-    def save_weights(self, path) -> None:
-        np.savez(
-            path,
-            W1=self._bank.W1,
-            b1=self._bank.b1,
-            W2=self._bank.W2,
-            b2=self._bank.b2,
-            reset_count=self.reset_count,
+    def reset(self, e: int) -> None:
+        """Fresh weights for ensemble ``e`` from seeds derived off (seed, its
+        reset count); the other ensembles are untouched."""
+        self.reset_counts[e] += 1
+        self._bank.init_weights(
+            self._member_seeds(self.reset_counts[e]), first=e * self.n_members
         )
-
-    def load_weights(self, path) -> None:
-        data = np.load(path)
-        for name in ("W1", "b1", "W2", "b2"):
-            arr = getattr(self._bank, name)
-            if data[name].shape != arr.shape:
-                raise ValueError(f"checkpoint shape mismatch for {name}")
-            setattr(self._bank, name, data[name].copy())
-        self.reset_count = int(data["reset_count"])

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import skewstream
+from skewstream import harness
 from skewstream.cli import main
-from skewstream.detectors import AucDropDetector
+from skewstream.detectors import AucDropDetector, Verdict
 from skewstream.harness import (
     METRICS,
     ConceptAverages,
@@ -33,9 +34,12 @@ from skewstream.harness import (
     run_experiment,
     summarize_runs,
 )
+from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
+from skewstream.learners import OnlineEnsemble
 from skewstream.metrics import DecayedConfusion, g_mean, per_class_recall
 from skewstream.presets import preset_schedule
+from skewstream.streams import StreamGenerator
 
 
 def tiny_config(preset="sine1-py", pipelines=None, runs=2, **kwargs):
@@ -133,6 +137,26 @@ def test_config_rejects_bad_values():
         tiny_config(pipelines=[PipelineSpec("x", "OB"), PipelineSpec("x", "OOB")])
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("lr", -1.0),
+        ("lr", float("nan")),
+        ("tracker_theta", 1.5),
+        ("designation_threshold", 0.5),
+    ],
+)
+def test_config_errors_name_the_key(key, value):
+    with pytest.raises(ConfigError, match=rf"\[experiment\] {key} "):
+        tiny_config(**{key: value})
+
+
+def test_config_file_errors_name_the_key_before_running(tmp_path):
+    text = "[experiment]\npreset = sine1-py\ntracker_theta = 1.5\n"
+    with pytest.raises(ConfigError, match=r"\[experiment\] tracker_theta must"):
+        load_config(write_config(tmp_path, text))
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
@@ -148,6 +172,100 @@ def test_run_experiment_is_deterministic():
         assert np.array_equal(ra.preds, rb.preds)
         assert np.array_equal(ra.scores, rb.scores)
         assert ra.events == rb.events
+
+
+def reference_run(cfg, pipe, r):
+    """One pipeline run on its own stream, tracker, ensemble and detector:
+    the scalar engine that `run_experiment` must reproduce exactly."""
+    seed = cfg.base_seed + r
+    schedule = cfg.schedule
+    stream = StreamGenerator(schedule, seed)
+    tracker = ClassSizeTracker(cfg.tracker_theta)
+    model = OnlineEnsemble(
+        schedule.old.n_features,
+        tracker,
+        samplers=(pipe.learner,),
+        n_members=cfg.members,
+        seed=seed,
+        lr=cfg.lr,
+        designation_threshold=cfg.designation_threshold,
+    )
+    detector = build_detector(pipe)
+    truths, preds, scores, events = [], [], [], []
+    for t in range(1, schedule.total_steps + 1):
+        ex = stream.next_example()
+        [pred], [score] = model.predict(ex.features)
+        if t > cfg.warm_up:
+            truths.append(ex.label)
+            preds.append(pred)
+            scores.append(score)
+        tracker.update(ex.label)
+        if detector is not None:
+            status = tracker.status(cfg.designation_threshold)
+            verdict = detector.step(
+                ex.label, int(pred), score=float(score), minority=status.minority
+            )
+            if verdict is not Verdict.NORMAL:
+                events.append((t, verdict.value))
+            if verdict is Verdict.DRIFT:
+                model.reset(0)
+        model.train_one(ex.features, ex.label)
+    return RunRecord(
+        run=r,
+        seed=seed,
+        warm_up=cfg.warm_up,
+        truths=np.array(truths, dtype=np.int8),
+        preds=np.array(preds, dtype=np.int8),
+        scores=np.array(scores),
+        events=events,
+    )
+
+
+def assert_matches_reference(cfg, records):
+    assert list(records) == [pipe.name for pipe in cfg.pipelines]
+    for pipe in cfg.pipelines:
+        assert len(records[pipe.name]) == cfg.runs
+        for r, rec in enumerate(records[pipe.name]):
+            ref = reference_run(cfg, pipe, r)
+            assert (rec.run, rec.seed, rec.warm_up) == (ref.run, ref.seed, ref.warm_up)
+            assert np.array_equal(rec.truths, ref.truths)
+            assert np.array_equal(rec.preds, ref.preds)
+            assert np.array_equal(rec.scores, ref.scores)
+            assert rec.events == ref.events
+
+
+@pytest.mark.parametrize("preset", ["sine1-py", "sea-py"])
+def test_lockstep_engine_equals_per_pipeline_runs(preset):
+    pipelines = [
+        PipelineSpec("OB", "OB"),
+        PipelineSpec("OB+ddm", "OB", "ddm-oci"),
+        PipelineSpec("OOB+lfr", "OOB", "lfr"),
+        PipelineSpec("OOB+auc", "OOB", "pauc-ph"),
+        PipelineSpec("UOB+auc", "UOB", "pauc-ph"),
+    ]
+    cfg = tiny_config(preset, pipelines=pipelines, runs=2, warm_up=37)
+    records = run_experiment(cfg)
+    drifts = [
+        v for recs in records.values() for rec in recs for _, v in rec.events
+        if v == Verdict.DRIFT.value
+    ]
+    assert drifts  # slice resets are exercised
+    assert_matches_reference(cfg, records)
+
+
+def test_single_member_single_pipeline_equals_reference():
+    cfg = tiny_config(
+        pipelines=[PipelineSpec("OOB+ddm", "OOB", "ddm-oci")], runs=1, members=1
+    )
+    assert_matches_reference(cfg, run_experiment(cfg))
+
+
+def test_no_pipelines_builds_no_stream(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(harness, "StreamGenerator", refuse)
+    assert run_experiment(tiny_config(pipelines=[])) == {}
 
 
 def test_run_records_honor_warm_up_length():

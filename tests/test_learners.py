@@ -131,9 +131,9 @@ def test_poisson_monte_carlo_moments():
 def test_balanced_tracker_degenerates_to_plain_bagging():
     tracker = ClassSizeTracker()  # starts perfectly even
     for sampler in ("OB", "OOB", "UOB"):
-        ens = OnlineEnsemble(2, tracker, sampler=sampler, n_members=3, seed=0)
-        assert ens.sampling_rate(POS) == 1.0
-        assert ens.sampling_rate(NEG) == 1.0
+        ens = OnlineEnsemble(2, tracker, samplers=(sampler,), n_members=3, seed=0)
+        assert ens.sampling_rates(POS) == [1.0]
+        assert ens.sampling_rates(NEG) == [1.0]
     # and k ~ Poisson(1): chi-square over 10,000 draws at alpha = 0.01
     rng = np.random.default_rng(3)
     draws = rng.poisson(1.0, 10_000)
@@ -147,16 +147,16 @@ def test_balanced_tracker_degenerates_to_plain_bagging():
 def test_adaptive_rates_match_size_ratios():
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.1, NEG: 0.9}
-    oob = OnlineEnsemble(2, tracker, sampler="OOB", n_members=2, seed=0)
-    assert oob.sampling_rate(POS) == pytest.approx(9.0)
-    assert oob.sampling_rate(NEG) == pytest.approx(1.0)
-    uob = OnlineEnsemble(2, tracker, sampler="UOB", n_members=2, seed=0)
-    assert uob.sampling_rate(NEG) == pytest.approx(1.0 / 9.0)
-    assert uob.sampling_rate(POS) == pytest.approx(1.0)
-    ob = OnlineEnsemble(2, tracker, sampler="OB", n_members=2, seed=0)
-    assert ob.sampling_rate(POS) == ob.sampling_rate(NEG) == 1.0
+    oob = OnlineEnsemble(2, tracker, samplers=("OOB",), n_members=2, seed=0)
+    assert oob.sampling_rates(POS) == pytest.approx([9.0])
+    assert oob.sampling_rates(NEG) == pytest.approx([1.0])
+    uob = OnlineEnsemble(2, tracker, samplers=("UOB",), n_members=2, seed=0)
+    assert uob.sampling_rates(NEG) == pytest.approx([1.0 / 9.0])
+    assert uob.sampling_rates(POS) == pytest.approx([1.0])
+    ob = OnlineEnsemble(2, tracker, samplers=("OB",), n_members=2, seed=0)
+    assert ob.sampling_rates(POS) == ob.sampling_rates(NEG) == [1.0]
     with pytest.raises(ValueError):
-        OnlineEnsemble(2, tracker, sampler="SMOTE")
+        OnlineEnsemble(2, tracker, samplers=("SMOTE",))
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +166,10 @@ def test_adaptive_rates_match_size_ratios():
 
 def test_single_member_ensemble_equals_that_member():
     tracker = ClassSizeTracker()
-    ens = OnlineEnsemble(2, tracker, sampler="OB", n_members=1, seed=42)
+    ens = OnlineEnsemble(2, tracker, samplers=("OB",), n_members=1, seed=42)
     solo = MlpModel(2, seed=[42, 0, 0])
     x = np.array([0.3, 0.6])
-    assert ens.predict(x)[1] == pytest.approx(solo.predict(x)[0], abs=1e-15)
+    assert ens.predict(x)[1][0] == pytest.approx(solo.predict(x)[0], abs=1e-15)
 
 
 def test_tie_score_goes_positive():
@@ -177,7 +177,7 @@ def test_tie_score_goes_positive():
     ens = OnlineEnsemble(2, tracker, n_members=3, seed=0)
     ens._bank.W2[:] = 0.0
     ens._bank.b2[:] = 0.0
-    label, score = ens.predict([0.1, 0.9])
+    [label], [score] = ens.predict([0.1, 0.9])
     assert score == 0.5
     assert label == POS
 
@@ -204,13 +204,13 @@ def test_batched_rounds_equal_sequential_member_training():
 def test_full_training_is_deterministic():
     def run():
         tracker = ClassSizeTracker()
-        ens = OnlineEnsemble(2, tracker, sampler="OOB", n_members=5, seed=99)
+        ens = OnlineEnsemble(2, tracker, samplers=("OOB",), n_members=5, seed=99)
         rng = np.random.default_rng(1234)
         outputs = []
         for _ in range(300):
             x = rng.uniform(0, 1, 2)
             y = POS if rng.random() < 0.2 else NEG
-            outputs.append(ens.predict(x))
+            outputs.append(tuple(a.tolist() for a in ens.predict(x)))
             tracker.update(y)
             ens.train_one(x, y)
         return outputs
@@ -225,24 +225,65 @@ def test_reset_reinitializes_from_derived_seeds():
     for _ in range(50):
         a.train_one([0.2, 0.8], POS)
     trained = a._bank.get_flat().copy()
-    a.reset()
-    assert a.reset_count == 1
+    a.reset(0)
+    assert a.reset_counts[0] == 1
     assert not np.array_equal(a._bank.get_flat(), trained)
-    b.reset()
+    b.reset(0)
     assert np.array_equal(a._bank.get_flat(), b._bank.get_flat())
     # fresh weights differ from the initial (reset 0) generation
     c = OnlineEnsemble(2, tracker, n_members=4, seed=5)
     assert not np.array_equal(a._bank.get_flat(), c._bank.get_flat())
 
 
-def test_checkpoint_round_trip(tmp_path):
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_bank_rounds_like_separate_banks(d):
+    # one 45-row bank must give the bits of three 15-row banks: a row's
+    # result may not depend on how many rows share the numpy/BLAS calls
+    seeds = [[[s, 0, i] for i in range(15)] for s in (4, 5, 6)]
+    stacked = MlpBank(d, [seed for block in seeds for seed in block])
+    banks = [MlpBank(d, block) for block in seeds]
+    rng = np.random.default_rng(d)
+    for _ in range(60):
+        x = rng.uniform(0, 1, d)
+        y = POS if rng.random() < 0.3 else NEG
+        ks = rng.poisson(rng.choice([0.2, 1.0, 9.0], 3).repeat(15))
+        assert np.array_equal(
+            stacked.positive_scores(x),
+            np.concatenate([b.positive_scores(x) for b in banks]),
+        )
+        stacked.train_rounds(x, y, ks)
+        for b, part in zip(banks, np.split(ks, 3)):
+            if part.any():
+                b.train_rounds(x, y, part)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(
+            getattr(stacked, name),
+            np.concatenate([getattr(b, name) for b in banks]),
+        )
+
+
+def _slice_params(bank, e, m):
+    """Ensemble ``e``'s weights (rows e*m .. e*m+m-1) as one flat vector."""
+    rows = slice(e * m, (e + 1) * m)
+    return np.concatenate(
+        [getattr(bank, n)[rows].ravel() for n in ("W1", "b1", "W2", "b2")]
+    )
+
+
+def test_reset_touches_only_its_own_ensemble():
     tracker = ClassSizeTracker()
-    ens = OnlineEnsemble(2, tracker, n_members=3, seed=1)
+    tracker.w = {POS: 0.2, NEG: 0.8}
+    ens = OnlineEnsemble(3, tracker, samplers=("OB", "OOB", "UOB"), n_members=4, seed=8)
     for _ in range(20):
-        ens.train_one([0.4, 0.1], NEG)
-    path = tmp_path / "weights.npz"
-    ens.save_weights(path)
-    restored = OnlineEnsemble(2, tracker, n_members=3, seed=2)
-    restored.load_weights(path)
-    x = [0.3, 0.9]
-    assert restored.predict(x) == ens.predict(x)
+        ens.train_one([0.1, 0.5, 0.9], POS)
+    trained = [_slice_params(ens._bank, e, 4) for e in range(3)]
+    ens.reset(1)
+    ens.reset(1)
+    assert ens.reset_counts == [0, 2, 0]
+    assert np.array_equal(_slice_params(ens._bank, 0, 4), trained[0])
+    assert np.array_equal(_slice_params(ens._bank, 2, 4), trained[2])
+    alone = OnlineEnsemble(3, tracker, samplers=("OOB",), n_members=4, seed=8)
+    alone.reset(0)
+    alone.reset(0)
+    assert np.array_equal(_slice_params(ens._bank, 1, 4), alone._bank.get_flat())
+    assert not np.array_equal(_slice_params(ens._bank, 1, 4), trained[1])
