@@ -796,20 +796,35 @@ def emit_report(report: Report, out_dir) -> list[Path]:
     return written
 
 
+def _read_table(path, header: str) -> tuple[Path, list[tuple[int, str]]]:
+    """The numbered data rows of a CSV table whose first line is ``header``."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ValueError(f"{path}:1: empty file, expected header {header!r}")
+    if lines[0] != header:
+        raise ValueError(f"{path}:1: unexpected header {lines[0]!r}")
+    return path, list(enumerate(lines[1:], start=2))
+
+
 def read_per_run_table(path) -> list[ConceptAverages]:
     """Parse a runs/<pipeline>.csv back into per-run window averages."""
-    path = Path(path)
-    header, *rows = path.read_text(encoding="utf-8").splitlines()
-    expected = "run,seed," + ",".join(METRICS)
-    if header != expected:
-        raise ValueError(f"{path}: unexpected header {header!r}")
+    path, rows = _read_table(path, "run,seed," + ",".join(METRICS))
     out = []
-    for row in rows:
+    for lineno, row in rows:
         parts = row.split(",")
         if len(parts) != 2 + len(METRICS):
-            raise ValueError(f"{path}: malformed row {row!r}")
-        out.append(ConceptAverages(*(float(v) for v in parts[2:])))
+            raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
+        try:
+            out.append(ConceptAverages(*(float(v) for v in parts[2:])))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: non-numeric value in row {row!r}"
+            ) from None
     return out
+
+
+_ALARM_VERDICTS = (Verdict.WARNING.value, Verdict.DRIFT.value)
 
 
 def read_alarm_table(path) -> list[DetectionLog]:
@@ -818,17 +833,19 @@ def read_alarm_table(path) -> list[DetectionLog]:
     Runs without any recorded event simply have no log entry; scoring
     normalizes by the configured run count, not by the number of logs.
     """
-    path = Path(path)
-    header, *rows = path.read_text(encoding="utf-8").splitlines()
-    if header != "run,seed,t,verdict":
-        raise ValueError(f"{path}: unexpected header {header!r}")
+    path, rows = _read_table(path, "run,seed,t,verdict")
     logs: dict[int, DetectionLog] = {}
-    for row in rows:
+    for lineno, row in rows:
         try:
             run_s, seed_s, t_s, verdict = row.split(",")
             run, seed, t = int(run_s), int(seed_s), int(t_s)
         except ValueError:
-            raise ValueError(f"{path}: malformed row {row!r}") from None
+            raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
+        if verdict not in _ALARM_VERDICTS:
+            raise ValueError(
+                f"{path}:{lineno}: unknown verdict {verdict!r}, expected one "
+                f"of {', '.join(_ALARM_VERDICTS)}"
+            )
         log = logs.setdefault(run, DetectionLog(run=run, seed=seed, alarms=[]))
         if verdict == Verdict.DRIFT.value:
             log.alarms.append(t)
@@ -846,10 +863,11 @@ def rebuild_tables(out_dir) -> tuple[str, str]:
     per_run = {}
     scores = {}
     for pipe in cfg.pipelines:
-        per_run[pipe.name] = read_per_run_table(out / "runs" / f"{pipe.name}.csv")
+        runs_path = out / "runs" / f"{pipe.name}.csv"
+        per_run[pipe.name] = read_per_run_table(runs_path)
         if len(per_run[pipe.name]) != cfg.runs:
             raise ValueError(
-                f"{pipe.name}: {len(per_run[pipe.name])} rows for "
+                f"{runs_path}: {len(per_run[pipe.name])} rows for "
                 f"{cfg.runs} configured runs"
             )
         if pipe.detector != NO_DETECTOR:

@@ -21,6 +21,12 @@ ensembles (one per sampler, as the harness runs one per pipeline) in the same
 bank: one predict call and one set of rounds serve them all, while each keeps
 its own Poisson generator, its own reset seeds and exactly the outputs it
 would have alone.
+
+A prequential step predicts, then trains on the same features, so
+`OnlineEnsemble.predict` keeps the bank's forward pass and a `train_one` on
+those features, with no reset in between, hands it to `MlpBank.train_rounds`
+as round 0's forward instead of computing it again: one forward pass per
+round, with the bits of a fresh pass.
 """
 from __future__ import annotations
 
@@ -52,8 +58,12 @@ def poisson_k(lam: float, rng: np.random.Generator) -> int:
     return int(rng.poisson(lam))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """``1.0 / (1.0 + np.exp(-z))``, step by step in ``z``'s own buffer."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 class MlpBank:
@@ -89,39 +99,52 @@ class MlpBank:
             self.b2[i] = rng.uniform(-0.5, 0.5, N_CLASSES)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-member (hidden activations, class probabilities) for one input."""
+        """Per-member (hidden activations, class probabilities) for one input.
+
+        The softmax takes the max and the sum of the two class columns with
+        one elementwise call each: the values of ``max``/``sum`` over axis 1,
+        without the cost of an axis reduction.
+        """
         m, h = self.n_members, self.hidden
         z1 = (self.W1.reshape(m * h, self.n_features) @ x).reshape(m, h) + self.b1
-        a1 = _sigmoid(z1)
+        a1 = _sigmoid_in_place(z1)
         z2 = (self.W2 @ a1[:, :, None])[:, :, 0] + self.b2
-        z2 -= z2.max(axis=1, keepdims=True)
+        z2 -= np.maximum(z2[:, 0], z2[:, 1])[:, None]
         e = np.exp(z2)
-        probs = e / e.sum(axis=1, keepdims=True)
+        probs = e / (e[:, 0] + e[:, 1])[:, None]
         return a1, probs
 
     def positive_scores(self, x: np.ndarray) -> np.ndarray:
         """Per-member positive-class probabilities (side-effect free)."""
         return self.forward(x)[1][:, _CLASS_INDEX[POS]]
 
-    def train_rounds(self, x: np.ndarray, label: int, ks: np.ndarray) -> None:
-        """Give member i ``ks[i]`` sequential gradient steps on (x, label)."""
+    def train_rounds(
+        self, x: np.ndarray, label: int, ks: np.ndarray, first=None
+    ) -> None:
+        """Give member i ``ks[i]`` sequential gradient steps on (x, label).
+
+        ``first``, if given, is ``forward(x)`` on the current weights; it
+        serves as round 0's forward pass instead of recomputing it, and its
+        probabilities are overwritten.
+        """
         if x.shape[0] != self.n_features:
             raise ValueError(
                 f"expected {self.n_features} features, got {x.shape[0]}"
             )
         cls = _CLASS_INDEX[label]
         max_k = int(ks.max()) if len(ks) else 0
+        # step size per round and member: lr while the member's k lasts, else 0
+        steps = np.where(ks > np.arange(max_k)[:, None], self.lr, 0.0)[:, :, None]
         for j in range(max_k):
-            active = ks > j
-            a1, probs = self.forward(x)
+            a1, probs = first if j == 0 and first is not None else self.forward(x)
             dz2 = probs  # dL/dz2 = probs - onehot(cls)
             dz2[:, cls] -= 1.0
-            dz2 *= self.lr * active[:, None]
+            dz2 *= steps[j]
             da1 = (self.W2.transpose(0, 2, 1) @ dz2[:, :, None])[:, :, 0]
             self.W2 -= dz2[:, :, None] * a1[:, None, :]
             self.b2 -= dz2
             dz1 = da1 * a1 * (1.0 - a1)
-            self.W1 -= dz1[:, :, None] * x[None, None, :]
+            self.W1 -= dz1[:, :, None] * x
             self.b1 -= dz1
 
     # -- flat parameter access (diagnostics) ----------------------------------
@@ -242,6 +265,8 @@ class OnlineEnsemble:
             lr=lr,
             hidden=hidden,
         )
+        # (features, bank forward) of the last predict, until used or stale
+        self._kept = None
 
     def _member_seeds(self, reset_count: int):
         return [[self.seed, reset_count, i] for i in range(self.n_members)]
@@ -268,21 +293,32 @@ class OnlineEnsemble:
         """(labels, scores), one entry per ensemble: a score is the mean
         positive-class probability of the ensemble's members.
 
-        Ties at 0.5 go to the positive class.
+        Ties at 0.5 go to the positive class. The bank's forward pass is
+        kept for a `train_one` on the same features.
         """
         x = np.asarray(features, dtype=float)
+        forward = self._bank.forward(x)
+        self._kept = (x.tolist(), forward)
+        # sum / n: the bits of .mean(axis=1), without its Python wrapper
         scores = (
-            self._bank.positive_scores(x)
+            forward[1][:, _CLASS_INDEX[POS]]
             .reshape(len(self.samplers), self.n_members)
-            .mean(axis=1)
+            .sum(axis=1)
+            / self.n_members
         )
         return np.where(scores >= 0.5, POS, NEG), scores
 
     def train_one(self, features, label, status=None) -> None:
         """Poisson-replicated bagging update of every ensemble; the tracker
         must already have absorbed this example's label (``status`` as in
-        `sampling_rates`)."""
+        `sampling_rates`).
+
+        Round 0 reuses the forward pass of the last `predict` when it was
+        on the same features with no reset or training since.
+        """
         x = np.asarray(features, dtype=float)
+        kept, self._kept = self._kept, None
+        first = kept[1] if kept is not None and kept[0] == x.tolist() else None
         m = self.n_members
         ks = np.concatenate(
             [
@@ -293,11 +329,12 @@ class OnlineEnsemble:
             ]
         )
         if ks.any():
-            self._bank.train_rounds(x, label, ks)
+            self._bank.train_rounds(x, label, ks, first=first)
 
     def reset(self, e: int) -> None:
         """Fresh weights for ensemble ``e`` from seeds derived off (seed, its
         reset count); the other ensembles are untouched."""
+        self._kept = None
         self.reset_counts[e] += 1
         self._bank.init_weights(
             self._member_seeds(self.reset_counts[e]), first=e * self.n_members

@@ -4,6 +4,7 @@ Heavier runs use 3 ensemble members and 2 runs to stay fast; the full-size
 reproductions live in test_acceptance.py.
 """
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -602,6 +603,33 @@ def test_emit_report_tables_round_trip(tmp_path):
     assert len(curve_lines) == 1 + cfg.schedule.total_steps
 
 
+RUNS_HEADER = "run,seed," + ",".join(METRICS)
+
+
+@pytest.mark.parametrize("reader", [read_per_run_table, read_alarm_table])
+def test_table_readers_name_the_file_when_empty(reader, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: empty file"):
+        reader(path)
+
+
+def test_per_run_table_names_the_line_of_a_non_numeric_cell(tmp_path):
+    path = tmp_path / "runs.csv"
+    good = ",".join(["0.5"] * len(METRICS))
+    bad = ",".join(["0.5"] * (len(METRICS) - 1) + ["oops"])
+    path.write_text(f"{RUNS_HEADER}\n0,3,{good}\n1,4,{bad}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: non-numeric"):
+        read_per_run_table(path)
+
+
+def test_alarm_table_rejects_an_unknown_verdict(tmp_path):
+    path = tmp_path / "alarms.csv"
+    path.write_text("run,seed,t,verdict\n0,3,1600,warning\n0,3,1700,drfit\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: unknown verdict 'drfit'"):
+        read_alarm_table(path)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -682,6 +710,27 @@ def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table, text, message",
+    [
+        ("alarms", "run,seed,t,verdict\n0,3,1600,drfit\n", ":2: unknown verdict"),
+        ("runs", "", ":1: empty file"),
+        ("runs", None, ": 1 rows for 2 configured runs"),
+    ],
+    ids=["bad-verdict", "empty-runs", "missing-run"],
+)
+def test_cli_report_names_the_bad_table(table, text, message, tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CLI_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    path = out / table / "OOB+auc.csv"
+    if text is None:  # drop the last run's row
+        text = "\n".join(path.read_text().splitlines()[:-1]) + "\n"
+    path.write_text(text)
+    assert main(["report", str(out)]) == 2
+    assert f"{path}{message}" in capsys.readouterr().err
 
 
 def test_importing_the_harness_does_not_load_scipy():

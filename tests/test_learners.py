@@ -287,3 +287,110 @@ def test_reset_touches_only_its_own_ensemble():
     alone.reset(0)
     assert np.array_equal(_slice_params(ens._bank, 1, 4), alone._bank.get_flat())
     assert not np.array_equal(_slice_params(ens._bank, 1, 4), trained[1])
+
+
+# ---------------------------------------------------------------------------
+# the step kernel against a frozen reference
+# ---------------------------------------------------------------------------
+# The reference below is the plain form of the kernel, kept apart from
+# `MlpBank`: a fresh forward pass every round, max and sum over the class
+# axis, the ensemble score as a mean. `MlpBank` reuses predict's forward pass
+# as round 0 of training and works on the two class columns directly; both
+# must give these bits exactly.
+
+
+def _ref_init(d, h, seeds):
+    params = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        params.append(
+            (
+                rng.uniform(-0.5, 0.5, (h, d)),
+                rng.uniform(-0.5, 0.5, h),
+                rng.uniform(-0.5, 0.5, (2, h)),
+                rng.uniform(-0.5, 0.5, 2),
+            )
+        )
+    return [np.stack(p) for p in zip(*params)]
+
+
+def _ref_forward(W1, b1, W2, b2, x):
+    m, h, d = W1.shape
+    z1 = (W1.reshape(m * h, d) @ x).reshape(m, h) + b1
+    a1 = 1.0 / (1.0 + np.exp(-z1))
+    z2 = (W2 @ a1[:, :, None])[:, :, 0] + b2
+    z2 -= z2.max(axis=1, keepdims=True)
+    e = np.exp(z2)
+    return a1, e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_train_rounds(params, x, label, ks, lr):
+    W1, b1, W2, b2 = params
+    cls = 0 if label == POS else 1
+    for j in range(int(ks.max())):
+        active = ks > j
+        a1, probs = _ref_forward(W1, b1, W2, b2, x)
+        dz2 = probs
+        dz2[:, cls] -= 1.0
+        dz2 *= lr * active[:, None]
+        da1 = (W2.transpose(0, 2, 1) @ dz2[:, :, None])[:, :, 0]
+        W2 -= dz2[:, :, None] * a1[:, None, :]
+        b2 -= dz2
+        dz1 = da1 * a1 * (1.0 - a1)
+        W1 -= dz1[:, :, None] * x[None, None, :]
+        b1 -= dz1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "members, samplers",
+    # at 15 members only undersampling skips whole steps (all ks zero)
+    [(1, ("OB", "OOB", "UOB")), (15, ("UOB", "UOB", "UOB"))],
+    ids=["members1", "members15"],
+)
+def test_step_kernel_equals_frozen_reference(d, members, samplers):
+    tracker = ClassSizeTracker()
+    tracker.w = {POS: 0.05, NEG: 0.95}  # pinned: POS is the minority
+    seed, lr = 17, 0.1
+    ens = OnlineEnsemble(
+        d, tracker, samplers=samplers, n_members=members, seed=seed, lr=lr
+    )
+    h = ens._bank.hidden
+    params = _ref_init(d, h, [[seed, 0, i] for i in range(members)] * 3)
+    ref_rngs = [np.random.default_rng([seed, 1]) for _ in samplers]
+    reset_counts = [0, 0, 0]
+    rng = np.random.default_rng(d * 100 + members)
+    cases = {"no_training": 0, "reset": 0, "other_x": 0}
+    for step in range(240):
+        x = rng.uniform(0, 1, d)
+        label = POS if rng.random() < 0.3 else NEG
+        labels, scores = ens.predict(x)
+        _, ref_probs = _ref_forward(*params, x)
+        ref_scores = ref_probs[:, 0].reshape(3, members).mean(axis=1)
+        assert np.array_equal(scores, ref_scores)
+        assert np.array_equal(labels, np.where(ref_scores >= 0.5, POS, NEG))
+        if step % 9 == 4:  # a drift alarm between predict and training
+            e = step % 3
+            ens.reset(e)
+            reset_counts[e] += 1
+            fresh = _ref_init(d, h, [[seed, reset_counts[e], i] for i in range(members)])
+            for p, f in zip(params, fresh):
+                p[e * members : (e + 1) * members] = f
+            cases["reset"] += 1
+        if step % 11 == 6:  # training on other features than predicted
+            x = rng.uniform(0, 1, d)
+            cases["other_x"] += 1
+        ks = np.concatenate(
+            [
+                r.poisson(lam, members)
+                for r, lam in zip(ref_rngs, ens.sampling_rates(label))
+            ]
+        )
+        ens.train_one(x, label)
+        if ks.any():
+            _ref_train_rounds(params, x, label, ks, lr)
+        else:
+            cases["no_training"] += 1
+        for name, ref in zip(("W1", "b1", "W2", "b2"), params):
+            assert np.array_equal(getattr(ens._bank, name), ref), (step, name)
+    assert all(cases.values()), cases

@@ -95,6 +95,47 @@ def test_same_seed_reproduces_stream_exactly():
     assert a[0][0] == 1 and a[-1][0] == 3000
 
 
+def _reference_stream(schedule, seed):
+    """(t, features, label) drawn with one numpy call per random value: the
+    plain form of the generator's draw order, which its block-drawn doubles
+    must reproduce exactly."""
+    rng = np.random.default_rng(seed)
+    for t in range(1, schedule.total_steps + 1):
+        w = mixture_weight(t, schedule)
+        if w >= 1.0:
+            concept = schedule.new
+        elif w <= 0.0:
+            concept = schedule.old
+        else:
+            concept = schedule.new if rng.random() < w else schedule.old
+        high = concept.feature_high
+        label = POS if rng.random() < concept.positive_prior else NEG
+        low_side = None
+        skew = concept.skew
+        if skew is not None and skew.label == label:
+            low_side = rng.random() < skew.prob
+        for _ in range(10_000):
+            feats = rng.uniform(0.0, high, size=concept.n_features)
+            if low_side is not None:
+                if low_side:
+                    feats[skew.feature] = rng.uniform(0.0, skew.split)
+                else:
+                    feats[skew.feature] = rng.uniform(skew.split, high)
+            if concept.label_of(feats) == label:
+                break
+        else:
+            raise AssertionError(f"no example at step {t}")
+        yield t, tuple(float(v) for v in feats), label
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1000])
+def test_block_drawn_stream_equals_per_call_draws(seed):
+    for name in sorted(PRESETS):
+        sched = preset_schedule(name)
+        got = [(ex.t, ex.features, ex.label) for ex in StreamGenerator(sched, seed)]
+        assert got == list(_reference_stream(sched, seed)), name
+
+
 def test_exhaustion_raises():
     gen = StreamGenerator(stationary_schedule(ConceptSpec(SINE1, 0.5), 5), seed=1)
     for _ in range(5):
