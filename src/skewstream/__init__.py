@@ -13,11 +13,11 @@ from .streams import (
     Skew,
     StreamExhausted,
     StreamGenerator,
+    dump_stream,
     mixture_weight,
     stationary_schedule,
 )
 from .presets import PRESETS, preset_schedule
-from .ingest import CsvFormatError, CsvSchema, dump_stream, load_csv_stream
 from .metrics import (
     ConfusionCounts,
     DecayedConfusion,
@@ -72,14 +72,11 @@ __all__ = [
     "Skew",
     "StreamExhausted",
     "StreamGenerator",
+    "dump_stream",
     "mixture_weight",
     "stationary_schedule",
     "PRESETS",
     "preset_schedule",
-    "CsvFormatError",
-    "CsvSchema",
-    "dump_stream",
-    "load_csv_stream",
     "ConfusionCounts",
     "DecayedConfusion",
     "ScoreWindow",

@@ -30,9 +30,8 @@ from .harness import (
     run_experiment,
 )
 from .detectors import score_detections
-from .ingest import dump_stream
 from .presets import preset_schedule
-from .streams import StreamGenerator
+from .streams import StreamGenerator, dump_stream
 
 OUT_ENV = "SKEWSTREAM_OUT"
 

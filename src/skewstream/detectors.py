@@ -197,6 +197,15 @@ class BoundTable:
         max_n: int = 1000,
         seed: int = 20240605,
     ):
+        # a decay outside (0, 1) diverges and un-nested levels fail only
+        # after the simulation, so both are refused before any cache lookup
+        if not 0.0 < decay < 1.0:
+            raise ValueError(f"decay must be in (0, 1), got {decay!r}")
+        if not 0.0 < detect_level <= warn_level < 1.0:
+            raise ValueError(
+                "detect_level and warn_level must satisfy 0 < detect_level "
+                f"<= warn_level < 1, got {detect_level!r} and {warn_level!r}"
+            )
         self.decay = decay
         self.warn_level = warn_level
         self.detect_level = detect_level
@@ -490,6 +499,8 @@ class AucDropDetector(DriftDetector):
         threshold: float = 20.0,
         min_fill: int = 100,
     ):
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window!r}")
         self.capacity = int(window)
         self.delta = delta
         self.threshold = threshold

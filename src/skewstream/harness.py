@@ -18,8 +18,13 @@ Config files are INI-style::
     detector = auc-drop
     window = 500               ; extra keys override detector parameters
 
-Every default below is overridable from the file; ``dump_config_lock``
-round-trips through ``load_config``.
+The keys are the dataclass fields: ``[experiment]`` sets the fields of
+`ExperimentConfig`, and ``[stream]`` sets a `DriftSchedule`'s timing, the old
+`ConceptSpec`'s fields and the new concept's under a ``new_`` prefix (an unset
+``new_`` key keeps the old concept's value). Each value is cast by the type of
+its field's default, so every default is overridable from the file, and
+``load_config`` and ``dump_config_lock`` read and write the same key list:
+the lock round-trips through ``load_config``.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import configparser
 import inspect
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,32 +111,30 @@ class PipelineSpec:
                 f"pipeline name {self.name!r} may only use letters, digits, "
                 "and . _ + - (it becomes a file name)"
             )
+        where = f"[pipeline {self.name}]"
+        if not self.learner:
+            raise ConfigError(f"{where} needs learner = OB | OOB | UOB")
         learner = self.learner.upper()
         if learner not in SAMPLERS:
             raise ConfigError(
-                f"pipeline {self.name}: learner must be one of "
-                f"{sorted(SAMPLERS)}, got {self.learner!r}"
+                f"{where} learner must be one of {sorted(SAMPLERS)}, "
+                f"got {self.learner!r}"
             )
         detector = DETECTOR_ALIASES.get(self.detector.lower(), self.detector.lower())
         if detector != NO_DETECTOR and detector not in DETECTORS:
             raise ConfigError(
-                f"pipeline {self.name}: detector must be one of "
+                f"{where} detector must be one of "
                 f"{[NO_DETECTOR, *sorted(DETECTORS)]}, got {self.detector!r}"
             )
         object.__setattr__(self, "learner", learner)
         object.__setattr__(self, "detector", detector)
-        if self.detector_params:
-            if detector == NO_DETECTOR:
+        allowed = {} if detector == NO_DETECTOR else _detector_defaults(detector)
+        for key in self.detector_params:
+            if key not in allowed:
                 raise ConfigError(
-                    f"pipeline {self.name}: parameters given but no detector"
+                    f"{where} unknown key {key!r} for detector {detector} "
+                    f"(expected one of {sorted(allowed)})"
                 )
-            allowed = _detector_defaults(detector)
-            for key in self.detector_params:
-                if key not in allowed:
-                    raise ConfigError(
-                        f"pipeline {self.name}: unknown {detector} "
-                        f"parameter {key!r} (expected one of {sorted(allowed)})"
-                    )
 
     def resolved_params(self) -> dict:
         """Full detector parameter dict: defaults overlaid with overrides."""
@@ -143,9 +146,13 @@ class PipelineSpec:
 
 
 def build_detector(pipe: PipelineSpec) -> DriftDetector | None:
+    """The pipeline's detector; a rejected parameter names the pipeline."""
     if pipe.detector == NO_DETECTOR:
         return None
-    return DETECTORS[pipe.detector](**pipe.detector_params)
+    try:
+        return DETECTORS[pipe.detector](**pipe.detector_params)
+    except ValueError as e:
+        raise ConfigError(f"[pipeline {pipe.name}] {e}") from None
 
 
 @dataclass
@@ -171,6 +178,7 @@ class ExperimentConfig:
     def __post_init__(self):
         checks = (
             ("runs", self.runs >= 1, "must be >= 1"),
+            ("base_seed", self.base_seed >= 0, "must be >= 0"),
             ("metric_decay", 0.0 < self.metric_decay <= 1.0, "must be in (0, 1]"),
             (
                 "warm_up",
@@ -494,32 +502,22 @@ def aggregate_and_test(
 # Config files
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "preset": str,
-    "runs": int,
-    "base_seed": int,
-    "metric_decay": float,
-    "warm_up": int,
-    "members": int,
-    "lr": float,
-    "tracker_theta": float,
-    "designation_threshold": float,
-}
-
-_STREAM_KEYS = {
-    "generator": str,
-    "total_steps": int,
-    "drift_start": int,
-    "drift_duration": int,
-    "positive_prior": float,
-    "threshold": float,
-    "invert": bool,
-    "skew": str,
-    "new_positive_prior": float,
-    "new_threshold": float,
-    "new_invert": bool,
-    "new_skew": str,
-}
+# Every [experiment] and [stream] key is a dataclass field, cast by the type
+# of its default. [stream] keys are (key, owner, field): the schedule's timing
+# fields (owner None), then the old concept's fields unprefixed and the new
+# concept's under "new_"; the generator, shared by both, is parsed apart.
+_EXPERIMENT_FIELDS = tuple(
+    f for f in fields(ExperimentConfig) if f.name not in ("schedule", "pipelines")
+)
+_STREAM_FIELDS = (
+    *((f.name, None, f) for f in fields(DriftSchedule) if f.name not in ("old", "new")),
+    *(
+        (prefix + f.name, owner, f)
+        for prefix, owner in (("", "old"), ("new_", "new"))
+        for f in fields(ConceptSpec)
+        if f.name != "generator"
+    ),
+)
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                "1": True, "0": False}
@@ -536,14 +534,14 @@ def _cast(section: str, key: str, raw: str, kind):
         ) from None
 
 
-def _parse_skew(section: str, raw: str) -> Skew | None:
+def _parse_skew(section: str, key: str, raw: str) -> Skew | None:
     raw = raw.strip()
     if raw.lower() == "none":
         return None
     parts = raw.split(":")
     if len(parts) != 4:
         raise ConfigError(
-            f"[{section}] skew must be label:feature:split:prob or none, "
+            f"[{section}] {key} must be label:feature:split:prob or none, "
             f"got {raw!r}"
         )
     try:
@@ -554,7 +552,7 @@ def _parse_skew(section: str, raw: str) -> Skew | None:
             prob=float(parts[3]),
         )
     except ValueError as e:
-        raise ConfigError(f"[{section}] skew: {e}") from None
+        raise ConfigError(f"[{section}] {key}: {e}") from None
 
 
 def _format_skew(skew: Skew | None) -> str:
@@ -563,10 +561,22 @@ def _format_skew(skew: Skew | None) -> str:
     return f"{skew.label}:{skew.feature}:{skew.split!r}:{skew.prob!r}"
 
 
-def _parse_stream_section(section: configparser.SectionProxy) -> DriftSchedule:
+def _parse_value(section: configparser.SectionProxy, key: str, f):
+    """``section[key]``, cast by the type of field ``f``'s default."""
+    if f.name == "skew":
+        return _parse_skew(section.name, key, section[key])
+    kind = str if f.default is None else type(f.default)  # None: the preset
+    return _cast(section.name, key, section[key], kind)
+
+
+def _check_keys(section: configparser.SectionProxy, keys) -> None:
     for key in section:
-        if key not in _STREAM_KEYS:
-            raise ConfigError(f"[stream] unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"[{section.name}] unknown key {key!r}")
+
+
+def _parse_stream_section(section: configparser.SectionProxy) -> DriftSchedule:
+    _check_keys(section, {"generator", *(key for key, _, _ in _STREAM_FIELDS)})
     if "generator" not in section:
         raise ConfigError("[stream] needs generator = sine1 | sea")
     generator = section["generator"].strip().upper()
@@ -575,87 +585,79 @@ def _parse_stream_section(section: configparser.SectionProxy) -> DriftSchedule:
             f"[stream] generator must be {SINE1} or {SEA} (case-insensitive), "
             f"got {section['generator']!r}"
         )
-
-    def get(key, default):
-        if key not in section:
-            return default
-        if key.endswith("skew"):
-            return _parse_skew("stream", section[key])
-        return _cast("stream", key, section[key], _STREAM_KEYS[key])
-
-    old = ConceptSpec(
-        generator=generator,
-        positive_prior=get("positive_prior", 0.5),
-        threshold=get("threshold", 7.0),
-        invert=get("invert", False),
-        skew=get("skew", None),
-    )
-    new = ConceptSpec(
-        generator=generator,
-        positive_prior=get("new_positive_prior", old.positive_prior),
-        threshold=get("new_threshold", old.threshold),
-        invert=get("new_invert", old.invert),
-        skew=get("new_skew", old.skew),
-    )
-    return DriftSchedule(
-        old=old,
-        new=new,
-        drift_start=get("drift_start", 1501),
-        drift_duration=get("drift_duration", 0),
-        total_steps=get("total_steps", 3000),
-    )
+    values = {None: {}, "old": {}, "new": {}}
+    for key, owner, f in _STREAM_FIELDS:
+        if key in section:
+            values[owner][f.name] = _parse_value(section, key, f)
+    try:
+        old = ConceptSpec(generator, **values["old"])
+        new = replace(old, **values["new"])  # unset new_ keys keep the old value
+        return DriftSchedule(old, new, **values[None])
+    except ValueError as e:
+        raise ConfigError(f"[stream] {e}") from None
 
 
 def _parse_pipeline_section(
     name: str, section: configparser.SectionProxy
 ) -> PipelineSpec:
-    if "learner" not in section:
-        raise ConfigError(f"[pipeline {name}] needs learner = OB | OOB | UOB")
-    learner = section["learner"]
-    detector = section.get("detector", NO_DETECTOR)
-    canonical = DETECTOR_ALIASES.get(detector.lower(), detector.lower())
-    params = {}
-    if canonical in DETECTORS:
-        defaults = _detector_defaults(canonical)
-    else:
-        defaults = {}
-    for key in section:
-        if key in ("learner", "detector"):
-            continue
-        if key not in defaults:
-            raise ConfigError(
-                f"[pipeline {name}] unknown key {key!r} for detector "
-                f"{detector!r}"
-            )
-        params[key] = _cast(f"pipeline {name}", key, section[key],
-                            type(defaults[key]))
-    return PipelineSpec(
-        name=name, learner=learner, detector=detector, detector_params=params
+    """Cast the section's detector parameters; `PipelineSpec` validates."""
+    raw = dict(section)
+    spec = PipelineSpec(
+        name, raw.pop("learner", ""), raw.pop("detector", NO_DETECTOR), raw
     )
+    if not raw:
+        return spec
+    defaults = _detector_defaults(spec.detector)
+    params = {
+        key: _cast(section.name, key, value, type(defaults[key]))
+        for key, value in raw.items()
+    }
+    return replace(spec, detector_params=params)
+
+
+def _file_error(path: Path, e: configparser.Error) -> ConfigError:
+    """A malformed INI file's error, as ``<path>:<line>: <what>``."""
+    if isinstance(e, configparser.DuplicateOptionError):
+        return ConfigError(f"{path}:{e.lineno}: [{e.section}] {e.option} is set twice")
+    if isinstance(e, configparser.DuplicateSectionError):
+        return ConfigError(f"{path}:{e.lineno}: section [{e.section}] appears twice")
+    if isinstance(e, configparser.MissingSectionHeaderError):
+        return ConfigError(
+            f"{path}:{e.lineno}: {e.line.strip()!r} comes before any [section]"
+        )
+    if isinstance(e, configparser.ParsingError):
+        lineno, line = e.errors[0]
+        return ConfigError(f"{path}:{lineno}: cannot parse {line}")
+    if isinstance(e, configparser.InterpolationError):
+        return ConfigError(f"{path}: [{e.section}] {e.option}: {e.message}")
+    return ConfigError(f"{path}: {e.message}")
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config (or lock) file."""
     path = Path(path)
+    try:
+        return _load_config(path)
+    except configparser.Error as e:
+        raise _file_error(path, e) from None
+
+
+def _load_config(path: Path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-    known = {"experiment", "stream"}
-    pipelines = []
     exp_values = {}
     if parser.has_section("experiment"):
         section = parser["experiment"]
-        for key in section:
-            if key not in _EXPERIMENT_KEYS:
-                raise ConfigError(f"[experiment] unknown key {key!r}")
-            if key == "preset":
-                exp_values[key] = section[key].strip()
-            else:
-                exp_values[key] = _cast(
-                    "experiment", key, section[key], _EXPERIMENT_KEYS[key]
-                )
+        _check_keys(section, {f.name for f in _EXPERIMENT_FIELDS})
+        exp_values = {
+            f.name: _parse_value(section, f.name, f)
+            for f in _EXPERIMENT_FIELDS
+            if f.name in section
+        }
+    pipelines = []
     for sec in parser.sections():
-        if sec in known:
+        if sec in ("experiment", "stream"):
             continue
         m = re.fullmatch(r"pipeline\s+(\S+)", sec)
         if not m:
@@ -688,6 +690,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if value is None or isinstance(value, Skew):  # a concept's skew
+        return _format_skew(value)
     return str(value)
 
 
@@ -698,30 +702,16 @@ def dump_config_lock(cfg: ExperimentConfig) -> str:
     written out, defaults included.
     """
     s = cfg.schedule
-    lines = [
-        "[experiment]",
-        f"runs = {cfg.runs}",
-        f"base_seed = {cfg.base_seed}",
-        f"metric_decay = {_fmt(cfg.metric_decay)}",
-        f"warm_up = {cfg.warm_up}",
-        f"members = {cfg.members}",
-        f"lr = {_fmt(cfg.lr)}",
-        f"tracker_theta = {_fmt(cfg.tracker_theta)}",
-        f"designation_threshold = {_fmt(cfg.designation_threshold)}",
-        "",
-        "[stream]",
-        f"generator = {s.old.generator}",
-        f"total_steps = {s.total_steps}",
-        f"drift_start = {s.drift_start}",
-        f"drift_duration = {s.drift_duration}",
-        f"positive_prior = {_fmt(s.old.positive_prior)}",
-        f"threshold = {_fmt(s.old.threshold)}",
-        f"invert = {_fmt(s.old.invert)}",
-        f"skew = {_format_skew(s.old.skew)}",
-        f"new_positive_prior = {_fmt(s.new.positive_prior)}",
-        f"new_threshold = {_fmt(s.new.threshold)}",
-        f"new_invert = {_fmt(s.new.invert)}",
-        f"new_skew = {_format_skew(s.new.skew)}",
+    lines = ["[experiment]"]
+    lines += [
+        f"{f.name} = {_fmt(getattr(cfg, f.name))}"
+        for f in _EXPERIMENT_FIELDS
+        if f.name != "preset"
+    ]
+    lines += ["", "[stream]", f"generator = {s.old.generator}"]
+    lines += [
+        f"{key} = {_fmt(getattr(s if owner is None else getattr(s, owner), f.name))}"
+        for key, owner, f in _STREAM_FIELDS
     ]
     for pipe in cfg.pipelines:
         lines += ["", f"[pipeline {pipe.name}]", f"learner = {pipe.learner}",

@@ -51,13 +51,6 @@ def default_hidden_size(n_features: int) -> int:
     return int(math.floor((n_features + N_CLASSES) / 2.0 + 0.5))
 
 
-def poisson_k(lam: float, rng: np.random.Generator) -> int:
-    """One Poisson-distributed replication count."""
-    if lam < 0 or not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    return int(rng.poisson(lam))
-
-
 def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     """``1.0 / (1.0 + np.exp(-z))``, step by step in ``z``'s own buffer."""
     np.negative(z, out=z)

@@ -17,11 +17,17 @@ drawing the side of the split, then sampling within it.
 Drift is a per-step Bernoulli choice between the old and the new concept whose
 new-concept probability ramps linearly from 0 to 1 across the transition
 window (a step function for abrupt drift).
+
+`dump_stream` writes a stream as CSV, one example per line, `t,f1,...,fn,label`
+after a header row (what ``skewstream generate`` writes).
 """
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -84,7 +90,7 @@ class ConceptSpec:
     """One stationary concept: generator geometry, prior and optional skew."""
 
     generator: str
-    positive_prior: float
+    positive_prior: float = 0.5
     threshold: float = 7.0  # SEA boundary; unused for SINE1
     invert: bool = False  # SINE1 only: positive region becomes y >= sin(x)
     skew: Skew | None = None
@@ -118,13 +124,15 @@ class ConceptSpec:
 
 @dataclass(frozen=True)
 class DriftSchedule:
-    """Old/new concept pair plus the timing of the transition."""
+    """Old/new concept pair plus the stream's length and the transition's
+    timing, in the order a config lock lists them (keyword-only)."""
 
     old: ConceptSpec
     new: ConceptSpec
+    _: KW_ONLY
+    total_steps: int = 3000
     drift_start: int = 1501
     drift_duration: int = 0  # 0 = abrupt
-    total_steps: int = 3000
 
     def __post_init__(self) -> None:
         if self.drift_duration < 0:
@@ -234,3 +242,25 @@ def _doubles(rng: np.random.Generator):
     """The doubles of ``rng.random()`` calls, in order, drawn a block at a time."""
     while True:
         yield from rng.random(_BLOCK).tolist()
+
+
+def dump_stream(examples: Iterable[Example], path) -> int:
+    """Write examples as `t,f1,...,fn,label` CSV with a header; returns row count.
+
+    Features are written with ``repr``, so parsing them with ``float`` gives
+    back the generated values exactly.
+    """
+    path = Path(path)
+    n_written = 0
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header: list[str] | None = None
+        for ex in examples:
+            if header is None:
+                header = ["t"] + [f"f{j + 1}" for j in range(len(ex.features))] + ["label"]
+                writer.writerow(header)
+            writer.writerow([ex.t, *[repr(v) for v in ex.features], ex.label])
+            n_written += 1
+        if header is None:  # no examples at all: still emit a minimal header
+            writer.writerow(["t", "label"])
+    return n_written

@@ -160,6 +160,35 @@ def test_bound_table_rebuilds_on_corrupt_cache(tmp_path, monkeypatch):
     assert np.array_equal(first.table, second.table)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"decay": 1.5},
+        {"decay": 1.0},
+        {"decay": 0.0},
+        {"warn_level": 0.001, "detect_level": 0.01},
+        {"detect_level": 2.0},
+        {"detect_level": 0.0},
+        {"warn_level": 1.0},
+    ],
+)
+def test_bound_table_rejects_bad_parameters_before_any_work(params, monkeypatch):
+    def unreachable(self):
+        raise AssertionError("reached the cache or the simulation")
+
+    monkeypatch.setattr(BoundTable, "_load_cache", unreachable)
+    monkeypatch.setattr(BoundTable, "_simulate", unreachable)
+    key = "decay" if "decay" in params else "level"
+    with pytest.raises(ValueError, match=key):
+        small_table(**params)
+
+
+def test_bound_table_accepts_equal_levels(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table(warn_level=0.01, detect_level=0.01)
+    assert (np.diff(table.table, axis=2) >= 0).all()
+
+
 def test_bound_table_query_at_grid_point_matches_table(tmp_path, monkeypatch):
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
     table = small_table()

@@ -3,10 +3,12 @@
 Heavier runs use 3 ensemble members and 2 runs to stay fast; the full-size
 reproductions live in test_acceptance.py.
 """
+import configparser
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -40,18 +42,18 @@ from skewstream.labels import NEG, POS
 from skewstream.learners import OnlineEnsemble
 from skewstream.metrics import DecayedConfusion, g_mean, per_class_recall
 from skewstream.presets import preset_schedule
-from skewstream.streams import StreamGenerator
+from skewstream.streams import ConceptSpec, DriftSchedule, Skew, StreamGenerator
 
 
 def tiny_config(preset="sine1-py", pipelines=None, runs=2, **kwargs):
     if pipelines is None:
         pipelines = [PipelineSpec("OOB", "OOB")]
     kwargs.setdefault("members", 3)
+    kwargs.setdefault("base_seed", 11)
     return ExperimentConfig(
         schedule=preset_schedule(preset),
         pipelines=pipelines,
         runs=runs,
-        base_seed=11,
         **kwargs,
     )
 
@@ -95,15 +97,15 @@ def test_pipeline_spec_normalizes_names():
 
 
 def test_pipeline_spec_rejects_unknowns():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[pipeline a\] learner must be"):
         PipelineSpec("a", "boosting")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[pipeline a\] detector must be"):
         PipelineSpec("a", "OB", "adwin")
     with pytest.raises(ConfigError):
         PipelineSpec("bad/name", "OB")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[pipeline a\] unknown key 'window'"):
         PipelineSpec("a", "OB", "none", {"window": 5})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\[pipeline a\] unknown key 'not_a_param'"):
         PipelineSpec("a", "OB", "auc-drop", {"not_a_param": 5})
 
 
@@ -145,6 +147,7 @@ def test_config_rejects_bad_values():
         ("lr", float("nan")),
         ("tracker_theta", 1.5),
         ("designation_threshold", 0.5),
+        ("base_seed", -3),
     ],
 )
 def test_config_errors_name_the_key(key, value):
@@ -156,6 +159,16 @@ def test_config_file_errors_name_the_key_before_running(tmp_path):
     text = "[experiment]\npreset = sine1-py\ntracker_theta = 1.5\n"
     with pytest.raises(ConfigError, match=r"\[experiment\] tracker_theta must"):
         load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "detector,key,value",
+    [("ddm-oci", "decay", 1.5), ("pauc-ph", "window", 0), ("lfr", "decay", 1.5)],
+)
+def test_detector_parameter_errors_name_the_pipeline_and_key(detector, key, value):
+    pipe = PipelineSpec("A", "OB", detector, {key: value})
+    with pytest.raises(ConfigError, match=rf"^\[pipeline A\] {key} "):
+        build_detector(pipe)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +548,13 @@ new_skew = -1:0:0.5:0.1
             "[experiment]\npreset = sine1-py\n[pipeline p]\nlearner = OB\nwindow = 5\n",
             "unknown key",
         ),
+        ("[experiment]\nruns = 2\nruns = 3\n", r":3: \[experiment\] runs is set twice"),
+        ("runs = 3\n[experiment]\n", ":1: 'runs = 3' comes before any"),
+        (
+            "[experiment]\npreset = sine1-py\n[experiment]\n",
+            r":3: section \[experiment\] appears twice",
+        ),
+        ("[experiment]\npreset = sine1-py\nnonsense\n", ":3: cannot parse"),
     ],
 )
 def test_load_config_error_messages(tmp_path, text, needle):
@@ -560,6 +580,90 @@ def test_lock_is_a_fixed_point(tmp_path):
     [pipe] = cfg2.pipelines
     assert pipe.detector_params["min_updates"] == 25
     assert "warn_level" in pipe.detector_params
+
+
+EVERY_KEY_CONFIG = """
+[experiment]
+runs = 3
+base_seed = 9
+metric_decay = 0.98
+warm_up = 17
+members = 4
+lr = 0.05
+tracker_theta = 0.8
+designation_threshold = 1.75
+
+[stream]
+generator = sine1
+total_steps = 2000
+drift_start = 900
+drift_duration = 300
+positive_prior = 0.2
+threshold = 6.5
+invert = true
+skew = -1:0:0.5:0.9
+new_positive_prior = 0.7
+new_threshold = 8.0
+new_invert = false
+new_skew = 1:1:0.25:0.6
+"""
+
+
+def dataclass_keys():
+    """The [experiment] and [stream] keys the dataclass fields define."""
+    experiment = {f.name for f in fields(ExperimentConfig)} - {
+        "schedule", "pipelines", "preset"
+    }
+    concept = {f.name for f in fields(ConceptSpec)} - {"generator"}
+    timing = {f.name for f in fields(DriftSchedule)} - {"old", "new"}
+    stream = {"generator"} | timing | concept | {"new_" + k for k in concept}
+    return experiment, stream
+
+
+def test_every_key_round_trips_through_the_lock(tmp_path):
+    cfg = load_config(write_config(tmp_path, EVERY_KEY_CONFIG))
+    s = cfg.schedule
+    assert cfg == ExperimentConfig(
+        schedule=DriftSchedule(
+            ConceptSpec("SINE1", 0.2, 6.5, True, Skew(NEG, 0, 0.5, 0.9)),
+            ConceptSpec("SINE1", 0.7, 8.0, False, Skew(POS, 1, 0.25, 0.6)),
+            total_steps=2000,
+            drift_start=900,
+            drift_duration=300,
+        ),
+        runs=3,
+        base_seed=9,
+        metric_decay=0.98,
+        warm_up=17,
+        members=4,
+        lr=0.05,
+        tracker_theta=0.8,
+        designation_threshold=1.75,
+    )
+    # every key is set away from its default (the new concept from the old)
+    for f in fields(ExperimentConfig):
+        if f.name not in ("schedule", "pipelines", "preset"):
+            assert getattr(cfg, f.name) != f.default, f.name
+    for f in fields(DriftSchedule):
+        if f.name not in ("old", "new"):
+            assert getattr(s, f.name) != f.default, f.name
+    for f in fields(ConceptSpec):
+        if f.name != "generator":
+            assert getattr(s.old, f.name) != f.default, f.name
+            assert getattr(s.new, f.name) != getattr(s.old, f.name), f.name
+
+    lock = dump_config_lock(cfg)
+    lock_path = tmp_path / "config.lock"
+    lock_path.write_text(lock)
+    assert load_config(lock_path) == cfg
+
+    experiment, stream = dataclass_keys()
+    parsed = configparser.ConfigParser()
+    parsed.read_string(lock)
+    assert set(parsed["experiment"]) == experiment
+    assert set(parsed["stream"]) == stream
+    parsed.read_string(EVERY_KEY_CONFIG)
+    assert set(parsed["stream"]) == stream  # the config above sets them all
 
 
 def test_lock_inlines_presets(tmp_path):
@@ -704,12 +808,38 @@ def test_cli_score_detectors_output(tmp_path, capsys):
         ["generate", "nope", "--out", "x.csv"],
         ["run", "does-not-exist.ini"],
         ["report", "no-such-dir"],
+        ["run", "duplicate-key.ini"],
+        ["run", "no-section.ini"],
+        ["run", "negative-seed.ini"],
+        ["run", "bad-lfr-decay.ini"],
     ],
 )
 def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    for name, text in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text)
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if argv[-1] in BAD_CONFIGS:
+        assert BAD_CONFIG_MESSAGES[argv[-1]] in err
+
+
+BAD_CONFIGS = {
+    "duplicate-key.ini": "[experiment]\npreset = sine1-py\npreset = sea-py\n",
+    "no-section.ini": "preset = sine1-py\n[experiment]\nruns = 1\n",
+    "negative-seed.ini": "[experiment]\npreset = sine1-py\nbase_seed = -3\n",
+    "bad-lfr-decay.ini": (
+        "[experiment]\npreset = sine1-py\nruns = 1\nmembers = 1\n"
+        "[pipeline A]\nlearner = OB\ndetector = lfr\ndecay = 1.5\n"
+    ),
+}
+BAD_CONFIG_MESSAGES = {
+    "duplicate-key.ini": "duplicate-key.ini:3: [experiment] preset is set twice",
+    "no-section.ini": "no-section.ini:1: 'preset = sine1-py' comes before",
+    "negative-seed.ini": "[experiment] base_seed must be >= 0, got -3",
+    "bad-lfr-decay.ini": "[pipeline A] decay must be in (0, 1), got 1.5",
+}
 
 
 @pytest.mark.parametrize(

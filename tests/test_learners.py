@@ -12,7 +12,6 @@ from skewstream.learners import (
     MlpModel,
     OnlineEnsemble,
     default_hidden_size,
-    poisson_k,
 )
 
 
@@ -108,24 +107,6 @@ def test_training_reduces_loss_on_average():
 # ---------------------------------------------------------------------------
 # Poisson sampling
 # ---------------------------------------------------------------------------
-
-
-def test_poisson_zero_lambda_always_zero():
-    rng = np.random.default_rng(1)
-    assert all(poisson_k(0.0, rng) == 0 for _ in range(100))
-    with pytest.raises(ValueError):
-        poisson_k(-1.0, rng)
-    with pytest.raises(ValueError):
-        poisson_k(float("inf"), rng)
-
-
-def test_poisson_monte_carlo_moments():
-    rng = np.random.default_rng(2)
-    draws = np.array([poisson_k(1.0, rng) for _ in range(100_000)])
-    assert abs(np.mean(draws == 0) - np.exp(-1.0)) < 0.01
-    assert abs(draws.mean() - 1.0) < 0.01
-    draws9 = rng.poisson(9.0, 100_000)
-    assert abs(draws9.mean() - 9.0) < 0.1
 
 
 def test_balanced_tracker_degenerates_to_plain_bagging():

@@ -1,6 +1,7 @@
 """Stream generator tests: label rules, drift ramp, priors, determinism."""
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from skewstream.streams import (
     Skew,
     StreamExhausted,
     StreamGenerator,
+    dump_stream,
     mixture_weight,
     sea_label,
     sine1_label,
@@ -256,3 +258,36 @@ def test_preset_settings_pinned():
     sea_pyx = preset_schedule("sea-pyx")
     assert (sea_pyx.old.threshold, sea_pyx.new.threshold) == (7.0, 13.0)
     assert sea_pyx.old.positive_prior == sea_pyx.new.positive_prior == 0.1
+
+
+# ---------------------------------------------------------------------------
+# dump_stream
+# ---------------------------------------------------------------------------
+
+
+def test_dump_stream_writes_a_header_and_one_row_per_example(tmp_path):
+    path = tmp_path / "stream.csv"
+    stream = list(StreamGenerator(preset_schedule("sea-py"), seed=4))[:5]
+    assert dump_stream(stream, path) == 5
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,f1,f2,f3,label"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4", "5"]
+
+
+def test_dump_stream_without_examples_writes_only_a_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    assert dump_stream([], path) == 0
+    assert path.read_text().splitlines() == ["t,label"]
+
+
+def test_dump_stream_round_trips_features_exactly(tmp_path):
+    path = tmp_path / "stream.csv"
+    stream = list(StreamGenerator(preset_schedule("sea-py"), seed=4))[:50]
+    assert dump_stream(stream, path) == 50
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 50
+    for orig, row in zip(stream, rows):
+        assert int(row[0]) == orig.t
+        assert int(row[-1]) == orig.label
+        assert tuple(float(v) for v in row[1:-1]) == orig.features  # repr is exact
