@@ -33,7 +33,7 @@ from .metrics import (
     wilcoxon_signed_rank,
 )
 from .imbalance import ClassSizeTracker, ImbalanceStatus
-from .learners import MlpModel, OnlineEnsemble, default_hidden_size
+from .learners import OnlineEnsemble, default_hidden_size
 from .detectors import (
     AucDropDetector,
     BoundTable,
@@ -91,7 +91,6 @@ __all__ = [
     "wilcoxon_signed_rank",
     "ClassSizeTracker",
     "ImbalanceStatus",
-    "MlpModel",
     "OnlineEnsemble",
     "default_hidden_size",
     "AucDropDetector",

@@ -501,6 +501,10 @@ class AucDropDetector(DriftDetector):
     ):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window!r}")
+        if min_fill > window:  # the window would never fill: no test, ever
+            raise ValueError(
+                f"min_fill must be <= window ({window!r}), got {min_fill!r}"
+            )
         self.capacity = int(window)
         self.delta = delta
         self.threshold = threshold

@@ -182,8 +182,9 @@ class ExperimentConfig:
             ("metric_decay", 0.0 < self.metric_decay <= 1.0, "must be in (0, 1]"),
             (
                 "warm_up",
-                0 <= self.warm_up < self.schedule.total_steps,
-                "must lie inside the stream",
+                0 <= self.warm_up < self.schedule.drift_start - 1,
+                "must be >= 0 and leave a pre-drift step to average before "
+                f"[stream] drift_start = {self.schedule.drift_start}",
             ),
             ("members", self.members >= 1, "must be >= 1"),
             ("lr", math.isfinite(self.lr) and self.lr > 0.0, "must be finite and > 0"),
@@ -200,6 +201,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"[experiment] {key} {rule}, got {getattr(self, key)!r}"
                 )
+        s = self.schedule
+        if s.drift_end > s.total_steps:
+            raise ConfigError(
+                "[stream] drift_start + drift_duration must be <= total_steps "
+                "to leave a post-drift step to average, got "
+                f"{s.drift_start} + {s.drift_duration} > {s.total_steps}"
+            )
         names = [p.name for p in self.pipelines]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -256,6 +264,12 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     seed = cfg.base_seed + r
     schedule = cfg.schedule
     pipes = cfg.pipelines
+    # first, so that a rejected detector parameter stops the run before it starts
+    detectors = [
+        (e, det)
+        for e, det in enumerate(build_detector(pipe) for pipe in pipes)
+        if det is not None
+    ]
     stream = StreamGenerator(schedule, seed)
     tracker = ClassSizeTracker(cfg.tracker_theta)
     model = OnlineEnsemble(
@@ -265,13 +279,7 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
         n_members=cfg.members,
         seed=seed,
         lr=cfg.lr,
-        designation_threshold=cfg.designation_threshold,
     )
-    detectors = [
-        (e, det)
-        for e, det in enumerate(build_detector(pipe) for pipe in pipes)
-        if det is not None
-    ]
     n_recorded = schedule.total_steps - cfg.warm_up
     truths = np.empty(n_recorded, dtype=np.int8)
     preds = np.empty((len(pipes), n_recorded), dtype=np.int8)
@@ -591,7 +599,13 @@ def _parse_stream_section(section: configparser.SectionProxy) -> DriftSchedule:
             values[owner][f.name] = _parse_value(section, key, f)
     try:
         old = ConceptSpec(generator, **values["old"])
+    except ValueError as e:
+        raise ConfigError(f"[stream] {e}") from None
+    try:
         new = replace(old, **values["new"])  # unset new_ keys keep the old value
+    except ValueError as e:  # the message starts with the field's name
+        raise ConfigError(f"[stream] new_{e}") from None
+    try:
         return DriftSchedule(old, new, **values[None])
     except ValueError as e:
         raise ConfigError(f"[stream] {e}") from None

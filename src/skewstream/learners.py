@@ -1,15 +1,19 @@
 """Online learners: incremental MLP base models and Poisson-resampling ensembles.
 
 The base learner is a one-hidden-layer MLP (sigmoid hidden units, softmax
-output, cross-entropy loss) trained by one stochastic-gradient step per
-presented example. The ensembles follow online bagging: every incoming
-example is shown to each member k times with k ~ Poisson(lambda), where
+output, cross-entropy loss), `default_hidden_size` units wide, trained by one
+stochastic-gradient step per presented example. `MlpBank` holds every such
+net, and its `train_rounds` is the one backpropagation: the tests
+gradient-check the update it makes. The ensembles follow online bagging:
+every incoming example is shown to each member k times with k ~
+Poisson(lambda), where
 
     OB   lambda = 1
     OOB  lambda = w_max / w_label   (oversamples the minority class)
     UOB  lambda = w_min / w_label   (undersamples the majority class)
 
-and the w's are the tracker's time-decayed class sizes; while the tracker
+and the w's are the tracker's time-decayed class sizes; while the tracker's
+status (`ClassSizeTracker.status`, which the caller computes and passes in)
 reports the stream as balanced, all three collapse to plain OB.
 
 For speed the members' weights are stored stacked along a leading member axis
@@ -34,7 +38,7 @@ import math
 
 import numpy as np
 
-from .imbalance import ClassSizeTracker
+from .imbalance import ClassSizeTracker, ImbalanceStatus
 from .labels import NEG, POS
 
 OB = "OB"
@@ -67,9 +71,9 @@ class MlpBank:
     [-0.5, 0.5].
     """
 
-    def __init__(self, n_features, member_seeds, lr=0.1, hidden=None):
+    def __init__(self, n_features, member_seeds, lr=0.1):
         self.n_features = int(n_features)
-        self.hidden = int(hidden) if hidden else default_hidden_size(n_features)
+        self.hidden = default_hidden_size(n_features)
         self.lr = float(lr)
         self.n_members = m = len(member_seeds)
         h, d = self.hidden, self.n_features
@@ -107,10 +111,6 @@ class MlpBank:
         probs = e / (e[:, 0] + e[:, 1])[:, None]
         return a1, probs
 
-    def positive_scores(self, x: np.ndarray) -> np.ndarray:
-        """Per-member positive-class probabilities (side-effect free)."""
-        return self.forward(x)[1][:, _CLASS_INDEX[POS]]
-
     def train_rounds(
         self, x: np.ndarray, label: int, ks: np.ndarray, first=None
     ) -> None:
@@ -140,78 +140,6 @@ class MlpBank:
             self.W1 -= dz1[:, :, None] * x
             self.b1 -= dz1
 
-    # -- flat parameter access (diagnostics) ----------------------------------
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.W1.ravel(), self.b1.ravel(), self.W2.ravel(), self.b2.ravel()]
-        )
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        parts = (self.W1, self.b1, self.W2, self.b2)
-        offset = 0
-        for arr in parts:
-            arr.flat[:] = vec[offset : offset + arr.size]
-            offset += arr.size
-        if offset != vec.size:
-            raise ValueError("flat vector length mismatch")
-
-
-class MlpModel:
-    """A single online MLP (the ensemble member contract, standalone)."""
-
-    def __init__(self, n_features, seed=0, lr=0.1, hidden=None):
-        self._seed = seed
-        self._bank = MlpBank(n_features, [seed], lr=lr, hidden=hidden)
-
-    @property
-    def hidden(self) -> int:
-        return self._bank.hidden
-
-    def predict(self, features) -> tuple[float, float]:
-        """(P(+1), P(-1)); sums to 1, no side effects."""
-        x = np.asarray(features, dtype=float)
-        probs = self._bank.forward(x)[1][0]
-        return float(probs[_CLASS_INDEX[POS]]), float(probs[_CLASS_INDEX[NEG]])
-
-    def train_one(self, features, label) -> None:
-        """One stochastic-gradient step on the example."""
-        x = np.asarray(features, dtype=float)
-        self._bank.train_rounds(x, label, np.array([1]))
-
-    def reset(self) -> None:
-        self._bank.init_weights([self._seed])
-
-    # -- gradient diagnostics -------------------------------------------------
-
-    def loss(self, features, label) -> float:
-        """Cross-entropy of the true class."""
-        x = np.asarray(features, dtype=float)
-        probs = self._bank.forward(x)[1][0]
-        return float(-np.log(probs[_CLASS_INDEX[label]]))
-
-    def gradient(self, features, label) -> np.ndarray:
-        """Analytic d(loss)/d(params) as one flat vector (params unchanged)."""
-        bank = self._bank
-        x = np.asarray(features, dtype=float)
-        cls = _CLASS_INDEX[label]
-        a1, probs = bank.forward(x)
-        dz2 = probs.copy()
-        dz2[:, cls] -= 1.0
-        dW2 = dz2[:, :, None] * a1[:, None, :]
-        da1 = (bank.W2.transpose(0, 2, 1) @ dz2[:, :, None])[:, :, 0]
-        dz1 = da1 * a1 * (1.0 - a1)
-        dW1 = dz1[:, :, None] * x[None, None, :]
-        return np.concatenate(
-            [dW1.ravel(), dz1.ravel(), dW2.ravel(), dz2.ravel()]
-        )
-
-    def get_flat(self) -> np.ndarray:
-        return self._bank.get_flat()
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        self._bank.set_flat(vec)
-
 
 class OnlineEnsemble:
     """Online bagging ensembles, one per sampler, over one stacked MLP bank.
@@ -219,9 +147,12 @@ class OnlineEnsemble:
     Ensemble ``e`` owns bank rows ``e * n_members`` up to ``(e + 1) *
     n_members``, initialized from seeds ``[seed, reset_counts[e], i]``, and
     its own Poisson generator ``default_rng([seed, 1])``; the ensembles share
-    the tracker. Because bank rows are independent, every ensemble learns
-    exactly as it would alone, so a one-sampler ensemble is the plain
-    single-pipeline case.
+    the tracker, whose class sizes set the sampling rates. The minority and
+    majority classes are the caller's: `sampling_rates` and `train_one` take
+    the tracker's `ImbalanceStatus`, so the designation is made once per step,
+    by whoever owns the threshold. Because bank rows are independent, every
+    ensemble learns exactly as it would alone, so a one-sampler ensemble is
+    the plain single-pipeline case.
     """
 
     def __init__(
@@ -232,8 +163,6 @@ class OnlineEnsemble:
         n_members: int = 15,
         seed: int = 0,
         lr: float = 0.1,
-        hidden: int | None = None,
-        designation_threshold: float = 1.5,
     ):
         samplers = tuple(samplers)
         if not samplers:
@@ -247,16 +176,12 @@ class OnlineEnsemble:
             raise ValueError("need at least one member")
         self.samplers = samplers
         self.tracker = tracker
-        self.designation_threshold = designation_threshold
         self.seed = seed
         self.n_members = n_members
         self.reset_counts = [0] * len(samplers)
         self._poisson_rngs = [np.random.default_rng([seed, 1]) for _ in samplers]
         self._bank = MlpBank(
-            n_features,
-            self._member_seeds(0) * len(samplers),
-            lr=lr,
-            hidden=hidden,
+            n_features, self._member_seeds(0) * len(samplers), lr=lr
         )
         # (features, bank forward) of the last predict, until used or stale
         self._kept = None
@@ -264,14 +189,9 @@ class OnlineEnsemble:
     def _member_seeds(self, reset_count: int):
         return [[self.seed, reset_count, i] for i in range(self.n_members)]
 
-    def sampling_rates(self, label: int, status=None) -> list[float]:
-        """Each ensemble's Poisson lambda for an example of ``label``.
-
-        ``status`` is the tracker's current designation, if the caller has
-        it already.
-        """
-        if status is None:
-            status = self.tracker.status(self.designation_threshold)
+    def sampling_rates(self, label: int, status: ImbalanceStatus) -> list[float]:
+        """Each ensemble's Poisson lambda for an example of ``label``, given
+        the tracker's current minority/majority designation ``status``."""
         if status.minority is None:
             return [1.0] * len(self.samplers)
         w = self.tracker.w
@@ -301,10 +221,10 @@ class OnlineEnsemble:
         )
         return np.where(scores >= 0.5, POS, NEG), scores
 
-    def train_one(self, features, label, status=None) -> None:
+    def train_one(self, features, label, status: ImbalanceStatus) -> None:
         """Poisson-replicated bagging update of every ensemble; the tracker
-        must already have absorbed this example's label (``status`` as in
-        `sampling_rates`).
+        must already have absorbed this example's label, and ``status`` is
+        its designation after it (as in `sampling_rates`).
 
         Round 0 reuses the forward pass of the last `predict` when it was
         on the same features with no reset or training since.

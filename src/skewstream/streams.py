@@ -87,7 +87,10 @@ class Skew:
 
 @dataclass(frozen=True)
 class ConceptSpec:
-    """One stationary concept: generator geometry, prior and optional skew."""
+    """One stationary concept: generator geometry, prior and optional skew.
+
+    A rejected value's message starts with the name of its field.
+    """
 
     generator: str
     positive_prior: float = 0.5
@@ -100,11 +103,12 @@ class ConceptSpec:
             raise ValueError(f"unknown generator {self.generator!r}")
         if not 0.0 < self.positive_prior < 1.0:
             raise ValueError(
-                f"positive prior must be in (0, 1), got {self.positive_prior}"
+                f"positive_prior must be in (0, 1), got {self.positive_prior}"
             )
         if self.generator == SEA and not 0.0 < self.threshold < 20.0:
             raise ValueError(
-                f"SEA threshold must keep both classes reachable, got {self.threshold}"
+                "threshold must be in (0, 20) to keep both SEA classes "
+                f"reachable, got {self.threshold}"
             )
 
     @property
@@ -140,7 +144,12 @@ class DriftSchedule:
         if self.drift_start < 1 or self.total_steps < 1:
             raise ValueError("drift_start and total_steps must be >= 1")
         if self.drift_start + self.drift_duration > self.total_steps + 1:
-            raise ValueError("drift must complete within the stream")
+            raise ValueError(
+                "drift_start + drift_duration must be <= total_steps + 1 (the "
+                "drift must complete within the stream), got "
+                f"{self.drift_start} + {self.drift_duration} > "
+                f"{self.total_steps} + 1"
+            )
         if self.old.n_features != self.new.n_features:
             raise ValueError("old and new concepts must share a feature space")
 

@@ -26,7 +26,7 @@ from skewstream.harness import (
 )
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import LABELS, NEG, POS
-from skewstream.learners import MlpModel
+from skewstream.learners import MlpBank
 from skewstream.metrics import (
     DecayedConfusion,
     ScoreWindow,
@@ -377,36 +377,47 @@ def test_generator_prior_statistics_and_gradual_cutover():
 
 
 # ---------------------------------------------------------------------------
-# 7. network gradients against central finite differences
+# 7. the training kernel's update against central finite differences
 # ---------------------------------------------------------------------------
 
 
 def test_mlp_gradients_match_finite_differences():
+    # One `train_rounds` step at lr 1 moves the weights by minus the gradient
+    # of the cross-entropy, so (weights before - weights after) is the
+    # gradient the ensembles train with; it must match central differences
+    # of -log P(label | x), taken on the weights before the step.
     fails = []
     worst = 0.0
     eps = 1e-5
+    names = ("W1", "b1", "W2", "b2")
     for seed in range(10):
         rng = np.random.default_rng([7, seed])
-        model = MlpModel(n_features=3, seed=seed)
+        bank = MlpBank(3, [seed], lr=1.0)
         x = rng.uniform(0.0, 10.0, 3)
         label = POS if rng.random() < 0.5 else NEG
-        grad = model.gradient(x, label)
-        flat = model.get_flat()
-        for coord in rng.choice(flat.size, 10, replace=False):
-            bumped = flat.copy()
-            bumped[coord] = flat[coord] + eps
-            model.set_flat(bumped)
-            up = model.loss(x, label)
-            bumped[coord] = flat[coord] - eps
-            model.set_flat(bumped)
-            down = model.loss(x, label)
-            model.set_flat(flat)
+        cls = 0 if label == POS else 1
+        before = [getattr(bank, n).copy() for n in names]
+        bank.train_rounds(x, label, np.array([1]))
+        grad = np.concatenate(
+            [(b - getattr(bank, n)).ravel() for n, b in zip(names, before)]
+        )
+        for n, b in zip(names, before):
+            getattr(bank, n)[...] = b
+        coords = [(k, i) for k, b in enumerate(before) for i in range(b.size)]
+        for coord in rng.choice(len(coords), 10, replace=False):
+            k, i = coords[coord]
+            w, v = getattr(bank, names[k]), before[k].flat[i]
+            w.flat[i] = v + eps
+            up = -math.log(bank.forward(x)[1][0, cls])
+            w.flat[i] = v - eps
+            down = -math.log(bank.forward(x)[1][0, cls])
+            w.flat[i] = v
             fd = (up - down) / (2.0 * eps)
             rel = abs(grad[coord] - fd) / max(abs(grad[coord]), abs(fd), 1e-8)
             worst = max(worst, rel)
     check(fails, "c7 gradient-check", worst < 1e-4,
-          f"worst relative error {worst:.2e} over 10 coords x 10 seeds "
-          "(need < 1e-4)")
+          f"worst relative error {worst:.2e} of one train_rounds step over "
+          "10 coords x 10 seeds (need < 1e-4)")
     finish(fails)
 
 

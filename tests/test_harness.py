@@ -148,6 +148,7 @@ def test_config_rejects_bad_values():
         ("tracker_theta", 1.5),
         ("designation_threshold", 0.5),
         ("base_seed", -3),
+        ("warm_up", 1500),  # sine1-py drifts at 1501: no pre-drift step left
     ],
 )
 def test_config_errors_name_the_key(key, value):
@@ -163,7 +164,12 @@ def test_config_file_errors_name_the_key_before_running(tmp_path):
 
 @pytest.mark.parametrize(
     "detector,key,value",
-    [("ddm-oci", "decay", 1.5), ("pauc-ph", "window", 0), ("lfr", "decay", 1.5)],
+    [
+        ("ddm-oci", "decay", 1.5),
+        ("pauc-ph", "window", 0),
+        ("pauc-ph", "min_fill", 501),  # the default window holds 500
+        ("lfr", "decay", 1.5),
+    ],
 )
 def test_detector_parameter_errors_name_the_pipeline_and_key(detector, key, value):
     pipe = PipelineSpec("A", "OB", detector, {key: value})
@@ -202,7 +208,6 @@ def reference_run(cfg, pipe, r):
         n_members=cfg.members,
         seed=seed,
         lr=cfg.lr,
-        designation_threshold=cfg.designation_threshold,
     )
     detector = build_detector(pipe)
     truths, preds, scores, events = [], [], [], []
@@ -214,8 +219,8 @@ def reference_run(cfg, pipe, r):
             preds.append(pred)
             scores.append(score)
         tracker.update(ex.label)
+        status = tracker.status(cfg.designation_threshold)
         if detector is not None:
-            status = tracker.status(cfg.designation_threshold)
             verdict = detector.step(
                 ex.label, int(pred), score=float(score), minority=status.minority
             )
@@ -223,7 +228,7 @@ def reference_run(cfg, pipe, r):
                 events.append((t, verdict.value))
             if verdict is Verdict.DRIFT:
                 model.reset(0)
-        model.train_one(ex.features, ex.label)
+        model.train_one(ex.features, ex.label, status)
     return RunRecord(
         run=r,
         seed=seed,
@@ -542,6 +547,27 @@ new_skew = -1:0:0.5:0.1
         ("[experiment]\npreset = nope\n", "unknown stream preset"),
         ("[stream]\ngenerator = arff\n", "generator must be"),
         ("[stream]\ngenerator = sea\nskew = 1:2:3\n", "skew must be"),
+        (
+            "[stream]\ngenerator = sine1\npositive_prior = 1.5\n",
+            r"\[stream\] positive_prior must be in \(0, 1\), got 1.5",
+        ),
+        (
+            "[stream]\ngenerator = sine1\nnew_positive_prior = 1.5\n",
+            r"\[stream\] new_positive_prior must be in \(0, 1\), got 1.5",
+        ),
+        (
+            "[stream]\ngenerator = sea\nthreshold = 25\n",
+            r"\[stream\] threshold must be in \(0, 20\)",
+        ),
+        (
+            "[stream]\ngenerator = sea\nnew_threshold = 25\n",
+            r"\[stream\] new_threshold must be in \(0, 20\)",
+        ),
+        (
+            "[stream]\ngenerator = sine1\ndrift_start = 2900\ndrift_duration = 500\n",
+            r"\[stream\] drift_start \+ drift_duration must be <= total_steps \+ 1 "
+            r"\(the drift must complete within the stream\), got 2900 \+ 500 > 3000",
+        ),
         ("[experiment]\npreset = sine1-py\nruns = many\n", "not a valid int"),
         ("[experiment]\npreset = sine1-py\n[pipeline p]\ndetector = lfr\n", "needs learner"),
         (
@@ -812,9 +838,16 @@ def test_cli_score_detectors_output(tmp_path, capsys):
         ["run", "no-section.ini"],
         ["run", "negative-seed.ini"],
         ["run", "bad-lfr-decay.ini"],
+        ["run", "short-auc-window.ini"],
+        ["run", "warm-up-past-drift.ini"],
+        ["run", "drift-after-stream.ini"],
     ],
 )
 def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(harness, "StreamGenerator", refuse)
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_CONFIGS.items():
         (tmp_path / name).write_text(text)
@@ -833,12 +866,35 @@ BAD_CONFIGS = {
         "[experiment]\npreset = sine1-py\nruns = 1\nmembers = 1\n"
         "[pipeline A]\nlearner = OB\ndetector = lfr\ndecay = 1.5\n"
     ),
+    "short-auc-window.ini": (
+        "[experiment]\npreset = sine1-py\nruns = 1\nmembers = 1\n"
+        "[pipeline A]\nlearner = OB\ndetector = pauc-ph\nwindow = 50\nmin_fill = 60\n"
+    ),
+    "warm-up-past-drift.ini": (
+        "[experiment]\nruns = 1\nmembers = 1\nwarm_up = 400\n"
+        "[stream]\ngenerator = sine1\ntotal_steps = 600\ndrift_start = 301\n"
+        "[pipeline A]\nlearner = OB\n"
+    ),
+    "drift-after-stream.ini": (
+        "[experiment]\nruns = 1\nmembers = 1\n"
+        "[stream]\ngenerator = sine1\ntotal_steps = 600\ndrift_start = 601\n"
+        "[pipeline A]\nlearner = OB\n"
+    ),
 }
 BAD_CONFIG_MESSAGES = {
     "duplicate-key.ini": "duplicate-key.ini:3: [experiment] preset is set twice",
     "no-section.ini": "no-section.ini:1: 'preset = sine1-py' comes before",
     "negative-seed.ini": "[experiment] base_seed must be >= 0, got -3",
     "bad-lfr-decay.ini": "[pipeline A] decay must be in (0, 1), got 1.5",
+    "short-auc-window.ini": "[pipeline A] min_fill must be <= window (50), got 60",
+    "warm-up-past-drift.ini": (
+        "[experiment] warm_up must be >= 0 and leave a pre-drift step to "
+        "average before [stream] drift_start = 301, got 400"
+    ),
+    "drift-after-stream.ini": (
+        "[stream] drift_start + drift_duration must be <= total_steps to leave "
+        "a post-drift step to average, got 601 + 0 > 600"
+    ),
 }
 
 
@@ -875,3 +931,9 @@ def test_importing_the_harness_does_not_load_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_every_export_resolves_once():
+    names = skewstream.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(skewstream, n)] == []

@@ -1,5 +1,11 @@
-"""Learner tests: MLP gradients and training, Poisson resampling, ensembles."""
+"""Learner tests: MLP gradients and training, Poisson resampling, ensembles.
+
+A single net is a one-row `MlpBank`: ``forward(x)[1][0]`` is its (P(+1),
+P(-1)) and ``train_rounds(x, label, ONE_STEP)`` is one gradient step.
+"""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -7,65 +13,91 @@ from scipy import stats
 
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
-from skewstream.learners import (
-    MlpBank,
-    MlpModel,
-    OnlineEnsemble,
-    default_hidden_size,
-)
+from skewstream.learners import MlpBank, OnlineEnsemble, default_hidden_size
+
+PARAMS = ("W1", "b1", "W2", "b2")
+ONE_STEP = np.array([1])
+
+
+def _weights(bank):
+    """Copies of the bank's weight arrays, in `PARAMS` order."""
+    return [getattr(bank, name).copy() for name in PARAMS]
+
+
+def _positive_prob(bank, x):
+    """The one-row bank's P(+1) for ``x``."""
+    return bank.forward(x)[1][0, 0]
+
+
+def _slice_params(bank, e, m):
+    """Ensemble ``e``'s weights (rows e*m .. e*m+m-1) as one flat vector."""
+    rows = slice(e * m, (e + 1) * m)
+    return np.concatenate([getattr(bank, n)[rows].ravel() for n in PARAMS])
+
+
+def _loss(bank, x, label):
+    """Cross-entropy of ``label`` under the one-row bank."""
+    return -math.log(bank.forward(x)[1][0, 0 if label == POS else 1])
 
 
 def test_hidden_size_rule():
     assert default_hidden_size(2) == 2  # (2 + 2) / 2
     assert default_hidden_size(3) == 3  # (3 + 2) / 2 rounded half up
     assert default_hidden_size(6) == 4
-    assert MlpModel(3, seed=0).hidden == 3
-    assert MlpBank(3, [[0]], hidden=5).hidden == 5
+    assert MlpBank(3, [0]).hidden == 3
 
 
 def test_predict_is_a_distribution():
     rng = np.random.default_rng(0)
-    model = MlpModel(4, seed=9)
+    bank = MlpBank(4, [9])
     for _ in range(50):
-        p_pos, p_neg = model.predict(rng.uniform(0, 1, 4))
+        p_pos, p_neg = bank.forward(rng.uniform(0, 1, 4))[1][0]
         assert 0.0 <= p_pos <= 1.0 and 0.0 <= p_neg <= 1.0
         assert p_pos + p_neg == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_learning_rate_leaves_weights_unchanged():
-    model = MlpModel(2, seed=3, lr=0.0)
-    before = model.get_flat().copy()
+    bank = MlpBank(2, [3], lr=0.0)
+    before = _weights(bank)
     for _ in range(20):
-        model.train_one([0.2, 0.7], POS)
-    assert np.array_equal(model.get_flat(), before)
+        bank.train_rounds(np.array([0.2, 0.7]), POS, ONE_STEP)
+    for name, b in zip(PARAMS, before):
+        assert np.array_equal(getattr(bank, name), b), name
 
 
 def test_predict_has_no_side_effects():
-    model = MlpModel(2, seed=5)
-    before = model.get_flat().copy()
+    bank = MlpBank(2, [5])
+    before = _weights(bank)
     for _ in range(10):
-        model.predict([0.5, 0.5])
-    assert np.array_equal(model.get_flat(), before)
+        bank.forward(np.array([0.5, 0.5]))
+    for name, b in zip(PARAMS, before):
+        assert np.array_equal(getattr(bank, name), b), name
 
 
 def test_gradient_matches_central_differences():
+    # at lr 1, one training step moves the weights by minus the gradient
     h = 1e-5
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        model = MlpModel(3, seed=seed)
+        bank = MlpBank(3, [seed], lr=1.0)
         x = rng.uniform(0, 1, 3)
         y = POS if seed % 2 else NEG
-        analytic = model.gradient(x, y)
-        base = model.get_flat().copy()
-        for idx in rng.choice(base.size, size=8, replace=False):
-            bumped = base.copy()
-            bumped[idx] += h
-            model.set_flat(bumped)
-            up = model.loss(x, y)
-            bumped[idx] -= 2 * h
-            model.set_flat(bumped)
-            down = model.loss(x, y)
-            model.set_flat(base)
+        base = _weights(bank)
+        bank.train_rounds(x, y, ONE_STEP)
+        analytic = np.concatenate(
+            [(b - getattr(bank, name)).ravel() for name, b in zip(PARAMS, base)]
+        )
+        for name, b in zip(PARAMS, base):
+            getattr(bank, name)[...] = b
+        coords = [(k, i) for k, b in enumerate(base) for i in range(b.size)]
+        for idx in rng.choice(len(coords), size=8, replace=False):
+            k, i = coords[idx]
+            w, v = getattr(bank, PARAMS[k]), base[k].flat[i]
+            w.flat[i] = v + h
+            up = _loss(bank, x, y)
+            w.flat[i] = v - h
+            down = _loss(bank, x, y)
+            w.flat[i] = v
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(analytic[idx]), 1e-8)
             assert abs(numeric - analytic[idx]) / denom < 1e-4
@@ -73,34 +105,34 @@ def test_gradient_matches_central_differences():
 
 def test_learns_separable_blobs():
     rng = np.random.default_rng(8)
-    model = MlpModel(2, seed=8)
+    bank = MlpBank(2, [8])
     xs, ys = [], []
     for _ in range(1500):
         if rng.random() < 0.5:
             x, y = rng.normal([0.25, 0.25], 0.08), POS
         else:
             x, y = rng.normal([0.75, 0.75], 0.08), NEG
-        model.train_one(x, y)
+        bank.train_rounds(x, y, ONE_STEP)
         xs.append(x)
         ys.append(y)
     recent = list(zip(xs[-500:], ys[-500:]))
     correct = sum(
-        (model.predict(x)[0] >= 0.5) == (y == POS) for x, y in recent
+        (_positive_prob(bank, x) >= 0.5) == (y == POS) for x, y in recent
     )
     assert correct / len(recent) > 0.95
 
 
 def test_training_reduces_loss_on_average():
     rng = np.random.default_rng(21)
-    model = MlpModel(2, seed=21)
+    bank = MlpBank(2, [21])
     drops = 0
     trials = 200
     for _ in range(trials):
         x = rng.uniform(0, 1, 2)
         y = POS if rng.random() < 0.5 else NEG
-        before = model.loss(x, y)
-        model.train_one(x, y)
-        drops += model.loss(x, y) < before
+        before = _loss(bank, x, y)
+        bank.train_rounds(x, y, ONE_STEP)
+        drops += _loss(bank, x, y) < before
     assert drops / trials > 0.9
 
 
@@ -113,8 +145,8 @@ def test_balanced_tracker_degenerates_to_plain_bagging():
     tracker = ClassSizeTracker()  # starts perfectly even
     for sampler in ("OB", "OOB", "UOB"):
         ens = OnlineEnsemble(2, tracker, samplers=(sampler,), n_members=3, seed=0)
-        assert ens.sampling_rates(POS) == [1.0]
-        assert ens.sampling_rates(NEG) == [1.0]
+        assert ens.sampling_rates(POS, tracker.status()) == [1.0]
+        assert ens.sampling_rates(NEG, tracker.status()) == [1.0]
     # and k ~ Poisson(1): chi-square over 10,000 draws at alpha = 0.01
     rng = np.random.default_rng(3)
     draws = rng.poisson(1.0, 10_000)
@@ -128,14 +160,15 @@ def test_balanced_tracker_degenerates_to_plain_bagging():
 def test_adaptive_rates_match_size_ratios():
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.1, NEG: 0.9}
+    status = tracker.status()
     oob = OnlineEnsemble(2, tracker, samplers=("OOB",), n_members=2, seed=0)
-    assert oob.sampling_rates(POS) == pytest.approx([9.0])
-    assert oob.sampling_rates(NEG) == pytest.approx([1.0])
+    assert oob.sampling_rates(POS, status) == pytest.approx([9.0])
+    assert oob.sampling_rates(NEG, status) == pytest.approx([1.0])
     uob = OnlineEnsemble(2, tracker, samplers=("UOB",), n_members=2, seed=0)
-    assert uob.sampling_rates(NEG) == pytest.approx([1.0 / 9.0])
-    assert uob.sampling_rates(POS) == pytest.approx([1.0])
+    assert uob.sampling_rates(NEG, status) == pytest.approx([1.0 / 9.0])
+    assert uob.sampling_rates(POS, status) == pytest.approx([1.0])
     ob = OnlineEnsemble(2, tracker, samplers=("OB",), n_members=2, seed=0)
-    assert ob.sampling_rates(POS) == ob.sampling_rates(NEG) == [1.0]
+    assert ob.sampling_rates(POS, status) == ob.sampling_rates(NEG, status) == [1.0]
     with pytest.raises(ValueError):
         OnlineEnsemble(2, tracker, samplers=("SMOTE",))
 
@@ -148,9 +181,9 @@ def test_adaptive_rates_match_size_ratios():
 def test_single_member_ensemble_equals_that_member():
     tracker = ClassSizeTracker()
     ens = OnlineEnsemble(2, tracker, samplers=("OB",), n_members=1, seed=42)
-    solo = MlpModel(2, seed=[42, 0, 0])
+    solo = MlpBank(2, [[42, 0, 0]])
     x = np.array([0.3, 0.6])
-    assert ens.predict(x)[1][0] == pytest.approx(solo.predict(x)[0], abs=1e-15)
+    assert ens.predict(x)[1][0] == pytest.approx(_positive_prob(solo, x), abs=1e-15)
 
 
 def test_tie_score_goes_positive():
@@ -166,7 +199,7 @@ def test_tie_score_goes_positive():
 def test_batched_rounds_equal_sequential_member_training():
     seeds = [[7, 0, i] for i in range(3)]
     bank = MlpBank(2, seeds)
-    solos = [MlpModel(2, seed=s) for s in seeds]
+    solos = [MlpBank(2, [s]) for s in seeds]
     rng = np.random.default_rng(11)
     for _ in range(30):
         x = rng.uniform(0, 1, 2)
@@ -175,11 +208,11 @@ def test_batched_rounds_equal_sequential_member_training():
         bank.train_rounds(x, y, ks)
         for solo, k in zip(solos, ks):
             for _ in range(k):
-                solo.train_one(x, y)
+                solo.train_rounds(x, y, ONE_STEP)
     x = np.array([0.5, 0.25])
-    stacked = bank.positive_scores(x)
+    stacked = bank.forward(x)[1][:, 0]
     for i, solo in enumerate(solos):
-        assert stacked[i] == pytest.approx(solo.predict(x)[0], abs=0.0)
+        assert stacked[i] == pytest.approx(_positive_prob(solo, x), abs=0.0)
 
 
 def test_full_training_is_deterministic():
@@ -193,7 +226,7 @@ def test_full_training_is_deterministic():
             y = POS if rng.random() < 0.2 else NEG
             outputs.append(tuple(a.tolist() for a in ens.predict(x)))
             tracker.update(y)
-            ens.train_one(x, y)
+            ens.train_one(x, y, tracker.status())
         return outputs
 
     assert run() == run()
@@ -204,16 +237,18 @@ def test_reset_reinitializes_from_derived_seeds():
     a = OnlineEnsemble(2, tracker, n_members=4, seed=5)
     b = OnlineEnsemble(2, tracker, n_members=4, seed=5)
     for _ in range(50):
-        a.train_one([0.2, 0.8], POS)
-    trained = a._bank.get_flat().copy()
+        a.train_one([0.2, 0.8], POS, tracker.status())
+    trained = _slice_params(a._bank, 0, 4)
     a.reset(0)
     assert a.reset_counts[0] == 1
-    assert not np.array_equal(a._bank.get_flat(), trained)
+    assert not np.array_equal(_slice_params(a._bank, 0, 4), trained)
     b.reset(0)
-    assert np.array_equal(a._bank.get_flat(), b._bank.get_flat())
+    assert np.array_equal(_slice_params(a._bank, 0, 4), _slice_params(b._bank, 0, 4))
     # fresh weights differ from the initial (reset 0) generation
     c = OnlineEnsemble(2, tracker, n_members=4, seed=5)
-    assert not np.array_equal(a._bank.get_flat(), c._bank.get_flat())
+    assert not np.array_equal(
+        _slice_params(a._bank, 0, 4), _slice_params(c._bank, 0, 4)
+    )
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -229,8 +264,8 @@ def test_stacked_bank_rounds_like_separate_banks(d):
         y = POS if rng.random() < 0.3 else NEG
         ks = rng.poisson(rng.choice([0.2, 1.0, 9.0], 3).repeat(15))
         assert np.array_equal(
-            stacked.positive_scores(x),
-            np.concatenate([b.positive_scores(x) for b in banks]),
+            stacked.forward(x)[1][:, 0],
+            np.concatenate([b.forward(x)[1][:, 0] for b in banks]),
         )
         stacked.train_rounds(x, y, ks)
         for b, part in zip(banks, np.split(ks, 3)):
@@ -243,20 +278,12 @@ def test_stacked_bank_rounds_like_separate_banks(d):
         )
 
 
-def _slice_params(bank, e, m):
-    """Ensemble ``e``'s weights (rows e*m .. e*m+m-1) as one flat vector."""
-    rows = slice(e * m, (e + 1) * m)
-    return np.concatenate(
-        [getattr(bank, n)[rows].ravel() for n in ("W1", "b1", "W2", "b2")]
-    )
-
-
 def test_reset_touches_only_its_own_ensemble():
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.2, NEG: 0.8}
     ens = OnlineEnsemble(3, tracker, samplers=("OB", "OOB", "UOB"), n_members=4, seed=8)
     for _ in range(20):
-        ens.train_one([0.1, 0.5, 0.9], POS)
+        ens.train_one([0.1, 0.5, 0.9], POS, tracker.status())
     trained = [_slice_params(ens._bank, e, 4) for e in range(3)]
     ens.reset(1)
     ens.reset(1)
@@ -266,7 +293,7 @@ def test_reset_touches_only_its_own_ensemble():
     alone = OnlineEnsemble(3, tracker, samplers=("OOB",), n_members=4, seed=8)
     alone.reset(0)
     alone.reset(0)
-    assert np.array_equal(_slice_params(ens._bank, 1, 4), alone._bank.get_flat())
+    assert np.array_equal(_slice_params(ens._bank, 1, 4), _slice_params(alone._bank, 0, 4))
     assert not np.array_equal(_slice_params(ens._bank, 1, 4), trained[1])
 
 
@@ -345,6 +372,7 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     for step in range(240):
         x = rng.uniform(0, 1, d)
         label = POS if rng.random() < 0.3 else NEG
+        status = tracker.status()
         labels, scores = ens.predict(x)
         _, ref_probs = _ref_forward(*params, x)
         ref_scores = ref_probs[:, 0].reshape(3, members).mean(axis=1)
@@ -364,10 +392,10 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
         ks = np.concatenate(
             [
                 r.poisson(lam, members)
-                for r, lam in zip(ref_rngs, ens.sampling_rates(label))
+                for r, lam in zip(ref_rngs, ens.sampling_rates(label, status))
             ]
         )
-        ens.train_one(x, label)
+        ens.train_one(x, label, status)
         if ks.any():
             _ref_train_rounds(params, x, label, ks, lr)
         else:
