@@ -8,7 +8,6 @@ from .labels import NEG, POS
 from .streams import (
     ConceptSpec,
     DriftSchedule,
-    Example,
     InfeasibleConceptError,
     Skew,
     StreamExhausted,
@@ -67,7 +66,6 @@ __all__ = [
     "POS",
     "ConceptSpec",
     "DriftSchedule",
-    "Example",
     "InfeasibleConceptError",
     "Skew",
     "StreamExhausted",

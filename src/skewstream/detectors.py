@@ -61,6 +61,15 @@ class DriftDetector:
         raise NotImplementedError
 
 
+def _require_finite(**params) -> None:
+    """Reject a non-finite parameter, naming it: with a NaN or infinite bound
+    or margin the test means nothing (a NaN bound is never crossed, so the
+    detector would run blind)."""
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+
+
 class RecallDropDetector(DriftDetector):
     """Decayed minority-recall monitor with 2s/3s drop bounds.
 
@@ -106,6 +115,7 @@ class RecallDropDetector(DriftDetector):
     ):
         if not 0.0 < decay < 1.0:
             raise ValueError("decay must be in (0, 1)")
+        _require_finite(warn_scale=warn_scale, drift_scale=drift_scale)
         self.decay = decay
         self.warn_scale = warn_scale
         self.drift_scale = drift_scale
@@ -505,6 +515,7 @@ class AucDropDetector(DriftDetector):
             raise ValueError(
                 f"min_fill must be <= window ({window!r}), got {min_fill!r}"
             )
+        _require_finite(delta=delta, threshold=threshold)
         self.capacity = int(window)
         self.delta = delta
         self.threshold = threshold

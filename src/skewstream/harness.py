@@ -274,7 +274,6 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     tracker = ClassSizeTracker(cfg.tracker_theta)
     model = OnlineEnsemble(
         schedule.old.n_features,
-        tracker,
         samplers=[pipe.learner for pipe in pipes],
         n_members=cfg.members,
         seed=seed,
@@ -286,9 +285,7 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     scores = np.empty((len(pipes), n_recorded), dtype=float)
     events: list[list[tuple[int, str]]] = [[] for _ in pipes]
     for t in range(1, schedule.total_steps + 1):
-        ex = stream.next_example()
-        label = ex.label
-        x = np.asarray(ex.features, dtype=float)
+        x, label = stream.next_example()
         step_preds, step_scores = model.predict(x)
         if t > cfg.warm_up:
             i = t - cfg.warm_up - 1
@@ -308,7 +305,7 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
                 events[e].append((t, verdict.value))
             if verdict is Verdict.DRIFT:
                 model.reset(e)
-        model.train_one(x, label, status)
+        model.train_one(label, status)
     return [
         RunRecord(
             run=r,
@@ -811,31 +808,47 @@ def _read_table(path, header: str) -> tuple[Path, list[tuple[int, str]]]:
     return path, list(enumerate(lines[1:], start=2))
 
 
-def read_per_run_table(path) -> list[ConceptAverages]:
-    """Parse a runs/<pipeline>.csv back into per-run window averages."""
+def read_per_run_table(path, seeds=None) -> list[ConceptAverages]:
+    """Parse a runs/<pipeline>.csv back into per-run window averages.
+
+    With ``seeds`` (run r's seed at index r), the table must hold exactly
+    runs 0 .. len(seeds) - 1, in order, each with its seed.
+    """
     path, rows = _read_table(path, "run,seed," + ",".join(METRICS))
+    if seeds is not None and len(rows) != len(seeds):
+        raise ValueError(
+            f"{path}: {len(rows)} rows for {len(seeds)} configured runs"
+        )
     out = []
-    for lineno, row in rows:
+    for i, (lineno, row) in enumerate(rows):
         parts = row.split(",")
         if len(parts) != 2 + len(METRICS):
             raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
         try:
+            run, seed = int(parts[0]), int(parts[1])
             out.append(ConceptAverages(*(float(v) for v in parts[2:])))
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: non-numeric value in row {row!r}"
             ) from None
+        if seeds is not None and (run, seed) != (i, seeds[i]):
+            raise ValueError(
+                f"{path}:{lineno}: expected run {i} with seed {seeds[i]}, "
+                f"got run {run} with seed {seed}"
+            )
     return out
 
 
 _ALARM_VERDICTS = (Verdict.WARNING.value, Verdict.DRIFT.value)
 
 
-def read_alarm_table(path) -> list[DetectionLog]:
+def read_alarm_table(path, seeds=None) -> list[DetectionLog]:
     """Parse an alarms/<pipeline>.csv back into per-run drift-alarm logs.
 
     Runs without any recorded event simply have no log entry; scoring
-    normalizes by the configured run count, not by the number of logs.
+    normalizes by the configured run count, not by the number of logs. With
+    ``seeds`` (run r's seed at index r), every row must name one of those
+    runs, with its seed.
     """
     path, rows = _read_table(path, "run,seed,t,verdict")
     logs: dict[int, DetectionLog] = {}
@@ -845,6 +858,15 @@ def read_alarm_table(path) -> list[DetectionLog]:
             run, seed, t = int(run_s), int(seed_s), int(t_s)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
+        if seeds is not None and not 0 <= run < len(seeds):
+            raise ValueError(
+                f"{path}:{lineno}: run {run} is not one of the "
+                f"{len(seeds)} configured runs 0 .. {len(seeds) - 1}"
+            )
+        if seeds is not None and seed != seeds[run]:
+            raise ValueError(
+                f"{path}:{lineno}: run {run} has seed {seeds[run]}, got {seed}"
+            )
         if verdict not in _ALARM_VERDICTS:
             raise ValueError(
                 f"{path}:{lineno}: unknown verdict {verdict!r}, expected one "
@@ -859,23 +881,21 @@ def read_alarm_table(path) -> list[DetectionLog]:
 def rebuild_tables(out_dir) -> tuple[str, str]:
     """Recompute summary.csv and detectors.csv text from an output directory.
 
-    Reads config.lock plus the runs/ and alarms/ tables; the result is
-    byte-identical to what ``emit_report`` wrote for the same directory.
+    Reads config.lock plus the runs/ and alarms/ tables, whose run and seed
+    columns must be the lock's runs and seeds; the result is byte-identical
+    to what ``emit_report`` wrote for the same directory.
     """
     out = Path(out_dir)
     cfg = load_config(out / "config.lock")
+    seeds = [cfg.base_seed + r for r in range(cfg.runs)]
     per_run = {}
     scores = {}
     for pipe in cfg.pipelines:
-        runs_path = out / "runs" / f"{pipe.name}.csv"
-        per_run[pipe.name] = read_per_run_table(runs_path)
-        if len(per_run[pipe.name]) != cfg.runs:
-            raise ValueError(
-                f"{runs_path}: {len(per_run[pipe.name])} rows for "
-                f"{cfg.runs} configured runs"
-            )
+        per_run[pipe.name] = read_per_run_table(
+            out / "runs" / f"{pipe.name}.csv", seeds
+        )
         if pipe.detector != NO_DETECTOR:
-            logs = read_alarm_table(out / "alarms" / f"{pipe.name}.csv")
+            logs = read_alarm_table(out / "alarms" / f"{pipe.name}.csv", seeds)
             scores[pipe.name] = score_detections(
                 logs, cfg.schedule.drift_start, cfg.runs
             )

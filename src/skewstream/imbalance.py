@@ -2,9 +2,9 @@
 
 A ClassSizeTracker maintains time-decayed per-class size estimates
 w_k <- theta * w_k + (1 - theta) * [label = k], which sum to 1 and converge to
-the current class priors. The minority/majority designation derived from them
-drives the adaptive resampling rates of the oversampling/undersampling
-ensembles.
+the current class priors. `ClassSizeTracker.status` designates the minority
+and majority from them and hands over the sizes with the designation: the one
+snapshot that sets the ensembles' resampling rates and the detectors' minority.
 """
 from __future__ import annotations
 
@@ -16,16 +16,18 @@ from .labels import LABELS, NEG, POS
 
 @dataclass(frozen=True)
 class ImbalanceStatus:
-    """Snapshot of the tracker's designation.
+    """Snapshot of the tracker's designation and the sizes it was made from.
 
     minority/majority are None while the stream looks balanced (size ratio at
     or below the designation threshold). ratio is w_max / w_min and becomes
-    math.inf if the smaller size has decayed to zero.
+    math.inf if the smaller size has decayed to zero. sizes maps each label to
+    its size w_k at status time; later updates do not change it.
     """
 
     minority: int | None
     majority: int | None
     ratio: float
+    sizes: dict[int, float]
 
 
 class ClassSizeTracker:
@@ -46,10 +48,9 @@ class ClassSizeTracker:
 
     def status(self, threshold: float = 1.5) -> ImbalanceStatus:
         """Designate minority/majority when sizes differ by more than ``threshold``."""
-        w_pos = self.w[POS]
-        w_neg = self.w[NEG]
-        lo, hi = (POS, NEG) if w_pos <= w_neg else (NEG, POS)
-        ratio = self.w[hi] / self.w[lo] if self.w[lo] > 0.0 else math.inf
+        sizes = {POS: self.w[POS], NEG: self.w[NEG]}
+        lo, hi = (POS, NEG) if sizes[POS] <= sizes[NEG] else (NEG, POS)
+        ratio = sizes[hi] / sizes[lo] if sizes[lo] > 0.0 else math.inf
         if ratio > threshold:
-            return ImbalanceStatus(minority=lo, majority=hi, ratio=ratio)
-        return ImbalanceStatus(minority=None, majority=None, ratio=ratio)
+            return ImbalanceStatus(lo, hi, ratio, sizes)
+        return ImbalanceStatus(None, None, ratio, sizes)

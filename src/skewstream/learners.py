@@ -12,8 +12,8 @@ Poisson(lambda), where
     OOB  lambda = w_max / w_label   (oversamples the minority class)
     UOB  lambda = w_min / w_label   (undersamples the majority class)
 
-and the w's are the tracker's time-decayed class sizes; while the tracker's
-status (`ClassSizeTracker.status`, which the caller computes and passes in)
+and the w's are the tracker's time-decayed class sizes, read from the
+`ImbalanceStatus` the caller hands in (`ClassSizeTracker.status`); while it
 reports the stream as balanced, all three collapse to plain OB.
 
 For speed the members' weights are stored stacked along a leading member axis
@@ -26,11 +26,12 @@ bank: one predict call and one set of rounds serve them all, while each keeps
 its own Poisson generator, its own reset seeds and exactly the outputs it
 would have alone.
 
-A prequential step predicts, then trains on the same features, so
-`OnlineEnsemble.predict` keeps the bank's forward pass and a `train_one` on
-those features, with no reset in between, hands it to `MlpBank.train_rounds`
-as round 0's forward instead of computing it again: one forward pass per
-round, with the bits of a fresh pass.
+A prequential step predicts, then trains on the example it predicted:
+`OnlineEnsemble.predict(x)` keeps the example and the bank's forward pass on
+it, and `train_one(label, status)` learns that example. With no reset in
+between, the kept forward is round 0's forward in `MlpBank.train_rounds`
+instead of being computed again: one forward pass per round, with the bits of
+a fresh pass.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from .imbalance import ClassSizeTracker, ImbalanceStatus
+from .imbalance import ImbalanceStatus
 from .labels import NEG, POS
 
 OB = "OB"
@@ -146,19 +147,18 @@ class OnlineEnsemble:
 
     Ensemble ``e`` owns bank rows ``e * n_members`` up to ``(e + 1) *
     n_members``, initialized from seeds ``[seed, reset_counts[e], i]``, and
-    its own Poisson generator ``default_rng([seed, 1])``; the ensembles share
-    the tracker, whose class sizes set the sampling rates. The minority and
-    majority classes are the caller's: `sampling_rates` and `train_one` take
-    the tracker's `ImbalanceStatus`, so the designation is made once per step,
-    by whoever owns the threshold. Because bank rows are independent, every
-    ensemble learns exactly as it would alone, so a one-sampler ensemble is
-    the plain single-pipeline case.
+    its own Poisson generator ``default_rng([seed, 1])``. The class sizes and
+    the minority/majority designation that set the sampling rates are the
+    caller's: `sampling_rates` and `train_one` take the tracker's
+    `ImbalanceStatus`, so the designation is made once per step, by whoever
+    owns the tracker and the threshold. Because bank rows are independent,
+    every ensemble learns exactly as it would alone, so a one-sampler
+    ensemble is the plain single-pipeline case.
     """
 
     def __init__(
         self,
         n_features: int,
-        tracker: ClassSizeTracker,
         samplers=(OB,),
         n_members: int = 15,
         seed: int = 0,
@@ -175,7 +175,6 @@ class OnlineEnsemble:
         if n_members < 1:
             raise ValueError("need at least one member")
         self.samplers = samplers
-        self.tracker = tracker
         self.seed = seed
         self.n_members = n_members
         self.reset_counts = [0] * len(samplers)
@@ -183,18 +182,19 @@ class OnlineEnsemble:
         self._bank = MlpBank(
             n_features, self._member_seeds(0) * len(samplers), lr=lr
         )
-        # (features, bank forward) of the last predict, until used or stale
-        self._kept = None
+        # the last predicted example and the bank's forward pass on it; a
+        # reset makes the forward stale, and `train_one` consumes both
+        self._x = self._forward = None
 
     def _member_seeds(self, reset_count: int):
         return [[self.seed, reset_count, i] for i in range(self.n_members)]
 
     def sampling_rates(self, label: int, status: ImbalanceStatus) -> list[float]:
-        """Each ensemble's Poisson lambda for an example of ``label``, given
-        the tracker's current minority/majority designation ``status``."""
+        """Each ensemble's Poisson lambda for an example of ``label``, from
+        the class sizes and designation in ``status``."""
         if status.minority is None:
             return [1.0] * len(self.samplers)
-        w = self.tracker.w
+        w = status.sizes
         rate = {
             OB: 1.0,
             OOB: w[status.majority] / w[label],
@@ -206,12 +206,11 @@ class OnlineEnsemble:
         """(labels, scores), one entry per ensemble: a score is the mean
         positive-class probability of the ensemble's members.
 
-        Ties at 0.5 go to the positive class. The bank's forward pass is
-        kept for a `train_one` on the same features.
+        Ties at 0.5 go to the positive class. A copy of the example and the
+        bank's forward pass on it are kept for `train_one`.
         """
-        x = np.asarray(features, dtype=float)
-        forward = self._bank.forward(x)
-        self._kept = (x.tolist(), forward)
+        self._x = x = np.array(features, dtype=float)
+        self._forward = forward = self._bank.forward(x)
         # sum / n: the bits of .mean(axis=1), without its Python wrapper
         scores = (
             forward[1][:, _CLASS_INDEX[POS]]
@@ -221,17 +220,15 @@ class OnlineEnsemble:
         )
         return np.where(scores >= 0.5, POS, NEG), scores
 
-    def train_one(self, features, label, status: ImbalanceStatus) -> None:
-        """Poisson-replicated bagging update of every ensemble; the tracker
-        must already have absorbed this example's label, and ``status`` is
-        its designation after it (as in `sampling_rates`).
-
-        Round 0 reuses the forward pass of the last `predict` when it was
-        on the same features with no reset or training since.
-        """
-        x = np.asarray(features, dtype=float)
-        kept, self._kept = self._kept, None
-        first = kept[1] if kept is not None and kept[0] == x.tolist() else None
+    def train_one(self, label, status: ImbalanceStatus) -> None:
+        """Poisson-replicated bagging update of every ensemble on the example
+        of the last `predict`, which this consumes; ``status`` is the
+        tracker's designation after it absorbed ``label`` (as in
+        `sampling_rates`)."""
+        x, first = self._x, self._forward
+        if x is None:
+            raise RuntimeError("train_one needs a predicted example to learn")
+        self._x = self._forward = None
         m = self.n_members
         ks = np.concatenate(
             [
@@ -247,7 +244,7 @@ class OnlineEnsemble:
     def reset(self, e: int) -> None:
         """Fresh weights for ensemble ``e`` from seeds derived off (seed, its
         reset count); the other ensembles are untouched."""
-        self._kept = None
+        self._forward = None
         self.reset_counts[e] += 1
         self._bank.init_weights(
             self._member_seeds(self.reset_counts[e]), first=e * self.n_members

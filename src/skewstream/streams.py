@@ -18,8 +18,10 @@ Drift is a per-step Bernoulli choice between the old and the new concept whose
 new-concept probability ramps linearly from 0 to 1 across the transition
 window (a step function for abrupt drift).
 
-`dump_stream` writes a stream as CSV, one example per line, `t,f1,...,fn,label`
-after a header row (what ``skewstream generate`` writes).
+An example is a pair ``(x, label)``: ``x`` a float64 array of the features
+and ``label`` +1 or -1, the form the ensembles and detectors consume.
+`dump_stream` writes such pairs as CSV, one example per line,
+`t,f1,...,fn,label` after a header row (what ``skewstream generate`` writes).
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ SEA = "SEA"
 
 _REJECTION_CAP = 10_000
 _BLOCK = 512  # doubles drawn per numpy call
+_DEFAULT_THRESHOLD = 7.0  # SEA's x1 + x2 boundary
 
 
 class StreamExhausted(Exception):
@@ -56,13 +59,6 @@ def sine1_label(x: float, y: float) -> int:
 def sea_label(x1: float, x2: float, threshold: float) -> int:
     """+1 iff x1 + x2 <= threshold (boundary inclusive)."""
     return POS if x1 + x2 <= threshold else NEG
-
-
-@dataclass(frozen=True)
-class Example:
-    t: int
-    features: tuple[float, ...]
-    label: int
 
 
 @dataclass(frozen=True)
@@ -89,12 +85,15 @@ class Skew:
 class ConceptSpec:
     """One stationary concept: generator geometry, prior and optional skew.
 
-    A rejected value's message starts with the name of its field.
+    Every field must take effect: ``invert`` is SINE1's and ``threshold``
+    SEA's (the other generator only takes the default), and a skew must
+    split a feature of the concept strictly inside its range. A rejected
+    value's message starts with the name of its field.
     """
 
     generator: str
     positive_prior: float = 0.5
-    threshold: float = 7.0  # SEA boundary; unused for SINE1
+    threshold: float = _DEFAULT_THRESHOLD  # SEA boundary
     invert: bool = False  # SINE1 only: positive region becomes y >= sin(x)
     skew: Skew | None = None
 
@@ -109,6 +108,26 @@ class ConceptSpec:
             raise ValueError(
                 "threshold must be in (0, 20) to keep both SEA classes "
                 f"reachable, got {self.threshold}"
+            )
+        if self.generator != SEA and self.threshold != _DEFAULT_THRESHOLD:
+            raise ValueError(
+                f"threshold is a {SEA} setting; {self.generator} only takes "
+                f"the default {_DEFAULT_THRESHOLD!r}, got {self.threshold!r}"
+            )
+        if self.generator != SINE1 and self.invert:
+            raise ValueError(
+                f"invert is a {SINE1} setting; {self.generator} only takes false"
+            )
+        skew = self.skew
+        if skew is not None and not 0 <= skew.feature < self.n_features:
+            raise ValueError(
+                f"skew feature must be in 0 .. {self.n_features - 1} for "
+                f"{self.generator}, got {skew.feature}"
+            )
+        if skew is not None and not 0.0 < skew.split < self.feature_high:
+            raise ValueError(
+                f"skew split must be in (0, {self.feature_high!r}) for "
+                f"{self.generator}, got {skew.split!r}"
             )
 
     @property
@@ -183,8 +202,9 @@ class StreamGenerator:
     """Seeded example source following a drift schedule.
 
     The same (seed, schedule) pair always reproduces the identical example
-    sequence. Iterating yields exactly total_steps examples; calling
-    next_example past the end raises StreamExhausted.
+    sequence. `next_example` returns step ``t``'s ``(x, label)`` pair and
+    iterating yields exactly total_steps of them; calling next_example past
+    the end raises StreamExhausted.
 
     Every draw is one double of ``default_rng(seed)``, taken in order from
     blocks of `_BLOCK` drawn at once and used as Python floats: a
@@ -199,7 +219,8 @@ class StreamGenerator:
         self._next_double = _doubles(np.random.default_rng(seed)).__next__
         self.t = 0
 
-    def next_example(self) -> Example:
+    def next_example(self) -> tuple[np.ndarray, int]:
+        """The next step's ``(x, label)``; ``x`` is a fresh float64 array."""
         if self.t >= self.schedule.total_steps:
             raise StreamExhausted(f"stream ended at step {self.schedule.total_steps}")
         self.t += 1
@@ -212,14 +233,14 @@ class StreamGenerator:
             concept = (
                 self.schedule.new if self._next_double() < w else self.schedule.old
             )
-        features, label = self._sample(concept)
-        return Example(t=self.t, features=features, label=label)
+        feats, label = self._sample(concept)
+        return np.array(feats), label
 
     def __iter__(self):
         while self.t < self.schedule.total_steps:
             yield self.next_example()
 
-    def _sample(self, concept: ConceptSpec) -> tuple[tuple[float, ...], int]:
+    def _sample(self, concept: ConceptSpec) -> tuple[list[float], int]:
         u = self._next_double
         high = concept.feature_high
         label = POS if u() < concept.positive_prior else NEG
@@ -240,7 +261,7 @@ class StreamGenerator:
                 else:
                     feats[skew.feature] = skew.split + (high - skew.split) * u()
             if concept.label_of(feats) == label:
-                return tuple(feats), label
+                return feats, label
         raise InfeasibleConceptError(
             f"no example of class {label} found in {_REJECTION_CAP} attempts "
             f"for {concept!r}"
@@ -253,23 +274,21 @@ def _doubles(rng: np.random.Generator):
         yield from rng.random(_BLOCK).tolist()
 
 
-def dump_stream(examples: Iterable[Example], path) -> int:
-    """Write examples as `t,f1,...,fn,label` CSV with a header; returns row count.
+def dump_stream(examples: Iterable[tuple[np.ndarray, int]], path) -> int:
+    """Write ``(x, label)`` pairs as `t,f1,...,fn,label` CSV with a header,
+    numbering the rows from t = 1; returns the row count.
 
     Features are written with ``repr``, so parsing them with ``float`` gives
     back the generated values exactly.
     """
     path = Path(path)
-    n_written = 0
+    t = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header: list[str] | None = None
-        for ex in examples:
-            if header is None:
-                header = ["t"] + [f"f{j + 1}" for j in range(len(ex.features))] + ["label"]
-                writer.writerow(header)
-            writer.writerow([ex.t, *[repr(v) for v in ex.features], ex.label])
-            n_written += 1
-        if header is None:  # no examples at all: still emit a minimal header
+        for t, (x, label) in enumerate(examples, start=1):
+            if t == 1:
+                writer.writerow(["t", *(f"f{j + 1}" for j in range(len(x))), "label"])
+            writer.writerow([t, *map(repr, x.tolist()), label])
+        if t == 0:  # no examples at all: still emit a minimal header
             writer.writerow(["t", "label"])
-    return n_written
+    return t

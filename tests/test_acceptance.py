@@ -353,7 +353,7 @@ def test_generator_prior_statistics_and_gradual_cutover():
         for which in ("old", "new"):
             concept = getattr(schedule, which)
             gen = StreamGenerator(stationary_schedule(concept, n), seed=42)
-            got = np.mean([ex.label == POS for ex in gen])
+            got = np.mean([label == POS for _, label in gen])
             p = concept.positive_prior
             se = math.sqrt(p * (1.0 - p) / n)
             z = abs(got - p) / se

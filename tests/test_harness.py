@@ -168,6 +168,11 @@ def test_config_file_errors_name_the_key_before_running(tmp_path):
         ("ddm-oci", "decay", 1.5),
         ("pauc-ph", "window", 0),
         ("pauc-ph", "min_fill", 501),  # the default window holds 500
+        ("pauc-ph", "delta", float("nan")),
+        ("pauc-ph", "threshold", float("nan")),
+        ("pauc-ph", "threshold", float("inf")),
+        ("ddm-oci", "warn_scale", float("nan")),
+        ("ddm-oci", "drift_scale", float("nan")),
         ("lfr", "decay", 1.5),
     ],
 )
@@ -203,7 +208,6 @@ def reference_run(cfg, pipe, r):
     tracker = ClassSizeTracker(cfg.tracker_theta)
     model = OnlineEnsemble(
         schedule.old.n_features,
-        tracker,
         samplers=(pipe.learner,),
         n_members=cfg.members,
         seed=seed,
@@ -212,23 +216,23 @@ def reference_run(cfg, pipe, r):
     detector = build_detector(pipe)
     truths, preds, scores, events = [], [], [], []
     for t in range(1, schedule.total_steps + 1):
-        ex = stream.next_example()
-        [pred], [score] = model.predict(ex.features)
+        x, label = stream.next_example()
+        [pred], [score] = model.predict(x)
         if t > cfg.warm_up:
-            truths.append(ex.label)
+            truths.append(label)
             preds.append(pred)
             scores.append(score)
-        tracker.update(ex.label)
+        tracker.update(label)
         status = tracker.status(cfg.designation_threshold)
         if detector is not None:
             verdict = detector.step(
-                ex.label, int(pred), score=float(score), minority=status.minority
+                label, int(pred), score=float(score), minority=status.minority
             )
             if verdict is not Verdict.NORMAL:
                 events.append((t, verdict.value))
             if verdict is Verdict.DRIFT:
                 model.reset(0)
-        model.train_one(ex.features, ex.label, status)
+        model.train_one(label, status)
     return RunRecord(
         run=r,
         seed=seed,
@@ -564,6 +568,35 @@ new_skew = -1:0:0.5:0.1
             r"\[stream\] new_threshold must be in \(0, 20\)",
         ),
         (
+            "[stream]\ngenerator = sea\ninvert = true\n",
+            r"\[stream\] invert is a SINE1 setting; SEA only takes false",
+        ),
+        (
+            "[stream]\ngenerator = sea\nnew_invert = true\n",
+            r"\[stream\] new_invert is a SINE1 setting; SEA only takes false",
+        ),
+        (
+            "[stream]\ngenerator = sine1\nnew_threshold = 5\n",
+            r"\[stream\] new_threshold is a SEA setting; SINE1 only takes the "
+            r"default 7.0, got 5.0",
+        ),
+        (
+            "[stream]\ngenerator = sine1\nskew = -1:5:0.5:0.9\n",
+            r"\[stream\] skew feature must be in 0 \.\. 1 for SINE1, got 5",
+        ),
+        (
+            "[stream]\ngenerator = sea\nnew_skew = -1:-1:5.0:0.9\n",
+            r"\[stream\] new_skew feature must be in 0 \.\. 2 for SEA, got -1",
+        ),
+        (
+            "[stream]\ngenerator = sine1\nskew = -1:0:5.0:0.9\n",
+            r"\[stream\] skew split must be in \(0, 1.0\) for SINE1, got 5.0",
+        ),
+        (
+            "[stream]\ngenerator = sea\nskew = -1:0:0:0.9\n",
+            r"\[stream\] skew split must be in \(0, 10.0\) for SEA, got 0.0",
+        ),
+        (
             "[stream]\ngenerator = sine1\ndrift_start = 2900\ndrift_duration = 500\n",
             r"\[stream\] drift_start \+ drift_duration must be <= total_steps \+ 1 "
             r"\(the drift must complete within the stream\), got 2900 \+ 500 > 3000",
@@ -625,13 +658,20 @@ total_steps = 2000
 drift_start = 900
 drift_duration = 300
 positive_prior = 0.2
-threshold = 6.5
+threshold = 7.0
 invert = true
 skew = -1:0:0.5:0.9
 new_positive_prior = 0.7
-new_threshold = 8.0
+new_threshold = 7.0
 new_invert = false
 new_skew = 1:1:0.25:0.6
+"""
+# threshold is SEA's (SINE1 only takes the default), so a SEA stream moves it
+SEA_THRESHOLD_CONFIG = """
+[stream]
+generator = sea
+threshold = 6.5
+new_threshold = 8.0
 """
 
 
@@ -651,8 +691,8 @@ def test_every_key_round_trips_through_the_lock(tmp_path):
     s = cfg.schedule
     assert cfg == ExperimentConfig(
         schedule=DriftSchedule(
-            ConceptSpec("SINE1", 0.2, 6.5, True, Skew(NEG, 0, 0.5, 0.9)),
-            ConceptSpec("SINE1", 0.7, 8.0, False, Skew(POS, 1, 0.25, 0.6)),
+            ConceptSpec("SINE1", 0.2, 7.0, True, Skew(NEG, 0, 0.5, 0.9)),
+            ConceptSpec("SINE1", 0.7, 7.0, False, Skew(POS, 1, 0.25, 0.6)),
             total_steps=2000,
             drift_start=900,
             drift_duration=300,
@@ -673,15 +713,18 @@ def test_every_key_round_trips_through_the_lock(tmp_path):
     for f in fields(DriftSchedule):
         if f.name not in ("old", "new"):
             assert getattr(s, f.name) != f.default, f.name
+    sea = load_config(write_config(tmp_path, SEA_THRESHOLD_CONFIG))
     for f in fields(ConceptSpec):
         if f.name != "generator":
-            assert getattr(s.old, f.name) != f.default, f.name
-            assert getattr(s.new, f.name) != getattr(s.old, f.name), f.name
+            moved = sea.schedule if f.name == "threshold" else s
+            assert getattr(moved.old, f.name) != f.default, f.name
+            assert getattr(moved.new, f.name) != getattr(moved.old, f.name), f.name
 
-    lock = dump_config_lock(cfg)
-    lock_path = tmp_path / "config.lock"
-    lock_path.write_text(lock)
-    assert load_config(lock_path) == cfg
+    for c in (sea, cfg):
+        lock = dump_config_lock(c)
+        lock_path = tmp_path / "config.lock"
+        lock_path.write_text(lock)
+        assert load_config(lock_path) == c
 
     experiment, stream = dataclass_keys()
     parsed = configparser.ConfigParser()
@@ -841,6 +884,11 @@ def test_cli_score_detectors_output(tmp_path, capsys):
         ["run", "short-auc-window.ini"],
         ["run", "warm-up-past-drift.ini"],
         ["run", "drift-after-stream.ini"],
+        ["run", "sea-new-invert.ini"],
+        ["run", "skew-feature-out-of-range.ini"],
+        ["run", "skew-split-out-of-range.ini"],
+        ["run", "nan-auc-threshold.ini"],
+        ["run", "nan-ddm-drift-scale.ini"],
     ],
 )
 def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
@@ -880,6 +928,29 @@ BAD_CONFIGS = {
         "[stream]\ngenerator = sine1\ntotal_steps = 600\ndrift_start = 601\n"
         "[pipeline A]\nlearner = OB\n"
     ),
+    "sea-new-invert.ini": (
+        "[experiment]\nruns = 1\nmembers = 1\n"
+        "[stream]\ngenerator = sea\nnew_invert = true\n"
+        "[pipeline A]\nlearner = OB\n"
+    ),
+    "skew-feature-out-of-range.ini": (
+        "[experiment]\nruns = 1\nmembers = 1\n"
+        "[stream]\ngenerator = sine1\nskew = -1:5:0.5:0.9\n"
+        "[pipeline A]\nlearner = OB\n"
+    ),
+    "skew-split-out-of-range.ini": (
+        "[experiment]\nruns = 1\nmembers = 1\n"
+        "[stream]\ngenerator = sine1\nskew = -1:0:5.0:0.9\n"
+        "[pipeline A]\nlearner = OB\n"
+    ),
+    "nan-auc-threshold.ini": (
+        "[experiment]\npreset = sine1-py\nruns = 1\nmembers = 1\n"
+        "[pipeline A]\nlearner = OB\ndetector = pauc-ph\nthreshold = nan\n"
+    ),
+    "nan-ddm-drift-scale.ini": (
+        "[experiment]\npreset = sine1-py\nruns = 1\nmembers = 1\n"
+        "[pipeline A]\nlearner = OB\ndetector = ddm-oci\ndrift_scale = nan\n"
+    ),
 }
 BAD_CONFIG_MESSAGES = {
     "duplicate-key.ini": "duplicate-key.ini:3: [experiment] preset is set twice",
@@ -895,6 +966,11 @@ BAD_CONFIG_MESSAGES = {
         "[stream] drift_start + drift_duration must be <= total_steps to leave "
         "a post-drift step to average, got 601 + 0 > 600"
     ),
+    "sea-new-invert.ini": "[stream] new_invert is a SINE1 setting",
+    "skew-feature-out-of-range.ini": "[stream] skew feature must be in 0 .. 1",
+    "skew-split-out-of-range.ini": "[stream] skew split must be in (0, 1.0)",
+    "nan-auc-threshold.ini": "[pipeline A] threshold must be finite, got nan",
+    "nan-ddm-drift-scale.ini": "[pipeline A] drift_scale must be finite, got nan",
 }
 
 
@@ -903,17 +979,33 @@ BAD_CONFIG_MESSAGES = {
     [
         ("alarms", "run,seed,t,verdict\n0,3,1600,drfit\n", ":2: unknown verdict"),
         ("runs", "", ":1: empty file"),
-        ("runs", None, ": 1 rows for 2 configured runs"),
+        ("runs", lambda lines: lines[:-1], ": 1 rows for 2 configured runs"),
+        (
+            "alarms",
+            "run,seed,t,verdict\n0,3,1600,drift\n7,99,1600,drift\n",
+            ":3: run 7 is not one of the 2 configured runs 0 .. 1",
+        ),
+        (
+            "alarms",
+            "run,seed,t,verdict\n1,3,1600,drift\n",
+            ":2: run 1 has seed 4, got 3",
+        ),
+        (
+            "runs",
+            lambda lines: lines[:2] + ["5,77," + lines[1].split(",", 2)[2]],
+            ":3: expected run 1 with seed 4, got run 5 with seed 77",
+        ),
     ],
-    ids=["bad-verdict", "empty-runs", "missing-run"],
+    ids=["bad-verdict", "empty-runs", "missing-run", "alarm-run-out-of-range",
+         "alarm-seed-mismatch", "runs-row-replaced"],
 )
 def test_cli_report_names_the_bad_table(table, text, message, tmp_path, capsys):
     cfg_path = write_config(tmp_path, CLI_CONFIG)
     out = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 0
     path = out / table / "OOB+auc.csv"
-    if text is None:  # drop the last run's row
-        text = "\n".join(path.read_text().splitlines()[:-1]) + "\n"
+    if callable(text):  # an edit of the table's lines
+        text = "\n".join(text(path.read_text().splitlines())) + "\n"
     path.write_text(text)
     assert main(["report", str(out)]) == 2
     assert f"{path}{message}" in capsys.readouterr().err

@@ -116,6 +116,19 @@ def test_status_balanced_and_designated():
     assert st.minority == POS
 
 
+def test_status_keeps_the_sizes_it_designated_from():
+    tr = ClassSizeTracker(theta=0.5)
+    tr.update(NEG)
+    first = tr.status()
+    sizes = dict(tr.w)
+    assert first.sizes == sizes == {POS: 0.25, NEG: 0.75}
+    tr.update(POS)
+    second = tr.status()
+    assert first.sizes == sizes  # a later update leaves an earlier status alone
+    assert second.sizes == tr.w != sizes
+    assert second.sizes is not first.sizes
+
+
 def test_long_run_tracks_iid_prior():
     # decayed estimator stationary sd: sqrt(p(1-p)(1-theta)/(1+theta))
     rng = np.random.default_rng(29)

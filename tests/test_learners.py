@@ -144,7 +144,7 @@ def test_training_reduces_loss_on_average():
 def test_balanced_tracker_degenerates_to_plain_bagging():
     tracker = ClassSizeTracker()  # starts perfectly even
     for sampler in ("OB", "OOB", "UOB"):
-        ens = OnlineEnsemble(2, tracker, samplers=(sampler,), n_members=3, seed=0)
+        ens = OnlineEnsemble(2, samplers=(sampler,), n_members=3, seed=0)
         assert ens.sampling_rates(POS, tracker.status()) == [1.0]
         assert ens.sampling_rates(NEG, tracker.status()) == [1.0]
     # and k ~ Poisson(1): chi-square over 10,000 draws at alpha = 0.01
@@ -161,16 +161,34 @@ def test_adaptive_rates_match_size_ratios():
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.1, NEG: 0.9}
     status = tracker.status()
-    oob = OnlineEnsemble(2, tracker, samplers=("OOB",), n_members=2, seed=0)
+    oob = OnlineEnsemble(2, samplers=("OOB",), n_members=2, seed=0)
     assert oob.sampling_rates(POS, status) == pytest.approx([9.0])
     assert oob.sampling_rates(NEG, status) == pytest.approx([1.0])
-    uob = OnlineEnsemble(2, tracker, samplers=("UOB",), n_members=2, seed=0)
+    uob = OnlineEnsemble(2, samplers=("UOB",), n_members=2, seed=0)
     assert uob.sampling_rates(NEG, status) == pytest.approx([1.0 / 9.0])
     assert uob.sampling_rates(POS, status) == pytest.approx([1.0])
-    ob = OnlineEnsemble(2, tracker, samplers=("OB",), n_members=2, seed=0)
+    ob = OnlineEnsemble(2, samplers=("OB",), n_members=2, seed=0)
     assert ob.sampling_rates(POS, status) == ob.sampling_rates(NEG, status) == [1.0]
     with pytest.raises(ValueError):
-        OnlineEnsemble(2, tracker, samplers=("SMOTE",))
+        OnlineEnsemble(2, samplers=("SMOTE",))
+
+
+def test_rates_come_from_the_sizes_at_status_time():
+    tracker = ClassSizeTracker(theta=0.8)
+    for label in (NEG, NEG, POS, NEG, NEG, NEG):
+        tracker.update(label)
+    status = tracker.status()
+    w = dict(tracker.w)
+    for label in (POS, POS, POS):  # later updates move the tracker, not status
+        tracker.update(label)
+    assert (status.minority, status.majority) == (POS, NEG)
+    ens = OnlineEnsemble(2, samplers=("OB", "OOB", "UOB"), n_members=2, seed=0)
+    for label in (POS, NEG):
+        assert ens.sampling_rates(label, status) == [
+            1.0,
+            w[NEG] / w[label],
+            w[POS] / w[label],
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +196,26 @@ def test_adaptive_rates_match_size_ratios():
 # ---------------------------------------------------------------------------
 
 
+def test_train_one_learns_only_a_predicted_example():
+    status = ClassSizeTracker().status()
+    ens = OnlineEnsemble(2, n_members=3, seed=0)
+    with pytest.raises(RuntimeError, match="predicted example"):
+        ens.train_one(POS, status)
+    ens.predict([0.4, 0.6])
+    ens.train_one(POS, status)
+    with pytest.raises(RuntimeError, match="predicted example"):
+        ens.train_one(POS, status)  # the first call consumed the example
+
+
 def test_single_member_ensemble_equals_that_member():
-    tracker = ClassSizeTracker()
-    ens = OnlineEnsemble(2, tracker, samplers=("OB",), n_members=1, seed=42)
+    ens = OnlineEnsemble(2, samplers=("OB",), n_members=1, seed=42)
     solo = MlpBank(2, [[42, 0, 0]])
     x = np.array([0.3, 0.6])
     assert ens.predict(x)[1][0] == pytest.approx(_positive_prob(solo, x), abs=1e-15)
 
 
 def test_tie_score_goes_positive():
-    tracker = ClassSizeTracker()
-    ens = OnlineEnsemble(2, tracker, n_members=3, seed=0)
+    ens = OnlineEnsemble(2, n_members=3, seed=0)
     ens._bank.W2[:] = 0.0
     ens._bank.b2[:] = 0.0
     [label], [score] = ens.predict([0.1, 0.9])
@@ -218,7 +245,7 @@ def test_batched_rounds_equal_sequential_member_training():
 def test_full_training_is_deterministic():
     def run():
         tracker = ClassSizeTracker()
-        ens = OnlineEnsemble(2, tracker, samplers=("OOB",), n_members=5, seed=99)
+        ens = OnlineEnsemble(2, samplers=("OOB",), n_members=5, seed=99)
         rng = np.random.default_rng(1234)
         outputs = []
         for _ in range(300):
@@ -226,7 +253,7 @@ def test_full_training_is_deterministic():
             y = POS if rng.random() < 0.2 else NEG
             outputs.append(tuple(a.tolist() for a in ens.predict(x)))
             tracker.update(y)
-            ens.train_one(x, y, tracker.status())
+            ens.train_one(y, tracker.status())
         return outputs
 
     assert run() == run()
@@ -234,10 +261,11 @@ def test_full_training_is_deterministic():
 
 def test_reset_reinitializes_from_derived_seeds():
     tracker = ClassSizeTracker()
-    a = OnlineEnsemble(2, tracker, n_members=4, seed=5)
-    b = OnlineEnsemble(2, tracker, n_members=4, seed=5)
+    a = OnlineEnsemble(2, n_members=4, seed=5)
+    b = OnlineEnsemble(2, n_members=4, seed=5)
     for _ in range(50):
-        a.train_one([0.2, 0.8], POS, tracker.status())
+        a.predict([0.2, 0.8])
+        a.train_one(POS, tracker.status())
     trained = _slice_params(a._bank, 0, 4)
     a.reset(0)
     assert a.reset_counts[0] == 1
@@ -245,7 +273,7 @@ def test_reset_reinitializes_from_derived_seeds():
     b.reset(0)
     assert np.array_equal(_slice_params(a._bank, 0, 4), _slice_params(b._bank, 0, 4))
     # fresh weights differ from the initial (reset 0) generation
-    c = OnlineEnsemble(2, tracker, n_members=4, seed=5)
+    c = OnlineEnsemble(2, n_members=4, seed=5)
     assert not np.array_equal(
         _slice_params(a._bank, 0, 4), _slice_params(c._bank, 0, 4)
     )
@@ -281,16 +309,17 @@ def test_stacked_bank_rounds_like_separate_banks(d):
 def test_reset_touches_only_its_own_ensemble():
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.2, NEG: 0.8}
-    ens = OnlineEnsemble(3, tracker, samplers=("OB", "OOB", "UOB"), n_members=4, seed=8)
+    ens = OnlineEnsemble(3, samplers=("OB", "OOB", "UOB"), n_members=4, seed=8)
     for _ in range(20):
-        ens.train_one([0.1, 0.5, 0.9], POS, tracker.status())
+        ens.predict([0.1, 0.5, 0.9])
+        ens.train_one(POS, tracker.status())
     trained = [_slice_params(ens._bank, e, 4) for e in range(3)]
     ens.reset(1)
     ens.reset(1)
     assert ens.reset_counts == [0, 2, 0]
     assert np.array_equal(_slice_params(ens._bank, 0, 4), trained[0])
     assert np.array_equal(_slice_params(ens._bank, 2, 4), trained[2])
-    alone = OnlineEnsemble(3, tracker, samplers=("OOB",), n_members=4, seed=8)
+    alone = OnlineEnsemble(3, samplers=("OOB",), n_members=4, seed=8)
     alone.reset(0)
     alone.reset(0)
     assert np.array_equal(_slice_params(ens._bank, 1, 4), _slice_params(alone._bank, 0, 4))
@@ -361,19 +390,20 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     tracker.w = {POS: 0.05, NEG: 0.95}  # pinned: POS is the minority
     seed, lr = 17, 0.1
     ens = OnlineEnsemble(
-        d, tracker, samplers=samplers, n_members=members, seed=seed, lr=lr
+        d, samplers=samplers, n_members=members, seed=seed, lr=lr
     )
     h = ens._bank.hidden
     params = _ref_init(d, h, [[seed, 0, i] for i in range(members)] * 3)
     ref_rngs = [np.random.default_rng([seed, 1]) for _ in samplers]
     reset_counts = [0, 0, 0]
     rng = np.random.default_rng(d * 100 + members)
-    cases = {"no_training": 0, "reset": 0, "other_x": 0}
+    cases = {"no_training": 0, "reset": 0, "mutated_x": 0}
     for step in range(240):
         x = rng.uniform(0, 1, d)
         label = POS if rng.random() < 0.3 else NEG
         status = tracker.status()
         labels, scores = ens.predict(x)
+        predicted_x = x.copy()
         _, ref_probs = _ref_forward(*params, x)
         ref_scores = ref_probs[:, 0].reshape(3, members).mean(axis=1)
         assert np.array_equal(scores, ref_scores)
@@ -386,18 +416,18 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
             for p, f in zip(params, fresh):
                 p[e * members : (e + 1) * members] = f
             cases["reset"] += 1
-        if step % 11 == 6:  # training on other features than predicted
-            x = rng.uniform(0, 1, d)
-            cases["other_x"] += 1
+        if step % 11 == 6:  # the caller reuses its array after predict
+            x[:] = rng.uniform(0, 1, d)
+            cases["mutated_x"] += 1
         ks = np.concatenate(
             [
                 r.poisson(lam, members)
                 for r, lam in zip(ref_rngs, ens.sampling_rates(label, status))
             ]
         )
-        ens.train_one(x, label, status)
-        if ks.any():
-            _ref_train_rounds(params, x, label, ks, lr)
+        ens.train_one(label, status)
+        if ks.any():  # training learns the predicted example
+            _ref_train_rounds(params, predicted_x, label, ks, lr)
         else:
             cases["no_training"] += 1
         for name, ref in zip(("W1", "b1", "W2", "b2"), params):

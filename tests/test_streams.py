@@ -86,15 +86,12 @@ def test_schedule_validation():
 
 def test_same_seed_reproduces_stream_exactly():
     sched = preset_schedule("sine1g-py")
-    a = [
-        (ex.t, ex.features, ex.label) for ex in StreamGenerator(sched, seed=77)
-    ]
-    b = [
-        (ex.t, ex.features, ex.label) for ex in StreamGenerator(sched, seed=77)
-    ]
+    gen = StreamGenerator(sched, seed=77)
+    a = [(x.tolist(), label) for x, label in gen]
+    b = [(x.tolist(), label) for x, label in StreamGenerator(sched, seed=77)]
     assert a == b
     assert len(a) == 3000
-    assert a[0][0] == 1 and a[-1][0] == 3000
+    assert gen.t == 3000
 
 
 def _reference_stream(schedule, seed):
@@ -134,7 +131,10 @@ def _reference_stream(schedule, seed):
 def test_block_drawn_stream_equals_per_call_draws(seed):
     for name in sorted(PRESETS):
         sched = preset_schedule(name)
-        got = [(ex.t, ex.features, ex.label) for ex in StreamGenerator(sched, seed)]
+        got = [
+            (t, tuple(x.tolist()), label)
+            for t, (x, label) in enumerate(StreamGenerator(sched, seed), start=1)
+        ]
         assert got == list(_reference_stream(sched, seed)), name
 
 
@@ -155,27 +155,24 @@ def test_labels_match_concept_rule():
         ConceptSpec(SINE1, 0.1, skew=Skew(NEG, 0, 0.5, 0.9)),
     ):
         gen = StreamGenerator(stationary_schedule(concept, 500), seed=3)
-        for ex in gen:
-            assert ex.label == concept.label_of(ex.features)
-            assert len(ex.features) == concept.n_features
-            for v in ex.features:
+        for x, label in gen:
+            assert label == concept.label_of(x)
+            assert x.dtype == np.float64 and x.shape == (concept.n_features,)
+            for v in x:
                 assert 0.0 <= v <= concept.feature_high
 
 
 def test_transition_examples_come_from_one_of_the_concepts():
     sched = preset_schedule("sine1g-pyx")  # old and new disagree everywhere
     gen = StreamGenerator(sched, seed=5)
-    for ex in gen:
-        assert ex.label in (
-            sched.old.label_of(ex.features),
-            sched.new.label_of(ex.features),
-        )
+    for x, label in gen:
+        assert label in (sched.old.label_of(x), sched.new.label_of(x))
 
 
 def test_prior_flip_across_drift():
     sched = preset_schedule("sine1-py")
     gen = StreamGenerator(sched, seed=11)
-    labels = [ex.label for ex in gen]
+    labels = [label for _, label in gen]
     pre = np.mean([lab == POS for lab in labels[:1500]])
     post = np.mean([lab == POS for lab in labels[1500:]])
     se = math.sqrt(0.1 * 0.9 / 1500)
@@ -186,7 +183,7 @@ def test_prior_flip_across_drift():
 def test_fixed_imbalance_through_feature_drift():
     sched = preset_schedule("sea-pxy")
     gen = StreamGenerator(sched, seed=13)
-    labels = [ex.label for ex in gen]
+    labels = [label for _, label in gen]
     frac = np.mean([lab == POS for lab in labels])
     assert abs(frac - 0.1) < 3 * math.sqrt(0.1 * 0.9 / 3000)
 
@@ -194,7 +191,7 @@ def test_fixed_imbalance_through_feature_drift():
 def test_skew_shapes_negative_class_density():
     concept = ConceptSpec(SINE1, 0.1, skew=Skew(NEG, 0, 0.5, 0.9))
     gen = StreamGenerator(stationary_schedule(concept, 4000), seed=17)
-    neg_first = [ex.features[0] for ex in gen if ex.label == NEG]
+    neg_first = [x[0] for x, label in gen if label == NEG]
     below = np.mean([v < 0.5 for v in neg_first])
     se = math.sqrt(0.9 * 0.1 / len(neg_first))
     assert abs(below - 0.9) < 3 * se
@@ -203,7 +200,7 @@ def test_skew_shapes_negative_class_density():
 def test_skew_leaves_other_class_alone():
     concept = ConceptSpec(SINE1, 0.5, skew=Skew(NEG, 0, 0.5, 0.9))
     gen = StreamGenerator(stationary_schedule(concept, 4000), seed=19)
-    pos_first = [ex.features[0] for ex in gen if ex.label == POS]
+    pos_first = [x[0] for x, label in gen if label == POS]
     # positives of SINE1 without skew have P(x < 0.5) = area ratio
     # int_0^0.5 sin / int_0^1 sin = (1 - cos 0.5) / (1 - cos 1)
     expected = (1 - math.cos(0.5)) / (1 - math.cos(1.0))
@@ -287,7 +284,7 @@ def test_dump_stream_round_trips_features_exactly(tmp_path):
     with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 50
-    for orig, row in zip(stream, rows):
-        assert int(row[0]) == orig.t
-        assert int(row[-1]) == orig.label
-        assert tuple(float(v) for v in row[1:-1]) == orig.features  # repr is exact
+    for t, ((x, label), row) in enumerate(zip(stream, rows), start=1):
+        assert int(row[0]) == t
+        assert int(row[-1]) == label
+        assert [float(v) for v in row[1:-1]] == x.tolist()  # repr is exact
