@@ -64,7 +64,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_score_detectors(args) -> int:
-    logs = read_alarm_table(args.alarms)
+    logs = read_alarm_table(args.alarms, runs=args.runs)
     score = score_detections(logs, args.drift_start, args.runs)
     print(f"tdr {score.tdr!r}")
     print(f"fa {score.fa!r}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import math
+import os
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -320,6 +321,32 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     ]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _collect_runs(cfg: ExperimentConfig, pending: dict) -> list[list[RunRecord]]:
+    """Every run's records, in run order.
+
+    ``pending`` maps runs handed to worker processes to their futures. This
+    process runs run 0, then takes from the back each run that no worker has
+    started (or every run, when ``pending`` is empty), and reads the rest
+    from the workers. A failed worker run is raised as soon as it is seen.
+    """
+    done = {0: _run_once(cfg, 0)}
+    for r in range(cfg.runs - 1, 0, -1):
+        for future in pending.values():
+            if future.done() and not future.cancelled() and future.exception():
+                raise future.exception()
+        future = pending.get(r)
+        if future is None or future.cancel():
+            done[r] = _run_once(cfg, r)
+    return [done[r] if r in done else pending[r].result() for r in range(cfg.runs)]
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     """All pipelines x all runs; deterministic given the config.
 
@@ -327,10 +354,39 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     ``base_seed + r`` (see `_run_once`); each pipeline's records are exactly
     those it would get run alone. With no pipelines nothing is run, not even
     a stream.
+
+    Runs are independent, so they are spread over at most one process per
+    usable CPU: min(runs, CPUs) - 1 spawned workers take runs from the front
+    while this process runs run 0 and then the runs still waiting, from the
+    back. The records do not depend on which process ran a run. Workers
+    start with the ``spawn`` method, which imports the calling script's
+    main module, so a script that runs two or more runs must guard its
+    entry point with ``if __name__ == "__main__":``.
     """
     if not cfg.pipelines:
         return {}
-    runs = [_run_once(cfg, r) for r in range(cfg.runs)]
+    # here, before any worker starts: a rejected detector parameter raises
+    # in this process, and a cold bound table is built once and cached on
+    # disk for the workers to load
+    for pipe in cfg.pipelines:
+        build_detector(pipe)
+    workers = min(cfg.runs, _usable_cpus()) - 1
+    if workers < 1:
+        runs = _collect_runs(cfg, {})
+    else:
+        # imported only here: a one-run experiment pays no memory for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawn, not fork: this process may already hold BLAS threads
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            pending = {r: pool.submit(_run_once, cfg, r) for r in range(1, cfg.runs)}
+            try:
+                runs = _collect_runs(cfg, pending)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     return {
         pipe.name: [records[e] for records in runs]
         for e, pipe in enumerate(cfg.pipelines)
@@ -842,14 +898,17 @@ def read_per_run_table(path, seeds=None) -> list[ConceptAverages]:
 _ALARM_VERDICTS = (Verdict.WARNING.value, Verdict.DRIFT.value)
 
 
-def read_alarm_table(path, seeds=None) -> list[DetectionLog]:
+def read_alarm_table(path, seeds=None, runs=None) -> list[DetectionLog]:
     """Parse an alarms/<pipeline>.csv back into per-run drift-alarm logs.
 
     Runs without any recorded event simply have no log entry; scoring
     normalizes by the configured run count, not by the number of logs. With
     ``seeds`` (run r's seed at index r), every row must name one of those
-    runs, with its seed.
+    runs, with its seed; with ``runs`` alone, one of runs 0 .. runs - 1.
     """
+    what = "runs"
+    if seeds is not None:
+        runs, what = len(seeds), "configured runs"
     path, rows = _read_table(path, "run,seed,t,verdict")
     logs: dict[int, DetectionLog] = {}
     for lineno, row in rows:
@@ -858,10 +917,10 @@ def read_alarm_table(path, seeds=None) -> list[DetectionLog]:
             run, seed, t = int(run_s), int(seed_s), int(t_s)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
-        if seeds is not None and not 0 <= run < len(seeds):
+        if runs is not None and not 0 <= run < runs:
             raise ValueError(
                 f"{path}:{lineno}: run {run} is not one of the "
-                f"{len(seeds)} configured runs 0 .. {len(seeds) - 1}"
+                f"{runs} {what} 0 .. {runs - 1}"
             )
         if seeds is not None and seed != seeds[run]:
             raise ValueError(

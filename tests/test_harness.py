@@ -291,6 +291,86 @@ def test_no_pipelines_builds_no_stream(monkeypatch):
     assert run_experiment(tiny_config(pipelines=[])) == {}
 
 
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def refuse_processes(monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was made")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+
+def test_runs_in_worker_processes_equal_runs_in_one_process(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    pipelines = [
+        PipelineSpec("OB+ddm", "OB", "ddm-oci"),
+        PipelineSpec("OOB+lfr", "OOB", "lfr"),
+    ]
+    cfg = tiny_config(pipelines=pipelines, runs=3, members=3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    usable_cpus(monkeypatch, 3)
+    spread = run_experiment(cfg)
+    assert pools == [2]
+    usable_cpus(monkeypatch, 1)
+    refuse_processes(monkeypatch)
+    serial = run_experiment(cfg)
+    drifts = [
+        v for recs in serial.values() for rec in recs for _, v in rec.events
+        if v == Verdict.DRIFT.value
+    ]
+    assert drifts  # slice resets are exercised
+    assert list(spread) == list(serial)
+    for name in serial:
+        assert [rec.run for rec in spread[name]] == [0, 1, 2]
+        for got, want in zip(spread[name], serial[name], strict=True):
+            assert (got.run, got.seed, got.warm_up) == (want.run, want.seed, want.warm_up)
+            assert np.array_equal(got.truths, want.truths)
+            assert np.array_equal(got.preds, want.preds)
+            assert np.array_equal(got.scores, want.scores)
+            assert got.events == want.events
+
+
+def test_one_run_makes_no_process_pool(monkeypatch):
+    usable_cpus(monkeypatch, 4)
+    refuse_processes(monkeypatch)
+    [rec] = run_experiment(tiny_config(runs=1))["OOB"]
+    assert rec.run == 0
+
+
+@pytest.mark.parametrize(
+    "detector, params, message",
+    [
+        ("pauc-ph", {"window": 0}, "[pipeline A] window must be >= 1, got 0"),
+        ("lfr", {"decay": 1.5}, "[pipeline A] decay must be in (0, 1), got 1.5"),
+    ],
+    ids=["pauc-ph-window", "lfr-decay"],
+)
+def test_rejected_detector_parameter_starts_no_process(
+    detector, params, message, monkeypatch
+):
+    # checks made in a worker would escape the CLI error tests, whose
+    # monkeypatches do not reach spawned processes
+    usable_cpus(monkeypatch, 4)
+    refuse_processes(monkeypatch)
+    cfg = tiny_config(pipelines=[PipelineSpec("A", "OB", detector, params)], runs=4)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_experiment(cfg)
+
+
 def test_run_records_honor_warm_up_length():
     cfg = tiny_config(runs=1, warm_up=100)
     [rec] = run_experiment(cfg)["OOB"]
@@ -889,6 +969,8 @@ def test_cli_score_detectors_output(tmp_path, capsys):
         ["run", "skew-split-out-of-range.ini"],
         ["run", "nan-auc-threshold.ini"],
         ["run", "nan-ddm-drift-scale.ini"],
+        ["score-detectors", "alarm-run-out-of-range.csv", "--drift-start", "1501",
+         "--runs", "2"],
     ],
 )
 def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
@@ -902,8 +984,8 @@ def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    if argv[-1] in BAD_CONFIGS:
-        assert BAD_CONFIG_MESSAGES[argv[-1]] in err
+    if argv[1] in BAD_CONFIGS:
+        assert BAD_CONFIG_MESSAGES[argv[1]] in err
 
 
 BAD_CONFIGS = {
@@ -951,6 +1033,9 @@ BAD_CONFIGS = {
         "[experiment]\npreset = sine1-py\nruns = 1\nmembers = 1\n"
         "[pipeline A]\nlearner = OB\ndetector = ddm-oci\ndrift_scale = nan\n"
     ),
+    "alarm-run-out-of-range.csv": (
+        "run,seed,t,verdict\n0,3,100,drift\n7,99,1600,drift\n"
+    ),
 }
 BAD_CONFIG_MESSAGES = {
     "duplicate-key.ini": "duplicate-key.ini:3: [experiment] preset is set twice",
@@ -971,6 +1056,9 @@ BAD_CONFIG_MESSAGES = {
     "skew-split-out-of-range.ini": "[stream] skew split must be in (0, 1.0)",
     "nan-auc-threshold.ini": "[pipeline A] threshold must be finite, got nan",
     "nan-ddm-drift-scale.ini": "[pipeline A] drift_scale must be finite, got nan",
+    "alarm-run-out-of-range.csv": (
+        "alarm-run-out-of-range.csv:3: run 7 is not one of the 2 runs 0 .. 1"
+    ),
 }
 
 
