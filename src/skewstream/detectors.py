@@ -239,8 +239,22 @@ class BoundTable:
         else:
             self.table = self._simulate()
             self._store_cache()
+        self._index()
+
+    def _index(self) -> None:
         self._p_list = self.p_grid.tolist()
         self._rows = self._n_rows()
+
+    # pickled without the query index, 28 times the table's size: a table
+    # handed to a worker process travels as ~36 KB and is indexed there
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_p_list"], state["_rows"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index()
 
     # -- cache ---------------------------------------------------------------
 
@@ -376,6 +390,14 @@ def default_bound_table(
             decay=decay, warn_level=warn_level, detect_level=detect_level
         )
     return _default_tables[key]
+
+
+def adopt_bound_tables(tables) -> None:
+    """Share ``tables``, made by `default_bound_table` in another process,
+    as this process's tables for their parameters, so none is rebuilt here."""
+    for table in tables:
+        key = (table.decay, table.warn_level, table.detect_level)
+        _default_tables.setdefault(key, table)
 
 
 class FourRatesDetector(DriftDetector):

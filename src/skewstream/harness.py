@@ -33,6 +33,7 @@ import inspect
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from .detectors import (
     FourRatesDetector,
     RecallDropDetector,
     Verdict,
+    adopt_bound_tables,
     score_detections,
 )
 from .imbalance import ClassSizeTracker
@@ -328,6 +330,46 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The spawned workers that every experiment of this process shares, as
+# (usable CPUs when made, executor); made when an experiment first needs one.
+# The lock keeps experiments run from several threads from remaking or
+# shutting down the pool under one another.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(cpus: int):
+    """The shared pool of ``cpus - 1`` workers, which start on demand; it is
+    remade when the usable CPUs have changed or it has broken (its manager
+    saw a worker die, and it would refuse every run)."""
+    global _pool
+    if _pool is not None and (_pool[0] != cpus or _pool[1]._broken):
+        _drop_pool()
+    if _pool is None:
+        # imported only here: a one-run experiment pays no memory for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawn, not fork: this process may already hold BLAS threads
+        context = multiprocessing.get_context("spawn")
+        _pool = (cpus, ProcessPoolExecutor(cpus - 1, mp_context=context))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the shared pool down, cancelling its queued runs, and forget it."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_in_worker(tables: list, cfg: ExperimentConfig, r: int) -> list[RunRecord]:
+    """`_run_once` in a worker, on the bound tables the caller has built."""
+    adopt_bound_tables(tables)
+    return _run_once(cfg, r)
+
+
 def _collect_runs(cfg: ExperimentConfig, pending: dict) -> list[list[RunRecord]]:
     """Every run's records, in run order.
 
@@ -356,36 +398,36 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     a stream.
 
     Runs are independent, so they are spread over at most one process per
-    usable CPU: min(runs, CPUs) - 1 spawned workers take runs from the front
-    while this process runs run 0 and then the runs still waiting, from the
-    back. The records do not depend on which process ran a run. Workers
-    start with the ``spawn`` method, which imports the calling script's
-    main module, so a script that runs two or more runs must guard its
-    entry point with ``if __name__ == "__main__":``.
+    usable CPU: spawned workers take runs from the front while this process
+    runs run 0 and then the runs still waiting, from the back. The records
+    do not depend on which process ran a run. The workers are shared by
+    every experiment of this process and live as long as it does; they
+    start on demand, up to one fewer than the usable CPUs. They start with
+    the ``spawn`` method, which imports the calling script's main module, so
+    a script that runs two or more runs must guard its entry point with
+    ``if __name__ == "__main__":``.
     """
     if not cfg.pipelines:
         return {}
-    # here, before any worker starts: a rejected detector parameter raises
-    # in this process, and a cold bound table is built once and cached on
-    # disk for the workers to load
-    for pipe in cfg.pipelines:
-        build_detector(pipe)
-    workers = min(cfg.runs, _usable_cpus()) - 1
-    if workers < 1:
+    # here, before any run is handed out: a rejected detector parameter
+    # raises in this process, and each bound table is built (or loaded) once
+    detectors = [build_detector(pipe) for pipe in cfg.pipelines]
+    cpus = _usable_cpus()
+    if min(cfg.runs, cpus) < 2:
         runs = _collect_runs(cfg, {})
     else:
-        # imported only here: a one-run experiment pays no memory for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # spawn, not fork: this process may already hold BLAS threads
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            pending = {r: pool.submit(_run_once, cfg, r) for r in range(1, cfg.runs)}
+        tables = [d.table for d in detectors if isinstance(d, FourRatesDetector)]
+        with _pool_lock:
+            pool = _worker_pool(cpus)
             try:
+                pending = {
+                    r: pool.submit(_run_in_worker, tables, cfg, r)
+                    for r in range(1, cfg.runs)
+                }
                 runs = _collect_runs(cfg, pending)
             except BaseException:
-                pool.shutdown(cancel_futures=True)
+                # no queued run of a failed experiment is left for the next one
+                _drop_pool()
                 raise
     return {
         pipe.name: [records[e] for records in runs]

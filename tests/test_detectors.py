@@ -5,11 +5,13 @@ so first-alarm step indices are frozen exactly.
 """
 import math
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from skewstream import detectors
 from skewstream.detectors import (
     AucDropDetector,
     BoundTable,
@@ -18,6 +20,7 @@ from skewstream.detectors import (
     FourRatesDetector,
     RecallDropDetector,
     Verdict,
+    adopt_bound_tables,
     default_bound_table,
     score_detections,
 )
@@ -324,6 +327,28 @@ def test_bound_table_matches_stationary_normal_approximation():
 
 def test_default_bound_table_is_shared_per_parameter_set():
     assert default_bound_table() is default_bound_table()
+
+
+def test_bound_table_pickles_without_its_query_index(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table()
+    blob = pickle.dumps(table)
+    assert len(blob) < table.table.nbytes + 4096 < table._rows.nbytes
+    copy = pickle.loads(blob)
+    assert np.array_equal(copy._rows, table._rows)
+    for p, n in [(0.001, 0), (0.3, 7), (0.5, 50), (0.97, 80)]:
+        assert copy.bounds(p, n) == table.bounds(p, n)
+
+
+def test_adopted_bound_tables_serve_the_detectors(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(detectors, "_default_tables", {})
+    table = pickle.loads(pickle.dumps(small_table(decay=0.98)))
+    adopt_bound_tables([table])
+    assert FourRatesDetector(decay=0.98).table is table
+    # a table this process already shares is kept
+    adopt_bound_tables([small_table(decay=0.98)])
+    assert default_bound_table(0.98) is table
 
 
 # ---------------------------------------------------------------------------

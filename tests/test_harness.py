@@ -306,42 +306,156 @@ def refuse_processes(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
 
-def test_runs_in_worker_processes_equal_runs_in_one_process(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts of the process pools made during the test, which
+    starts and ends with no shared pool, whatever earlier tests left."""
     import concurrent.futures
 
-    pools = []
+    sizes = []
 
     class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
+            sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
+    harness._drop_pool()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    yield sizes
+    harness._drop_pool()
+
+
+def worker_pids():
+    import multiprocessing
+
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def run_serially(monkeypatch, cfg):
+    usable_cpus(monkeypatch, 1)
+    refuse_processes(monkeypatch)
+    return run_experiment(cfg)
+
+
+def assert_same_records(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert [rec.run for rec in got[name]] == list(range(len(want[name])))
+        for a, b in zip(got[name], want[name], strict=True):
+            assert (a.run, a.seed, a.warm_up) == (b.run, b.seed, b.warm_up)
+            assert np.array_equal(a.truths, b.truths)
+            assert np.array_equal(a.preds, b.preds)
+            assert np.array_equal(a.scores, b.scores)
+            assert a.events == b.events
+
+
+def test_runs_in_worker_processes_equal_runs_in_one_process(monkeypatch, pool_sizes):
     pipelines = [
         PipelineSpec("OB+ddm", "OB", "ddm-oci"),
         PipelineSpec("OOB+lfr", "OOB", "lfr"),
     ]
     cfg = tiny_config(pipelines=pipelines, runs=3, members=3)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     usable_cpus(monkeypatch, 3)
     spread = run_experiment(cfg)
-    assert pools == [2]
-    usable_cpus(monkeypatch, 1)
-    refuse_processes(monkeypatch)
-    serial = run_experiment(cfg)
+    assert pool_sizes == [2]
+    serial = run_serially(monkeypatch, cfg)
     drifts = [
         v for recs in serial.values() for rec in recs for _, v in rec.events
         if v == Verdict.DRIFT.value
     ]
     assert drifts  # slice resets are exercised
-    assert list(spread) == list(serial)
-    for name in serial:
-        assert [rec.run for rec in spread[name]] == [0, 1, 2]
-        for got, want in zip(spread[name], serial[name], strict=True):
-            assert (got.run, got.seed, got.warm_up) == (want.run, want.seed, want.warm_up)
-            assert np.array_equal(got.truths, want.truths)
-            assert np.array_equal(got.preds, want.preds)
-            assert np.array_equal(got.scores, want.scores)
-            assert got.events == want.events
+    assert_same_records(spread, serial)
+
+
+def test_back_to_back_experiments_share_one_pool(monkeypatch, pool_sizes):
+    first = tiny_config(
+        pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=3, members=3
+    )
+    second = tiny_config(
+        "sea-py",
+        pipelines=[PipelineSpec("OB", "OB"), PipelineSpec("UOB+auc", "UOB", "pauc-ph")],
+        runs=4,
+        warm_up=37,
+    )
+    usable_cpus(monkeypatch, 3)
+    spread_first = run_experiment(first)
+    pids = worker_pids()
+    spread_second = run_experiment(second)
+    assert pool_sizes == [2]
+    assert len(pids) == 2 and worker_pids() == pids
+    assert_same_records(spread_first, run_serially(monkeypatch, first))
+    assert_same_records(spread_second, run_serially(monkeypatch, second))
+
+
+def test_a_killed_worker_is_replaced_by_a_new_pool(monkeypatch, pool_sizes):
+    import signal
+    import time
+
+    cfg = tiny_config(pipelines=[PipelineSpec("OB+ddm", "OB", "ddm-oci")], runs=2)
+    usable_cpus(monkeypatch, 2)
+    run_experiment(cfg)
+    [pid] = worker_pids()
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not harness._pool[1]._broken:  # the pool notices the death
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    spread = run_experiment(cfg)
+    assert pool_sizes == [1, 1]
+    assert pid not in worker_pids()
+    assert_same_records(spread, run_serially(monkeypatch, cfg))
+
+
+class WorkerOnlyRate(float):
+    """A learning rate that unpickles as a string: a run given it fails in a
+    worker process only."""
+
+    def __reduce__(self):
+        return (str, ("not a rate",))
+
+
+def test_a_run_that_fails_in_a_worker_leaves_the_next_experiment_correct(
+    monkeypatch, pool_sizes
+):
+    usable_cpus(monkeypatch, 3)
+    failing = tiny_config(runs=6, lr=WorkerOnlyRate(0.1))
+    with pytest.raises(ValueError, match="not a rate"):
+        run_experiment(failing)
+    cfg = tiny_config(pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=3)
+    spread = run_experiment(cfg)
+    assert pool_sizes == [2, 2]
+    assert_same_records(spread, run_serially(monkeypatch, cfg))
+
+
+def test_a_change_of_usable_cpus_remakes_the_pool(monkeypatch, pool_sizes):
+    cfg = tiny_config(runs=3)
+    usable_cpus(monkeypatch, 3)
+    run_experiment(cfg)
+    assert len(worker_pids()) == 2
+    usable_cpus(monkeypatch, 2)
+    spread = run_experiment(cfg)
+    assert pool_sizes == [2, 1]
+    assert len(worker_pids()) == 1
+    assert_same_records(spread, run_serially(monkeypatch, cfg))
+
+
+def test_workers_take_the_callers_bound_tables(
+    tmp_path, monkeypatch, capfd, pool_sizes
+):
+    from skewstream import detectors
+
+    # an unwritable cache, which the worker spawned here inherits: any
+    # process that needs the table must simulate it, and says so
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("SKEWSTREAM_CACHE", str(blocker / "cache"))
+    monkeypatch.setattr(detectors, "_default_tables", {})
+    usable_cpus(monkeypatch, 2)
+    cfg = tiny_config(pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=2)
+    spread = run_experiment(cfg)
+    assert pool_sizes == [1]
+    assert capfd.readouterr().err.count("could not cache bound table") == 1
+    assert_same_records(spread, run_serially(monkeypatch, cfg))
 
 
 def test_one_run_makes_no_process_pool(monkeypatch):
