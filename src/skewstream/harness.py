@@ -364,10 +364,33 @@ def _drop_pool() -> None:
         pool.shutdown(cancel_futures=True)
 
 
+def _hand_out(pool, tables: list, cfg: ExperimentConfig) -> dict:
+    """Futures of runs 1 .. runs - 1 in ``pool``'s workers, by run; if the
+    pool breaks while they are handed out, the rest are left to this process
+    (`_collect_runs` runs every run that has no future)."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    pending = {}
+    for r in range(1, cfg.runs):
+        try:
+            pending[r] = pool.submit(_run_in_worker, tables, cfg, r)
+        except BrokenProcessPool:
+            break
+    return pending
+
+
 def _run_in_worker(tables: list, cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     """`_run_once` in a worker, on the bound tables the caller has built."""
     adopt_bound_tables(tables)
     return _run_once(cfg, r)
+
+
+def _lost(future) -> bool:
+    """Whether a started worker run died with its worker (its pool broke);
+    waits for the run to end."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return isinstance(future.exception(), BrokenProcessPool)
 
 
 def _collect_runs(cfg: ExperimentConfig, pending: dict) -> list[list[RunRecord]]:
@@ -376,17 +399,23 @@ def _collect_runs(cfg: ExperimentConfig, pending: dict) -> list[list[RunRecord]]
     ``pending`` maps runs handed to worker processes to their futures. This
     process runs run 0, then takes from the back each run that no worker has
     started (or every run, when ``pending`` is empty), and reads the rest
-    from the workers. A failed worker run is raised as soon as it is seen.
+    from the workers. A run lost with its worker (the pool broke) is run
+    again here: a run is a function of ``(cfg, r)`` only, so its records are
+    the same. Any other failed worker run is raised as soon as it is seen.
     """
     done = {0: _run_once(cfg, 0)}
     for r in range(cfg.runs - 1, 0, -1):
         for future in pending.values():
-            if future.done() and not future.cancelled() and future.exception():
+            ended = future.done() and not future.cancelled()
+            if ended and future.exception() and not _lost(future):
                 raise future.exception()
         future = pending.get(r)
-        if future is None or future.cancel():
+        if future is None or future.cancel() or (future.done() and _lost(future)):
             done[r] = _run_once(cfg, r)
-    return [done[r] if r in done else pending[r].result() for r in range(cfg.runs)]
+    for r, future in pending.items():
+        if r not in done:
+            done[r] = _run_once(cfg, r) if _lost(future) else future.result()
+    return [done[r] for r in range(cfg.runs)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
@@ -420,11 +449,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
         with _pool_lock:
             pool = _worker_pool(cpus)
             try:
-                pending = {
-                    r: pool.submit(_run_in_worker, tables, cfg, r)
-                    for r in range(1, cfg.runs)
-                }
-                runs = _collect_runs(cfg, pending)
+                runs = _collect_runs(cfg, _hand_out(pool, tables, cfg))
             except BaseException:
                 # no queued run of a failed experiment is left for the next one
                 _drop_pool()

@@ -26,12 +26,23 @@ bank: one predict call and one set of rounds serve them all, while each keeps
 its own Poisson generator, its own reset seeds and exactly the outputs it
 would have alone.
 
+A bank's kernel allocates nothing per call. Each `MlpBank` makes its work
+buffers once: the hidden pre-activations and activations (one buffer), the
+output pre-activations, the class-column max and sum, the exponentials, the
+class probabilities, the backpropagated hidden error and its `(1 - a1)`
+factor, and the two outer-product weight gradients; it also keeps the views
+the kernel reads them and the weights through. `forward_in_place` and every
+round of `train_rounds` write into those buffers, with the same ufunc and
+matmul calls on the same operand shapes as a pass that allocates, so the bits
+are those of a fresh pass. What `forward_in_place` returns is the bank's and
+is overwritten by its next pass; `forward` returns copies, which are the
+caller's.
+
 A prequential step predicts, then trains on the example it predicted:
-`OnlineEnsemble.predict(x)` keeps the example and the bank's forward pass on
-it, and `train_one(label, status)` learns that example. With no reset in
-between, the kept forward is round 0's forward in `MlpBank.train_rounds`
-instead of being computed again: one forward pass per round, with the bits of
-a fresh pass.
+`OnlineEnsemble.predict(x)` keeps the example, and the bank's buffers keep
+the forward pass on it, which `train_one(label, status)` learns. With no
+reset in between, round 0 of `MlpBank.train_rounds` reads that pass from the
+buffers instead of computing it again: one forward pass per round.
 """
 from __future__ import annotations
 
@@ -69,7 +80,12 @@ class MlpBank:
 
     Weight shapes: W1 (m, h, d), b1 (m, h), W2 (m, 2, h), b2 (m, 2); member i
     is initialized from its own seeded generator with all entries uniform on
-    [-0.5, 0.5].
+    [-0.5, 0.5]. The weights are updated in place and stay the arrays made
+    here: the kernel keeps views of them.
+
+    The forward pass and every training round write into work buffers that
+    the bank makes once (see the module docstring); `forward` hands back
+    copies.
     """
 
     def __init__(self, n_features, member_seeds, lr=0.1):
@@ -83,6 +99,35 @@ class MlpBank:
         self.W2 = np.empty((m, N_CLASSES, h))
         self.b2 = np.empty((m, N_CLASSES))
         self.init_weights(member_seeds)
+        # the views the kernel reads the weights through
+        self._W1_flat = self.W1.reshape(m * h, d)
+        self._W2_t = self.W2.transpose(0, 2, 1)
+        # forward pass: a1 is z1's buffer, probs the softmax of z2
+        self._a1 = np.empty((m, h))
+        self._a1_flat = self._a1.reshape(m * h)
+        self._a1_col = self._a1[:, :, None]
+        self._a1_row = self._a1[:, None, :]
+        z2_col = np.empty((m, N_CLASSES, 1))
+        self._z2_col, self._z2 = z2_col, z2_col[:, :, 0]
+        self._z2_cols = (self._z2[:, 0], self._z2[:, 1])
+        self._cmax = np.empty(m)
+        self._cmax_col = self._cmax[:, None]
+        self._e = np.empty((m, N_CLASSES))
+        self._e_cols = (self._e[:, 0], self._e[:, 1])
+        self._csum = np.empty(m)
+        self._csum_col = self._csum[:, None]
+        self._probs = np.empty((m, N_CLASSES))
+        self._probs_col = self._probs[:, :, None]
+        self._probs_cols = (self._probs[:, 0], self._probs[:, 1])
+        # backward pass: da1 and dz1 over the hidden units, the (1 - a1) term
+        # and the two outer-product gradients
+        da1_col = np.empty((m, h, 1))
+        self._da1_col, self._da1 = da1_col, da1_col[:, :, 0]
+        self._dz1 = np.empty((m, h))
+        self._dz1_col = self._dz1[:, :, None]
+        self._one_minus_a1 = np.empty((m, h))
+        self._grad_W1 = np.empty((m, h, d))
+        self._grad_W2 = np.empty((m, N_CLASSES, h))
 
     def init_weights(self, member_seeds, first: int = 0) -> None:
         """Re-initialize members ``first`` .. ``first + len(member_seeds) - 1``."""
@@ -97,48 +142,67 @@ class MlpBank:
             self.b2[i] = rng.uniform(-0.5, 0.5, N_CLASSES)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-member (hidden activations, class probabilities) for one input.
+        """Per-member (hidden activations, class probabilities) for one input,
+        as arrays of the caller's own."""
+        a1, probs = self.forward_in_place(x)
+        return a1.copy(), probs.copy()
+
+    def forward_in_place(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`forward`, left in the bank's buffers: the arrays returned are
+        overwritten by the next forward pass or training round.
 
         The softmax takes the max and the sum of the two class columns with
         one elementwise call each: the values of ``max``/``sum`` over axis 1,
         without the cost of an axis reduction.
         """
-        m, h = self.n_members, self.hidden
-        z1 = (self.W1.reshape(m * h, self.n_features) @ x).reshape(m, h) + self.b1
-        a1 = _sigmoid_in_place(z1)
-        z2 = (self.W2 @ a1[:, :, None])[:, :, 0] + self.b2
-        z2 -= np.maximum(z2[:, 0], z2[:, 1])[:, None]
-        e = np.exp(z2)
-        probs = e / (e[:, 0] + e[:, 1])[:, None]
-        return a1, probs
+        np.matmul(self._W1_flat, x, out=self._a1_flat)
+        a1 = self._a1
+        a1 += self.b1
+        _sigmoid_in_place(a1)
+        np.matmul(self.W2, self._a1_col, out=self._z2_col)
+        z2 = self._z2
+        z2 += self.b2
+        np.maximum(*self._z2_cols, out=self._cmax)
+        z2 -= self._cmax_col
+        np.exp(z2, out=self._e)
+        np.add(*self._e_cols, out=self._csum)
+        np.divide(self._e, self._csum_col, out=self._probs)
+        return a1, self._probs
 
     def train_rounds(
-        self, x: np.ndarray, label: int, ks: np.ndarray, first=None
+        self, x: np.ndarray, label: int, ks: np.ndarray, first: bool = False
     ) -> None:
         """Give member i ``ks[i]`` sequential gradient steps on (x, label).
 
-        ``first``, if given, is ``forward(x)`` on the current weights; it
-        serves as round 0's forward pass instead of recomputing it, and its
-        probabilities are overwritten.
+        ``first`` says that the buffers already hold ``forward_in_place(x)``
+        on the current weights; round 0 then reads them (and overwrites the
+        probabilities) instead of recomputing them.
         """
         if x.shape[0] != self.n_features:
             raise ValueError(
                 f"expected {self.n_features} features, got {x.shape[0]}"
             )
-        cls = _CLASS_INDEX[label]
         max_k = int(ks.max()) if len(ks) else 0
         # step size per round and member: lr while the member's k lasts, else 0
         steps = np.where(ks > np.arange(max_k)[:, None], self.lr, 0.0)[:, :, None]
+        a1, dz2 = self._a1, self._probs  # dL/dz2 = probs - onehot(cls)
+        dz2_cls = self._probs_cols[_CLASS_INDEX[label]]
+        da1, dz1, one_minus_a1 = self._da1, self._dz1, self._one_minus_a1
+        grad_W1, grad_W2 = self._grad_W1, self._grad_W2
         for j in range(max_k):
-            a1, probs = first if j == 0 and first is not None else self.forward(x)
-            dz2 = probs  # dL/dz2 = probs - onehot(cls)
-            dz2[:, cls] -= 1.0
+            if j or not first:
+                self.forward_in_place(x)
+            dz2_cls -= 1.0
             dz2 *= steps[j]
-            da1 = (self.W2.transpose(0, 2, 1) @ dz2[:, :, None])[:, :, 0]
-            self.W2 -= dz2[:, :, None] * a1[:, None, :]
+            np.matmul(self._W2_t, self._probs_col, out=self._da1_col)
+            np.multiply(self._probs_col, self._a1_row, out=grad_W2)
+            self.W2 -= grad_W2
             self.b2 -= dz2
-            dz1 = da1 * a1 * (1.0 - a1)
-            self.W1 -= dz1[:, :, None] * x
+            np.multiply(da1, a1, out=dz1)
+            np.subtract(1.0, a1, out=one_minus_a1)
+            dz1 *= one_minus_a1
+            np.multiply(self._dz1_col, x, out=grad_W1)
+            self.W1 -= grad_W1
             self.b1 -= dz1
 
 
@@ -182,9 +246,11 @@ class OnlineEnsemble:
         self._bank = MlpBank(
             n_features, self._member_seeds(0) * len(samplers), lr=lr
         )
-        # the last predicted example and the bank's forward pass on it; a
-        # reset makes the forward stale, and `train_one` consumes both
-        self._x = self._forward = None
+        # the last predicted example, and whether the bank's buffers still
+        # hold the forward pass on it (a reset makes it stale); `train_one`
+        # consumes both
+        self._x = None
+        self._fresh = False
 
     def _member_seeds(self, reset_count: int):
         return [[self.seed, reset_count, i] for i in range(self.n_members)]
@@ -206,14 +272,15 @@ class OnlineEnsemble:
         """(labels, scores), one entry per ensemble: a score is the mean
         positive-class probability of the ensemble's members.
 
-        Ties at 0.5 go to the positive class. A copy of the example and the
-        bank's forward pass on it are kept for `train_one`.
+        Ties at 0.5 go to the positive class. A copy of the example is kept
+        for `train_one`, and the bank's buffers keep the forward pass on it.
         """
         self._x = x = np.array(features, dtype=float)
-        self._forward = forward = self._bank.forward(x)
+        _, probs = self._bank.forward_in_place(x)
+        self._fresh = True
         # sum / n: the bits of .mean(axis=1), without its Python wrapper
         scores = (
-            forward[1][:, _CLASS_INDEX[POS]]
+            probs[:, _CLASS_INDEX[POS]]
             .reshape(len(self.samplers), self.n_members)
             .sum(axis=1)
             / self.n_members
@@ -225,10 +292,11 @@ class OnlineEnsemble:
         of the last `predict`, which this consumes; ``status`` is the
         tracker's designation after it absorbed ``label`` (as in
         `sampling_rates`)."""
-        x, first = self._x, self._forward
+        x, first = self._x, self._fresh
         if x is None:
             raise RuntimeError("train_one needs a predicted example to learn")
-        self._x = self._forward = None
+        self._x = None
+        self._fresh = False
         m = self.n_members
         ks = np.concatenate(
             [
@@ -244,7 +312,7 @@ class OnlineEnsemble:
     def reset(self, e: int) -> None:
         """Fresh weights for ensemble ``e`` from seeds derived off (seed, its
         reset count); the other ensembles are untouched."""
-        self._forward = None
+        self._fresh = False
         self.reset_counts[e] += 1
         self._bank.init_weights(
             self._member_seeds(self.reset_counts[e]), first=e * self.n_members

@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,18 @@ from skewstream.presets import preset_schedule
 from skewstream.streams import ConceptSpec, DriftSchedule, Skew, StreamGenerator
 
 
-def tiny_config(preset="sine1-py", pipelines=None, runs=2, **kwargs):
+def tiny_config(preset="sine1-py", pipelines=None, runs=2, steps=None, **kwargs):
+    """A small experiment on ``preset``; with ``steps``, on a stream of that
+    length whose drift starts halfway."""
     if pipelines is None:
         pipelines = [PipelineSpec("OOB", "OOB")]
     kwargs.setdefault("members", 3)
     kwargs.setdefault("base_seed", 11)
+    schedule = preset_schedule(preset)
+    if steps is not None:
+        schedule = replace(schedule, total_steps=steps, drift_start=steps // 2 + 1)
     return ExperimentConfig(
-        schedule=preset_schedule(preset),
+        schedule=schedule,
         pipelines=pipelines,
         runs=runs,
         **kwargs,
@@ -325,6 +330,11 @@ def pool_sizes(monkeypatch):
     harness._drop_pool()
 
 
+# the pool tests check where runs go, not what they learn: a short stream
+# keeps a run cheaper than a worker's start-up
+POOL_STEPS = 400
+
+
 def worker_pids():
     import multiprocessing
 
@@ -354,7 +364,7 @@ def test_runs_in_worker_processes_equal_runs_in_one_process(monkeypatch, pool_si
         PipelineSpec("OB+ddm", "OB", "ddm-oci"),
         PipelineSpec("OOB+lfr", "OOB", "lfr"),
     ]
-    cfg = tiny_config(pipelines=pipelines, runs=3, members=3)
+    cfg = tiny_config(pipelines=pipelines, runs=3, steps=POOL_STEPS)
     usable_cpus(monkeypatch, 3)
     spread = run_experiment(cfg)
     assert pool_sizes == [2]
@@ -369,12 +379,13 @@ def test_runs_in_worker_processes_equal_runs_in_one_process(monkeypatch, pool_si
 
 def test_back_to_back_experiments_share_one_pool(monkeypatch, pool_sizes):
     first = tiny_config(
-        pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=3, members=3
+        pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=3, steps=POOL_STEPS
     )
     second = tiny_config(
         "sea-py",
         pipelines=[PipelineSpec("OB", "OB"), PipelineSpec("UOB+auc", "UOB", "pauc-ph")],
         runs=4,
+        steps=POOL_STEPS,
         warm_up=37,
     )
     usable_cpus(monkeypatch, 3)
@@ -391,7 +402,9 @@ def test_a_killed_worker_is_replaced_by_a_new_pool(monkeypatch, pool_sizes):
     import signal
     import time
 
-    cfg = tiny_config(pipelines=[PipelineSpec("OB+ddm", "OB", "ddm-oci")], runs=2)
+    cfg = tiny_config(
+        pipelines=[PipelineSpec("OB+ddm", "OB", "ddm-oci")], runs=2, steps=POOL_STEPS
+    )
     usable_cpus(monkeypatch, 2)
     run_experiment(cfg)
     [pid] = worker_pids()
@@ -406,6 +419,38 @@ def test_a_killed_worker_is_replaced_by_a_new_pool(monkeypatch, pool_sizes):
     assert_same_records(spread, run_serially(monkeypatch, cfg))
 
 
+def test_a_worker_killed_as_the_pool_starts_costs_only_a_rerun(
+    monkeypatch, pool_sizes
+):
+    import concurrent.futures
+    import signal
+
+    killed = []
+
+    class KillingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            if not killed:  # the worker this submit spawned, before it runs
+                killed.extend(worker_pids())
+                for pid in killed:
+                    os.kill(pid, signal.SIGKILL)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", KillingPool)
+    cfg = tiny_config(
+        pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=3, steps=POOL_STEPS
+    )
+    usable_cpus(monkeypatch, 2)
+    spread = run_experiment(cfg)
+    assert pool_sizes == [1]
+    assert len(killed) == 1 and killed[0] not in worker_pids()
+    again = run_experiment(cfg)  # on a new pool, whose worker lives
+    assert pool_sizes == [1, 1]
+    serial = run_serially(monkeypatch, cfg)
+    assert_same_records(spread, serial)
+    assert_same_records(again, serial)
+
+
 class WorkerOnlyRate(float):
     """A learning rate that unpickles as a string: a run given it fails in a
     worker process only."""
@@ -418,17 +463,19 @@ def test_a_run_that_fails_in_a_worker_leaves_the_next_experiment_correct(
     monkeypatch, pool_sizes
 ):
     usable_cpus(monkeypatch, 3)
-    failing = tiny_config(runs=6, lr=WorkerOnlyRate(0.1))
+    failing = tiny_config(runs=6, steps=POOL_STEPS, lr=WorkerOnlyRate(0.1))
     with pytest.raises(ValueError, match="not a rate"):
         run_experiment(failing)
-    cfg = tiny_config(pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=3)
+    cfg = tiny_config(
+        pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=3, steps=POOL_STEPS
+    )
     spread = run_experiment(cfg)
     assert pool_sizes == [2, 2]
     assert_same_records(spread, run_serially(monkeypatch, cfg))
 
 
 def test_a_change_of_usable_cpus_remakes_the_pool(monkeypatch, pool_sizes):
-    cfg = tiny_config(runs=3)
+    cfg = tiny_config(runs=3, steps=POOL_STEPS)
     usable_cpus(monkeypatch, 3)
     run_experiment(cfg)
     assert len(worker_pids()) == 2
@@ -451,7 +498,9 @@ def test_workers_take_the_callers_bound_tables(
     monkeypatch.setenv("SKEWSTREAM_CACHE", str(blocker / "cache"))
     monkeypatch.setattr(detectors, "_default_tables", {})
     usable_cpus(monkeypatch, 2)
-    cfg = tiny_config(pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=2)
+    cfg = tiny_config(
+        pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=2, steps=POOL_STEPS
+    )
     spread = run_experiment(cfg)
     assert pool_sizes == [1]
     assert capfd.readouterr().err.count("could not cache bound table") == 1

@@ -242,6 +242,54 @@ def test_batched_rounds_equal_sequential_member_training():
         assert stacked[i] == pytest.approx(_positive_prob(solo, x), abs=0.0)
 
 
+def test_forward_results_are_the_callers():
+    bank = MlpBank(3, [[2, 0, i] for i in range(4)])
+    x = np.array([0.2, 0.5, 0.9])
+    a1, probs = bank.forward(x)
+    kept = a1.copy(), probs.copy()
+    bank.forward(np.array([0.7, 0.1, 0.3]))
+    bank.train_rounds(x, NEG, np.array([2, 0, 1, 3]))
+    assert np.array_equal(a1, kept[0]) and np.array_equal(probs, kept[1])
+    assert not np.array_equal(bank.forward(x)[1], probs)  # the bank did learn
+
+
+def test_interleaved_ensembles_step_as_if_alone():
+    # each bank's work buffers are its own: stepping two ensembles turn about
+    # (predict A, predict B, train A, train B) gives each the outputs and
+    # weights of stepping it alone
+    def make():
+        return [
+            OnlineEnsemble(2, samplers=("OB", "OOB"), n_members=5, seed=s)
+            for s in (31, 32)
+        ]
+
+    rng = np.random.default_rng(5)
+    steps = [
+        (rng.uniform(0, 1, 2), POS if rng.random() < 0.3 else NEG)
+        for _ in range(150)
+    ]
+    tracker = ClassSizeTracker()
+    tracker.w = {POS: 0.2, NEG: 0.8}
+    status = tracker.status()
+    interleaved, alone = make(), make()
+    seen = {0: [], 1: []}
+    for x, y in steps:
+        outputs = [ens.predict(x) for ens in interleaved]
+        for ens in interleaved:
+            ens.train_one(y, status)
+        for i, out in enumerate(outputs):
+            seen[i].append(out)
+    for i, ens in enumerate(alone):
+        for (x, y), (labels, scores) in zip(steps, seen[i]):
+            want_labels, want_scores = ens.predict(x)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(scores, want_scores)
+            ens.train_one(y, status)
+        assert np.array_equal(
+            _slice_params(ens._bank, 0, 10), _slice_params(interleaved[i]._bank, 0, 10)
+        )
+
+
 def test_full_training_is_deterministic():
     def run():
         tracker = ClassSizeTracker()
