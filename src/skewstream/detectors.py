@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import zipfile
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cpus import usable_cpus
 from .labels import NEG, POS
 from .metrics import ScoreWindow, prequential_auc
 
@@ -193,7 +195,13 @@ class BoundTable:
     every integer n up to max_n, so a query interpolates only along p.
 
     Built once per parameter set from a fixed seed and cached on disk, so
-    bounds are reproducible across processes.
+    bounds are reproducible across processes. The build splits the p rows
+    into one contiguous block per usable CPU and simulates the blocks in
+    threads. The split is exact: a row's paths depend only on its own p and
+    on each step's uniform vector, which every row shares, so a block that
+    draws from its own generator on the same seed sees the same vectors,
+    and every update and quantile is computed row by row. The table is the
+    same bit for bit on any number of CPUs.
     """
 
     CACHE_ENV = "SKEWSTREAM_CACHE"
@@ -318,12 +326,31 @@ class BoundTable:
     # -- construction --------------------------------------------------------
 
     def _simulate(self) -> np.ndarray:
+        # one block of contiguous p rows per usable CPU, each in its own
+        # thread: numpy releases the GIL in the updates, the draws and the
+        # partition behind quantile, so the blocks run in parallel
+        blocks = np.array_split(self.p_grid, min(usable_cpus(), len(self.p_grid)))
+        if len(blocks) == 1:
+            parts = [self._simulate_rows(blocks[0])]
+        else:
+            # imported only here: a build on one CPU starts no thread
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(len(blocks)) as pool:
+                parts = list(pool.map(self._simulate_rows, blocks))
+        table = np.concatenate(parts)
+        if not (np.diff(table, axis=2) >= 0).all():
+            raise AssertionError("bound quantiles must be nested")
+        return table
+
+    def _simulate_rows(self, p_rows: np.ndarray) -> np.ndarray:
+        """The table's rows for the rates ``p_rows``, a block of p_grid."""
         rng = np.random.default_rng(self.seed)
-        n_p = len(self.p_grid)
+        n_p = len(p_rows)
         paths = np.full((n_p, self.n_paths), 0.5)
         successes = np.zeros((n_p, self.n_paths), dtype=np.int32)
         hit = np.empty((n_p, self.n_paths), dtype=bool)
-        p_col = self.p_grid[:, None]
+        p_col = p_rows[:, None]
         table = np.empty((n_p, len(self.n_grid), 4))
         record = {n: i for i, n in enumerate(self.n_grid)}
         gain = 1.0 - self.decay
@@ -338,8 +365,6 @@ class BoundTable:
             if i is not None:
                 deviation = paths - (successes + 0.5) / (n + 1.0)
                 table[:, i, :] = np.quantile(deviation, self.levels, axis=1).T
-        if not (np.diff(table, axis=2) >= 0).all():
-            raise AssertionError("bound quantiles must be nested")
         return table
 
     # -- queries -------------------------------------------------------------
@@ -378,6 +403,9 @@ class BoundTable:
 
 
 _default_tables: dict[tuple, BoundTable] = {}
+# held across a build, so experiments started from several threads build
+# (or load) each table once
+_default_tables_lock = threading.Lock()
 
 
 def default_bound_table(
@@ -385,19 +413,21 @@ def default_bound_table(
 ) -> BoundTable:
     """Process-wide shared bound table for the given parameters."""
     key = (decay, warn_level, detect_level)
-    if key not in _default_tables:
-        _default_tables[key] = BoundTable(
-            decay=decay, warn_level=warn_level, detect_level=detect_level
-        )
-    return _default_tables[key]
+    with _default_tables_lock:
+        if key not in _default_tables:
+            _default_tables[key] = BoundTable(
+                decay=decay, warn_level=warn_level, detect_level=detect_level
+            )
+        return _default_tables[key]
 
 
 def adopt_bound_tables(tables) -> None:
     """Share ``tables``, made by `default_bound_table` in another process,
     as this process's tables for their parameters, so none is rebuilt here."""
-    for table in tables:
-        key = (table.decay, table.warn_level, table.detect_level)
-        _default_tables.setdefault(key, table)
+    with _default_tables_lock:
+        for table in tables:
+            key = (table.decay, table.warn_level, table.detect_level)
+            _default_tables.setdefault(key, table)
 
 
 class FourRatesDetector(DriftDetector):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import configparser
 import inspect
 import math
-import os
 import re
 import threading
 from dataclasses import dataclass, field, fields, replace
@@ -39,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cpus import usable_cpus
 from .detectors import (
     AucDropDetector,
     DetectionLog,
@@ -323,13 +323,6 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     ]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # The spawned workers that every experiment of this process shares, as
 # (usable CPUs when made, executor); made when an experiment first needs one.
 # The lock keeps experiments run from several threads from remaking or
@@ -441,7 +434,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     # here, before any run is handed out: a rejected detector parameter
     # raises in this process, and each bound table is built (or loaded) once
     detectors = [build_detector(pipe) for pipe in cfg.pipelines]
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     if min(cfg.runs, cpus) < 2:
         runs = _collect_runs(cfg, {})
     else:

@@ -6,6 +6,10 @@ so first-alarm step indices are frozen exactly.
 import math
 import os
 import pickle
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +278,121 @@ def test_bound_table_build_equals_masked_reference(tmp_path, monkeypatch):
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
     table = small_table()
     assert np.array_equal(table.table, masked_simulate(table))
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The worker counts of the thread pools made, in order."""
+    import concurrent.futures
+
+    sizes = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_bound_table_build_is_the_same_on_any_number_of_cpus(
+    cpus, tmp_path, monkeypatch, thread_pools
+):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    usable_cpus(monkeypatch, cpus)
+    table = small_table()
+    # one thread per block, and never more blocks than p rows
+    assert thread_pools == ([] if cpus == 1 else [min(cpus, len(table.p_grid))])
+    assert np.array_equal(table.table, masked_simulate(table))
+    usable_cpus(monkeypatch, 1)
+    assert np.array_equal(table.table, table._simulate())
+
+
+def test_bound_table_build_raises_a_blocks_error_and_caches_nothing(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    usable_cpus(monkeypatch, 3)
+    real_rows = BoundTable._simulate_rows
+
+    def middle_block_fails(self, p_rows):
+        if 0.5 in p_rows:
+            raise RuntimeError("block failed")
+        return real_rows(self, p_rows)
+
+    monkeypatch.setattr(BoundTable, "_simulate_rows", middle_block_fails)
+    with pytest.raises(RuntimeError, match="block failed"):
+        small_table()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bound_table_build_imports_thread_pools_only_on_several_cpus(tmp_path):
+    src = str(Path(detectors.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env[BoundTable.CACHE_ENV] = str(tmp_path)
+    code = (
+        "import os, sys; os.sched_getaffinity = lambda pid: set(range({cpus}));"
+        "from skewstream.detectors import BoundTable;"
+        "BoundTable(n_paths=2000, max_n={max_n});"
+        "print('concurrent.futures' in sys.modules)"
+    )
+
+    def imports_pools(cpus, max_n):
+        res = subprocess.run(
+            [sys.executable, "-c", code.format(cpus=cpus, max_n=max_n)],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        return res.stdout.strip()
+
+    assert imports_pools(cpus=1, max_n=50) == "False"
+    # another max_n: a table not in the cache yet
+    assert imports_pools(cpus=2, max_n=40) == "True"
+    # the same table again is loaded from the cache, not simulated
+    assert imports_pools(cpus=2, max_n=40) == "False"
+
+
+def test_default_bound_table_is_built_once_for_concurrent_callers(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(detectors, "_default_tables", {})
+    calls = []
+
+    def slow_simulate(self):
+        calls.append(self.decay)
+        time.sleep(0.2)
+        return np.zeros((len(self.p_grid), len(self.n_grid), 4))
+
+    monkeypatch.setattr(BoundTable, "_simulate", slow_simulate)
+    callers = 8  # more than the CPUs
+    start = threading.Barrier(callers)
+    tables = []
+
+    def ask():
+        start.wait(timeout=30)
+        tables.append(default_bound_table(0.97))
+
+    threads = [threading.Thread(target=ask) for _ in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == [0.97]
+    assert len(tables) == callers and all(t is tables[0] for t in tables)
 
 
 def test_bound_table_stores_through_unique_temp_files(tmp_path, monkeypatch):

@@ -496,7 +496,11 @@ def test_workers_take_the_callers_bound_tables(
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
     monkeypatch.setenv("SKEWSTREAM_CACHE", str(blocker / "cache"))
+    # this process's table for the default parameters, a small one (this
+    # says so once); a worker that failed to adopt it would build the full
+    # table and say so a second time
     monkeypatch.setattr(detectors, "_default_tables", {})
+    detectors.adopt_bound_tables([detectors.BoundTable(n_paths=2000, max_n=50)])
     usable_cpus(monkeypatch, 2)
     cfg = tiny_config(
         pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=2, steps=POOL_STEPS
