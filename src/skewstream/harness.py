@@ -254,6 +254,30 @@ class ConceptAverages:
 METRICS = tuple(f.name for f in fields(ConceptAverages))
 
 
+# Steps a run plans at a time (see `_run_once`).
+BLOCK_STEPS = 128
+
+
+def _plan_block(stream, tracker, model, n: int, threshold: float):
+    """The next ``n`` steps' examples, minorities and Poisson counts.
+
+    Takes each example from ``stream`` and feeds its label to ``tracker``,
+    reading the status after it, as a step does; then every ensemble draws
+    the block's counts with one call (`OnlineEnsemble.draw_counts`). Returns
+    ``(examples, minorities, ks, tops)``: row i of ``ks`` is step i's counts
+    and ``tops[i]`` its maximum.
+    """
+    examples = [stream.next_example() for _ in range(n)]
+    minorities, rates = [], []
+    for _, label in examples:
+        tracker.update(label)
+        status = tracker.status(threshold)
+        minorities.append(status.minority)
+        rates.append(model.sampling_rates(label, status))
+    ks = model.draw_counts(rates)
+    return examples, minorities, ks, ks.max(axis=1).tolist()
+
+
 def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     """Run ``r`` of every pipeline, stepped in lockstep; one record each.
 
@@ -263,6 +287,14 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     `OnlineEnsemble` (its own Poisson generator and reset seeds), and its
     detector, if any, is its own; a drift alarm resets only that slice. The
     records are exactly those of running each pipeline alone.
+
+    The run goes ``BLOCK_STEPS`` steps at a time. `_plan_block` first takes
+    the block's examples, class sizes and Poisson counts; then each step
+    predicts, records, steps the detectors and trains on its planned row.
+    Planning ahead changes nothing: the stream, the tracker and the Poisson
+    generators read neither the predictions nor the weights, and a reset
+    re-seeds the weights only, so every draw is the one a step-by-step run
+    makes, in the same order on each generator.
     """
     seed = cfg.base_seed + r
     schedule = cfg.schedule
@@ -287,28 +319,34 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     preds = np.empty((len(pipes), n_recorded), dtype=np.int8)
     scores = np.empty((len(pipes), n_recorded), dtype=float)
     events: list[list[tuple[int, str]]] = [[] for _ in pipes]
-    for t in range(1, schedule.total_steps + 1):
-        x, label = stream.next_example()
-        step_preds, step_scores = model.predict(x)
-        if t > cfg.warm_up:
-            i = t - cfg.warm_up - 1
-            truths[i] = label
-            preds[:, i] = step_preds
-            scores[:, i] = step_scores
-        tracker.update(label)
-        status = tracker.status(cfg.designation_threshold)
-        for e, detector in detectors:
-            verdict = detector.step(
-                label,
-                int(step_preds[e]),
-                score=float(step_scores[e]),
-                minority=status.minority,
-            )
-            if verdict is not Verdict.NORMAL:
-                events[e].append((t, verdict.value))
-            if verdict is Verdict.DRIFT:
-                model.reset(e)
-        model.train_one(label, status)
+    for done in range(0, schedule.total_steps, BLOCK_STEPS):
+        examples, minorities, ks, tops = _plan_block(
+            stream,
+            tracker,
+            model,
+            min(BLOCK_STEPS, schedule.total_steps - done),
+            cfg.designation_threshold,
+        )
+        for i, (x, label) in enumerate(examples):
+            t = done + i + 1
+            step_preds, step_scores = model.predict(x)
+            if t > cfg.warm_up:
+                j = t - cfg.warm_up - 1
+                truths[j] = label
+                preds[:, j] = step_preds
+                scores[:, j] = step_scores
+            for e, detector in detectors:
+                verdict = detector.step(
+                    label,
+                    int(step_preds[e]),
+                    score=float(step_scores[e]),
+                    minority=minorities[i],
+                )
+                if verdict is not Verdict.NORMAL:
+                    events[e].append((t, verdict.value))
+                if verdict is Verdict.DRIFT:
+                    model.reset(e)
+            model.train_one(label, ks[i], tops[i])
     return [
         RunRecord(
             run=r,

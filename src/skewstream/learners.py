@@ -40,7 +40,7 @@ caller's.
 
 A prequential step predicts, then trains on the example it predicted:
 `OnlineEnsemble.predict(x)` keeps the example, and the bank's buffers keep
-the forward pass on it, which `train_one(label, status)` learns. With no
+the forward pass on it, which `train_one(label, ks, top)` learns. With no
 reset in between, round 0 of `MlpBank.train_rounds` reads that pass from the
 buffers instead of computing it again: one forward pass per round.
 """
@@ -170,19 +170,26 @@ class MlpBank:
         return a1, self._probs
 
     def train_rounds(
-        self, x: np.ndarray, label: int, ks: np.ndarray, first: bool = False
+        self,
+        x: np.ndarray,
+        label: int,
+        ks: np.ndarray,
+        first: bool = False,
+        max_k: int | None = None,
     ) -> None:
         """Give member i ``ks[i]`` sequential gradient steps on (x, label).
 
         ``first`` says that the buffers already hold ``forward_in_place(x)``
         on the current weights; round 0 then reads them (and overwrites the
-        probabilities) instead of recomputing them.
+        probabilities) instead of recomputing them. ``max_k``, when given, is
+        ``ks.max()``.
         """
         if x.shape[0] != self.n_features:
             raise ValueError(
                 f"expected {self.n_features} features, got {x.shape[0]}"
             )
-        max_k = int(ks.max()) if len(ks) else 0
+        if max_k is None:
+            max_k = int(ks.max()) if len(ks) else 0
         # step size per round and member: lr while the member's k lasts, else 0
         steps = np.where(ks > np.arange(max_k)[:, None], self.lr, 0.0)[:, :, None]
         a1, dz2 = self._a1, self._probs  # dL/dz2 = probs - onehot(cls)
@@ -213,11 +220,17 @@ class OnlineEnsemble:
     n_members``, initialized from seeds ``[seed, reset_counts[e], i]``, and
     its own Poisson generator ``default_rng([seed, 1])``. The class sizes and
     the minority/majority designation that set the sampling rates are the
-    caller's: `sampling_rates` and `train_one` take the tracker's
-    `ImbalanceStatus`, so the designation is made once per step, by whoever
-    owns the tracker and the threshold. Because bank rows are independent,
-    every ensemble learns exactly as it would alone, so a one-sampler
-    ensemble is the plain single-pipeline case.
+    caller's: `sampling_rates` takes the tracker's `ImbalanceStatus`, so the
+    designation is made once per step, by whoever owns the tracker and the
+    threshold. Because bank rows are independent, every ensemble learns
+    exactly as it would alone, so a one-sampler ensemble is the plain
+    single-pipeline case.
+
+    The caller plans the counts ahead: it collects a block of steps' rates,
+    `draw_counts` draws them with one Poisson call per ensemble, and
+    `train_one` takes one step's row. The rates never depend on the weights
+    or on `reset`, which leaves the generators alone, so the counts are
+    exactly those of a draw per step (see `draw_counts`).
     """
 
     def __init__(
@@ -287,27 +300,43 @@ class OnlineEnsemble:
         )
         return np.where(scores >= 0.5, POS, NEG), scores
 
-    def train_one(self, label, status: ImbalanceStatus) -> None:
-        """Poisson-replicated bagging update of every ensemble on the example
-        of the last `predict`, which this consumes; ``status`` is the
-        tracker's designation after it absorbed ``label`` (as in
-        `sampling_rates`)."""
+    def draw_counts(self, rates) -> np.ndarray:
+        """Every bank row's Poisson count for each step of a block: row t of
+        the result is step t's counts, and ensemble ``e``'s members draw from
+        Poisson(``rates[t][e]``), as `sampling_rates` gives them.
+
+        Each ensemble makes one call on its own generator for the whole
+        block. numpy draws an array of rates element by element in C order,
+        with the algorithm and generator words that one call per step with a
+        scalar rate uses, so the counts, and the generator's state after
+        them, are exactly those of drawing step by step.
+        """
+        rates = np.asarray(rates, dtype=float)
+        n, m = len(rates), self.n_members
+        return np.concatenate(
+            [
+                rng.poisson(rates[:, e, None], (n, m))
+                for e, rng in enumerate(self._poisson_rngs)
+            ],
+            axis=1,
+        )
+
+    def train_one(self, label, ks: np.ndarray, top: int) -> None:
+        """Bagging update of every ensemble on the example of the last
+        `predict`, which this consumes: bank row i takes ``ks[i]`` gradient
+        steps on it. ``ks`` is one step's row of `draw_counts`, and ``top``
+        its maximum."""
         x, first = self._x, self._fresh
         if x is None:
             raise RuntimeError("train_one needs a predicted example to learn")
+        if len(ks) != self._bank.n_members:
+            raise ValueError(
+                f"expected {self._bank.n_members} counts, got {len(ks)}"
+            )
         self._x = None
         self._fresh = False
-        m = self.n_members
-        ks = np.concatenate(
-            [
-                rng.poisson(lam, m)
-                for rng, lam in zip(
-                    self._poisson_rngs, self.sampling_rates(label, status)
-                )
-            ]
-        )
-        if ks.any():
-            self._bank.train_rounds(x, label, ks, first=first)
+        if top:
+            self._bank.train_rounds(x, label, ks, first=first, max_k=top)
 
     def reset(self, e: int) -> None:
         """Fresh weights for ensemble ``e`` from seeds derived off (seed, its

@@ -39,7 +39,7 @@ from skewstream.harness import (
 )
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
-from skewstream.learners import OnlineEnsemble
+from skewstream.learners import MlpBank, OnlineEnsemble
 from skewstream.metrics import DecayedConfusion, g_mean, per_class_recall
 from skewstream.presets import preset_schedule
 from skewstream.streams import ConceptSpec, DriftSchedule, Skew, StreamGenerator
@@ -205,8 +205,9 @@ def test_run_experiment_is_deterministic():
 
 
 def reference_run(cfg, pipe, r):
-    """One pipeline run on its own stream, tracker, ensemble and detector:
-    the scalar engine that `run_experiment` must reproduce exactly."""
+    """One pipeline run on its own stream, tracker, ensemble and detector,
+    with its Poisson counts drawn step by step: the scalar engine that
+    `run_experiment` must reproduce exactly."""
     seed = cfg.base_seed + r
     schedule = cfg.schedule
     stream = StreamGenerator(schedule, seed)
@@ -219,6 +220,8 @@ def reference_run(cfg, pipe, r):
         lr=cfg.lr,
     )
     detector = build_detector(pipe)
+    # the ensemble's Poisson generator, drawn from step by step
+    poisson = np.random.default_rng([seed, 1])
     truths, preds, scores, events = [], [], [], []
     for t in range(1, schedule.total_steps + 1):
         x, label = stream.next_example()
@@ -237,7 +240,9 @@ def reference_run(cfg, pipe, r):
                 events.append((t, verdict.value))
             if verdict is Verdict.DRIFT:
                 model.reset(0)
-        model.train_one(label, status)
+        [lam] = model.sampling_rates(label, status)
+        ks = poisson.poisson(lam, cfg.members)
+        model.train_one(label, ks, ks.max())
     return RunRecord(
         run=r,
         seed=seed,
@@ -286,6 +291,60 @@ def test_single_member_single_pipeline_equals_reference():
         pipelines=[PipelineSpec("OOB+ddm", "OOB", "ddm-oci")], runs=1, members=1
     )
     assert_matches_reference(cfg, run_experiment(cfg))
+
+
+def test_block_boundaries_leave_the_records_unchanged(monkeypatch):
+    # a stream of 2.5 default blocks, so that blocks of every size end
+    # mid-run, and resets land inside blocks and in later ones
+    steps = harness.BLOCK_STEPS * 5 // 2
+    pipelines = [
+        PipelineSpec("OB+lfr", "OB", "lfr"),
+        PipelineSpec("OOB+lfr", "OOB", "lfr"),
+        PipelineSpec("UOB+lfr", "UOB", "lfr"),
+        PipelineSpec("UOB+ddm", "UOB", "ddm-oci"),
+    ]
+    cfg = tiny_config(pipelines=pipelines, runs=1, steps=steps, warm_up=5)
+    usable_cpus(monkeypatch, 1)
+    runs = {}
+    for block in (harness.BLOCK_STEPS, 1, 7):  # 1: the step-by-step order
+        monkeypatch.setattr(harness, "BLOCK_STEPS", block)
+        runs[block] = run_experiment(cfg)
+    for records in runs.values():
+        assert_same_records(records, runs[1])
+    resets = {pipe.learner: 0 for pipe in pipelines}
+    for pipe in pipelines:
+        resets[pipe.learner] += runs[1][pipe.name][0].detection_log.alarms != []
+    assert all(resets.values()), resets  # a slice of every sampler is reset
+
+
+def test_a_run_takes_one_example_and_one_training_call_per_step(monkeypatch):
+    # perfbench's host-speed probe fires on every 64th next_example, and its
+    # rounds_per_step divides by the number of train_one calls, which must
+    # include the steps that train no member
+    calls = {"next_example": 0, "train_one": 0, "train_rounds": 0}
+
+    def counted(cls, name):
+        fn = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(StreamGenerator, "next_example")
+    counted(OnlineEnsemble, "train_one")
+    counted(MlpBank, "train_rounds")
+    cfg = tiny_config(
+        pipelines=[PipelineSpec("UOB+ddm", "UOB", "ddm-oci")],
+        runs=1,
+        steps=harness.BLOCK_STEPS * 2 + 3,
+        members=1,
+    )
+    harness._run_once(cfg, 0)
+    steps = cfg.schedule.total_steps
+    assert calls["next_example"] == calls["train_one"] == steps
+    assert 0 < calls["train_rounds"] < steps
 
 
 def test_no_pipelines_builds_no_stream(monkeypatch):

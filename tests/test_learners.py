@@ -35,6 +35,12 @@ def _slice_params(bank, e, m):
     return np.concatenate([getattr(bank, n)[rows].ravel() for n in PARAMS])
 
 
+def _train(ens, label, status):
+    """`train_one` on counts drawn for this step alone: a one-step block."""
+    [ks] = ens.draw_counts([ens.sampling_rates(label, status)])
+    ens.train_one(label, ks, ks.max())
+
+
 def _loss(bank, x, label):
     """Cross-entropy of ``label`` under the one-row bank."""
     return -math.log(bank.forward(x)[1][0, 0 if label == POS else 1])
@@ -191,20 +197,56 @@ def test_rates_come_from_the_sizes_at_status_time():
         ]
 
 
+# rates at and around numpy's special cases: zero, a tiny rate, and both sides
+# of the switch between its two Poisson algorithms at lambda = 10
+EDGE_RATES = (0.0, 1e-9, 1.0, 9.99, 10.0, 10.01, 30.0, 1e3)
+
+
+@pytest.mark.parametrize("members", [1, 15])
+@pytest.mark.parametrize("order", range(4))
+def test_block_poisson_draw_equals_per_call_draws(members, order):
+    # one array-rate call over a block must give the counts of one call per
+    # step and leave the generator where the per-step calls leave it
+    rates = np.random.default_rng(order).permutation(np.repeat(EDGE_RATES, 4))
+    block_rng = np.random.default_rng([order, 1])
+    step_rng = np.random.default_rng([order, 1])
+    block = block_rng.poisson(rates[:, None], (len(rates), members))
+    steps = np.stack([step_rng.poisson(lam, members) for lam in rates])
+    assert block.dtype == steps.dtype
+    assert np.array_equal(block, steps)
+    assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+
+def test_draw_counts_equals_each_ensembles_per_step_draws():
+    seed, m = 23, 4
+    ens = OnlineEnsemble(2, samplers=("OB", "OOB", "UOB"), n_members=m, seed=seed)
+    rng = np.random.default_rng(7)
+    per_step = [np.random.default_rng([seed, 1]) for _ in range(3)]
+    for n in (1, 5, 12):  # successive blocks go on from where the last ended
+        rates = rng.choice(EDGE_RATES, (n, 3))
+        ks = ens.draw_counts(rates.tolist())
+        assert ks.shape == (n, 3 * m)
+        for t in range(n):
+            want = [g.poisson(lam, m) for g, lam in zip(per_step, rates[t])]
+            assert np.array_equal(ks[t], np.concatenate(want))
+
+
 # ---------------------------------------------------------------------------
 # ensemble behavior
 # ---------------------------------------------------------------------------
 
 
 def test_train_one_learns_only_a_predicted_example():
-    status = ClassSizeTracker().status()
     ens = OnlineEnsemble(2, n_members=3, seed=0)
+    ks = np.ones(3, dtype=np.int64)
     with pytest.raises(RuntimeError, match="predicted example"):
-        ens.train_one(POS, status)
+        ens.train_one(POS, ks, 1)
     ens.predict([0.4, 0.6])
-    ens.train_one(POS, status)
+    with pytest.raises(ValueError, match="expected 3 counts, got 1"):
+        ens.train_one(POS, ks[:1], 1)
+    ens.train_one(POS, ks, 1)
     with pytest.raises(RuntimeError, match="predicted example"):
-        ens.train_one(POS, status)  # the first call consumed the example
+        ens.train_one(POS, ks, 1)  # the first call consumed the example
 
 
 def test_single_member_ensemble_equals_that_member():
@@ -276,7 +318,7 @@ def test_interleaved_ensembles_step_as_if_alone():
     for x, y in steps:
         outputs = [ens.predict(x) for ens in interleaved]
         for ens in interleaved:
-            ens.train_one(y, status)
+            _train(ens, y, status)
         for i, out in enumerate(outputs):
             seen[i].append(out)
     for i, ens in enumerate(alone):
@@ -284,7 +326,7 @@ def test_interleaved_ensembles_step_as_if_alone():
             want_labels, want_scores = ens.predict(x)
             assert np.array_equal(labels, want_labels)
             assert np.array_equal(scores, want_scores)
-            ens.train_one(y, status)
+            _train(ens, y, status)
         assert np.array_equal(
             _slice_params(ens._bank, 0, 10), _slice_params(interleaved[i]._bank, 0, 10)
         )
@@ -301,7 +343,7 @@ def test_full_training_is_deterministic():
             y = POS if rng.random() < 0.2 else NEG
             outputs.append(tuple(a.tolist() for a in ens.predict(x)))
             tracker.update(y)
-            ens.train_one(y, tracker.status())
+            _train(ens, y, tracker.status())
         return outputs
 
     assert run() == run()
@@ -313,7 +355,7 @@ def test_reset_reinitializes_from_derived_seeds():
     b = OnlineEnsemble(2, n_members=4, seed=5)
     for _ in range(50):
         a.predict([0.2, 0.8])
-        a.train_one(POS, tracker.status())
+        _train(a, POS, tracker.status())
     trained = _slice_params(a._bank, 0, 4)
     a.reset(0)
     assert a.reset_counts[0] == 1
@@ -360,7 +402,7 @@ def test_reset_touches_only_its_own_ensemble():
     ens = OnlineEnsemble(3, samplers=("OB", "OOB", "UOB"), n_members=4, seed=8)
     for _ in range(20):
         ens.predict([0.1, 0.5, 0.9])
-        ens.train_one(POS, tracker.status())
+        _train(ens, POS, tracker.status())
     trained = [_slice_params(ens._bank, e, 4) for e in range(3)]
     ens.reset(1)
     ens.reset(1)
@@ -473,7 +515,7 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
                 for r, lam in zip(ref_rngs, ens.sampling_rates(label, status))
             ]
         )
-        ens.train_one(label, status)
+        ens.train_one(label, ks, ks.max())
         if ks.any():  # training learns the predicted example
             _ref_train_rounds(params, predicted_x, label, ks, lr)
         else:
