@@ -51,7 +51,8 @@ from .detectors import (
     score_detections,
 )
 from .imbalance import ClassSizeTracker
-from .learners import SAMPLERS, OnlineEnsemble
+from .labels import NEG, POS
+from .learners import SAMPLERS, OnlineEnsemble, RowSchedule
 from .metrics import (
     TooFewPairsError,
     decayed_recall_gmean_series,
@@ -256,45 +257,92 @@ METRICS = tuple(f.name for f in fields(ConceptAverages))
 
 # Steps a run plans at a time (see `_run_once`).
 BLOCK_STEPS = 128
+# Rounds a block trains between two catch-ups of its detectors (see
+# `_train_block`). A catch-up costs Python per detector, while a late one lets
+# a reset pipeline's rows run ahead on weights the reset throws away. On
+# detect-sweep's two runs (in-process, 12 interleaved repetitions scaled by a
+# reference kernel on a 2-vCPU VM), against every 8 rounds: every round took
+# 1.28x the time, every 4 1.09x, every 16 1.03x and only at a block's end
+# 1.05x (2.14 rounds per step instead of 1.90).
+CATCH_UP_ROUNDS = 8
 
 
 def _plan_block(stream, tracker, model, n: int, threshold: float):
-    """The next ``n`` steps' examples, minorities and Poisson counts.
+    """The next ``n`` steps' inputs, labels, minorities and Poisson counts.
 
     Takes each example from ``stream`` and feeds its label to ``tracker``,
     reading the status after it, as a step does; then every ensemble draws
     the block's counts with one call (`OnlineEnsemble.draw_counts`). Returns
-    ``(examples, minorities, ks, tops)``: row i of ``ks`` is step i's counts
-    and ``tops[i]`` its maximum.
+    ``(xs, labels, minorities, ks)``: row i of ``xs`` is step i's input and
+    row i of ``ks`` its counts.
     """
     examples = [stream.next_example() for _ in range(n)]
-    minorities, rates = [], []
+    labels, minorities, rates = [], [], []
     for _, label in examples:
         tracker.update(label)
         status = tracker.status(threshold)
+        labels.append(label)
         minorities.append(status.minority)
         rates.append(model.sampling_rates(label, status))
-    ks = model.draw_counts(rates)
-    return examples, minorities, ks, ks.max(axis=1).tolist()
+    xs = np.array([x for x, _ in examples])
+    return xs, labels, minorities, model.draw_counts(rates)
+
+
+def _train_block(block, detectors, labels, minorities, events, done: int):
+    """Train a planned block and step the detectors through it; returns its
+    scores as (steps, pipelines).
+
+    Every ``CATCH_UP_ROUNDS`` rounds of ``block`` (a `RowSchedule`), each of
+    ``detectors``, given as (pipeline, detector), steps through the steps
+    that all of its pipeline's rows have predicted, appending its alarms to
+    the pipeline's ``events`` (``done`` is the steps before the block); a
+    drift alarm rewinds the pipeline's rows to its step.
+    """
+    n = block.n_steps
+    seen = [0] * len(events)  # the steps each detector has stepped
+    while True:
+        block.run(CATCH_UP_ROUNDS)
+        ready = block.predicted()
+        for e, detector in detectors:
+            if seen[e] >= ready[e]:
+                continue
+            step_scores = block.scores(seen[e], ready[e])[:, e].tolist()
+            for i, score in enumerate(step_scores, start=seen[e]):
+                verdict = detector.step(
+                    labels[i],
+                    POS if score >= 0.5 else NEG,
+                    score=score,
+                    minority=minorities[i],
+                )
+                seen[e] = i + 1
+                if verdict is not Verdict.NORMAL:
+                    events[e].append((done + i + 1, verdict.value))
+                if verdict is Verdict.DRIFT:
+                    block.rewind(e, i)
+                    break
+        if block.finished and all(seen[e] == n for e, _ in detectors):
+            return block.scores()
 
 
 def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
-    """Run ``r`` of every pipeline, stepped in lockstep; one record each.
+    """Run ``r`` of every pipeline on one stream; one record each.
 
     All pipelines of a run see the same stream (seed ``base_seed + r``), so
     the stream, the class-size tracker and its status are computed once per
     step and shared. Each pipeline's ensemble is one slice of a stacked
     `OnlineEnsemble` (its own Poisson generator and reset seeds), and its
     detector, if any, is its own; a drift alarm resets only that slice. The
-    records are exactly those of running each pipeline alone.
+    records are exactly those of running each pipeline alone, step by step.
 
     The run goes ``BLOCK_STEPS`` steps at a time. `_plan_block` first takes
-    the block's examples, class sizes and Poisson counts; then each step
-    predicts, records, steps the detectors and trains on its planned row.
-    Planning ahead changes nothing: the stream, the tracker and the Poisson
-    generators read neither the predictions nor the weights, and a reset
-    re-seeds the weights only, so every draw is the one a step-by-step run
-    makes, in the same order on each generator.
+    the block's examples, class sizes and Poisson counts: the stream, the
+    tracker and the Poisson generators read neither the predictions nor the
+    weights, and a reset re-seeds the weights only, so every draw is the one
+    a step-by-step run makes, in the same order on each generator. Then a
+    `RowSchedule` trains the block, each bank row at its own pace, and every
+    ``CATCH_UP_ROUNDS`` rounds each detector steps through the steps that
+    all of its pipeline's rows have predicted. A drift alarm at a step resets
+    the pipeline's slice and rewinds only its rows to that step.
     """
     seed = cfg.base_seed + r
     schedule = cfg.schedule
@@ -320,33 +368,21 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     scores = np.empty((len(pipes), n_recorded), dtype=float)
     events: list[list[tuple[int, str]]] = [[] for _ in pipes]
     for done in range(0, schedule.total_steps, BLOCK_STEPS):
-        examples, minorities, ks, tops = _plan_block(
-            stream,
-            tracker,
-            model,
-            min(BLOCK_STEPS, schedule.total_steps - done),
-            cfg.designation_threshold,
+        n = min(BLOCK_STEPS, schedule.total_steps - done)
+        xs, labels, minorities, ks = _plan_block(
+            stream, tracker, model, n, cfg.designation_threshold
         )
-        for i, (x, label) in enumerate(examples):
-            t = done + i + 1
-            step_preds, step_scores = model.predict(x)
-            if t > cfg.warm_up:
-                j = t - cfg.warm_up - 1
-                truths[j] = label
-                preds[:, j] = step_preds
-                scores[:, j] = step_scores
-            for e, detector in detectors:
-                verdict = detector.step(
-                    label,
-                    int(step_preds[e]),
-                    score=float(step_scores[e]),
-                    minority=minorities[i],
-                )
-                if verdict is not Verdict.NORMAL:
-                    events[e].append((t, verdict.value))
-                if verdict is Verdict.DRIFT:
-                    model.reset(e)
-            model.train_one(label, ks[i], tops[i])
+        block_scores = _train_block(
+            RowSchedule(model, xs, labels, ks), detectors, labels, minorities,
+            events, done,
+        )
+        # the block's steps past the warm-up, as record columns lo .. hi - 1
+        first = max(0, cfg.warm_up - done)
+        lo, hi = done + first - cfg.warm_up, done + n - cfg.warm_up
+        if lo < hi:
+            truths[lo:hi] = labels[first:]
+            scores[:, lo:hi] = block_scores[first:].T
+            preds[:, lo:hi] = np.where(scores[:, lo:hi] >= 0.5, POS, NEG)
     return [
         RunRecord(
             run=r,
@@ -452,17 +488,20 @@ def _collect_runs(cfg: ExperimentConfig, pending: dict) -> list[list[RunRecord]]
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     """All pipelines x all runs; deterministic given the config.
 
-    Run r steps every pipeline in lockstep on one stream seeded
-    ``base_seed + r`` (see `_run_once`); each pipeline's records are exactly
-    those it would get run alone. With no pipelines nothing is run, not even
-    a stream.
+    Run r steps every pipeline on one stream seeded ``base_seed + r``, each
+    bank row of their shared ensemble training at its own pace through a
+    planned block of steps (see `_run_once`); each pipeline's records are
+    exactly those it would get run alone, step by step. With no pipelines
+    nothing is run, not even a stream.
 
     Runs are independent, so they are spread over at most one process per
     usable CPU: spawned workers take runs from the front while this process
     runs run 0 and then the runs still waiting, from the back. The records
     do not depend on which process ran a run. The workers are shared by
     every experiment of this process and live as long as it does; they
-    start on demand, up to one fewer than the usable CPUs. They start with
+    start on demand, up to one fewer than the usable CPUs. A run lost with a
+    worker that died is run again here, and the broken pool is shut down
+    before this returns, its dead workers reaped. The workers start with
     the ``spawn`` method, which imports the calling script's main module, so
     a script that runs two or more runs must guard its entry point with
     ``if __name__ == "__main__":``.
@@ -485,6 +524,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
                 # no queued run of a failed experiment is left for the next one
                 _drop_pool()
                 raise
+            if pool._broken:
+                # a worker died and its runs were rerun here: shutting the
+                # pool down joins its manager, which reaps the dead worker
+                # before this returns
+                _drop_pool()
     return {
         pipe.name: [records[e] for records in runs]
         for e, pipe in enumerate(cfg.pipelines)

@@ -3,10 +3,10 @@
 The base learner is a one-hidden-layer MLP (sigmoid hidden units, softmax
 output, cross-entropy loss), `default_hidden_size` units wide, trained by one
 stochastic-gradient step per presented example. `MlpBank` holds every such
-net, and its `train_rounds` is the one backpropagation: the tests
-gradient-check the update it makes. The ensembles follow online bagging:
-every incoming example is shown to each member k times with k ~
-Poisson(lambda), where
+net, and its `backward_in_place` is the one backpropagation: the tests
+gradient-check the update it makes through `train_rounds`. The ensembles
+follow online bagging: every incoming example is shown to each member k times
+with k ~ Poisson(lambda), where
 
     OB   lambda = 1
     OOB  lambda = w_max / w_label   (oversamples the minority class)
@@ -16,33 +16,42 @@ and the w's are the tracker's time-decayed class sizes, read from the
 `ImbalanceStatus` the caller hands in (`ClassSizeTracker.status`); while it
 reports the stream as balanced, all three collapse to plain OB.
 
-For speed the members' weights are stored stacked along a leading member axis
-and updated in lockstep "rounds": in round j every member whose k exceeds j
-takes one gradient step. Because members are independent, this is exactly
-sequential per-member training, but each round costs one numpy call instead
-of fifteen. An `OnlineEnsemble` goes one step further and stacks several
-ensembles (one per sampler, as the harness runs one per pipeline) in the same
-bank: one predict call and one set of rounds serve them all, while each keeps
-its own Poisson generator, its own reset seeds and exactly the outputs it
-would have alone.
+The members' weights are stored stacked along the leading row axis of an
+`MlpBank`, and the bank has one kernel, a *pass*: `forward_in_place` and
+`backward_in_place` give every row one forward pass and one gradient step on
+its own input, one-hot target and step size, and a step size of 0 leaves a
+row's weights as they were. Rows are independent and the batched products
+give each row the bits it gets alone, so one call serves every row. An
+`OnlineEnsemble` stacks several ensembles (one per sampler, as the harness
+runs one per pipeline) in the same bank; each keeps its own Poisson
+generator, its own reset seeds and exactly the outputs it would have alone.
+
+A run trains a planned block of steps with a `RowSchedule`: each bank row
+lays out its own passes back to back, max(1, k) of them at each step (k its
+Poisson count there), the first of which records the row's prediction of the
+step, and each round runs every row's next pass. So a block takes as many
+rounds as its busiest row has passes, not the sum over steps of the largest
+k. `OnlineEnsemble.predict` and `train_one`, and `MlpBank.train_rounds`, are
+the one-step case of the same kernel: row i takes ``ks[i]`` passes and then
+idles with step size 0 until the last row is done.
 
 A bank's kernel allocates nothing per call. Each `MlpBank` makes its work
-buffers once: the hidden pre-activations and activations (one buffer), the
-output pre-activations, the class-column max and sum, the exponentials, the
-class probabilities, the backpropagated hidden error and its `(1 - a1)`
-factor, and the two outer-product weight gradients; it also keeps the views
-the kernel reads them and the weights through. `forward_in_place` and every
-round of `train_rounds` write into those buffers, with the same ufunc and
-matmul calls on the same operand shapes as a pass that allocates, so the bits
-are those of a fresh pass. What `forward_in_place` returns is the bank's and
-is overwritten by its next pass; `forward` returns copies, which are the
-caller's.
+buffers once: the one-input rows of `forward` and `train_rounds`, the hidden
+pre-activations and activations (one buffer), the output pre-activations, the
+class-column max and sum, the exponentials, the class probabilities, the
+backpropagated hidden error and its `(1 - a1)` factor, and the two
+outer-product weight gradients; it also keeps the views the kernel reads them
+and the weights through. `forward_in_place` and `backward_in_place` write into
+those buffers, with the same ufunc and matmul calls on the same operand
+shapes as a pass that allocates, so the bits are those of a fresh pass. What
+`forward_in_place` returns is the bank's and is overwritten by its next pass;
+`forward` returns copies, which are the caller's.
 
 A prequential step predicts, then trains on the example it predicted:
 `OnlineEnsemble.predict(x)` keeps the example, and the bank's buffers keep
 the forward pass on it, which `train_one(label, ks, top)` learns. With no
-reset in between, round 0 of `MlpBank.train_rounds` reads that pass from the
-buffers instead of computing it again: one forward pass per round.
+reset in between, the first pass of `MlpBank.train_rounds` reads that forward
+pass from the buffers instead of computing it again.
 """
 from __future__ import annotations
 
@@ -60,6 +69,8 @@ SAMPLERS = (OB, OOB, UOB)
 
 N_CLASSES = 2
 _CLASS_INDEX = {POS: 0, NEG: 1}
+# each label's one-hot target over the class columns
+_ONE_HOT = {label: np.eye(N_CLASSES)[i] for label, i in _CLASS_INDEX.items()}
 
 
 def default_hidden_size(n_features: int) -> int:
@@ -83,9 +94,9 @@ class MlpBank:
     [-0.5, 0.5]. The weights are updated in place and stay the arrays made
     here: the kernel keeps views of them.
 
-    The forward pass and every training round write into work buffers that
-    the bank makes once (see the module docstring); `forward` hands back
-    copies.
+    The kernel's two halves, `forward_in_place` and `backward_in_place`,
+    take one input row per member and write into work buffers that the bank
+    makes once (see the module docstring); `forward` hands back copies.
     """
 
     def __init__(self, n_features, member_seeds, lr=0.1):
@@ -99,12 +110,12 @@ class MlpBank:
         self.W2 = np.empty((m, N_CLASSES, h))
         self.b2 = np.empty((m, N_CLASSES))
         self.init_weights(member_seeds)
-        # the views the kernel reads the weights through
-        self._W1_flat = self.W1.reshape(m * h, d)
+        # the view the kernel reads W2 through
         self._W2_t = self.W2.transpose(0, 2, 1)
+        # one input in every row, for `forward` and `train_rounds`
+        self._X = np.empty((m, d))
         # forward pass: a1 is z1's buffer, probs the softmax of z2
         self._a1 = np.empty((m, h))
-        self._a1_flat = self._a1.reshape(m * h)
         self._a1_col = self._a1[:, :, None]
         self._a1_row = self._a1[:, None, :]
         z2_col = np.empty((m, N_CLASSES, 1))
@@ -141,21 +152,32 @@ class MlpBank:
             self.W2[i] = rng.uniform(-0.5, 0.5, (N_CLASSES, h))
             self.b2[i] = rng.uniform(-0.5, 0.5, N_CLASSES)
 
+    def rows_of(self, x) -> np.ndarray:
+        """``x`` in every row of the bank's one-input buffer, which the next
+        call overwrites."""
+        if len(x) != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {len(x)}")
+        self._X[:] = x
+        return self._X
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-member (hidden activations, class probabilities) for one input,
         as arrays of the caller's own."""
-        a1, probs = self.forward_in_place(x)
+        a1, probs = self.forward_in_place(self.rows_of(x))
         return a1.copy(), probs.copy()
 
-    def forward_in_place(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`forward`, left in the bank's buffers: the arrays returned are
-        overwritten by the next forward pass or training round.
+    def forward_in_place(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-member (hidden activations, class probabilities), member i on
+        input ``X[i]``, left in the bank's buffers: the arrays returned are
+        overwritten by the next pass.
 
-        The softmax takes the max and the sum of the two class columns with
-        one elementwise call each: the values of ``max``/``sum`` over axis 1,
-        without the cost of an axis reduction.
+        The hidden layer is one batched product ``W1 @ X[:, :, None]``, which
+        gives each member the bits of a matrix-vector product on its input
+        alone. The softmax takes the max and the sum of the two class columns
+        with one elementwise call each: the values of ``max``/``sum`` over
+        axis 1, without the cost of an axis reduction.
         """
-        np.matmul(self._W1_flat, x, out=self._a1_flat)
+        np.matmul(self.W1, X[:, :, None], out=self._a1_col)
         a1 = self._a1
         a1 += self.b1
         _sigmoid_in_place(a1)
@@ -169,6 +191,29 @@ class MlpBank:
         np.divide(self._e, self._csum_col, out=self._probs)
         return a1, self._probs
 
+    def backward_in_place(
+        self, X: np.ndarray, T: np.ndarray, steps: np.ndarray
+    ) -> None:
+        """One gradient step per member on the forward pass in the buffers,
+        which must be `forward_in_place(X)` on the current weights: member i
+        moves ``steps[i, 0]`` times down the gradient of its cross-entropy
+        on input ``X[i]`` and one-hot target ``T[i]`` (a step of 0 leaves it
+        as it was). Overwrites the probabilities."""
+        a1, dz2 = self._a1, self._probs  # dL/dz2 = probs - onehot(cls)
+        dz2 -= T
+        dz2 *= steps
+        np.matmul(self._W2_t, self._probs_col, out=self._da1_col)
+        np.multiply(self._probs_col, self._a1_row, out=self._grad_W2)
+        self.W2 -= self._grad_W2
+        self.b2 -= dz2
+        dz1 = self._dz1
+        np.multiply(self._da1, a1, out=dz1)
+        np.subtract(1.0, a1, out=self._one_minus_a1)
+        dz1 *= self._one_minus_a1
+        np.multiply(self._dz1_col, X[:, None, :], out=self._grad_W1)
+        self.W1 -= self._grad_W1
+        self.b1 -= dz1
+
     def train_rounds(
         self,
         x: np.ndarray,
@@ -177,40 +222,25 @@ class MlpBank:
         first: bool = False,
         max_k: int | None = None,
     ) -> None:
-        """Give member i ``ks[i]`` sequential gradient steps on (x, label).
+        """Give member i ``ks[i]`` sequential gradient steps on (x, label):
+        ``max(ks)`` passes of the kernel, in which a member whose k is spent
+        takes step size 0.
 
-        ``first`` says that the buffers already hold ``forward_in_place(x)``
-        on the current weights; round 0 then reads them (and overwrites the
-        probabilities) instead of recomputing them. ``max_k``, when given, is
-        ``ks.max()``.
+        ``first`` says that the buffers already hold ``forward_in_place`` on
+        x in every row and the current weights; the first pass then reads
+        them (and overwrites the probabilities) instead of recomputing them.
+        ``max_k``, when given, is ``ks.max()``.
         """
-        if x.shape[0] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} features, got {x.shape[0]}"
-            )
+        X = self.rows_of(x)
         if max_k is None:
             max_k = int(ks.max()) if len(ks) else 0
-        # step size per round and member: lr while the member's k lasts, else 0
+        # step size per pass and member: lr while the member's k lasts, else 0
         steps = np.where(ks > np.arange(max_k)[:, None], self.lr, 0.0)[:, :, None]
-        a1, dz2 = self._a1, self._probs  # dL/dz2 = probs - onehot(cls)
-        dz2_cls = self._probs_cols[_CLASS_INDEX[label]]
-        da1, dz1, one_minus_a1 = self._da1, self._dz1, self._one_minus_a1
-        grad_W1, grad_W2 = self._grad_W1, self._grad_W2
+        T = _ONE_HOT[label]
         for j in range(max_k):
             if j or not first:
-                self.forward_in_place(x)
-            dz2_cls -= 1.0
-            dz2 *= steps[j]
-            np.matmul(self._W2_t, self._probs_col, out=self._da1_col)
-            np.multiply(self._probs_col, self._a1_row, out=grad_W2)
-            self.W2 -= grad_W2
-            self.b2 -= dz2
-            np.multiply(da1, a1, out=dz1)
-            np.subtract(1.0, a1, out=one_minus_a1)
-            dz1 *= one_minus_a1
-            np.multiply(self._dz1_col, x, out=grad_W1)
-            self.W1 -= grad_W1
-            self.b1 -= dz1
+                self.forward_in_place(X)
+            self.backward_in_place(X, T, steps[j])
 
 
 class OnlineEnsemble:
@@ -227,10 +257,11 @@ class OnlineEnsemble:
     single-pipeline case.
 
     The caller plans the counts ahead: it collects a block of steps' rates,
-    `draw_counts` draws them with one Poisson call per ensemble, and
-    `train_one` takes one step's row. The rates never depend on the weights
-    or on `reset`, which leaves the generators alone, so the counts are
-    exactly those of a draw per step (see `draw_counts`).
+    `draw_counts` draws them with one Poisson call per ensemble, and a
+    `RowSchedule` trains the whole block on them, or `train_one` one step's
+    row. The rates never depend on the weights or on `reset`, which leaves
+    the generators alone, so the counts are exactly those of a draw per step
+    (see `draw_counts`).
     """
 
     def __init__(
@@ -289,7 +320,7 @@ class OnlineEnsemble:
         for `train_one`, and the bank's buffers keep the forward pass on it.
         """
         self._x = x = np.array(features, dtype=float)
-        _, probs = self._bank.forward_in_place(x)
+        _, probs = self._bank.forward_in_place(self._bank.rows_of(x))
         self._fresh = True
         # sum / n: the bits of .mean(axis=1), without its Python wrapper
         scores = (
@@ -346,3 +377,139 @@ class OnlineEnsemble:
         self._bank.init_weights(
             self._member_seeds(self.reset_counts[e]), first=e * self.n_members
         )
+
+
+class RowSchedule:
+    """A planned block of steps, trained row by row on an `OnlineEnsemble`.
+
+    Bank row r takes max(1, k) passes at each step of the block, k being its
+    count there, one after another: each pass is one forward pass and one
+    gradient step on the step's example, of size lr, or 0 when k is 0, and the
+    first pass of a step records the row's positive-class probability, its
+    prediction of the step. Round j of `run` gives every row its next pass in
+    one call of the bank's kernel; a row whose passes are all done takes
+    passes of size 0 on a zero input until the block is. A row's prediction
+    of a step reads the weights its own passes at the steps before left, and
+    rows are independent, so every row predicts and learns exactly as in a
+    step-by-step run, while the block takes as many rounds as its busiest row
+    has passes.
+
+    A reset is the one thing that ties rows to a step: `rewind(e, t)` resets
+    ensemble ``e`` after its detector has seen step ``t``, and its rows take
+    their k passes at ``t`` again, without recording a new prediction there,
+    then run on through the block. This is exact: a reset re-seeds the
+    weights only, and the counts never read the weights.
+
+    Each row's passes are laid out position by position in arrays of
+    ``(positions, rows, ...)``, so that a round reads one position of each;
+    `rewind` moves a row's remaining passes to start at the next round.
+    """
+
+    # the arrays of (positions, rows, ...): each position's step, the step
+    # whose prediction it records, and its input, target and step size
+    _POSITIONS = ("_step", "_record", "_X", "_T", "_S")
+
+    def __init__(self, model: OnlineEnsemble, xs, labels, ks: np.ndarray):
+        self._model = model
+        self._ks = ks
+        self.n_steps = n = len(ks)
+        rows = ks.shape[1]
+        self._cols = cols = np.arange(rows)
+        passes = np.maximum(ks, 1)
+        ends = passes.cumsum(axis=0)
+        # each step's first pass and each row's end, where it goes idle, as
+        # positions; a rewind moves a row's later ones
+        self._starts = ends - passes
+        self._ends = ends[-1].copy()
+        size = int(self._ends.max()) + 1  # an idle position past the last
+        # the step of each position, n once a row is idle, counted up from
+        # marks where a row's next step starts
+        step = np.zeros((size, rows), dtype=np.intp)
+        step[self._starts[1:], cols] = 1
+        step[self._ends, cols] = 1
+        np.cumsum(step, axis=0, out=step)
+        # the step whose prediction a position records, n where it records none
+        record = np.full((size, rows), n, dtype=np.intp)
+        record[self._starts, cols] = np.arange(n)[:, None]
+        # by step, and the idle step n: a zero input and target, step size 0
+        inputs = np.zeros((n + 1, np.shape(xs)[1]))
+        inputs[:n] = xs
+        targets = np.zeros((n + 1, N_CLASSES))
+        targets[:n] = [_ONE_HOT[label] for label in labels]
+        sizes = np.zeros((n + 1, rows))
+        sizes[:n] = np.where(ks > 0, model._bank.lr, 0.0)
+        self._step, self._record = step, record
+        self._X, self._T = inputs[step], targets[step]
+        self._S = sizes[step, cols][:, :, None]
+        # each row's predictions by step; row n takes the passes that record none
+        self._preds = np.empty((n + 1, rows))
+        self.round = 0
+
+    @property
+    def finished(self) -> bool:
+        """Whether every row has taken all of its passes."""
+        return self.round >= self._ends.max()
+
+    def run(self, rounds: int) -> None:
+        """Run up to ``rounds`` more rounds, stopping when every row is done."""
+        bank = self._model._bank
+        X, T, S, record = self._X, self._T, self._S, self._record
+        preds, cols = self._preds, self._cols
+        positive = bank._probs_cols[_CLASS_INDEX[POS]]
+        stop = min(self.round + rounds, int(self._ends.max()))
+        for j in range(self.round, stop):
+            bank.forward_in_place(X[j])
+            preds[record[j], cols] = positive
+            bank.backward_in_place(X[j], T[j], S[j])
+        self.round = max(self.round, stop)
+
+    def predicted(self) -> list[int]:
+        """For each ensemble, how many of the block's first steps every one of
+        its rows has predicted."""
+        step, record = self._step[self.round], self._record[self.round]
+        # a row about to take a step's first pass has predicted the steps
+        # before it; one about to take any other pass, the step too
+        done = step + (record != step)
+        return done.reshape(-1, self._model.n_members).min(axis=1).tolist()
+
+    def scores(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Every ensemble's scores of steps ``lo`` .. ``hi - 1``, as (steps,
+        ensembles): the mean of its rows' predictions, with the bits of
+        `OnlineEnsemble.predict`."""
+        m = self._model.n_members
+        preds = self._preds[lo : self.n_steps if hi is None else hi]
+        return preds.reshape(len(preds), -1, m).sum(axis=2) / m
+
+    def rewind(self, e: int, t: int) -> None:
+        """Reset ensemble ``e``, whose rows have all predicted step ``t``, and
+        move its rows' passes from ``t`` on to start at the next round: the
+        reset rows learn step t's example again, recording no prediction,
+        then predict and learn the rest of the block."""
+        self._model.reset(e)
+        m, j = self._model.n_members, self.round
+        rows = slice(e * m, (e + 1) * m)
+        ks = self._ks[t, rows]
+        # each row's first pass after the reset: its first at t, or its first
+        # at t + 1 when it takes none at t
+        firsts = self._starts[t, rows] + (ks == 0)
+        ends = j + self._ends[rows] - firsts
+        if ends.max() >= len(self._step):
+            self._grow(int(ends.max()) + 1)
+        for r, k, first, end in zip(range(e * m, (e + 1) * m), ks, firsts, ends):
+            for name in self._POSITIONS:
+                a = getattr(self, name)
+                a[j:end, r] = a[first : self._ends[r], r]
+            if k:
+                self._record[j, r] = self.n_steps  # t's prediction stands
+        self._starts[t:, rows] += j - firsts
+        self._ends[rows] = ends
+
+    def _grow(self, size: int) -> None:
+        """Lengthen the position arrays to ``size`` with idle positions, one
+        at a time, so that no more than one is held twice."""
+        n = self.n_steps
+        for name, idle in zip(self._POSITIONS, (n, n, 0.0, 0.0, 0.0)):
+            a = getattr(self, name)
+            grown = np.full((size,) + a.shape[1:], idle, dtype=a.dtype)
+            grown[: len(a)] = a
+            setattr(self, name, grown)

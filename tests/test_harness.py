@@ -219,7 +219,7 @@ def reference_run(cfg, pipe, r):
         seed=seed,
         lr=cfg.lr,
     )
-    detector = build_detector(pipe)
+    detector = harness.build_detector(pipe)
     # the ensemble's Poisson generator, drawn from step by step
     poisson = np.random.default_rng([seed, 1])
     truths, preds, scores, events = [], [], [], []
@@ -317,34 +317,123 @@ def test_block_boundaries_leave_the_records_unchanged(monkeypatch):
     assert all(resets.values()), resets  # a slice of every sampler is reset
 
 
-def test_a_run_takes_one_example_and_one_training_call_per_step(monkeypatch):
-    # perfbench's host-speed probe fires on every 64th next_example, and its
-    # rounds_per_step divides by the number of train_one calls, which must
-    # include the steps that train no member
-    calls = {"next_example": 0, "train_one": 0, "train_rounds": 0}
+class ScriptedDetector:
+    """Raises DRIFT at the given steps of a run (counted from 1) and at no
+    other."""
 
-    def counted(cls, name):
-        fn = getattr(cls, name)
+    def __init__(self, alarms):
+        self.alarms, self.t = set(alarms), 0
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def step(self, label, pred, score=None, minority=None):
+        self.t += 1
+        return Verdict.DRIFT if self.t in self.alarms else Verdict.NORMAL
 
-        monkeypatch.setattr(cls, name, wrapper)
 
-    counted(StreamGenerator, "next_example")
-    counted(OnlineEnsemble, "train_one")
-    counted(MlpBank, "train_rounds")
+def script_detectors(monkeypatch, alarms):
+    """Make the pipelines named in ``alarms`` raise DRIFT at their steps, in
+    the harness and in `reference_run` alike."""
+    build = harness.build_detector
+
+    def scripted(pipe):
+        if pipe.name in alarms:
+            return ScriptedDetector(alarms[pipe.name])
+        return build(pipe)
+
+    monkeypatch.setattr(harness, "build_detector", scripted)
+
+
+def drawn_counts(cfg, learner, r):
+    """Each step's Poisson counts of a ``learner`` ensemble in run ``r``, as
+    `reference_run` draws them: they never depend on the model."""
+    seed = cfg.base_seed + r
+    stream = StreamGenerator(cfg.schedule, seed)
+    tracker = ClassSizeTracker(cfg.tracker_theta)
+    model = OnlineEnsemble(
+        cfg.schedule.old.n_features, samplers=(learner,), n_members=cfg.members
+    )
+    poisson = np.random.default_rng([seed, 1])
+    ks = []
+    for _ in range(cfg.schedule.total_steps):
+        _, label = stream.next_example()
+        tracker.update(label)
+        [lam] = model.sampling_rates(label, tracker.status(cfg.designation_threshold))
+        ks.append(poisson.poisson(lam, cfg.members))
+    return np.array(ks)
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+@pytest.mark.parametrize(
+    "members, warm_up", [(3, 0), (1, 150)], ids=["members3", "members1-warm_up150"]
+)
+def test_rewinds_at_block_edges_equal_per_pipeline_runs(
+    monkeypatch, block, members, warm_up
+):
+    steps = 320  # 2.5 blocks of 128: the last block ends mid-way
+    pipelines = [
+        PipelineSpec("OB", "OB"),
+        PipelineSpec("UOB+edges", "UOB", "ddm-oci"),
+        PipelineSpec("OOB+idle", "OOB", "ddm-oci"),
+        PipelineSpec("OOB+lfr", "OOB", "lfr"),
+    ]
     cfg = tiny_config(
-        pipelines=[PipelineSpec("UOB+ddm", "UOB", "ddm-oci")],
-        runs=1,
-        steps=harness.BLOCK_STEPS * 2 + 3,
-        members=1,
+        pipelines=pipelines, runs=1, steps=steps, members=members, warm_up=warm_up
+    )
+    # the first and last step of each block, the first and last of the run,
+    # and two steps in a row
+    edges = {1, block, block + 1, 2 * block, 2 * block + 1, 100, 101, steps}
+    # steps at which no member of the OOB slice trains: its rewound rows
+    # take no pass there
+    idle = [t for t, ks in enumerate(drawn_counts(cfg, "OOB", 0), 1) if not ks.any()]
+    assert len(idle) >= 3
+    alarms = {"UOB+edges": edges, "OOB+idle": {idle[0], idle[1], idle[-1]}}
+    script_detectors(monkeypatch, alarms)
+    monkeypatch.setattr(harness, "BLOCK_STEPS", block)
+    records = run_experiment(cfg)
+    for name, want in alarms.items():
+        assert records[name][0].detection_log.alarms == sorted(want)
+    assert_matches_reference(cfg, records)
+
+
+def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatch):
+    # perfbench's host-speed probe fires on every 64th next_example; a block
+    # runs one round per pass of its busiest row, max(1, k) passes a step,
+    # and more only when a reset rewinds rows
+    examples = 0
+    blocks = []  # per block: [the busiest row's passes, rounds run]
+
+    def next_example(self, _next=StreamGenerator.next_example):
+        nonlocal examples
+        examples += 1
+        return _next(self)
+
+    def draw_counts(self, rates, _draw=OnlineEnsemble.draw_counts):
+        ks = _draw(self, rates)
+        blocks.append([int(np.maximum(ks, 1).sum(axis=0).max()), 0])
+        return ks
+
+    def forward_in_place(self, X, _forward=MlpBank.forward_in_place):
+        blocks[-1][1] += 1
+        return _forward(self, X)
+
+    monkeypatch.setattr(StreamGenerator, "next_example", next_example)
+    monkeypatch.setattr(OnlineEnsemble, "draw_counts", draw_counts)
+    monkeypatch.setattr(MlpBank, "forward_in_place", forward_in_place)
+    pipelines = [PipelineSpec("UOB", "UOB"), PipelineSpec("OOB+drift", "OOB", "lfr")]
+    script_detectors(monkeypatch, {"OOB+drift": {40, 300}})
+    cfg = tiny_config(
+        pipelines=pipelines, runs=1, steps=harness.BLOCK_STEPS * 3 + 3, members=2
     )
     harness._run_once(cfg, 0)
-    steps = cfg.schedule.total_steps
-    assert calls["next_example"] == calls["train_one"] == steps
-    assert 0 < calls["train_rounds"] < steps
+    assert examples == cfg.schedule.total_steps
+    assert len(blocks) == 4
+    rewound = {(t - 1) // harness.BLOCK_STEPS for t in (40, 300)}
+    for b, (passes, rounds) in enumerate(blocks):
+        if b in rewound:
+            assert rounds >= passes, b
+        else:
+            assert rounds == passes, b
+    # a rewind that makes a row the busiest lengthens its block
+    assert any(rounds > passes for passes, rounds in blocks)
 
 
 def test_no_pipelines_builds_no_stream(monkeypatch):

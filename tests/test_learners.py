@@ -13,7 +13,12 @@ from scipy import stats
 
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
-from skewstream.learners import MlpBank, OnlineEnsemble, default_hidden_size
+from skewstream.learners import (
+    MlpBank,
+    OnlineEnsemble,
+    RowSchedule,
+    default_hidden_size,
+)
 
 PARAMS = ("W1", "b1", "W2", "b2")
 ONE_STEP = np.array([1])
@@ -523,3 +528,53 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
         for name, ref in zip(("W1", "b1", "W2", "b2"), params):
             assert np.array_equal(getattr(ens._bank, name), ref), (step, name)
     assert all(cases.values()), cases
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rounds", [1, 8])
+def test_row_schedule_equals_frozen_reference(d, rounds):
+    # a block trained row by row, with resets at its first and last step, at
+    # two steps in a row, and at a step where no row of the reset ensemble
+    # trains, predicts and learns as the frozen kernel does step by step
+    members, samplers, seed, lr, n = 4, ("OB", "OOB", "UOB"), 23, 0.1, 30
+    rng = np.random.default_rng(d)
+    xs = rng.uniform(0, 1, (n, d))
+    labels = [POS if u < 0.3 else NEG for u in rng.random(n)]
+    ks = rng.poisson(rng.choice([0.3, 1.0, 4.0], (n, 1)), (n, 3 * members))
+    ks[12, members : 2 * members] = 0
+    ks[13, members : 2 * members] = 0
+    alarms = {(0, 2), (12, 1), (13, 1), (20, 0), (n - 1, 2), (n - 1, 0)}
+    ens = OnlineEnsemble(d, samplers=samplers, n_members=members, seed=seed, lr=lr)
+    block = RowSchedule(ens, xs, labels, ks)
+    seen = [0, 0, 0]  # the steps each ensemble has been checked for alarms at
+    while True:
+        block.run(rounds)
+        for e, ready in enumerate(block.predicted()):
+            while seen[e] < ready:
+                seen[e] += 1
+                if (seen[e] - 1, e) in alarms:
+                    block.rewind(e, seen[e] - 1)
+                    break
+        if block.finished and seen == [n] * 3:
+            break
+    h = ens._bank.hidden
+    params = _ref_init(d, h, [[seed, 0, i] for i in range(members)] * 3)
+    reset_counts = [0, 0, 0]
+    ref_scores = np.empty((n, 3))
+    for t in range(n):
+        _, ref_probs = _ref_forward(*params, xs[t])
+        ref_scores[t] = ref_probs[:, 0].reshape(3, members).mean(axis=1)
+        for e in range(3):
+            if (t, e) in alarms:
+                reset_counts[e] += 1
+                fresh = _ref_init(
+                    d, h, [[seed, reset_counts[e], i] for i in range(members)]
+                )
+                for p, f in zip(params, fresh):
+                    p[e * members : (e + 1) * members] = f
+        if ks[t].any():
+            _ref_train_rounds(params, xs[t], labels[t], ks[t], lr)
+    assert ens.reset_counts == reset_counts
+    assert np.array_equal(block.scores(), ref_scores)
+    for name, ref in zip(PARAMS, params):
+        assert np.array_equal(getattr(ens._bank, name), ref), name
