@@ -299,7 +299,12 @@ class BoundTable:
                   file=sys.stderr)
             return None
         expected = (len(self.p_grid), len(self.n_grid), 4)
-        return table if table.shape == expected else None
+        if table.shape != expected:
+            print(f"skewstream: ignoring misshapen bound-table cache {path}: "
+                  f"found shape {table.shape}, expected {expected}",
+                  file=sys.stderr)
+            return None
+        return table
 
     def _store_cache(self) -> None:
         """Write the table atomically: a unique temp file, then a rename, so

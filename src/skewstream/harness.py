@@ -296,17 +296,24 @@ def _train_block(block, detectors, labels, minorities, events, done: int):
     ``detectors``, given as (pipeline, detector), steps through the steps
     that all of its pipeline's rows have predicted, appending its alarms to
     the pipeline's ``events`` (``done`` is the steps before the block); a
-    drift alarm rewinds the pipeline's rows to its step.
+    drift alarm rewinds the pipeline's rows to its step. With no detector
+    there is nothing to catch up, and the block runs to its end at once.
     """
+    if not detectors:
+        block.run()
+        return block.scores()
     n = block.n_steps
     seen = [0] * len(events)  # the steps each detector has stepped
     while True:
         block.run(CATCH_UP_ROUNDS)
         ready = block.predicted()
-        for e, detector in detectors:
-            if seen[e] >= ready[e]:
-                continue
-            step_scores = block.scores(seen[e], ready[e])[:, e].tolist()
+        behind = [(e, det) for e, det in detectors if seen[e] < ready[e]]
+        if behind:
+            # one read of the scores serves every detector that is behind
+            lo = min(seen[e] for e, _ in behind)
+            caught = block.scores(lo, max(ready[e] for e, _ in behind))
+        for e, detector in behind:
+            step_scores = caught[seen[e] - lo : ready[e] - lo, e].tolist()
             for i, score in enumerate(step_scores, start=seen[e]):
                 verdict = detector.step(
                     labels[i],

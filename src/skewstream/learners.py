@@ -35,17 +35,23 @@ k. `OnlineEnsemble.predict` and `train_one`, and `MlpBank.train_rounds`, are
 the one-step case of the same kernel: row i takes ``ks[i]`` passes and then
 idles with step size 0 until the last row is done.
 
-A bank's kernel allocates nothing per call. Each `MlpBank` makes its work
-buffers once: the one-input rows of `forward` and `train_rounds`, the hidden
-pre-activations and activations (one buffer), the output pre-activations, the
-class-column max and sum, the exponentials, the class probabilities, the
-backpropagated hidden error and its `(1 - a1)` factor, and the two
-outer-product weight gradients; it also keeps the views the kernel reads them
-and the weights through. `forward_in_place` and `backward_in_place` write into
-those buffers, with the same ufunc and matmul calls on the same operand
-shapes as a pass that allocates, so the bits are those of a fresh pass. What
-`forward_in_place` returns is the bank's and is overwritten by its next pass;
-`forward` returns copies, which are the caller's.
+A bank's kernel allocates nothing per call. Each `MlpBank` keeps its weights
+in one flat parameter buffer, W1, b1, W2 and b2 being C-contiguous views of
+consecutive stretches of it, and their gradients in a flat gradient buffer of
+the same layout: the two outer-product weight gradients, the hidden error dz1
+and the output error dz2, which is the buffer of the class probabilities. So
+a gradient step ends in one update, parameters minus gradients, which is
+exact because every gradient is computed from the weights before it. The
+bank also makes its other work buffers once: the one-input rows of `forward`
+and `train_rounds`, the hidden pre-activations and activations (one buffer),
+the output pre-activations, the class-column max and sum, the exponentials,
+the backpropagated hidden error and its `(1 - a1)` factor; and it keeps the
+views the kernel reads them through. `forward_in_place` and
+`backward_in_place` write into those buffers, with the same ufunc and matmul
+calls on the same operand shapes as a pass that allocates, so the bits are
+those of a fresh pass. What `forward_in_place` returns is the bank's and is
+overwritten by its next pass; `forward` returns copies, which are the
+caller's.
 
 A prequential step predicts, then trains on the example it predicted:
 `OnlineEnsemble.predict(x)` keeps the example, and the bank's buffers keep
@@ -78,12 +84,20 @@ def default_hidden_size(n_features: int) -> int:
     return int(math.floor((n_features + N_CLASSES) / 2.0 + 0.5))
 
 
-def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
-    """``1.0 / (1.0 + np.exp(-z))``, step by step in ``z``'s own buffer."""
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    return np.divide(1.0, z, out=z)
+# the kernel's ufuncs, bound once: a round is some 25 calls on small arrays,
+# so it pays for each name it looks up
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_negative, _exp, _maximum, _matmul = np.negative, np.exp, np.maximum, np.matmul
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """C-contiguous views of consecutive stretches of ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 class MlpBank:
@@ -91,12 +105,15 @@ class MlpBank:
 
     Weight shapes: W1 (m, h, d), b1 (m, h), W2 (m, 2, h), b2 (m, 2); member i
     is initialized from its own seeded generator with all entries uniform on
-    [-0.5, 0.5]. The weights are updated in place and stay the arrays made
-    here: the kernel keeps views of them.
+    [-0.5, 0.5]. The four are views of one flat parameter buffer, and their
+    gradients views of one flat gradient buffer laid out alike, so that a
+    gradient step is one subtraction of the two (see the module docstring).
+    The weights are updated in place and stay the views made here: an
+    assignment such as ``bank.W1 = ...`` would take W1 out of training.
 
     The kernel's two halves, `forward_in_place` and `backward_in_place`,
     take one input row per member and write into work buffers that the bank
-    makes once (see the module docstring); `forward` hands back copies.
+    makes once; `forward` hands back copies.
     """
 
     def __init__(self, n_features, member_seeds, lr=0.1):
@@ -105,11 +122,17 @@ class MlpBank:
         self.lr = float(lr)
         self.n_members = m = len(member_seeds)
         h, d = self.hidden, self.n_features
-        self.W1 = np.empty((m, h, d))
-        self.b1 = np.empty((m, h))
-        self.W2 = np.empty((m, N_CLASSES, h))
-        self.b2 = np.empty((m, N_CLASSES))
+        shapes = ((m, h, d), (m, h), (m, N_CLASSES, h), (m, N_CLASSES))
+        size = sum(math.prod(shape) for shape in shapes)
+        self._params = np.empty(size)
+        self.W1, self.b1, self.W2, self.b2 = _views(self._params, shapes)
         self.init_weights(member_seeds)
+        # each weight's gradient at its place; dz1 and dz2 are those of the
+        # biases, and dz2 starts as the class probabilities
+        self._grads = np.empty(size)
+        self._grad_W1, self._dz1, self._grad_W2, self._probs = _views(
+            self._grads, shapes
+        )
         # the view the kernel reads W2 through
         self._W2_t = self.W2.transpose(0, 2, 1)
         # one input in every row, for `forward` and `train_rounds`
@@ -127,18 +150,13 @@ class MlpBank:
         self._e_cols = (self._e[:, 0], self._e[:, 1])
         self._csum = np.empty(m)
         self._csum_col = self._csum[:, None]
-        self._probs = np.empty((m, N_CLASSES))
         self._probs_col = self._probs[:, :, None]
         self._probs_cols = (self._probs[:, 0], self._probs[:, 1])
-        # backward pass: da1 and dz1 over the hidden units, the (1 - a1) term
-        # and the two outer-product gradients
+        # backward pass: da1 over the hidden units and the (1 - a1) term
         da1_col = np.empty((m, h, 1))
         self._da1_col, self._da1 = da1_col, da1_col[:, :, 0]
-        self._dz1 = np.empty((m, h))
         self._dz1_col = self._dz1[:, :, None]
         self._one_minus_a1 = np.empty((m, h))
-        self._grad_W1 = np.empty((m, h, d))
-        self._grad_W2 = np.empty((m, N_CLASSES, h))
 
     def init_weights(self, member_seeds, first: int = 0) -> None:
         """Re-initialize members ``first`` .. ``first + len(member_seeds) - 1``."""
@@ -177,18 +195,22 @@ class MlpBank:
         with one elementwise call each: the values of ``max``/``sum`` over
         axis 1, without the cost of an axis reduction.
         """
-        np.matmul(self.W1, X[:, :, None], out=self._a1_col)
-        a1 = self._a1
-        a1 += self.b1
-        _sigmoid_in_place(a1)
-        np.matmul(self.W2, self._a1_col, out=self._z2_col)
-        z2 = self._z2
-        z2 += self.b2
-        np.maximum(*self._z2_cols, out=self._cmax)
-        z2 -= self._cmax_col
-        np.exp(z2, out=self._e)
-        np.add(*self._e_cols, out=self._csum)
-        np.divide(self._e, self._csum_col, out=self._probs)
+        a1, z2 = self._a1, self._z2
+        _matmul(self.W1, X[:, :, None], self._a1_col)
+        _add(a1, self.b1, a1)
+        # the sigmoid 1.0 / (1.0 + exp(-z1)), step by step in z1's buffer
+        _negative(a1, a1)
+        _exp(a1, a1)
+        _add(a1, 1.0, a1)
+        _divide(1.0, a1, a1)
+        _matmul(self.W2, self._a1_col, self._z2_col)
+        _add(z2, self.b2, z2)
+        # a positional out is deprecated for maximum, and for it alone
+        _maximum(*self._z2_cols, out=self._cmax)
+        _subtract(z2, self._cmax_col, z2)
+        _exp(z2, self._e)
+        _add(*self._e_cols, self._csum)
+        _divide(self._e, self._csum_col, self._probs)
         return a1, self._probs
 
     def backward_in_place(
@@ -198,21 +220,20 @@ class MlpBank:
         which must be `forward_in_place(X)` on the current weights: member i
         moves ``steps[i, 0]`` times down the gradient of its cross-entropy
         on input ``X[i]`` and one-hot target ``T[i]`` (a step of 0 leaves it
-        as it was). Overwrites the probabilities."""
-        a1, dz2 = self._a1, self._probs  # dL/dz2 = probs - onehot(cls)
-        dz2 -= T
-        dz2 *= steps
-        np.matmul(self._W2_t, self._probs_col, out=self._da1_col)
-        np.multiply(self._probs_col, self._a1_row, out=self._grad_W2)
-        self.W2 -= self._grad_W2
-        self.b2 -= dz2
-        dz1 = self._dz1
-        np.multiply(self._da1, a1, out=dz1)
-        np.subtract(1.0, a1, out=self._one_minus_a1)
-        dz1 *= self._one_minus_a1
-        np.multiply(self._dz1_col, X[:, None, :], out=self._grad_W1)
-        self.W1 -= self._grad_W1
-        self.b1 -= dz1
+        as it was). Overwrites the probabilities.
+
+        Every gradient is computed from the weights before the step, so one
+        subtraction of the gradient buffer updates all four weights."""
+        a1, dz1, dz2 = self._a1, self._dz1, self._probs  # dz2 = probs - T
+        _subtract(dz2, T, dz2)
+        _multiply(dz2, steps, dz2)
+        _matmul(self._W2_t, self._probs_col, self._da1_col)
+        _multiply(self._probs_col, self._a1_row, self._grad_W2)
+        _multiply(self._da1, a1, dz1)
+        _subtract(1.0, a1, self._one_minus_a1)
+        _multiply(dz1, self._one_minus_a1, dz1)
+        _multiply(self._dz1_col, X[:, None, :], self._grad_W1)
+        _subtract(self._params, self._grads, self._params)
 
     def train_rounds(
         self,
@@ -402,7 +423,10 @@ class RowSchedule:
 
     Each row's passes are laid out position by position in arrays of
     ``(positions, rows, ...)``, so that a round reads one position of each;
-    `rewind` moves a row's remaining passes to start at the next round.
+    `rewind` moves a row's remaining passes to start at the next round. A
+    round copies its positive-class probabilities into a history by
+    position, and `run` scatters the history into the predictions by step
+    once per call.
     """
 
     # the arrays of (positions, rows, ...): each position's step, the step
@@ -434,14 +458,19 @@ class RowSchedule:
         # by step, and the idle step n: a zero input and target, step size 0
         inputs = np.zeros((n + 1, np.shape(xs)[1]))
         inputs[:n] = xs
+        positive = np.equal(labels, POS)
         targets = np.zeros((n + 1, N_CLASSES))
-        targets[:n] = [_ONE_HOT[label] for label in labels]
+        targets[:n, _CLASS_INDEX[POS]] = positive
+        targets[:n, _CLASS_INDEX[NEG]] = ~positive
         sizes = np.zeros((n + 1, rows))
         sizes[:n] = np.where(ks > 0, model._bank.lr, 0.0)
         self._step, self._record = step, record
-        self._X, self._T = inputs[step], targets[step]
-        self._S = sizes[step, cols][:, :, None]
-        # each row's predictions by step; row n takes the passes that record none
+        self._X, self._T = inputs.take(step, axis=0), targets.take(step, axis=0)
+        self._S = np.take_along_axis(sizes, step, axis=0)[:, :, None]
+        # each position's positive-class probabilities, as `run` takes them,
+        # and each row's predictions by step, which `run` scatters them into;
+        # row n takes the passes that record none
+        self._hist = np.empty((size, rows))
         self._preds = np.empty((n + 1, rows))
         self.round = 0
 
@@ -450,18 +479,24 @@ class RowSchedule:
         """Whether every row has taken all of its passes."""
         return self.round >= self._ends.max()
 
-    def run(self, rounds: int) -> None:
-        """Run up to ``rounds`` more rounds, stopping when every row is done."""
+    def run(self, rounds: int | None = None) -> None:
+        """Run up to ``rounds`` more rounds, or all that are left, stopping
+        when every row is done."""
         bank = self._model._bank
-        X, T, S, record = self._X, self._T, self._S, self._record
-        preds, cols = self._preds, self._cols
+        forward, backward = bank.forward_in_place, bank.backward_in_place
+        X, T, S, hist = self._X, self._T, self._S, self._hist
         positive = bank._probs_cols[_CLASS_INDEX[POS]]
-        stop = min(self.round + rounds, int(self._ends.max()))
-        for j in range(self.round, stop):
-            bank.forward_in_place(X[j])
-            preds[record[j], cols] = positive
-            bank.backward_in_place(X[j], T[j], S[j])
-        self.round = max(self.round, stop)
+        start, end = self.round, int(self._ends.max())
+        stop = end if rounds is None else min(start + rounds, end)
+        for j in range(start, stop):
+            x = X[j]
+            forward(x)
+            np.copyto(hist[j], positive)
+            backward(x, T[j], S[j])
+        if start < stop:
+            # within a call no row records a step twice
+            self._preds[self._record[start:stop], self._cols] = hist[start:stop]
+            self.round = stop
 
     def predicted(self) -> list[int]:
         """For each ensemble, how many of the block's first steps every one of
@@ -505,10 +540,11 @@ class RowSchedule:
         self._ends[rows] = ends
 
     def _grow(self, size: int) -> None:
-        """Lengthen the position arrays to ``size`` with idle positions, one
-        at a time, so that no more than one is held twice."""
+        """Lengthen the position arrays and the history to ``size`` with idle
+        positions, one at a time, so that no more than one is held twice."""
         n = self.n_steps
-        for name, idle in zip(self._POSITIONS, (n, n, 0.0, 0.0, 0.0)):
+        arrays = self._POSITIONS + ("_hist",)
+        for name, idle in zip(arrays, (n, n, 0.0, 0.0, 0.0, 0.0)):
             a = getattr(self, name)
             grown = np.full((size,) + a.shape[1:], idle, dtype=a.dtype)
             grown[: len(a)] = a

@@ -167,6 +167,21 @@ def test_bound_table_rebuilds_on_corrupt_cache(tmp_path, monkeypatch):
     assert np.array_equal(first.table, second.table)
 
 
+def test_bound_table_rebuilds_on_misshapen_cache_and_says_so(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    first = small_table()
+    [cache] = tmp_path.glob("rate_bounds_*.npz")
+    np.savez(cache, table=first.table[:, :-1])
+    capsys.readouterr()
+    second = small_table()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and str(cache) in lines[0]
+    assert str(first.table[:, :-1].shape) in lines[0]
+    assert np.array_equal(second.table, first.table)
+
+
 @pytest.mark.parametrize(
     "params",
     [

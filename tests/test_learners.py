@@ -421,6 +421,44 @@ def test_reset_touches_only_its_own_ensemble():
     assert not np.array_equal(_slice_params(ens._bank, 1, 4), trained[1])
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("members", [1, 4, 15])
+def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
+    # a gradient step is one subtraction of the gradient buffer from the
+    # parameter buffer, so each weight must stay a view of the one at its
+    # place, and each gradient a view of the other at the same place
+    ens = OnlineEnsemble(d, samplers=("OB", "OOB", "UOB"), n_members=members, seed=5)
+    bank = ens._bank
+    for flat, names in (
+        (bank._params, PARAMS),
+        (bank._grads, ("_grad_W1", "_dz1", "_grad_W2", "_probs")),
+    ):
+        offset = 0
+        for name in names:
+            view = getattr(bank, name)
+            assert view.flags.c_contiguous and view.base is flat, name
+            assert view.ctypes.data == flat.ctypes.data + 8 * offset, name
+            offset += view.size
+        assert offset == flat.size
+    # `init_weights`, through `reset`, writes through the views
+    before = bank._params.copy()
+    ens.reset(1)
+    fresh = MlpBank(d, [[5, 1, i] for i in range(members)])
+    rows = slice(members, 2 * members)
+    for name in PARAMS:
+        assert np.array_equal(getattr(bank, name)[rows], getattr(fresh, name)), name
+    assert not np.array_equal(bank._params, before)
+    assert np.array_equal(
+        bank._params, np.concatenate([getattr(bank, n).ravel() for n in PARAMS])
+    )
+    # a pass with every step size 0 leaves the parameter buffer as it was
+    before = bank._params.copy()
+    X = np.random.default_rng(d).uniform(0, 1, (3 * members, d))
+    bank.forward_in_place(X)
+    bank.backward_in_place(X, np.array([1.0, 0.0]), np.zeros((3 * members, 1)))
+    assert np.array_equal(bank._params, before)
+
+
 # ---------------------------------------------------------------------------
 # the step kernel against a frozen reference
 # ---------------------------------------------------------------------------
