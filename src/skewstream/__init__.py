@@ -18,17 +18,10 @@ from .streams import (
 )
 from .presets import PRESETS, preset_schedule
 from .metrics import (
-    ConfusionCounts,
-    DecayedConfusion,
     ScoreWindow,
     TooFewPairsError,
     WilcoxonResult,
-    f_measure,
-    g_mean,
-    per_class_recall,
-    precision,
     prequential_auc,
-    recall,
     wilcoxon_signed_rank,
 )
 from .imbalance import ClassSizeTracker, ImbalanceStatus
@@ -52,7 +45,6 @@ from .harness import (
     Report,
     RunRecord,
     aggregate_and_test,
-    concept_averages,
     dump_config_lock,
     emit_report,
     load_config,
@@ -75,17 +67,10 @@ __all__ = [
     "stationary_schedule",
     "PRESETS",
     "preset_schedule",
-    "ConfusionCounts",
-    "DecayedConfusion",
     "ScoreWindow",
     "TooFewPairsError",
     "WilcoxonResult",
-    "f_measure",
-    "g_mean",
-    "per_class_recall",
-    "precision",
     "prequential_auc",
-    "recall",
     "wilcoxon_signed_rank",
     "ClassSizeTracker",
     "ImbalanceStatus",
@@ -107,7 +92,6 @@ __all__ = [
     "Report",
     "RunRecord",
     "aggregate_and_test",
-    "concept_averages",
     "dump_config_lock",
     "emit_report",
     "load_config",

@@ -81,6 +81,19 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type for an integer >= ``low``, so that a value out of
+    range is reported against the flag that gave it."""
+
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewstream",
@@ -90,14 +103,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="dump a preset stream to CSV")
     p.add_argument("preset", help="preset name, e.g. sine1-py or seag-pyx")
-    p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
+    p.add_argument(
+        "--seed", type=_int_at_least(0), default=0, help="stream seed (default 0)"
+    )
     p.add_argument("--out", required=True, help="destination CSV file")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("run", help="execute an experiment config")
     p.add_argument("config", help="INI config (or a previous config.lock)")
     p.add_argument("--out", help=f"output directory (default: ${OUT_ENV}/<stem>)")
-    p.add_argument("--runs", type=int, help="override the configured run count")
+    p.add_argument(
+        "--runs", type=_int_at_least(1), help="override the configured run count"
+    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -105,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("alarms", help="alarms CSV (run,seed,t,verdict)")
     p.add_argument("--drift-start", type=int, required=True)
-    p.add_argument("--runs", type=int, required=True, help="number of runs scored")
+    p.add_argument(
+        "--runs", type=_int_at_least(1), required=True, help="number of runs scored"
+    )
     p.set_defaults(func=cmd_score_detectors)
 
     p = sub.add_parser(

@@ -565,24 +565,13 @@ def _segmented_series(rec: RunRecord, schedule: DriftSchedule, decay: float):
     return rp, rn, gm
 
 
-def gmean_curve(rec: RunRecord, schedule: DriftSchedule, decay: float) -> np.ndarray:
-    """Per-step decayed G-mean under the reset-at-drift convention."""
-    return _segmented_series(rec, schedule, decay)[2]
-
-
-def concept_averages(
-    rec: RunRecord, schedule: DriftSchedule, decay: float = 0.995
-) -> ConceptAverages:
-    """Window means of the decayed metrics before and after the transition.
+def _window_means(series, rec: RunRecord, schedule: DriftSchedule) -> ConceptAverages:
+    """Window means of the record's decayed (recall_pos, recall_neg, g_mean)
+    series before and after the transition.
 
     Pre window: steps warm_up+1 .. drift_start-1. Post window: drift_end ..
     total_steps. The transition interval between them is never averaged.
     """
-    return _window_means(_segmented_series(rec, schedule, decay), rec, schedule)
-
-
-def _window_means(series, rec: RunRecord, schedule: DriftSchedule) -> ConceptAverages:
-    """`concept_averages` of the record's (recall_pos, recall_neg, g_mean)."""
     warm_up = rec.warm_up
     if schedule.drift_start - 1 < warm_up + 1:
         raise ValueError("empty pre-drift averaging window")

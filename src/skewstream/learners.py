@@ -4,7 +4,8 @@ The base learner is a one-hidden-layer MLP (sigmoid hidden units, softmax
 output, cross-entropy loss), `default_hidden_size` units wide, trained by one
 stochastic-gradient step per presented example. `MlpBank` holds every such
 net, and its `backward_in_place` is the one backpropagation: the tests
-gradient-check the update it makes through `train_rounds`. The ensembles
+gradient-check one round of the kernel as a `RowSchedule` makes it, on rows
+with their own inputs, targets and step sizes. The ensembles
 follow online bagging: every incoming example is shown to each member k times
 with k ~ Poisson(lambda), where
 
@@ -52,12 +53,6 @@ calls on the same operand shapes as a pass that allocates, so the bits are
 those of a fresh pass. What `forward_in_place` returns is the bank's and is
 overwritten by its next pass; `forward` returns copies, which are the
 caller's.
-
-A prequential step predicts, then trains on the example it predicted:
-`OnlineEnsemble.predict(x)` keeps the example, and the bank's buffers keep
-the forward pass on it, which `train_one(label, ks, top)` learns. With no
-reset in between, the first pass of `MlpBank.train_rounds` reads that forward
-pass from the buffers instead of computing it again.
 """
 from __future__ import annotations
 
@@ -235,32 +230,17 @@ class MlpBank:
         _multiply(self._dz1_col, X[:, None, :], self._grad_W1)
         _subtract(self._params, self._grads, self._params)
 
-    def train_rounds(
-        self,
-        x: np.ndarray,
-        label: int,
-        ks: np.ndarray,
-        first: bool = False,
-        max_k: int | None = None,
-    ) -> None:
+    def train_rounds(self, x: np.ndarray, label: int, ks: np.ndarray) -> None:
         """Give member i ``ks[i]`` sequential gradient steps on (x, label):
         ``max(ks)`` passes of the kernel, in which a member whose k is spent
-        takes step size 0.
-
-        ``first`` says that the buffers already hold ``forward_in_place`` on
-        x in every row and the current weights; the first pass then reads
-        them (and overwrites the probabilities) instead of recomputing them.
-        ``max_k``, when given, is ``ks.max()``.
-        """
+        takes step size 0."""
         X = self.rows_of(x)
-        if max_k is None:
-            max_k = int(ks.max()) if len(ks) else 0
+        passes = int(ks.max()) if len(ks) else 0
         # step size per pass and member: lr while the member's k lasts, else 0
-        steps = np.where(ks > np.arange(max_k)[:, None], self.lr, 0.0)[:, :, None]
+        steps = np.where(ks > np.arange(passes)[:, None], self.lr, 0.0)[:, :, None]
         T = _ONE_HOT[label]
-        for j in range(max_k):
-            if j or not first:
-                self.forward_in_place(X)
+        for j in range(passes):
+            self.forward_in_place(X)
             self.backward_in_place(X, T, steps[j])
 
 
@@ -311,11 +291,8 @@ class OnlineEnsemble:
         self._bank = MlpBank(
             n_features, self._member_seeds(0) * len(samplers), lr=lr
         )
-        # the last predicted example, and whether the bank's buffers still
-        # hold the forward pass on it (a reset makes it stale); `train_one`
-        # consumes both
+        # the last predicted example, which `train_one` consumes
         self._x = None
-        self._fresh = False
 
     def _member_seeds(self, reset_count: int):
         return [[self.seed, reset_count, i] for i in range(self.n_members)]
@@ -338,11 +315,10 @@ class OnlineEnsemble:
         positive-class probability of the ensemble's members.
 
         Ties at 0.5 go to the positive class. A copy of the example is kept
-        for `train_one`, and the bank's buffers keep the forward pass on it.
+        for `train_one`.
         """
         self._x = x = np.array(features, dtype=float)
         _, probs = self._bank.forward_in_place(self._bank.rows_of(x))
-        self._fresh = True
         # sum / n: the bits of .mean(axis=1), without its Python wrapper
         scores = (
             probs[:, _CLASS_INDEX[POS]]
@@ -373,12 +349,11 @@ class OnlineEnsemble:
             axis=1,
         )
 
-    def train_one(self, label, ks: np.ndarray, top: int) -> None:
+    def train_one(self, label, ks: np.ndarray) -> None:
         """Bagging update of every ensemble on the example of the last
         `predict`, which this consumes: bank row i takes ``ks[i]`` gradient
-        steps on it. ``ks`` is one step's row of `draw_counts`, and ``top``
-        its maximum."""
-        x, first = self._x, self._fresh
+        steps on it. ``ks`` is one step's row of `draw_counts`."""
+        x = self._x
         if x is None:
             raise RuntimeError("train_one needs a predicted example to learn")
         if len(ks) != self._bank.n_members:
@@ -386,14 +361,11 @@ class OnlineEnsemble:
                 f"expected {self._bank.n_members} counts, got {len(ks)}"
             )
         self._x = None
-        self._fresh = False
-        if top:
-            self._bank.train_rounds(x, label, ks, first=first, max_k=top)
+        self._bank.train_rounds(x, label, ks)
 
     def reset(self, e: int) -> None:
         """Fresh weights for ensemble ``e`` from seeds derived off (seed, its
         reset count); the other ensembles are untouched."""
-        self._fresh = False
         self.reset_counts[e] += 1
         self._bank.init_weights(
             self._member_seeds(self.reset_counts[e]), first=e * self.n_members

@@ -1,9 +1,9 @@
-"""Confusion-matrix statistics for online two-class evaluation.
+"""Statistics for online two-class evaluation.
 
-Provides cumulative and time-decayed (fading-factor) confusion counts, the
-imbalance-aware summary measures computed from them, prequential AUC over a
-sliding window of recent scores, and a paired Wilcoxon signed-rank test used
-when comparing pipelines across repeated runs.
+Provides the time-decayed (fading-factor) confusion cells of a whole
+prediction record and the per-class recalls and G-mean computed from them,
+prequential AUC over a sliding window of recent scores, and a paired Wilcoxon
+signed-rank test used when comparing pipelines across repeated runs.
 
 Degenerate denominators (e.g. recall before any positive example arrived)
 yield 0 rather than NaN, so decayed metric curves are well defined from the
@@ -14,102 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .labels import NEG, POS
-
-
-@dataclass
-class ConfusionCounts:
-    """Two-class confusion cells. Real-valued so decayed variants can fade."""
-
-    tp: float = 0.0
-    fn: float = 0.0
-    fp: float = 0.0
-    tn: float = 0.0
-
-    def update(self, truth: int, predicted: int) -> None:
-        """Add one unit to the cell selected by (truth, predicted)."""
-        if truth == POS:
-            if predicted == POS:
-                self.tp += 1.0
-            elif predicted == NEG:
-                self.fn += 1.0
-            else:
-                raise ValueError(f"unknown predicted label {predicted!r}")
-        elif truth == NEG:
-            if predicted == NEG:
-                self.tn += 1.0
-            elif predicted == POS:
-                self.fp += 1.0
-            else:
-                raise ValueError(f"unknown predicted label {predicted!r}")
-        else:
-            raise ValueError(f"unknown truth label {truth!r}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.tp, self.fn, self.fp, self.tn)
-
-
-@dataclass
-class DecayedConfusion:
-    """Confusion counts with a fading factor.
-
-    Each update multiplies all four cells by ``eta`` and then adds one unit to
-    the matching cell, so old evidence decays geometrically and the derived
-    metrics track the current concept.
-    """
-
-    eta: float = 0.995
-    counts: ConfusionCounts = field(default_factory=ConfusionCounts)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-
-    def update(self, truth: int, predicted: int) -> None:
-        c = self.counts
-        c.tp *= self.eta
-        c.fn *= self.eta
-        c.fp *= self.eta
-        c.tn *= self.eta
-        c.update(truth, predicted)
-
-
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0.0 else 0.0
-
-
-def recall(c: ConfusionCounts) -> float:
-    """TP / (TP + FN); 0 when no positives were seen."""
-    return _ratio(c.tp, c.tp + c.fn)
-
-
-def precision(c: ConfusionCounts) -> float:
-    """TP / (TP + FP); 0 when nothing was predicted positive."""
-    return _ratio(c.tp, c.tp + c.fp)
-
-
-def f_measure(c: ConfusionCounts, beta: float = 1.0) -> float:
-    """Weighted harmonic combination of recall and precision."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    r = recall(c)
-    p = precision(c)
-    return _ratio((1.0 + beta * beta) * r * p, beta * beta * p + r)
-
-
-def per_class_recall(c: ConfusionCounts) -> tuple[float, float]:
-    """(positive-class recall, negative-class recall)."""
-    return _ratio(c.tp, c.tp + c.fn), _ratio(c.tn, c.tn + c.fp)
-
-
-def g_mean(c: ConfusionCounts) -> float:
-    """Geometric mean of the per-class recalls."""
-    rp, rn = per_class_recall(c)
-    return math.sqrt(rp * rn)
 
 
 class ScoreWindow:
@@ -279,8 +188,10 @@ def decayed_confusion_series(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decayed (tp, fn, fp, tn) trajectories over a whole prediction record.
 
-    Bit-identical to stepping a DecayedConfusion through the record; used
-    when recomputing reporting metrics after a run.
+    At step t every cell is first multiplied by ``eta`` and the cell that
+    (truths[t], preds[t]) selects then gains one, from all cells 0 before the
+    first step: each value is the sum of eta^age over the steps that hit the
+    cell, rounded as that stepped update rounds it.
     """
     truths = np.asarray(truths)
     preds = np.asarray(preds)

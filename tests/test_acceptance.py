@@ -28,13 +28,10 @@ from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import LABELS, NEG, POS
 from skewstream.learners import MlpBank
 from skewstream.metrics import (
-    DecayedConfusion,
     ScoreWindow,
-    f_measure,
-    g_mean,
-    precision,
+    decayed_confusion_series,
+    decayed_recall_gmean_series,
     prequential_auc,
-    recall,
     wilcoxon_signed_rank,
 )
 from skewstream.presets import PRESETS
@@ -144,29 +141,25 @@ def test_streaming_metric_oracles_match_brute_force():
         preds = rng.choice(LABELS, n)
         scores = rng.random(n)
 
-        # decayed confusion cells and the four derived measures
-        dc = DecayedConfusion(eta=eta)
-        for t, p in zip(truths, preds):
-            dc.update(int(t), int(p))
-        cells = {"tp": 0.0, "fn": 0.0, "fp": 0.0, "tn": 0.0}
-        for i, (t, p) in enumerate(zip(truths, preds)):
-            key = ("tp" if p == t else "fn") if t == POS else (
-                "tn" if p == t else "fp"
+        # decayed confusion cells, both per-class recalls and the G-mean at
+        # every step: each cell is the sum of eta^age over the steps it hit
+        series = decayed_confusion_series(truths, preds, eta)
+        series += decayed_recall_gmean_series(truths, preds, eta)
+        keys = [
+            ("tp" if p == t else "fn") if t == POS else ("tn" if p == t else "fp")
+            for t, p in zip(truths, preds)
+        ]
+        for s in range(n):
+            cells = {"tp": 0.0, "fn": 0.0, "fp": 0.0, "tn": 0.0}
+            for i in range(s + 1):
+                cells[keys[i]] += eta ** (s - i)
+            rp = brute_ratio(cells["tp"], cells["tp"] + cells["fn"])
+            rn = brute_ratio(cells["tn"], cells["tn"] + cells["fp"])
+            want = (
+                cells["tp"], cells["fn"], cells["fp"], cells["tn"],
+                rp, rn, math.sqrt(rp * rn),
             )
-            cells[key] += eta ** (n - 1 - i)
-        c = dc.counts
-        got = (c.tp, c.fn, c.fp, c.tn, recall(c), precision(c),
-               f_measure(c), g_mean(c))
-        r = brute_ratio(cells["tp"], cells["tp"] + cells["fn"])
-        pr = brute_ratio(cells["tp"], cells["tp"] + cells["fp"])
-        want = (
-            cells["tp"], cells["fn"], cells["fp"], cells["tn"],
-            r,
-            pr,
-            brute_ratio(2.0 * r * pr, pr + r),
-            math.sqrt(r * brute_ratio(cells["tn"], cells["tn"] + cells["fp"])),
-        )
-        worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
+            worst = max(worst, max(abs(g[s] - w) for g, w in zip(series, want)))
 
         # windowed ranking quality against the all-pairs count
         capacity = int(rng.integers(5, 61))
@@ -382,42 +375,60 @@ def test_generator_prior_statistics_and_gradual_cutover():
 
 
 def test_mlp_gradients_match_finite_differences():
-    # One `train_rounds` step at lr 1 moves the weights by minus the gradient
-    # of the cross-entropy, so (weights before - weights after) is the
-    # gradient the ensembles train with; it must match central differences
-    # of -log P(label | x), taken on the weights before the step.
+    # One round of the kernel, as `RowSchedule.run` makes it: a forward pass
+    # and a gradient step on every row of a bank, each row on its own input,
+    # one-hot target and step size. At step size 1 a row's weights move by
+    # minus the gradient of its cross-entropy, so (weights before - weights
+    # after) must match central differences of -log P(label | x), taken on
+    # the weights before the round; a row at step size 0 must not move.
     fails = []
     worst = 0.0
+    unmoved = True
     eps = 1e-5
     names = ("W1", "b1", "W2", "b2")
+    m = 4
     for seed in range(10):
         rng = np.random.default_rng([7, seed])
-        bank = MlpBank(3, [seed], lr=1.0)
-        x = rng.uniform(0.0, 10.0, 3)
-        label = POS if rng.random() < 0.5 else NEG
-        cls = 0 if label == POS else 1
+        bank = MlpBank(3, [[seed, i] for i in range(m)])
+        X = rng.uniform(0.0, 10.0, (m, 3))
+        cls = rng.integers(0, 2, m)  # column 0 is POS, 1 is NEG
+        T = np.eye(2)[cls]
+        still = int(rng.integers(m))
+        steps = np.ones((m, 1))
+        steps[still] = 0.0
         before = [getattr(bank, n).copy() for n in names]
-        bank.train_rounds(x, label, np.array([1]))
-        grad = np.concatenate(
-            [(b - getattr(bank, n)).ravel() for n, b in zip(names, before)]
+        bank.forward_in_place(X)
+        bank.backward_in_place(X, T, steps)
+        grads = [b - getattr(bank, n) for n, b in zip(names, before)]
+        unmoved &= all(
+            np.array_equal(getattr(bank, n)[still], b[still])
+            for n, b in zip(names, before)
         )
         for n, b in zip(names, before):
             getattr(bank, n)[...] = b
-        coords = [(k, i) for k, b in enumerate(before) for i in range(b.size)]
+        coords = [
+            (k, r, i)
+            for k, b in enumerate(before)
+            for r in range(m)
+            if r != still
+            for i in range(b[r].size)
+        ]
         for coord in rng.choice(len(coords), 10, replace=False):
-            k, i = coords[coord]
-            w, v = getattr(bank, names[k]), before[k].flat[i]
+            k, r, i = coords[coord]
+            w, v = getattr(bank, names[k])[r], before[k][r].flat[i]
             w.flat[i] = v + eps
-            up = -math.log(bank.forward(x)[1][0, cls])
+            up = -math.log(bank.forward_in_place(X)[1].copy()[r, cls[r]])
             w.flat[i] = v - eps
-            down = -math.log(bank.forward(x)[1][0, cls])
+            down = -math.log(bank.forward_in_place(X)[1].copy()[r, cls[r]])
             w.flat[i] = v
             fd = (up - down) / (2.0 * eps)
-            rel = abs(grad[coord] - fd) / max(abs(grad[coord]), abs(fd), 1e-8)
+            g = grads[k][r].flat[i]
+            rel = abs(g - fd) / max(abs(g), abs(fd), 1e-8)
             worst = max(worst, rel)
-    check(fails, "c7 gradient-check", worst < 1e-4,
-          f"worst relative error {worst:.2e} of one train_rounds step over "
-          "10 coords x 10 seeds (need < 1e-4)")
+    check(fails, "c7 gradient-check", worst < 1e-4 and unmoved,
+          f"worst relative error {worst:.2e} of one kernel round on {m} rows "
+          "over 10 coords x 10 seeds (need < 1e-4); step-0 rows unmoved: "
+          f"{unmoved} (need True)")
     finish(fails)
 
 

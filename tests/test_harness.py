@@ -4,6 +4,7 @@ Heavier runs use 3 ensemble members and 2 runs to stay fast; the full-size
 reproductions live in test_acceptance.py.
 """
 import configparser
+import math
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import skewstream
+from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
 from skewstream import harness
 from skewstream.cli import main
 from skewstream.detectors import AucDropDetector, Verdict
@@ -27,10 +29,8 @@ from skewstream.harness import (
     RunRecord,
     aggregate_and_test,
     build_detector,
-    concept_averages,
     dump_config_lock,
     emit_report,
-    gmean_curve,
     load_config,
     read_alarm_table,
     read_per_run_table,
@@ -39,8 +39,8 @@ from skewstream.harness import (
 )
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
-from skewstream.learners import MlpBank, OnlineEnsemble
-from skewstream.metrics import DecayedConfusion, g_mean, per_class_recall
+from skewstream.learners import MlpBank, OnlineEnsemble, default_hidden_size
+from skewstream.metrics import decayed_recall_gmean_series
 from skewstream.presets import preset_schedule
 from skewstream.streams import ConceptSpec, DriftSchedule, Skew, StreamGenerator
 
@@ -78,16 +78,34 @@ def random_record(seed, schedule, warm_up=0):
 
 
 def window_mean_oracle(truths, preds, eta):
-    """Step a fresh decayed confusion through one window; average per step."""
-    c = DecayedConfusion(eta)
-    rps, rns, gms = [], [], []
-    for t, p in zip(truths, preds):
-        c.update(int(t), int(p))
-        rp, rn = per_class_recall(c.counts)
-        rps.append(rp)
-        rns.append(rn)
-        gms.append(g_mean(c.counts))
+    """Mean per-step decayed recalls and G-mean over one window, from all
+    cells 0 at its start: each step's cells are summed from scratch as
+    eta^age over the window's steps that hit them."""
+    n = len(truths)
+    age = np.arange(n)[:, None] - np.arange(n)
+    weights = np.where(age >= 0, eta ** np.maximum(age, 0), 0.0)
+    tp, fn, fp, tn = (
+        (weights @ ((truths == t) & (preds == p))).tolist()
+        for t, p in ((POS, POS), (POS, NEG), (NEG, POS), (NEG, NEG))
+    )
+    rps = [a / (a + b) if a + b > 0.0 else 0.0 for a, b in zip(tp, fn)]
+    rns = [a / (a + b) if a + b > 0.0 else 0.0 for a, b in zip(tn, fp)]
+    gms = [math.sqrt(rp * rn) for rp, rn in zip(rps, rns)]
     return np.mean(rps), np.mean(rns), np.mean(gms)
+
+
+def report_of(recs, schedule, decay=0.995):
+    """`aggregate_and_test` of one pipeline's records under ``schedule``."""
+    cfg = ExperimentConfig(
+        schedule, [PipelineSpec("A", "OB")], runs=len(recs), metric_decay=decay
+    )
+    return aggregate_and_test({"A": recs}, cfg)
+
+
+def per_run_of(rec, schedule, decay=0.995):
+    """The record's concept averages, as the report's ``per_run`` holds them."""
+    [got] = report_of([rec], schedule, decay).per_run["A"]
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +222,38 @@ def test_run_experiment_is_deterministic():
         assert ra.events == rb.events
 
 
+def reference_rate(learner, label, status):
+    """The Poisson rate of an example of ``label``: OB samples at rate 1,
+    OOB oversamples and UOB undersamples by the class-size ratio, and all
+    sample at rate 1 while the stream is balanced."""
+    w = status.sizes
+    if status.minority is None or learner == "OB":
+        return 1.0
+    if learner == "OOB":
+        return w[status.majority] / w[label]
+    return w[status.minority] / w[label]
+
+
 def reference_run(cfg, pipe, r):
-    """One pipeline run on its own stream, tracker, ensemble and detector,
-    with its Poisson counts drawn step by step: the scalar engine that
-    `run_experiment` must reproduce exactly."""
+    """One pipeline run on its own stream, tracker and detector, with the
+    frozen kernel for its ensemble and its Poisson counts drawn step by
+    step: the scalar engine that `run_experiment` must reproduce exactly."""
     seed = cfg.base_seed + r
     schedule = cfg.schedule
     stream = StreamGenerator(schedule, seed)
     tracker = ClassSizeTracker(cfg.tracker_theta)
-    model = OnlineEnsemble(
-        schedule.old.n_features,
-        samplers=(pipe.learner,),
-        n_members=cfg.members,
-        seed=seed,
-        lr=cfg.lr,
-    )
+    d, m = schedule.old.n_features, cfg.members
+    h = default_hidden_size(d)
+    resets = 0
+    params = _ref_init(d, h, [[seed, resets, i] for i in range(m)])
     detector = harness.build_detector(pipe)
     # the ensemble's Poisson generator, drawn from step by step
     poisson = np.random.default_rng([seed, 1])
     truths, preds, scores, events = [], [], [], []
     for t in range(1, schedule.total_steps + 1):
         x, label = stream.next_example()
-        [pred], [score] = model.predict(x)
+        score = _ref_forward(*params, x)[1][:, 0].mean()
+        pred = POS if score >= 0.5 else NEG
         if t > cfg.warm_up:
             truths.append(label)
             preds.append(pred)
@@ -234,15 +262,15 @@ def reference_run(cfg, pipe, r):
         status = tracker.status(cfg.designation_threshold)
         if detector is not None:
             verdict = detector.step(
-                label, int(pred), score=float(score), minority=status.minority
+                label, pred, score=float(score), minority=status.minority
             )
             if verdict is not Verdict.NORMAL:
                 events.append((t, verdict.value))
             if verdict is Verdict.DRIFT:
-                model.reset(0)
-        [lam] = model.sampling_rates(label, status)
-        ks = poisson.poisson(lam, cfg.members)
-        model.train_one(label, ks, ks.max())
+                resets += 1
+                params = _ref_init(d, h, [[seed, resets, i] for i in range(m)])
+        lam = reference_rate(pipe.learner, label, status)
+        _ref_train_rounds(params, x, label, poisson.poisson(lam, m), cfg.lr)
     return RunRecord(
         run=r,
         seed=seed,
@@ -348,16 +376,13 @@ def drawn_counts(cfg, learner, r):
     seed = cfg.base_seed + r
     stream = StreamGenerator(cfg.schedule, seed)
     tracker = ClassSizeTracker(cfg.tracker_theta)
-    model = OnlineEnsemble(
-        cfg.schedule.old.n_features, samplers=(learner,), n_members=cfg.members
-    )
     poisson = np.random.default_rng([seed, 1])
     ks = []
     for _ in range(cfg.schedule.total_steps):
         _, label = stream.next_example()
         tracker.update(label)
-        [lam] = model.sampling_rates(label, tracker.status(cfg.designation_threshold))
-        ks.append(poisson.poisson(lam, cfg.members))
+        status = tracker.status(cfg.designation_threshold)
+        ks.append(poisson.poisson(reference_rate(learner, label, status), cfg.members))
     return np.array(ks)
 
 
@@ -706,14 +731,14 @@ def test_detection_log_keeps_only_drift_events():
 
 
 # ---------------------------------------------------------------------------
-# concept_averages and curves
+# concept averages and curves, as aggregate_and_test reports them
 # ---------------------------------------------------------------------------
 
 
 def test_concept_averages_match_window_oracle_abrupt():
     schedule = preset_schedule("sine1-py")  # drift at 1501, duration 0
     rec = random_record(42, schedule)
-    got = concept_averages(rec, schedule, decay=0.995)
+    got = per_run_of(rec, schedule)
     pre = window_mean_oracle(rec.truths[:1500], rec.preds[:1500], 0.995)
     post = window_mean_oracle(rec.truths[1500:], rec.preds[1500:], 0.995)
     assert got.pre_recall_pos == pytest.approx(pre[0], abs=1e-12)
@@ -727,7 +752,7 @@ def test_concept_averages_match_window_oracle_abrupt():
 def test_concept_averages_gradual_post_window_starts_at_drift_end():
     schedule = preset_schedule("sine1g-py")  # transition 1501..2000
     rec = random_record(43, schedule)
-    got = concept_averages(rec, schedule, decay=0.995)
+    got = per_run_of(rec, schedule)
     post = window_mean_oracle(rec.truths[2000:], rec.preds[2000:], 0.995)
     assert got.post_gmean == pytest.approx(post[2], abs=1e-12)
 
@@ -735,7 +760,7 @@ def test_concept_averages_gradual_post_window_starts_at_drift_end():
 def test_concept_averages_respects_warm_up():
     schedule = preset_schedule("sine1-py")
     rec = random_record(44, schedule, warm_up=100)
-    got = concept_averages(rec, schedule, decay=0.995)
+    got = per_run_of(rec, schedule)
     # recorded arrays start at step 101; pre window is steps 101..1500
     pre = window_mean_oracle(rec.truths[:1400], rec.preds[:1400], 0.995)
     assert got.pre_gmean == pytest.approx(pre[2], abs=1e-12)
@@ -745,7 +770,7 @@ def test_concept_averages_empty_pre_window_errors():
     schedule = preset_schedule("sine1-py")
     rec = random_record(45, schedule, warm_up=1600)
     with pytest.raises(ValueError, match="empty pre-drift"):
-        concept_averages(rec, schedule)
+        per_run_of(rec, schedule)
 
 
 def test_concept_averages_rejects_mismatched_record():
@@ -754,20 +779,18 @@ def test_concept_averages_rejects_mismatched_record():
     rec.truths = rec.truths[:-5]
     rec.preds = rec.preds[:-5]
     with pytest.raises(ValueError, match="does not match"):
-        concept_averages(rec, schedule)
+        per_run_of(rec, schedule)
 
 
 def test_gmean_curve_re_zeroes_at_drift_boundaries():
     schedule = preset_schedule("sine1g-py")
     rec = random_record(47, schedule)
-    curve = gmean_curve(rec, schedule, 0.995)
+    curve = report_of([rec], schedule).curves["A"]
     assert len(curve) == schedule.total_steps
     # a freshly zeroed confusion has seen one class only: G-mean is 0
     assert curve[schedule.drift_start - 1] == 0.0
     assert curve[schedule.drift_end - 1] == 0.0
     # segment interiors match a fresh series over the same slice
-    from skewstream.metrics import decayed_recall_gmean_series
-
     seg = decayed_recall_gmean_series(
         rec.truths[2000:], rec.preds[2000:], 0.995
     )[2]
@@ -778,9 +801,7 @@ def test_aggregation_linearity():
     # mean of per-run window means equals the pooled mean over runs x steps
     schedule = preset_schedule("sine1-py")
     recs = [random_record(s, schedule) for s in (1, 2, 3)]
-    avgs = [concept_averages(r, schedule, 0.995) for r in recs]
-    from skewstream.metrics import decayed_recall_gmean_series
-
+    avgs = report_of(recs, schedule).per_run["A"]
     pooled = np.concatenate(
         [
             decayed_recall_gmean_series(r.truths[1500:], r.preds[1500:], 0.995)[2]
@@ -1264,6 +1285,33 @@ def test_cli_score_detectors_output(tmp_path, capsys):
     assert out[0] == "tdr 0.5"
     assert out[1] == "fa 0.25"
     assert out[2] == "dod 74.0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "exp.ini", "--runs", "0"],
+        ["score-detectors", "alarms.csv", "--drift-start", "1501", "--runs", "0"],
+    ],
+    ids=["run", "score-detectors"],
+)
+def test_cli_runs_flag_errors_name_the_flag(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, CLI_CONFIG)
+    (tmp_path / "alarms.csv").write_text("run,seed,t,verdict\n0,3,1600,drift\n")
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "argument --runs: must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_seed_flag_errors_name_the_flag(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as stop:
+        main(["generate", "sine1-py", "--seed", "-1", "--out", str(out)])
+    assert stop.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

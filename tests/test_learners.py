@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
 from skewstream.learners import (
@@ -43,7 +44,7 @@ def _slice_params(bank, e, m):
 def _train(ens, label, status):
     """`train_one` on counts drawn for this step alone: a one-step block."""
     [ks] = ens.draw_counts([ens.sampling_rates(label, status)])
-    ens.train_one(label, ks, ks.max())
+    ens.train_one(label, ks)
 
 
 def _loss(bank, x, label):
@@ -245,13 +246,13 @@ def test_train_one_learns_only_a_predicted_example():
     ens = OnlineEnsemble(2, n_members=3, seed=0)
     ks = np.ones(3, dtype=np.int64)
     with pytest.raises(RuntimeError, match="predicted example"):
-        ens.train_one(POS, ks, 1)
+        ens.train_one(POS, ks)
     ens.predict([0.4, 0.6])
     with pytest.raises(ValueError, match="expected 3 counts, got 1"):
-        ens.train_one(POS, ks[:1], 1)
-    ens.train_one(POS, ks, 1)
+        ens.train_one(POS, ks[:1])
+    ens.train_one(POS, ks)
     with pytest.raises(RuntimeError, match="predicted example"):
-        ens.train_one(POS, ks, 1)  # the first call consumed the example
+        ens.train_one(POS, ks)  # the first call consumed the example
 
 
 def test_single_member_ensemble_equals_that_member():
@@ -460,55 +461,8 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
 
 
 # ---------------------------------------------------------------------------
-# the step kernel against a frozen reference
+# the step kernel against a frozen reference (`frozen_kernel`)
 # ---------------------------------------------------------------------------
-# The reference below is the plain form of the kernel, kept apart from
-# `MlpBank`: a fresh forward pass every round, max and sum over the class
-# axis, the ensemble score as a mean. `MlpBank` reuses predict's forward pass
-# as round 0 of training and works on the two class columns directly; both
-# must give these bits exactly.
-
-
-def _ref_init(d, h, seeds):
-    params = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        params.append(
-            (
-                rng.uniform(-0.5, 0.5, (h, d)),
-                rng.uniform(-0.5, 0.5, h),
-                rng.uniform(-0.5, 0.5, (2, h)),
-                rng.uniform(-0.5, 0.5, 2),
-            )
-        )
-    return [np.stack(p) for p in zip(*params)]
-
-
-def _ref_forward(W1, b1, W2, b2, x):
-    m, h, d = W1.shape
-    z1 = (W1.reshape(m * h, d) @ x).reshape(m, h) + b1
-    a1 = 1.0 / (1.0 + np.exp(-z1))
-    z2 = (W2 @ a1[:, :, None])[:, :, 0] + b2
-    z2 -= z2.max(axis=1, keepdims=True)
-    e = np.exp(z2)
-    return a1, e / e.sum(axis=1, keepdims=True)
-
-
-def _ref_train_rounds(params, x, label, ks, lr):
-    W1, b1, W2, b2 = params
-    cls = 0 if label == POS else 1
-    for j in range(int(ks.max())):
-        active = ks > j
-        a1, probs = _ref_forward(W1, b1, W2, b2, x)
-        dz2 = probs
-        dz2[:, cls] -= 1.0
-        dz2 *= lr * active[:, None]
-        da1 = (W2.transpose(0, 2, 1) @ dz2[:, :, None])[:, :, 0]
-        W2 -= dz2[:, :, None] * a1[:, None, :]
-        b2 -= dz2
-        dz1 = da1 * a1 * (1.0 - a1)
-        W1 -= dz1[:, :, None] * x[None, None, :]
-        b1 -= dz1
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -558,7 +512,7 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
                 for r, lam in zip(ref_rngs, ens.sampling_rates(label, status))
             ]
         )
-        ens.train_one(label, ks, ks.max())
+        ens.train_one(label, ks)
         if ks.any():  # training learns the predicted example
             _ref_train_rounds(params, predicted_x, label, ks, lr)
         else:

@@ -11,19 +11,12 @@ import scipy.stats
 
 from skewstream.labels import NEG, POS
 from skewstream.metrics import (
-    ConfusionCounts,
-    DecayedConfusion,
     ScoreWindow,
     TooFewPairsError,
     _midranks,
     decayed_confusion_series,
     decayed_recall_gmean_series,
-    f_measure,
-    g_mean,
-    per_class_recall,
-    precision,
     prequential_auc,
-    recall,
     wilcoxon_signed_rank,
 )
 
@@ -63,49 +56,39 @@ def brute_auc(pairs):
 
 
 # ---------------------------------------------------------------------------
-# confusion counting
+# decayed confusion cells
 # ---------------------------------------------------------------------------
 
 
+def cells_of(truths, preds, eta):
+    """The last step's (tp, fn, fp, tn) of the decayed series."""
+    return tuple(
+        float(c[-1])
+        for c in decayed_confusion_series(np.array(truths), np.array(preds), eta)
+    )
+
+
 def test_update_hits_exactly_one_cell():
-    c = ConfusionCounts()
-    c.update(POS, POS)
-    assert c.as_tuple() == (1.0, 0.0, 0.0, 0.0)
-    c = ConfusionCounts()
-    c.update(POS, NEG)
-    assert c.as_tuple() == (0.0, 1.0, 0.0, 0.0)
-    c = ConfusionCounts()
-    c.update(NEG, POS)
-    assert c.as_tuple() == (0.0, 0.0, 1.0, 0.0)
-    c = ConfusionCounts()
-    c.update(NEG, NEG)
-    assert c.as_tuple() == (0.0, 0.0, 0.0, 1.0)
-
-
-def test_update_rejects_unknown_labels():
-    c = ConfusionCounts()
-    with pytest.raises(ValueError):
-        c.update(0, POS)
-    with pytest.raises(ValueError):
-        c.update(POS, 2)
+    assert cells_of([POS], [POS], 0.9) == (1.0, 0.0, 0.0, 0.0)
+    assert cells_of([POS], [NEG], 0.9) == (0.0, 1.0, 0.0, 0.0)
+    assert cells_of([NEG], [POS], 0.9) == (0.0, 0.0, 1.0, 0.0)
+    assert cells_of([NEG], [NEG], 0.9) == (0.0, 0.0, 0.0, 1.0)
 
 
 def test_decayed_update_direct_formula():
-    d = DecayedConfusion(eta=0.9, counts=ConfusionCounts(1.0, 1.0, 1.0, 1.0))
-    d.update(NEG, NEG)
-    assert d.counts.as_tuple() == (0.9, 0.9, 0.9, 1.9)
+    # each cell hit once, then a true negative: every cell fades by 0.9
+    # per step, and the true negatives gain one
+    got = cells_of([POS, POS, NEG, NEG, NEG], [POS, NEG, POS, NEG, NEG], 0.9)
+    assert got == pytest.approx((0.9**4, 0.9**3, 0.9**2, 0.9 + 1.0), abs=1e-15)
 
 
 def test_decayed_eta_one_equals_cumulative():
-    rng = random.Random(11)
-    plain = ConfusionCounts()
-    decayed = DecayedConfusion(eta=1.0)
-    for _ in range(1000):
-        truth = rng.choice((POS, NEG))
-        pred = rng.choice((POS, NEG))
-        plain.update(truth, pred)
-        decayed.update(truth, pred)
-    assert plain.as_tuple() == decayed.counts.as_tuple()
+    rng = np.random.default_rng(11)
+    truths = rng.choice([POS, NEG], 1000)
+    preds = rng.choice([POS, NEG], 1000)
+    got = decayed_confusion_series(truths, preds, 1.0)
+    for series, (t, p) in zip(got, ((POS, POS), (POS, NEG), (NEG, POS), (NEG, NEG))):
+        assert np.array_equal(series, np.cumsum((truths == t) & (preds == p)))
 
 
 def test_decayed_counts_match_brute_force():
@@ -116,74 +99,69 @@ def test_decayed_counts_match_brute_force():
             (rng.choice((POS, NEG)), rng.choice((POS, NEG)))
             for _ in range(rng.randrange(1, 120))
         ]
-        d = DecayedConfusion(eta=eta)
-        for truth, pred in updates:
-            d.update(truth, pred)
-        ref = brute_decayed_cells(updates, eta)
-        assert abs(d.counts.tp - ref["tp"]) < 1e-12
-        assert abs(d.counts.fn - ref["fn"]) < 1e-12
-        assert abs(d.counts.fp - ref["fp"]) < 1e-12
-        assert abs(d.counts.tn - ref["tn"]) < 1e-12
+        truths, preds = (np.array(u) for u in zip(*updates))
+        series = decayed_confusion_series(truths, preds, eta)
+        for i in range(len(updates)):
+            ref = brute_decayed_cells(updates[: i + 1], eta)
+            for key, got in zip(("tp", "fn", "fp", "tn"), series):
+                assert abs(got[i] - ref[key]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# derived measures
+# decayed per-class recall and G-mean
 # ---------------------------------------------------------------------------
+
+
+def final_measures(truths, preds):
+    """The last step's (recall_pos, recall_neg, g_mean), cumulative (eta 1)."""
+    return tuple(
+        float(s[-1])
+        for s in decayed_recall_gmean_series(np.array(truths), np.array(preds), 1.0)
+    )
+
+
+def record_of(tp=0, fn=0, fp=0, tn=0):
+    """A (truths, preds) record with the given cumulative cells."""
+    pairs = [(POS, POS)] * tp + [(POS, NEG)] * fn + [(NEG, POS)] * fp
+    pairs += [(NEG, NEG)] * tn
+    return tuple(list(u) for u in zip(*pairs))
 
 
 def test_recall_examples():
-    assert recall(ConfusionCounts(tp=9, fn=1)) == 0.9
-    assert recall(ConfusionCounts()) == 0.0
-    assert recall(ConfusionCounts(tp=3, fn=7)) == pytest.approx(0.3)
-
-
-def test_precision_and_f_measure_examples():
-    assert precision(ConfusionCounts(tp=9, fp=1)) == 0.9
-    c = ConfusionCounts(tp=9, fn=1, fp=1, tn=0)  # recall 0.9, precision 0.9
-    assert f_measure(c, beta=1.0) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        f_measure(c, beta=0.0)
-
-
-def test_f_measure_is_harmonic_mean_at_beta_one():
-    rng = random.Random(3)
-    for _ in range(100):
-        c = ConfusionCounts(
-            tp=rng.randrange(1, 50),
-            fn=rng.randrange(0, 50),
-            fp=rng.randrange(0, 50),
-            tn=rng.randrange(0, 50),
-        )
-        r, p = recall(c), precision(c)
-        if r > 0 and p > 0:
-            assert f_measure(c) == pytest.approx(2 * r * p / (r + p), abs=1e-12)
+    assert final_measures(*record_of(tp=9, fn=1))[0] == 0.9
+    assert final_measures(*record_of(tp=3, fn=7))[0] == pytest.approx(0.3)
+    # no positive yet: recall 0, not NaN
+    assert final_measures(*record_of(tn=4))[0] == 0.0
 
 
 def test_g_mean_example():
-    c = ConfusionCounts(tp=8, fn=2, fp=4, tn=6)
-    assert g_mean(c) == pytest.approx(math.sqrt(0.8 * 0.6), abs=1e-12)
-    assert g_mean(c) == pytest.approx(0.69282, abs=1e-4)
+    gm = final_measures(*record_of(tp=8, fn=2, fp=4, tn=6))[2]
+    assert gm == pytest.approx(math.sqrt(0.8 * 0.6), abs=1e-12)
+    assert gm == pytest.approx(0.69282, abs=1e-4)
 
 
 def test_per_class_recall_examples():
-    assert per_class_recall(ConfusionCounts(tp=1, fn=0, fp=1, tn=0)) == (1.0, 0.0)
-    assert per_class_recall(ConfusionCounts()) == (0.0, 0.0)
-    assert per_class_recall(ConfusionCounts(tp=45, fn=5, fp=10, tn=90)) == (0.9, 0.9)
+    assert final_measures(*record_of(tp=1, fp=1))[:2] == (1.0, 0.0)
+    assert final_measures(*record_of(tp=45, fn=5, fp=10, tn=90))[:2] == (0.9, 0.9)
+    # each step before the first example of a class reads 0 for that class
+    rp, rn, gm = decayed_recall_gmean_series(
+        np.array([POS, POS, NEG]), np.array([POS, NEG, NEG]), 0.9
+    )
+    assert rn[:2].tolist() == [0.0, 0.0] and gm[:2].tolist() == [0.0, 0.0]
+    assert rn[2] == 1.0
 
 
 def test_measures_bounded_and_gmean_dominated():
-    rng = random.Random(5)
+    rng = np.random.default_rng(5)
     for _ in range(300):
-        c = ConfusionCounts(
-            tp=rng.uniform(0, 20),
-            fn=rng.uniform(0, 20),
-            fp=rng.uniform(0, 20),
-            tn=rng.uniform(0, 20),
-        )
-        rp, rn = per_class_recall(c)
-        for value in (recall(c), precision(c), f_measure(c), g_mean(c), rp, rn):
-            assert 0.0 <= value <= 1.0
-        assert g_mean(c) <= max(rp, rn) + 1e-12
+        n = int(rng.integers(1, 60))
+        eta = float(rng.uniform(0.5, 1.0))
+        truths = rng.choice([POS, NEG], n)
+        preds = rng.choice([POS, NEG], n)
+        rp, rn, gm = decayed_recall_gmean_series(truths, preds, eta)
+        for series in (rp, rn, gm):
+            assert ((series >= 0.0) & (series <= 1.0)).all()
+        assert (gm <= np.maximum(rp, rn) + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +384,17 @@ def test_decayed_series_matches_online_loop():
     rng = np.random.default_rng(9)
     truths = rng.choice([POS, NEG], size=400)
     preds = rng.choice([POS, NEG], size=400)
+    updates = list(zip(truths.tolist(), preds.tolist()))
     for eta in (0.9, 0.995):
         rp, rn, gm = decayed_recall_gmean_series(truths, preds, eta)
-        d = DecayedConfusion(eta=eta)
         for i in range(len(truths)):
-            d.update(int(truths[i]), int(preds[i]))
-            rp_i, rn_i = per_class_recall(d.counts)
+            c = brute_decayed_cells(updates[: i + 1], eta)
+            tp_fn, tn_fp = c["tp"] + c["fn"], c["tn"] + c["fp"]
+            rp_i = c["tp"] / tp_fn if tp_fn > 0.0 else 0.0
+            rn_i = c["tn"] / tn_fp if tn_fp > 0.0 else 0.0
             assert rp[i] == pytest.approx(rp_i, abs=1e-9)
             assert rn[i] == pytest.approx(rn_i, abs=1e-9)
-            assert gm[i] == pytest.approx(g_mean(d.counts), abs=1e-9)
+            assert gm[i] == pytest.approx(math.sqrt(rp_i * rn_i), abs=1e-9)
 
 
 def test_decayed_series_bit_identical_to_lfilter():
