@@ -634,15 +634,15 @@ class DetectorScore:
 
 
 def score_detections(
-    logs: list[DetectionLog], drift_start: int, n_runs: int | None = None
+    logs: list[DetectionLog], drift_start: int, n_runs: int
 ) -> DetectorScore:
-    """Score alarm logs against a known drift time.
+    """Score alarm logs of ``n_runs`` runs against a known drift time.
 
     Alarms before drift_start are false; from drift_start on, the first alarm
-    in each run is the true detection and any further ones are false.
+    in each run is the true detection and any further ones are false. A run
+    without alarms may have no log, so the rates are per ``n_runs``, not per
+    log.
     """
-    if n_runs is None:
-        n_runs = len(logs)
     if n_runs < 1:
         raise ValueError("need at least one run")
     if len(logs) > n_runs:

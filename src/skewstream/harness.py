@@ -32,6 +32,7 @@ import configparser
 import inspect
 import math
 import re
+import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -369,27 +370,23 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
         seed=seed,
         lr=cfg.lr,
     )
-    n_recorded = schedule.total_steps - cfg.warm_up
-    truths = np.empty(n_recorded, dtype=np.int8)
-    preds = np.empty((len(pipes), n_recorded), dtype=np.int8)
-    scores = np.empty((len(pipes), n_recorded), dtype=float)
+    total = schedule.total_steps
+    truths = np.empty(total, dtype=np.int8)
+    scores = np.empty((len(pipes), total))
     events: list[list[tuple[int, str]]] = [[] for _ in pipes]
-    for done in range(0, schedule.total_steps, BLOCK_STEPS):
-        n = min(BLOCK_STEPS, schedule.total_steps - done)
+    for done in range(0, total, BLOCK_STEPS):
+        n = min(BLOCK_STEPS, total - done)
         xs, labels, minorities, ks = _plan_block(
             stream, tracker, model, n, cfg.designation_threshold
         )
-        block_scores = _train_block(
+        truths[done : done + n] = labels
+        scores[:, done : done + n] = _train_block(
             RowSchedule(model, xs, labels, ks), detectors, labels, minorities,
             events, done,
-        )
-        # the block's steps past the warm-up, as record columns lo .. hi - 1
-        first = max(0, cfg.warm_up - done)
-        lo, hi = done + first - cfg.warm_up, done + n - cfg.warm_up
-        if lo < hi:
-            truths[lo:hi] = labels[first:]
-            scores[:, lo:hi] = block_scores[first:].T
-            preds[:, lo:hi] = np.where(scores[:, lo:hi] >= 0.5, POS, NEG)
+        ).T
+    # the records keep the steps past the warm-up
+    truths, scores = truths[cfg.warm_up :], scores[:, cfg.warm_up :]
+    preds = np.where(scores >= 0.5, POS, NEG).astype(np.int8)
     return [
         RunRecord(
             run=r,
@@ -507,11 +504,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     do not depend on which process ran a run. The workers are shared by
     every experiment of this process and live as long as it does; they
     start on demand, up to one fewer than the usable CPUs. A run lost with a
-    worker that died is run again here, and the broken pool is shut down
-    before this returns, its dead workers reaped. The workers start with
-    the ``spawn`` method, which imports the calling script's main module, so
-    a script that runs two or more runs must guard its entry point with
-    ``if __name__ == "__main__":``.
+    worker that died is run again here, with one line on stderr that says
+    so, and the broken pool is shut down before this returns, its dead
+    workers reaped. The workers start with the ``spawn`` method, which
+    imports the calling script's main module, so a script that runs two or
+    more runs must guard its entry point with ``if __name__ ==
+    "__main__":``; an unguarded one has each worker die as it starts.
     """
     if not cfg.pipelines:
         return {}
@@ -535,6 +533,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
                 # a worker died and its runs were rerun here: shutting the
                 # pool down joins its manager, which reaps the dead worker
                 # before this returns
+                print("skewstream: a worker process died and its runs were run again "
+                      "in this process; a script that runs two or more runs must "
+                      'guard its entry point with `if __name__ == "__main__":`',
+                      file=sys.stderr)
                 _drop_pool()
     return {
         pipe.name: [records[e] for records in runs]

@@ -29,12 +29,14 @@ generator, its own reset seeds and exactly the outputs it would have alone.
 
 A run trains a planned block of steps with a `RowSchedule`: each bank row
 lays out its own passes back to back, max(1, k) of them at each step (k its
-Poisson count there), the first of which records the row's prediction of the
-step, and each round runs every row's next pass. So a block takes as many
-rounds as its busiest row has passes, not the sum over steps of the largest
-k. `OnlineEnsemble.predict` and `train_one`, and `MlpBank.train_rounds`, are
-the one-step case of the same kernel: row i takes ``ks[i]`` passes and then
-idles with step size 0 until the last row is done.
+Poisson count there), the first of which is the row's prediction of the step,
+and each round runs every row's next pass. So a block takes as many rounds as
+its busiest row has passes, not the sum over steps of the largest k. One
+layout serves a new block and a reset's rewind alike, and a step's scores are
+read from the history of rounds at its first passes. `OnlineEnsemble.predict`
+and `train_one`, and `MlpBank.train_rounds`, are the one-step case of the
+same kernel: row i takes ``ks[i]`` passes and then idles with step size 0
+until the last row is done.
 
 A bank's kernel allocates nothing per call. Each `MlpBank` keeps its weights
 in one flat parameter buffer, W1, b1, W2 and b2 being C-contiguous views of
@@ -43,16 +45,15 @@ the same layout: the two outer-product weight gradients, the hidden error dz1
 and the output error dz2, which is the buffer of the class probabilities. So
 a gradient step ends in one update, parameters minus gradients, which is
 exact because every gradient is computed from the weights before it. The
-bank also makes its other work buffers once: the one-input rows of `forward`
-and `train_rounds`, the hidden pre-activations and activations (one buffer),
-the output pre-activations, the class-column max and sum, the exponentials,
-the backpropagated hidden error and its `(1 - a1)` factor; and it keeps the
-views the kernel reads them through. `forward_in_place` and
-`backward_in_place` write into those buffers, with the same ufunc and matmul
-calls on the same operand shapes as a pass that allocates, so the bits are
-those of a fresh pass. What `forward_in_place` returns is the bank's and is
-overwritten by its next pass; `forward` returns copies, which are the
-caller's.
+bank also makes its other work buffers once: the one-input rows of `rows_of`,
+the hidden pre-activations and activations (one buffer), the output
+pre-activations, the class-column max and sum, the exponentials, the
+backpropagated hidden error and its `(1 - a1)` factor; and it keeps the views
+the kernel reads them through. `forward_in_place` and `backward_in_place`
+write into those buffers, with the same ufunc and matmul calls on the same
+operand shapes as a pass that allocates, so the bits are those of a fresh
+pass. What `forward_in_place` returns is the bank's and is overwritten by its
+next pass.
 """
 from __future__ import annotations
 
@@ -108,7 +109,7 @@ class MlpBank:
 
     The kernel's two halves, `forward_in_place` and `backward_in_place`,
     take one input row per member and write into work buffers that the bank
-    makes once; `forward` hands back copies.
+    makes once.
     """
 
     def __init__(self, n_features, member_seeds, lr=0.1):
@@ -130,7 +131,7 @@ class MlpBank:
         )
         # the view the kernel reads W2 through
         self._W2_t = self.W2.transpose(0, 2, 1)
-        # one input in every row, for `forward` and `train_rounds`
+        # one input in every row (`rows_of`)
         self._X = np.empty((m, d))
         # forward pass: a1 is z1's buffer, probs the softmax of z2
         self._a1 = np.empty((m, h))
@@ -172,12 +173,6 @@ class MlpBank:
             raise ValueError(f"expected {self.n_features} features, got {len(x)}")
         self._X[:] = x
         return self._X
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-member (hidden activations, class probabilities) for one input,
-        as arrays of the caller's own."""
-        a1, probs = self.forward_in_place(self.rows_of(x))
-        return a1.copy(), probs.copy()
 
     def forward_in_place(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-member (hidden activations, class probabilities), member i on
@@ -378,73 +373,51 @@ class RowSchedule:
     Bank row r takes max(1, k) passes at each step of the block, k being its
     count there, one after another: each pass is one forward pass and one
     gradient step on the step's example, of size lr, or 0 when k is 0, and the
-    first pass of a step records the row's positive-class probability, its
-    prediction of the step. Round j of `run` gives every row its next pass in
-    one call of the bank's kernel; a row whose passes are all done takes
-    passes of size 0 on a zero input until the block is. A row's prediction
-    of a step reads the weights its own passes at the steps before left, and
-    rows are independent, so every row predicts and learns exactly as in a
-    step-by-step run, while the block takes as many rounds as its busiest row
-    has passes.
+    first pass of a step is the row's prediction of it. Round j of `run` gives
+    every row its next pass in one call of the bank's kernel and keeps the
+    rows' positive-class probabilities in a history by round; a row whose
+    passes are all done takes passes of size 0 on a zero input until the
+    block is. A row's prediction of a step reads the weights its own passes at
+    the steps before left, and rows are independent, so every row predicts
+    and learns exactly as in a step-by-step run, while the block takes as
+    many rounds as its busiest row has passes.
 
     A reset is the one thing that ties rows to a step: `rewind(e, t)` resets
     ensemble ``e`` after its detector has seen step ``t``, and its rows take
-    their k passes at ``t`` again, without recording a new prediction there,
-    then run on through the block. This is exact: a reset re-seeds the
-    weights only, and the counts never read the weights.
+    their k passes at ``t`` again, without predicting it anew, then run on
+    through the block. This is exact: a reset re-seeds the weights only, and
+    the counts never read the weights.
 
-    Each row's passes are laid out position by position in arrays of
-    ``(positions, rows, ...)``, so that a round reads one position of each;
-    `rewind` moves a row's remaining passes to start at the next round. A
-    round copies its positive-class probabilities into a history by
-    position, and `run` scatters the history into the predictions by step
-    once per call.
+    There is one layout, `_lay_out`: from the current round on, it places
+    some rows' passes position by position in arrays of ``(positions, rows,
+    ...)``, so that a round reads one position of each, and notes the
+    position of each step's first pass. A new block lays out every row from
+    step 0, and a rewind the reset rows from step ``t``. The scores of a step
+    are read from the history at those positions.
     """
-
-    # the arrays of (positions, rows, ...): each position's step, the step
-    # whose prediction it records, and its input, target and step size
-    _POSITIONS = ("_step", "_record", "_X", "_T", "_S")
 
     def __init__(self, model: OnlineEnsemble, xs, labels, ks: np.ndarray):
         self._model = model
         self._ks = ks
         self.n_steps = n = len(ks)
         rows = ks.shape[1]
-        self._cols = cols = np.arange(rows)
-        passes = np.maximum(ks, 1)
-        ends = passes.cumsum(axis=0)
-        # each step's first pass and each row's end, where it goes idle, as
-        # positions; a rewind moves a row's later ones
-        self._starts = ends - passes
-        self._ends = ends[-1].copy()
-        size = int(self._ends.max()) + 1  # an idle position past the last
-        # the step of each position, n once a row is idle, counted up from
-        # marks where a row's next step starts
-        step = np.zeros((size, rows), dtype=np.intp)
-        step[self._starts[1:], cols] = 1
-        step[self._ends, cols] = 1
-        np.cumsum(step, axis=0, out=step)
-        # the step whose prediction a position records, n where it records none
-        record = np.full((size, rows), n, dtype=np.intp)
-        record[self._starts, cols] = np.arange(n)[:, None]
+        self._cols = np.arange(rows)
         # by step, and the idle step n: a zero input and target, step size 0
-        inputs = np.zeros((n + 1, np.shape(xs)[1]))
-        inputs[:n] = xs
+        self._inputs = np.zeros((n + 1, np.shape(xs)[1]))
+        self._inputs[:n] = xs
         positive = np.equal(labels, POS)
-        targets = np.zeros((n + 1, N_CLASSES))
-        targets[:n, _CLASS_INDEX[POS]] = positive
-        targets[:n, _CLASS_INDEX[NEG]] = ~positive
-        sizes = np.zeros((n + 1, rows))
-        sizes[:n] = np.where(ks > 0, model._bank.lr, 0.0)
-        self._step, self._record = step, record
-        self._X, self._T = inputs.take(step, axis=0), targets.take(step, axis=0)
-        self._S = np.take_along_axis(sizes, step, axis=0)[:, :, None]
-        # each position's positive-class probabilities, as `run` takes them,
-        # and each row's predictions by step, which `run` scatters them into;
-        # row n takes the passes that record none
-        self._hist = np.empty((size, rows))
-        self._preds = np.empty((n + 1, rows))
+        self._targets = np.zeros((n + 1, N_CLASSES))
+        self._targets[:n, _CLASS_INDEX[POS]] = positive
+        self._targets[:n, _CLASS_INDEX[NEG]] = ~positive
+        self._sizes = np.zeros((n + 1, rows))
+        self._sizes[:n] = np.where(ks > 0, model._bank.lr, 0.0)
+        # each step's first pass and each row's end, where it goes idle, as
+        # positions; the idle step n's first pass is past every round
+        self._first = np.empty((n + 1, rows), dtype=np.intp)
+        self._first[n] = np.iinfo(np.intp).max
+        self._ends = np.empty(rows, dtype=np.intp)
         self.round = 0
+        self._lay_out(slice(None), 0, relearn=False)
 
     @property
     def finished(self) -> bool:
@@ -465,18 +438,15 @@ class RowSchedule:
             forward(x)
             np.copyto(hist[j], positive)
             backward(x, T[j], S[j])
-        if start < stop:
-            # within a call no row records a step twice
-            self._preds[self._record[start:stop], self._cols] = hist[start:stop]
-            self.round = stop
+        self.round = stop
 
     def predicted(self) -> list[int]:
         """For each ensemble, how many of the block's first steps every one of
         its rows has predicted."""
-        step, record = self._step[self.round], self._record[self.round]
+        step = self._step[self.round]
         # a row about to take a step's first pass has predicted the steps
-        # before it; one about to take any other pass, the step too
-        done = step + (record != step)
+        # before it; one past it, the step too
+        done = step + (self._first[step, self._cols] < self.round)
         return done.reshape(-1, self._model.n_members).min(axis=1).tolist()
 
     def scores(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -484,39 +454,62 @@ class RowSchedule:
         ensembles): the mean of its rows' predictions, with the bits of
         `OnlineEnsemble.predict`."""
         m = self._model.n_members
-        preds = self._preds[lo : self.n_steps if hi is None else hi]
+        first = self._first[lo : self.n_steps if hi is None else hi]
+        preds = self._hist[first, self._cols]
         return preds.reshape(len(preds), -1, m).sum(axis=2) / m
 
     def rewind(self, e: int, t: int) -> None:
         """Reset ensemble ``e``, whose rows have all predicted step ``t``, and
-        move its rows' passes from ``t`` on to start at the next round: the
-        reset rows learn step t's example again, recording no prediction,
+        lay out its rows' passes from ``t`` on to start at the next round: the
+        reset rows learn step t's example again, its prediction standing,
         then predict and learn the rest of the block."""
         self._model.reset(e)
-        m, j = self._model.n_members, self.round
-        rows = slice(e * m, (e + 1) * m)
-        ks = self._ks[t, rows]
-        # each row's first pass after the reset: its first at t, or its first
-        # at t + 1 when it takes none at t
-        firsts = self._starts[t, rows] + (ks == 0)
-        ends = j + self._ends[rows] - firsts
-        if ends.max() >= len(self._step):
-            self._grow(int(ends.max()) + 1)
-        for r, k, first, end in zip(range(e * m, (e + 1) * m), ks, firsts, ends):
-            for name in self._POSITIONS:
-                a = getattr(self, name)
-                a[j:end, r] = a[first : self._ends[r], r]
-            if k:
-                self._record[j, r] = self.n_steps  # t's prediction stands
-        self._starts[t:, rows] += j - firsts
-        self._ends[rows] = ends
+        m = self._model.n_members
+        self._lay_out(slice(e * m, (e + 1) * m), t, relearn=True)
+
+    def _lay_out(self, rows: slice, t: int, relearn: bool) -> None:
+        """Lay out the passes of ``rows`` at steps ``t`` .. n - 1 from the
+        current round on, max(1, k) at each step, and idle positions after
+        them. Rows that ``relearn`` step t, having predicted it, take only
+        its k passes there. A new block's arrays are made here; a rewind
+        writes into them, lengthened first if its rows end past them."""
+        j, n = self.round, self.n_steps
+        passes = np.maximum(self._ks[t:, rows], 1)
+        if relearn:
+            passes[0] = self._ks[t, rows]
+        ends = j + passes.cumsum(axis=0)
+        starts = ends - passes
+        first = t + 1 if relearn else t
+        self._first[first:n, rows] = starts[first - t :]
+        self._ends[rows] = ends[-1]
+        size = int(ends[-1].max()) + 1  # an idle position past the last
+        if relearn:
+            if size > len(self._step):
+                self._grow(size)
+            size = len(self._step)
+        # the step of each position, n once a row is idle, counted up from t
+        # at marks where a row's next step starts
+        cols = np.arange(passes.shape[1])
+        step = np.zeros((size - j, len(cols)), dtype=np.intp)
+        step[starts[1:] - j, cols] = 1
+        step[ends[-1] - j, cols] = 1
+        np.cumsum(step, axis=0, out=step)
+        step += t
+        X, T = self._inputs.take(step, axis=0), self._targets.take(step, axis=0)
+        S = np.take_along_axis(self._sizes[:, rows], step, axis=0)[:, :, None]
+        if relearn:
+            self._step[j:, rows], self._X[j:, rows] = step, X
+            self._T[j:, rows], self._S[j:, rows] = T, S
+        else:
+            self._step, self._X, self._T, self._S = step, X, T, S
+            # each round's positive-class probabilities, as `run` takes them
+            self._hist = np.empty(step.shape)
 
     def _grow(self, size: int) -> None:
         """Lengthen the position arrays and the history to ``size`` with idle
         positions, one at a time, so that no more than one is held twice."""
-        n = self.n_steps
-        arrays = self._POSITIONS + ("_hist",)
-        for name, idle in zip(arrays, (n, n, 0.0, 0.0, 0.0, 0.0)):
+        arrays = ("_step", "_X", "_T", "_S", "_hist")
+        for name, idle in zip(arrays, (self.n_steps, 0.0, 0.0, 0.0, 0.0)):
             a = getattr(self, name)
             grown = np.full((size,) + a.shape[1:], idle, dtype=a.dtype)
             grown[: len(a)] = a

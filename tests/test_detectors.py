@@ -654,7 +654,7 @@ def test_auc_drop_quiet_until_window_min_fill():
 
 def test_score_detections_splits_true_and_false_alarms():
     logs = [DetectionLog(run=0, seed=7, alarms=[100, 1600, 1700])]
-    got = score_detections(logs, drift_start=1501)
+    got = score_detections(logs, drift_start=1501, n_runs=len(logs))
     assert got.tdr == 1.0
     assert got.fa == 2.0
     assert got.dod == 99.0
@@ -662,13 +662,13 @@ def test_score_detections_splits_true_and_false_alarms():
 
 def test_score_detections_alarm_at_drift_start_counts_with_zero_delay():
     logs = [DetectionLog(run=0, seed=0, alarms=[1501])]
-    got = score_detections(logs, drift_start=1501)
+    got = score_detections(logs, drift_start=1501, n_runs=len(logs))
     assert (got.tdr, got.fa, got.dod) == (1.0, 0.0, 0.0)
 
 
 def test_score_detections_no_alarms_gives_none_delay():
     logs = [DetectionLog(run=0, seed=0, alarms=[])]
-    got = score_detections(logs, drift_start=1501)
+    got = score_detections(logs, drift_start=1501, n_runs=len(logs))
     assert got.tdr == 0.0
     assert got.fa == 0.0
     assert got.dod is None
@@ -688,7 +688,7 @@ def test_score_detections_normalizes_by_requested_runs():
 def test_score_detections_is_insensitive_to_alarm_order():
     shuffled = [DetectionLog(run=0, seed=0, alarms=[1700, 100, 1600])]
     ordered = [DetectionLog(run=0, seed=0, alarms=[100, 1600, 1700])]
-    assert score_detections(shuffled, 1501) == score_detections(ordered, 1501)
+    assert score_detections(shuffled, 1501, 1) == score_detections(ordered, 1501, 1)
 
 
 def test_score_detections_validates_run_counts():
@@ -696,4 +696,6 @@ def test_score_detections_validates_run_counts():
     with pytest.raises(ValueError):
         score_detections(logs, drift_start=1501, n_runs=2)
     with pytest.raises(ValueError):
-        score_detections([], drift_start=1501)
+        score_detections([], drift_start=1501, n_runs=0)
+    with pytest.raises(TypeError):  # a run without alarms may have no log
+        score_detections(logs, drift_start=1501)

@@ -17,7 +17,7 @@ import pytest
 
 import skewstream
 from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
-from skewstream import harness
+from skewstream import cpus, harness
 from skewstream.cli import main
 from skewstream.detectors import AucDropDetector, Verdict
 from skewstream.harness import (
@@ -571,7 +571,11 @@ def test_back_to_back_experiments_share_one_pool(monkeypatch, pool_sizes):
     assert_same_records(spread_second, run_serially(monkeypatch, second))
 
 
-def test_a_killed_worker_is_replaced_by_a_new_pool(monkeypatch, pool_sizes):
+# what `run_experiment` prints on stderr when it reran a dead worker's runs
+RERUN_LINE = "skewstream: a worker process died and its runs were run again"
+
+
+def test_a_killed_worker_is_replaced_by_a_new_pool(monkeypatch, capfd, pool_sizes):
     import signal
     import time
 
@@ -589,11 +593,13 @@ def test_a_killed_worker_is_replaced_by_a_new_pool(monkeypatch, pool_sizes):
     spread = run_experiment(cfg)
     assert pool_sizes == [1, 1]
     assert pid not in worker_pids()
+    # the worker died between experiments: no run was lost, so none was rerun
+    assert RERUN_LINE not in capfd.readouterr().err
     assert_same_records(spread, run_serially(monkeypatch, cfg))
 
 
 def test_a_worker_killed_as_the_pool_starts_costs_only_a_rerun(
-    monkeypatch, pool_sizes
+    monkeypatch, capfd, pool_sizes
 ):
     import concurrent.futures
     import signal
@@ -617,11 +623,50 @@ def test_a_worker_killed_as_the_pool_starts_costs_only_a_rerun(
     spread = run_experiment(cfg)
     assert pool_sizes == [1]
     assert len(killed) == 1 and killed[0] not in worker_pids()
+    assert capfd.readouterr().err.count(RERUN_LINE) == 1
     again = run_experiment(cfg)  # on a new pool, whose worker lives
     assert pool_sizes == [1, 1]
+    assert RERUN_LINE not in capfd.readouterr().err
     serial = run_serially(monkeypatch, cfg)
     assert_same_records(spread, serial)
     assert_same_records(again, serial)
+
+
+UNGUARDED_SCRIPT = """\
+from dataclasses import replace
+
+from skewstream.harness import ExperimentConfig, PipelineSpec, run_experiment
+from skewstream.presets import preset_schedule
+
+schedule = replace(preset_schedule("sine1-py"), total_steps=400, drift_start=201)
+cfg = ExperimentConfig(
+    schedule=schedule, pipelines=[PipelineSpec("OB", "OB")], runs=3, members=3
+)
+print("runs", [rec.run for rec in run_experiment(cfg)["OB"]])
+"""
+
+
+@pytest.mark.skipif(
+    cpus.usable_cpus() < 2, reason="a pool needs two usable CPUs to be made"
+)
+def test_an_unguarded_script_gets_its_runs_and_one_line_on_why(tmp_path):
+    # without an `if __name__ == "__main__":` guard, a spawned worker reruns
+    # the script as it starts and dies of it; the caller runs every run itself
+    # and says once why
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    src = str(Path(skewstream.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "runs [0, 1, 2]"
+    assert res.stderr.count(RERUN_LINE) == 1
+    assert f"{RERUN_LINE} in this process; " in res.stderr
+    assert 'guard its entry point with `if __name__ == "__main__":`' in res.stderr
 
 
 class WorkerOnlyRate(float):

@@ -1,7 +1,7 @@
 """Learner tests: MLP gradients and training, Poisson resampling, ensembles.
 
-A single net is a one-row `MlpBank`: ``forward(x)[1][0]`` is its (P(+1),
-P(-1)) and ``train_rounds(x, label, ONE_STEP)`` is one gradient step.
+A single net is a one-row `MlpBank`: ``_forward(bank, x)[1][0]`` is its
+(P(+1), P(-1)) and ``train_rounds(x, label, ONE_STEP)`` is one gradient step.
 """
 from __future__ import annotations
 
@@ -30,9 +30,16 @@ def _weights(bank):
     return [getattr(bank, name).copy() for name in PARAMS]
 
 
+def _forward(bank, x):
+    """Per-row (hidden activations, class probabilities) for one input ``x``,
+    as copies of what `forward_in_place` leaves in the bank's buffers."""
+    a1, probs = bank.forward_in_place(bank.rows_of(x))
+    return a1.copy(), probs.copy()
+
+
 def _positive_prob(bank, x):
     """The one-row bank's P(+1) for ``x``."""
-    return bank.forward(x)[1][0, 0]
+    return _forward(bank, x)[1][0, 0]
 
 
 def _slice_params(bank, e, m):
@@ -49,7 +56,7 @@ def _train(ens, label, status):
 
 def _loss(bank, x, label):
     """Cross-entropy of ``label`` under the one-row bank."""
-    return -math.log(bank.forward(x)[1][0, 0 if label == POS else 1])
+    return -math.log(_forward(bank, x)[1][0, 0 if label == POS else 1])
 
 
 def test_hidden_size_rule():
@@ -63,7 +70,7 @@ def test_predict_is_a_distribution():
     rng = np.random.default_rng(0)
     bank = MlpBank(4, [9])
     for _ in range(50):
-        p_pos, p_neg = bank.forward(rng.uniform(0, 1, 4))[1][0]
+        p_pos, p_neg = _forward(bank, rng.uniform(0, 1, 4))[1][0]
         assert 0.0 <= p_pos <= 1.0 and 0.0 <= p_neg <= 1.0
         assert p_pos + p_neg == pytest.approx(1.0, abs=1e-12)
 
@@ -81,7 +88,7 @@ def test_predict_has_no_side_effects():
     bank = MlpBank(2, [5])
     before = _weights(bank)
     for _ in range(10):
-        bank.forward(np.array([0.5, 0.5]))
+        _forward(bank, np.array([0.5, 0.5]))
     for name, b in zip(PARAMS, before):
         assert np.array_equal(getattr(bank, name), b), name
 
@@ -285,20 +292,24 @@ def test_batched_rounds_equal_sequential_member_training():
             for _ in range(k):
                 solo.train_rounds(x, y, ONE_STEP)
     x = np.array([0.5, 0.25])
-    stacked = bank.forward(x)[1][:, 0]
+    stacked = _forward(bank, x)[1][:, 0]
     for i, solo in enumerate(solos):
         assert stacked[i] == pytest.approx(_positive_prob(solo, x), abs=0.0)
 
 
-def test_forward_results_are_the_callers():
+def test_forward_in_place_results_are_the_banks():
+    # what a pass returns lives in the bank's buffers, which its next pass
+    # overwrites
     bank = MlpBank(3, [[2, 0, i] for i in range(4)])
     x = np.array([0.2, 0.5, 0.9])
-    a1, probs = bank.forward(x)
+    a1, probs = bank.forward_in_place(bank.rows_of(x))
     kept = a1.copy(), probs.copy()
-    bank.forward(np.array([0.7, 0.1, 0.3]))
+    again = bank.forward_in_place(bank.rows_of(np.array([0.7, 0.1, 0.3])))
+    assert again[0] is a1 and again[1] is probs
+    assert not np.array_equal(a1, kept[0]) and not np.array_equal(probs, kept[1])
+    assert np.array_equal(_forward(bank, x)[1], kept[1])
     bank.train_rounds(x, NEG, np.array([2, 0, 1, 3]))
-    assert np.array_equal(a1, kept[0]) and np.array_equal(probs, kept[1])
-    assert not np.array_equal(bank.forward(x)[1], probs)  # the bank did learn
+    assert not np.array_equal(_forward(bank, x)[1], kept[1])  # the bank did learn
 
 
 def test_interleaved_ensembles_step_as_if_alone():
@@ -388,8 +399,8 @@ def test_stacked_bank_rounds_like_separate_banks(d):
         y = POS if rng.random() < 0.3 else NEG
         ks = rng.poisson(rng.choice([0.2, 1.0, 9.0], 3).repeat(15))
         assert np.array_equal(
-            stacked.forward(x)[1][:, 0],
-            np.concatenate([b.forward(x)[1][:, 0] for b in banks]),
+            _forward(stacked, x)[1][:, 0],
+            np.concatenate([_forward(b, x)[1][:, 0] for b in banks]),
         )
         stacked.train_rounds(x, y, ks)
         for b, part in zip(banks, np.split(ks, 3)):
@@ -545,10 +556,17 @@ def test_row_schedule_equals_frozen_reference(d, rounds):
             while seen[e] < ready:
                 seen[e] += 1
                 if (seen[e] - 1, e) in alarms:
-                    block.rewind(e, seen[e] - 1)
+                    t = seen[e] - 1
+                    before = block.scores(0, t + 1)
+                    block.rewind(e, t)
+                    # the steps the detectors have seen keep their scores
+                    assert np.array_equal(block.scores(0, t + 1), before)
                     break
         if block.finished and seen == [n] * 3:
             break
+    # the rewinds took rows past the busiest row's planned passes, which
+    # lengthens the block's position arrays
+    assert block.round > np.maximum(ks, 1).sum(axis=0).max()
     h = ens._bank.hidden
     params = _ref_init(d, h, [[seed, 0, i] for i in range(members)] * 3)
     reset_counts = [0, 0, 0]
