@@ -1,6 +1,9 @@
 """Active drift detectors and scoring of their alarms.
 
-Three detectors share one verdict interface (`step(...) -> Verdict`):
+Three detectors share one verdict interface: `catch_up` steps through a
+stretch of prequential observations (true labels, predicted labels, scores
+and the tracker's minorities) in one call, stopping after the first Drift,
+and `step(...) -> Verdict` is its one-observation case:
 
 * RecallDropDetector — tracks the time-decayed recall of the current minority
   class and fires when it falls 2 (warning) or 3 (drift) dispersion units
@@ -29,6 +32,7 @@ import sys
 import tempfile
 import threading
 import zipfile
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +52,19 @@ class Verdict(Enum):
 
 
 class DriftDetector:
-    """Interface: feed one prequential observation, get a verdict back."""
+    """Interface: feed prequential observations, get verdicts back.
+
+    A minority of None or 0 means that the tracker designates none.
+    """
+
+    def catch_up(
+        self, truths, preds, scores, minorities
+    ) -> list[tuple[int, Verdict]]:
+        """Step through the observations ``(truths[i], preds[i], scores[i],
+        minorities[i])`` in order, up to and including the first that gives
+        Drift; returns the non-Normal verdicts with their indices. A stretch
+        is exactly that many `step` calls."""
+        raise NotImplementedError
 
     def step(
         self,
@@ -57,7 +73,9 @@ class DriftDetector:
         score: float | None = None,
         minority: int | None = None,
     ) -> Verdict:
-        raise NotImplementedError
+        """The verdict on one observation: `catch_up` on a stretch of one."""
+        verdicts = self.catch_up((truth,), (predicted,), (score,), (minority,))
+        return verdicts[0][1] if verdicts else Verdict.NORMAL
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -137,35 +155,44 @@ class RecallDropDetector(DriftDetector):
         self._den = 0.0
         self._streak = 0
 
-    def _dispersion(self, r: float) -> float:
-        var = max(r * (1.0 - r), self._var_floor)
-        return math.sqrt(var / min(self.n, self.n_eff))
-
-    def step(self, truth, predicted, score=None, minority=None) -> Verdict:
-        if minority is None:
-            minority = POS
-        if truth != minority:
-            return Verdict.NORMAL
-        self.n += 1
-        gain = 1.0 - self.decay
-        self._num = self.decay * self._num + gain * float(predicted == truth)
-        self._den = self.decay * self._den + gain
-        self.recall = self._num / self._den
-        if self.n < self.min_updates:
-            return Verdict.NORMAL
-        if self.recall >= self.best:
-            self.best = self.recall
-            self.best_s = self._dispersion(self.recall)
-        if self.recall < self.best - self.drift_scale * self.best_s:
-            self._streak += 1
-            if self._streak >= self.confirm:
-                self.reset()
-                return Verdict.DRIFT
-            return Verdict.WARNING
-        self._streak = 0
-        if self.recall < self.best - self.warn_scale * self.best_s:
-            return Verdict.WARNING
-        return Verdict.NORMAL
+    def catch_up(self, truths, preds, scores, minorities):
+        verdicts = []
+        decay = self.decay
+        gain = 1.0 - decay
+        min_updates, confirm = self.min_updates, self.confirm
+        drift_scale, warn_scale = self.drift_scale, self.warn_scale
+        n, num, den, recall = self.n, self._num, self._den, self.recall
+        best, best_s, streak = self.best, self.best_s, self._streak
+        for i, (truth, predicted, minority) in enumerate(
+            zip(truths, preds, minorities)
+        ):
+            # only the minority's examples update; POS while none is designated
+            if truth != (minority or POS):
+                continue
+            n += 1
+            num = decay * num + gain * float(predicted == truth)
+            den = decay * den + gain
+            recall = num / den
+            if n < min_updates:
+                continue
+            if recall >= best:
+                best = recall
+                var = max(recall * (1.0 - recall), self._var_floor)
+                best_s = math.sqrt(var / min(n, self.n_eff))
+            if recall < best - drift_scale * best_s:
+                streak += 1
+                if streak >= confirm:
+                    self.reset()
+                    verdicts.append((i, Verdict.DRIFT))
+                    return verdicts
+                verdicts.append((i, Verdict.WARNING))
+                continue
+            streak = 0
+            if recall < best - warn_scale * best_s:
+                verdicts.append((i, Verdict.WARNING))
+        self.n, self._num, self._den, self.recall = n, num, den, recall
+        self.best, self.best_s, self._streak = best, best_s, streak
+        return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +278,10 @@ class BoundTable:
 
     def _index(self) -> None:
         self._p_list = self.p_grid.tolist()
-        self._rows = self._n_rows()
+        # `_n_rows` in C order as a flat array of doubles: a query's two
+        # neighbouring p rows at one n are eight consecutive entries, and an
+        # array slice unpacks into Python floats without numpy's call costs
+        self._rows = array("d", self._n_rows().tobytes())
 
     # pickled without the query index, 28 times the table's size: a table
     # handed to a worker process travels as ~36 KB and is indexed there
@@ -401,9 +431,8 @@ class BoundTable:
         p0 = grid[pi - 1]
         fp = (p - p0) / (grid[pi] - p0)
         q = 1 - fp
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = (
-            self._rows[n - 1, pi - 1 : pi + 1].tolist()
-        )
+        at = ((n - 1) * len(grid) + pi - 1) * 4
+        a0, a1, a2, a3, b0, b1, b2, b3 = self._rows[at : at + 8]
         return (q * a0 + fp * b0, q * a1 + fp * b1, q * a2 + fp * b2, q * a3 + fp * b3)
 
 
@@ -485,52 +514,49 @@ class FourRatesDetector(DriftDetector):
         self.successes = [0, 0, 0, 0]
         self.counts = [0, 0, 0, 0]
 
-    def _update_rate(self, idx: int, indicator: bool) -> None:
-        self.rates[idx] = self.decay * self.rates[idx] + (1.0 - self.decay) * float(
-            indicator
-        )
-        self.successes[idx] += int(indicator)
-        self.counts[idx] += 1
-
-    def _check_rate(self, idx: int) -> Verdict:
-        n = self.counts[idx]
-        if n < self.min_updates:
-            return Verdict.NORMAL
-        if self.successes[idx] in (0, n):
-            return Verdict.NORMAL
-        self.checks += 1
-        p_hat = (self.successes[idx] + 0.5) / (n + 1.0)
-        lo_d, lo_w, hi_w, hi_d = self.table.bounds(p_hat, n)
-        d = self.rates[idx] - p_hat
-        if d < lo_d or d > hi_d:
-            return Verdict.DRIFT
-        if d < lo_w or d > hi_w:
-            return Verdict.WARNING
-        return Verdict.NORMAL
-
-    def step(self, truth, predicted, score=None, minority=None) -> Verdict:
-        if truth == POS:
-            self._update_rate(_TPR, predicted == POS)
-            touched = [_TPR]
-        else:
-            self._update_rate(_TNR, predicted == NEG)
-            touched = [_TNR]
-        if predicted == POS:
-            self._update_rate(_PPV, truth == POS)
-            touched.append(_PPV)
-        else:
-            self._update_rate(_NPV, truth == NEG)
-            touched.append(_NPV)
-        verdict = Verdict.NORMAL
-        for idx in touched:
-            v = self._check_rate(idx)
-            if v is Verdict.DRIFT:
-                if self.auto_rearm:
-                    self.reset()
-                return Verdict.DRIFT
-            if v is Verdict.WARNING:
-                verdict = Verdict.WARNING
-        return verdict
+    def catch_up(self, truths, preds, scores, minorities):
+        verdicts = []
+        decay = self.decay
+        gain = 1.0 - decay
+        min_updates, bounds = self.min_updates, self.table.bounds
+        rates, successes, counts = self.rates, self.successes, self.counts
+        checks = self.checks
+        for i, (truth, predicted) in enumerate(zip(truths, preds)):
+            # one row rate, picked by the true class, and one column rate,
+            # picked by the predicted class, update; then each is tested
+            if truth == POS:
+                row, row_hit = _TPR, predicted == POS
+            else:
+                row, row_hit = _TNR, predicted == NEG
+            if predicted == POS:
+                col, col_hit = _PPV, truth == POS
+            else:
+                col, col_hit = _NPV, truth == NEG
+            for idx, hit in ((row, row_hit), (col, col_hit)):
+                rates[idx] = decay * rates[idx] + gain * float(hit)
+                successes[idx] += int(hit)
+                counts[idx] += 1
+            verdict = Verdict.NORMAL
+            for idx in (row, col):
+                n, hits = counts[idx], successes[idx]
+                if n < min_updates or hits == 0 or hits == n:
+                    continue
+                checks += 1
+                p_hat = (hits + 0.5) / (n + 1.0)
+                lo_d, lo_w, hi_w, hi_d = bounds(p_hat, n)
+                d = rates[idx] - p_hat
+                if d < lo_d or d > hi_d:
+                    self.checks = checks
+                    if self.auto_rearm:
+                        self.reset()
+                    verdicts.append((i, Verdict.DRIFT))
+                    return verdicts
+                if d < lo_w or d > hi_w:
+                    verdict = Verdict.WARNING
+            if verdict is Verdict.WARNING:
+                verdicts.append((i, verdict))
+        self.checks = checks
+        return verdicts
 
 
 class AucDropDetector(DriftDetector):
@@ -587,25 +613,34 @@ class AucDropDetector(DriftDetector):
         self.auc_mean = 0.0
         self.auc_count = 0
 
-    def step(self, truth, predicted=None, score=None, minority=None) -> Verdict:
-        if score is None:
-            raise ValueError("AucDropDetector needs the classifier score")
-        self.window.push(score, truth)
-        if len(self.window) < self.min_fill:
-            return Verdict.NORMAL
-        auc = prequential_auc(self.window)
-        self.auc_count += 1
-        self.auc_mean += (auc - self.auc_mean) / self.auc_count
-        self.m += self.auc_mean - auc - self.delta
-        if self.m < self.m_min:
-            self.m_min = self.m
-        gap = self.m - self.m_min
-        if gap > self.threshold:
-            self.reset()
-            return Verdict.DRIFT
-        if gap > self.threshold / 2.0:
-            return Verdict.WARNING
-        return Verdict.NORMAL
+    def catch_up(self, truths, preds, scores, minorities):
+        verdicts = []
+        window, min_fill, delta = self.window, self.min_fill, self.delta
+        threshold, warn = self.threshold, self.threshold / 2.0
+        m, m_min = self.m, self.m_min
+        auc_mean, auc_count = self.auc_mean, self.auc_count
+        for i, (truth, score) in enumerate(zip(truths, scores)):
+            if score is None:
+                raise ValueError("AucDropDetector needs the classifier score")
+            window.push(score, truth)
+            if len(window) < min_fill:
+                continue
+            auc = prequential_auc(window)
+            auc_count += 1
+            auc_mean += (auc - auc_mean) / auc_count
+            m += auc_mean - auc - delta
+            if m < m_min:
+                m_min = m
+            gap = m - m_min
+            if gap > threshold:
+                self.reset()
+                verdicts.append((i, Verdict.DRIFT))
+                return verdicts
+            if gap > warn:
+                verdicts.append((i, Verdict.WARNING))
+        self.m, self.m_min = m, m_min
+        self.auc_mean, self.auc_count = auc_mean, auc_count
+        return verdicts
 
 
 # ---------------------------------------------------------------------------

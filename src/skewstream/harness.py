@@ -259,34 +259,36 @@ METRICS = tuple(f.name for f in fields(ConceptAverages))
 # Steps a run plans at a time (see `_run_once`).
 BLOCK_STEPS = 128
 # Rounds a block trains between two catch-ups of its detectors (see
-# `_train_block`). A catch-up costs Python per detector, while a late one lets
-# a reset pipeline's rows run ahead on weights the reset throws away. On
-# detect-sweep's two runs (in-process, 12 interleaved repetitions scaled by a
-# reference kernel on a 2-vCPU VM), against every 8 rounds: every round took
-# 1.28x the time, every 4 1.09x, every 16 1.03x and only at a block's end
-# 1.05x (2.14 rounds per step instead of 1.90).
-CATCH_UP_ROUNDS = 8
+# `_train_block`). A catch-up costs a read of the scores and one call per
+# detector that is behind, while a late one lets a reset pipeline's rows run
+# ahead on weights the reset throws away. Against every 8 rounds (process
+# CPU time, median ratio of shuffled in-process repetitions on a 2-vCPU VM):
+# on detect-sweep's two runs (30 repetitions) every 4 rounds took 1.087x and
+# every 16 0.959x, for 11,354, 11,384 and 11,440 rounds; on a 6-pipeline
+# `sine1-pxy` run of the acceptance fixture's shape (24 repetitions, seeds
+# 1000-1003) every 4 took 1.075x and every 16 0.972x.
+CATCH_UP_ROUNDS = 16
 
 
 def _plan_block(stream, tracker, model, n: int, threshold: float):
     """The next ``n`` steps' inputs, labels, minorities and Poisson counts.
 
-    Takes each example from ``stream`` and feeds its label to ``tracker``,
-    reading the status after it, as a step does; then every ensemble draws
-    the block's counts with one call (`OnlineEnsemble.draw_counts`). Returns
-    ``(xs, labels, minorities, ks)``: row i of ``xs`` is step i's input and
-    row i of ``ks`` its counts.
+    Takes each example from ``stream``, then steps ``tracker`` through the
+    block's labels in one call (`ClassSizeTracker.track`) and reads every
+    step's minority and rates from the sizes after its label as array code
+    (`OnlineEnsemble.sampling_rates`), as a step does; then every ensemble
+    draws the block's counts with one call (`OnlineEnsemble.draw_counts`).
+    Returns ``(xs, labels, minorities, ks)``: row i of ``xs`` is step i's
+    input and row i of ``ks`` its counts; a minority is 0 where none is
+    designated.
     """
     examples = [stream.next_example() for _ in range(n)]
-    labels, minorities, rates = [], [], []
-    for _, label in examples:
-        tracker.update(label)
-        status = tracker.status(threshold)
-        labels.append(label)
-        minorities.append(status.minority)
-        rates.append(model.sampling_rates(label, status))
+    labels = [label for _, label in examples]
+    minorities, rates = model.sampling_rates(
+        labels, *tracker.track(labels), threshold
+    )
     xs = np.array([x for x, _ in examples])
-    return xs, labels, minorities, model.draw_counts(rates)
+    return xs, labels, minorities.tolist(), model.draw_counts(rates)
 
 
 def _train_block(block, detectors, labels, minorities, events, done: int):
@@ -294,11 +296,12 @@ def _train_block(block, detectors, labels, minorities, events, done: int):
     scores as (steps, pipelines).
 
     Every ``CATCH_UP_ROUNDS`` rounds of ``block`` (a `RowSchedule`), each of
-    ``detectors``, given as (pipeline, detector), steps through the steps
-    that all of its pipeline's rows have predicted, appending its alarms to
-    the pipeline's ``events`` (``done`` is the steps before the block); a
-    drift alarm rewinds the pipeline's rows to its step. With no detector
-    there is nothing to catch up, and the block runs to its end at once.
+    ``detectors``, given as (pipeline, detector), catches up in one call
+    (`DriftDetector.catch_up`) on the steps that all of its pipeline's rows
+    have predicted, appending its alarms to the pipeline's ``events``
+    (``done`` is the steps before the block); a drift alarm rewinds the
+    pipeline's rows to its step. With no detector there is nothing to catch
+    up, and the block runs to its end at once.
     """
     if not detectors:
         block.run()
@@ -313,21 +316,22 @@ def _train_block(block, detectors, labels, minorities, events, done: int):
             # one read of the scores serves every detector that is behind
             lo = min(seen[e] for e, _ in behind)
             caught = block.scores(lo, max(ready[e] for e, _ in behind))
+            preds = np.where(caught >= 0.5, POS, NEG)
         for e, detector in behind:
-            step_scores = caught[seen[e] - lo : ready[e] - lo, e].tolist()
-            for i, score in enumerate(step_scores, start=seen[e]):
-                verdict = detector.step(
-                    labels[i],
-                    POS if score >= 0.5 else NEG,
-                    score=score,
-                    minority=minorities[i],
-                )
-                seen[e] = i + 1
-                if verdict is not Verdict.NORMAL:
-                    events[e].append((done + i + 1, verdict.value))
-                if verdict is Verdict.DRIFT:
-                    block.rewind(e, i)
-                    break
+            start, stop = seen[e], ready[e]
+            stretch = slice(start - lo, stop - lo)
+            verdicts = detector.catch_up(
+                labels[start:stop],
+                preds[stretch, e].tolist(),
+                caught[stretch, e].tolist(),
+                minorities[start:stop],
+            )
+            for i, verdict in verdicts:
+                events[e].append((done + start + i + 1, verdict.value))
+            if verdicts and verdicts[-1][1] is Verdict.DRIFT:
+                stop = start + verdicts[-1][0] + 1
+                block.rewind(e, stop - 1)
+            seen[e] = stop
         if block.finished and all(seen[e] == n for e, _ in detectors):
             return block.scores()
 
@@ -407,6 +411,11 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
 # shutting down the pool under one another.
 _pool = None
 _pool_lock = threading.Lock()
+# Set once a worker has exited by itself before any run came back from one, as
+# every worker of a script without an `if __name__ == "__main__":` guard does
+# (it dies of rerunning the script as it starts): later experiments of this
+# process then run serially instead of paying a worker for nothing each time.
+_workers_cannot_start = False
 
 
 def _worker_pool(cpus: int):
@@ -454,6 +463,18 @@ def _run_in_worker(tables: list, cfg: ExperimentConfig, r: int) -> list[RunRecor
     """`_run_once` in a worker, on the bound tables the caller has built."""
     adopt_bound_tables(tables)
     return _run_once(cfg, r)
+
+
+def _exited_unstarted(pool, pending: dict) -> bool:
+    """Whether a worker of the broken ``pool`` exited by itself (a positive
+    exit code; one killed by a signal has a negative one) while none of the
+    runs in ``pending`` came back from a worker."""
+    came_back = any(
+        f.done() and not f.cancelled() and f.exception() is None
+        for f in pending.values()
+    )
+    exits = [p.exitcode or 0 for p in pool._processes.values()]
+    return not came_back and max(exits, default=0) > 0
 
 
 def _lost(future) -> bool:
@@ -509,22 +530,26 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     workers reaped. The workers start with the ``spawn`` method, which
     imports the calling script's main module, so a script that runs two or
     more runs must guard its entry point with ``if __name__ ==
-    "__main__":``; an unguarded one has each worker die as it starts.
+    "__main__":``; an unguarded one has each worker die as it starts. Once a
+    worker has exited by itself before any run came back, this process runs
+    the runs of its later experiments itself.
     """
+    global _workers_cannot_start
     if not cfg.pipelines:
         return {}
     # here, before any run is handed out: a rejected detector parameter
     # raises in this process, and each bound table is built (or loaded) once
     detectors = [build_detector(pipe) for pipe in cfg.pipelines]
     cpus = usable_cpus()
-    if min(cfg.runs, cpus) < 2:
+    if min(cfg.runs, cpus) < 2 or _workers_cannot_start:
         runs = _collect_runs(cfg, {})
     else:
         tables = [d.table for d in detectors if isinstance(d, FourRatesDetector)]
         with _pool_lock:
             pool = _worker_pool(cpus)
             try:
-                runs = _collect_runs(cfg, _hand_out(pool, tables, cfg))
+                pending = _hand_out(pool, tables, cfg)
+                runs = _collect_runs(cfg, pending)
             except BaseException:
                 # no queued run of a failed experiment is left for the next one
                 _drop_pool()
@@ -533,6 +558,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
                 # a worker died and its runs were rerun here: shutting the
                 # pool down joins its manager, which reaps the dead worker
                 # before this returns
+                _workers_cannot_start = _exited_unstarted(pool, pending)
                 print("skewstream: a worker process died and its runs were run again "
                       "in this process; a script that runs two or more runs must "
                       'guard its entry point with `if __name__ == "__main__":`',

@@ -2,16 +2,20 @@
 
 A ClassSizeTracker maintains time-decayed per-class size estimates
 w_k <- theta * w_k + (1 - theta) * [label = k], which sum to 1 and converge to
-the current class priors. `ClassSizeTracker.status` designates the minority
-and majority from them and hands over the sizes with the designation: the one
-snapshot that sets the ensembles' resampling rates and the detectors' minority.
+the current class priors. `ClassSizeTracker.track` steps them through a
+stretch of labels in one Python-float loop and hands back the sizes after each
+label as arrays; `designate` then names each step's minority from them, as
+array code. A planned block of steps reads its minorities and its ensembles'
+resampling rates from those arrays (`OnlineEnsemble.sampling_rates`), and
+`update` and `status` are the one-step case of the same two.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .labels import LABELS, NEG, POS
+import numpy as np
+
+from .labels import NEG, POS
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,26 @@ class ImbalanceStatus:
     sizes: dict[int, float]
 
 
+def designate(
+    w_pos: np.ndarray, w_neg: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's ``(minority, ratio)`` from its class sizes.
+
+    ratio is w_max / w_min, inf where the smaller size is 0. The smaller
+    class (POS on a tie) is the minority where the ratio exceeds
+    ``threshold``; elsewhere the stream looks balanced and minority is 0.
+    The majority, where there is one, is ``-minority``. A float64 division
+    rounds as a Python float division does, so each element has the bits of
+    a step-by-step designation.
+    """
+    pos_lower = w_pos <= w_neg
+    lo = np.where(pos_lower, w_pos, w_neg)
+    hi = np.where(pos_lower, w_neg, w_pos)
+    ratio = np.divide(hi, lo, out=np.full(len(lo), np.inf), where=lo > 0.0)
+    minority = np.where(ratio > threshold, np.where(pos_lower, POS, NEG), 0)
+    return minority, ratio
+
+
 class ClassSizeTracker:
     """Time-decayed class sizes with minority/majority designation."""
 
@@ -39,18 +63,41 @@ class ClassSizeTracker:
         self.theta = theta
         self.w = {POS: 0.5, NEG: 0.5}
 
-    def update(self, label: int) -> None:
-        if label not in self.w:
-            raise ValueError(f"unknown class label {label!r}")
+    def track(self, labels) -> tuple[np.ndarray, np.ndarray]:
+        """Update on each of ``labels`` in turn; returns the sizes
+        ``(w_pos, w_neg)`` after each, as arrays. An unknown label is
+        rejected before any update."""
         th = self.theta
-        for k in LABELS:
-            self.w[k] = th * self.w[k] + ((1.0 - th) if k == label else 0.0)
+        gain = 1.0 - th
+        w_pos, w_neg = self.w[POS], self.w[NEG]
+        pos, neg = [], []
+        for label in labels:
+            # the other class decays by theta alone: adding 0.0 to a size,
+            # which is never negative, would leave its bits as they are
+            if label == POS:
+                w_pos = th * w_pos + gain
+                w_neg = th * w_neg
+            elif label == NEG:
+                w_pos = th * w_pos
+                w_neg = th * w_neg + gain
+            else:
+                raise ValueError(f"unknown class label {label!r}")
+            pos.append(w_pos)
+            neg.append(w_neg)
+        self.w = {POS: w_pos, NEG: w_neg}
+        return np.array(pos, dtype=float), np.array(neg, dtype=float)
+
+    def update(self, label: int) -> None:
+        """Update on one label: `track` on a stretch of one."""
+        self.track((label,))
 
     def status(self, threshold: float = 1.5) -> ImbalanceStatus:
         """Designate minority/majority when sizes differ by more than ``threshold``."""
         sizes = {POS: self.w[POS], NEG: self.w[NEG]}
-        lo, hi = (POS, NEG) if sizes[POS] <= sizes[NEG] else (NEG, POS)
-        ratio = sizes[hi] / sizes[lo] if sizes[lo] > 0.0 else math.inf
-        if ratio > threshold:
-            return ImbalanceStatus(lo, hi, ratio, sizes)
+        minority, ratio = designate(
+            np.array([sizes[POS]]), np.array([sizes[NEG]]), threshold
+        )
+        minority, ratio = int(minority[0]), float(ratio[0])
+        if minority:
+            return ImbalanceStatus(minority, -minority, ratio, sizes)
         return ImbalanceStatus(None, None, ratio, sizes)

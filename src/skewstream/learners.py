@@ -13,9 +13,11 @@ with k ~ Poisson(lambda), where
     OOB  lambda = w_max / w_label   (oversamples the minority class)
     UOB  lambda = w_min / w_label   (undersamples the majority class)
 
-and the w's are the tracker's time-decayed class sizes, read from the
-`ImbalanceStatus` the caller hands in (`ClassSizeTracker.status`); while it
-reports the stream as balanced, all three collapse to plain OB.
+and the w's are the tracker's time-decayed class sizes after the example's
+label. `OnlineEnsemble.sampling_rates` computes a stretch of steps' rates at
+once, as array code, from the size arrays that `ClassSizeTracker.track`
+hands over and the minorities that `designate` names from them; where the
+stream looks balanced, all three collapse to plain OB.
 
 The members' weights are stored stacked along the leading row axis of an
 `MlpBank`, and the bank has one kernel, a *pass*: `forward_in_place` and
@@ -53,7 +55,11 @@ the kernel reads them through. `forward_in_place` and `backward_in_place`
 write into those buffers, with the same ufunc and matmul calls on the same
 operand shapes as a pass that allocates, so the bits are those of a fresh
 pass. What `forward_in_place` returns is the bank's and is overwritten by its
-next pass.
+next pass. The three column broadcasts (the outputs minus their max, the
+exponentials over their sum, the output error times the step size) and the
+two outer products run through views of their buffers with the row axis
+last, in C order, so that each inner loop runs over the rows, not over a
+row's two or three elements; each element gets the same operation either way.
 """
 from __future__ import annotations
 
@@ -61,7 +67,7 @@ import math
 
 import numpy as np
 
-from .imbalance import ImbalanceStatus
+from .imbalance import designate
 from .labels import NEG, POS
 
 OB = "OB"
@@ -136,23 +142,30 @@ class MlpBank:
         # forward pass: a1 is z1's buffer, probs the softmax of z2
         self._a1 = np.empty((m, h))
         self._a1_col = self._a1[:, :, None]
-        self._a1_row = self._a1[:, None, :]
         z2_col = np.empty((m, N_CLASSES, 1))
         self._z2_col, self._z2 = z2_col, z2_col[:, :, 0]
         self._z2_cols = (self._z2[:, 0], self._z2[:, 1])
         self._cmax = np.empty(m)
-        self._cmax_col = self._cmax[:, None]
         self._e = np.empty((m, N_CLASSES))
         self._e_cols = (self._e[:, 0], self._e[:, 1])
         self._csum = np.empty(m)
-        self._csum_col = self._csum[:, None]
         self._probs_col = self._probs[:, :, None]
         self._probs_cols = (self._probs[:, 0], self._probs[:, 1])
         # backward pass: da1 over the hidden units and the (1 - a1) term
         da1_col = np.empty((m, h, 1))
         self._da1_col, self._da1 = da1_col, da1_col[:, :, 0]
-        self._dz1_col = self._dz1[:, :, None]
         self._one_minus_a1 = np.empty((m, h))
+        # "_rl": views with the row axis last, through which the column
+        # broadcasts and the outer products run in C order, rows innermost:
+        # one inner loop over the rows per column, not one of two or three
+        # elements per row
+        self._z2_rl, self._e_rl = self._z2.T, self._e.T
+        self._probs_rl = self._probs.T
+        self._probs_rl_col = self._probs_rl[:, None, :]
+        self._a1_rl = self._a1.T
+        self._dz1_rl_col = self._dz1.T[:, None, :]
+        self._grad_W1_rl = self._grad_W1.transpose(1, 2, 0)
+        self._grad_W2_rl = self._grad_W2.transpose(1, 2, 0)
 
     def init_weights(self, member_seeds, first: int = 0) -> None:
         """Re-initialize members ``first`` .. ``first + len(member_seeds) - 1``."""
@@ -197,10 +210,10 @@ class MlpBank:
         _add(z2, self.b2, z2)
         # a positional out is deprecated for maximum, and for it alone
         _maximum(*self._z2_cols, out=self._cmax)
-        _subtract(z2, self._cmax_col, z2)
+        _subtract(self._z2_rl, self._cmax, self._z2_rl, order="C")
         _exp(z2, self._e)
         _add(*self._e_cols, self._csum)
-        _divide(self._e, self._csum_col, self._probs)
+        _divide(self._e_rl, self._csum, self._probs_rl, order="C")
         return a1, self._probs
 
     def backward_in_place(
@@ -208,7 +221,7 @@ class MlpBank:
     ) -> None:
         """One gradient step per member on the forward pass in the buffers,
         which must be `forward_in_place(X)` on the current weights: member i
-        moves ``steps[i, 0]`` times down the gradient of its cross-entropy
+        moves ``steps[i]`` times down the gradient of its cross-entropy
         on input ``X[i]`` and one-hot target ``T[i]`` (a step of 0 leaves it
         as it was). Overwrites the probabilities.
 
@@ -216,13 +229,13 @@ class MlpBank:
         subtraction of the gradient buffer updates all four weights."""
         a1, dz1, dz2 = self._a1, self._dz1, self._probs  # dz2 = probs - T
         _subtract(dz2, T, dz2)
-        _multiply(dz2, steps, dz2)
+        _multiply(self._probs_rl, steps, self._probs_rl, order="C")
         _matmul(self._W2_t, self._probs_col, self._da1_col)
-        _multiply(self._probs_col, self._a1_row, self._grad_W2)
+        _multiply(self._probs_rl_col, self._a1_rl, self._grad_W2_rl, order="C")
         _multiply(self._da1, a1, dz1)
         _subtract(1.0, a1, self._one_minus_a1)
         _multiply(dz1, self._one_minus_a1, dz1)
-        _multiply(self._dz1_col, X[:, None, :], self._grad_W1)
+        _multiply(self._dz1_rl_col, X.T, self._grad_W1_rl, order="C")
         _subtract(self._params, self._grads, self._params)
 
     def train_rounds(self, x: np.ndarray, label: int, ks: np.ndarray) -> None:
@@ -232,7 +245,7 @@ class MlpBank:
         X = self.rows_of(x)
         passes = int(ks.max()) if len(ks) else 0
         # step size per pass and member: lr while the member's k lasts, else 0
-        steps = np.where(ks > np.arange(passes)[:, None], self.lr, 0.0)[:, :, None]
+        steps = np.where(ks > np.arange(passes)[:, None], self.lr, 0.0)
         T = _ONE_HOT[label]
         for j in range(passes):
             self.forward_in_place(X)
@@ -244,13 +257,13 @@ class OnlineEnsemble:
 
     Ensemble ``e`` owns bank rows ``e * n_members`` up to ``(e + 1) *
     n_members``, initialized from seeds ``[seed, reset_counts[e], i]``, and
-    its own Poisson generator ``default_rng([seed, 1])``. The class sizes and
-    the minority/majority designation that set the sampling rates are the
-    caller's: `sampling_rates` takes the tracker's `ImbalanceStatus`, so the
-    designation is made once per step, by whoever owns the tracker and the
-    threshold. Because bank rows are independent, every ensemble learns
-    exactly as it would alone, so a one-sampler ensemble is the plain
-    single-pipeline case.
+    its own Poisson generator ``default_rng([seed, 1])``. The class sizes
+    that set the sampling rates are the caller's, with the designation
+    threshold: `sampling_rates` takes a stretch of steps' sizes and labels
+    and hands back their minorities with every ensemble's rates, so the
+    designation is made once per step for all ensembles and the detectors.
+    Because bank rows are independent, every ensemble learns exactly as it
+    would alone, so a one-sampler ensemble is the plain single-pipeline case.
 
     The caller plans the counts ahead: it collects a block of steps' rates,
     `draw_counts` draws them with one Poisson call per ensemble, and a
@@ -292,18 +305,32 @@ class OnlineEnsemble:
     def _member_seeds(self, reset_count: int):
         return [[self.seed, reset_count, i] for i in range(self.n_members)]
 
-    def sampling_rates(self, label: int, status: ImbalanceStatus) -> list[float]:
-        """Each ensemble's Poisson lambda for an example of ``label``, from
-        the class sizes and designation in ``status``."""
-        if status.minority is None:
-            return [1.0] * len(self.samplers)
-        w = status.sizes
-        rate = {
-            OB: 1.0,
-            OOB: w[status.majority] / w[label],
-            UOB: w[status.minority] / w[label],
-        }
-        return [rate[s] for s in self.samplers]
+    def sampling_rates(
+        self, labels, w_pos: np.ndarray, w_neg: np.ndarray, threshold: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A stretch of steps' ``(minority, rates)``: each step's minority as
+        `designate` names it from the class sizes ``w_pos``/``w_neg`` after
+        the step's label, and ``rates[t, e]``, ensemble ``e``'s Poisson
+        lambda for the example of ``labels[t]``, as `draw_counts` takes them.
+
+        Where no minority is designated every rate is 1. A float64 numpy
+        division rounds as a Python float division does, so each rate has
+        the bits of one computed step by step.
+        """
+        minority, _ = designate(w_pos, w_neg, threshold)
+        designated = minority != 0
+        w_label = np.where(np.equal(labels, POS), w_pos, w_neg)
+        pos_minor = minority == POS
+        rate = {OB: np.ones(len(minority))}
+        for sampler, w in (
+            (OOB, np.where(pos_minor, w_neg, w_pos)),  # the majority's size
+            (UOB, np.where(pos_minor, w_pos, w_neg)),  # the minority's
+        ):
+            if sampler in self.samplers:
+                rate[sampler] = np.divide(
+                    w, w_label, out=np.ones(len(w)), where=designated
+                )
+        return minority, np.stack([rate[s] for s in self.samplers], axis=1)
 
     def predict(self, features) -> tuple[np.ndarray, np.ndarray]:
         """(labels, scores), one entry per ensemble: a score is the mean
@@ -326,7 +353,7 @@ class OnlineEnsemble:
     def draw_counts(self, rates) -> np.ndarray:
         """Every bank row's Poisson count for each step of a block: row t of
         the result is step t's counts, and ensemble ``e``'s members draw from
-        Poisson(``rates[t][e]``), as `sampling_rates` gives them.
+        Poisson(``rates[t, e]``), as `sampling_rates` gives them.
 
         Each ensemble makes one call on its own generator for the whole
         block. numpy draws an array of rates element by element in C order,
@@ -496,7 +523,7 @@ class RowSchedule:
         np.cumsum(step, axis=0, out=step)
         step += t
         X, T = self._inputs.take(step, axis=0), self._targets.take(step, axis=0)
-        S = np.take_along_axis(self._sizes[:, rows], step, axis=0)[:, :, None]
+        S = np.take_along_axis(self._sizes[:, rows], step, axis=0)
         if relearn:
             self._step[j:, rows], self._X[j:, rows] = step, X
             self._T[j:, rows], self._S[j:, rows] = T, S

@@ -394,7 +394,7 @@ def test_mlp_gradients_match_finite_differences():
         cls = rng.integers(0, 2, m)  # column 0 is POS, 1 is NEG
         T = np.eye(2)[cls]
         still = int(rng.integers(m))
-        steps = np.ones((m, 1))
+        steps = np.ones(m)
         steps[still] = 0.0
         before = [getattr(bank, n).copy() for n in names]
         bank.forward_in_place(X)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,38 @@ def test_bound_table_rows_equal_bilinear_formula(tmp_path, monkeypatch):
             assert np.array_equal(table.bounds(p, n), bilinear_bounds(table, p, n))
 
 
+def sliced_row_bounds(table, rows, p, n):
+    """The lookup as it reads a numpy slice of ``rows``, the table's
+    `_n_rows()`, through ``tolist``: the oracle of `bounds`, which reads the
+    same rows from a flat array of doubles."""
+    grid = table.p_grid.tolist()
+    p = min(max(p, grid[0]), grid[-1])
+    n = min(max(n, 1), table.max_n)
+    pi = bisect_left(grid, p, 1, len(grid) - 1)
+    p0 = grid[pi - 1]
+    fp = (p - p0) / (grid[pi] - p0)
+    q = 1 - fp
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = rows[n - 1, pi - 1 : pi + 1].tolist()
+    return (q * a0 + fp * b0, q * a1 + fp * b1, q * a2 + fp * b2, q * a3 + fp * b3)
+
+
+def test_bound_lookup_equals_the_sliced_rows(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table(max_n=300)
+    rng = np.random.default_rng(20_000)
+    grid = table.p_grid.tolist()
+    # random rates and counts, both past the grid's ends, and every grid rate
+    ps = rng.uniform(-0.05, 1.05, 20_000).tolist()
+    ns = rng.integers(-3, table.max_n + 4, 20_000).tolist()
+    ps[: len(grid)] = grid
+    ns[-8:] = [-1, 0, 1, 2, table.max_n - 1, table.max_n, table.max_n + 1, 10**6]
+    rows, clamped = table._n_rows(), 0
+    for p, n in zip(ps, ns):
+        assert table.bounds(p, n) == sliced_row_bounds(table, rows, p, n), (p, n)
+        clamped += not (grid[0] <= p <= grid[-1] and 1 <= n <= table.max_n)
+    assert clamped > 1000
+
+
 def masked_simulate(table):
     """Reference build of the table with the masked-ufunc updates."""
     rng = np.random.default_rng(table.seed)
@@ -467,9 +500,10 @@ def test_bound_table_pickles_without_its_query_index(tmp_path, monkeypatch):
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
     table = small_table()
     blob = pickle.dumps(table)
-    assert len(blob) < table.table.nbytes + 4096 < table._rows.nbytes
+    index_bytes = table._rows.itemsize * len(table._rows)
+    assert len(blob) < table.table.nbytes + 4096 < index_bytes
     copy = pickle.loads(blob)
-    assert np.array_equal(copy._rows, table._rows)
+    assert copy._rows == table._rows
     for p, n in [(0.001, 0), (0.3, 7), (0.5, 50), (0.97, 80)]:
         assert copy.bounds(p, n) == table.bounds(p, n)
 
@@ -645,6 +679,87 @@ def test_auc_drop_quiet_until_window_min_fill():
         v = det.step(POS if i % 2 else NEG, None, score=rng.random())
         assert v is Verdict.NORMAL
         assert det.auc_count == 0
+
+
+# ---------------------------------------------------------------------------
+# catch-up stretches
+# ---------------------------------------------------------------------------
+
+
+def phased_stream(seed, n=4000):
+    """(truths, preds, scores, minorities) as lists: predictions that are
+    mostly right, then mostly wrong, and so on in phases, with scores on the
+    predicted side of 0.5, under a minority that comes and goes, so that
+    every detector warns and drifts."""
+    rng = np.random.default_rng(seed)
+    phases = 8
+    truths = np.where(rng.random(n) < 0.3, POS, NEG)
+    accuracy = np.repeat(np.resize([0.95, 0.35], phases), n // phases)
+    preds = np.where(rng.random(n) < accuracy, truths, -truths)
+    margin = rng.uniform(0.0, 0.5, n)
+    scores = np.where(preds == POS, 0.5 + margin, 0.5 - margin)
+    minorities = np.repeat(np.resize([POS, 0, POS, NEG], phases), n // phases)
+    return truths.tolist(), preds.tolist(), scores.tolist(), minorities.tolist()
+
+
+def full_state(det):
+    """`detector_state` with the counters it leaves out."""
+    extra = {
+        RecallDropDetector: ("_num", "_den", "_streak"),
+        FourRatesDetector: ("checks",),
+        AucDropDetector: (),
+    }[type(det)]
+    window = getattr(det, "window", None)
+    fifo = list(window._fifo) if window is not None else None
+    return detector_state(det), tuple(getattr(det, k) for k in extra), fifo
+
+
+STRETCH_DETECTORS = {
+    "recall-drop": lambda table: RecallDropDetector(),
+    "four-rates": lambda table: FourRatesDetector(min_updates=10, table=table),
+    "four-rates-free": lambda table: FourRatesDetector(
+        min_updates=10, auto_rearm=False, table=table
+    ),
+    "auc-drop": lambda table: AucDropDetector(
+        window=100, min_fill=40, delta=0.05, threshold=4.0
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(STRETCH_DETECTORS))
+def test_catch_up_stretches_equal_one_step_at_a_time(kind, tmp_path, monkeypatch):
+    # a stretch stops after its first drift, as a harness catch-up does, and
+    # the next one starts on the step after it
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table(decay=0.95, max_n=100)
+    make = STRETCH_DETECTORS[kind]
+    mid_stretch_drifts = warnings = 0
+    for seed in range(3):
+        stream = phased_stream(seed)
+        n = len(stream[0])
+        stretched, stepped = make(table), make(table)
+        got, want = [], []
+        rng = np.random.default_rng([seed, 1])
+        t = 0
+        while t < n:
+            stop = min(n, t + int(rng.integers(1, 60)))
+            verdicts = stretched.catch_up(*(part[t:stop] for part in stream))
+            got += [(t + i, v) for i, v in verdicts]
+            assert Verdict.DRIFT not in [v for _, v in verdicts[:-1]]
+            drifts = [i for i, v in verdicts if v is Verdict.DRIFT]
+            if drifts:
+                mid_stretch_drifts += t + drifts[0] + 1 < stop
+                stop = t + drifts[0] + 1
+            for i in range(t, stop):
+                truth, pred, score, minority = (part[i] for part in stream)
+                v = stepped.step(truth, pred, score=score, minority=minority)
+                if v is not Verdict.NORMAL:
+                    want.append((i, v))
+            assert full_state(stretched) == full_state(stepped), (seed, stop)
+            t = stop
+        assert got == want, seed
+        warnings += sum(v is Verdict.WARNING for _, v in got)
+    assert mid_stretch_drifts and warnings, (mid_stretch_drifts, warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import skewstream
 from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
 from skewstream import cpus, harness
 from skewstream.cli import main
-from skewstream.detectors import AucDropDetector, Verdict
+from skewstream.detectors import AucDropDetector, DriftDetector, Verdict
 from skewstream.harness import (
     METRICS,
     ConceptAverages,
@@ -345,16 +345,19 @@ def test_block_boundaries_leave_the_records_unchanged(monkeypatch):
     assert all(resets.values()), resets  # a slice of every sampler is reset
 
 
-class ScriptedDetector:
+class ScriptedDetector(DriftDetector):
     """Raises DRIFT at the given steps of a run (counted from 1) and at no
     other."""
 
     def __init__(self, alarms):
         self.alarms, self.t = set(alarms), 0
 
-    def step(self, label, pred, score=None, minority=None):
-        self.t += 1
-        return Verdict.DRIFT if self.t in self.alarms else Verdict.NORMAL
+    def catch_up(self, truths, preds, scores, minorities):
+        for i in range(len(truths)):
+            self.t += 1
+            if self.t in self.alarms:
+                return [(i, Verdict.DRIFT)]
+        return []
 
 
 def script_detectors(monkeypatch, alarms):
@@ -499,6 +502,7 @@ def pool_sizes(monkeypatch):
 
     harness._drop_pool()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(harness, "_workers_cannot_start", False)
     yield sizes
     harness._drop_pool()
 
@@ -642,7 +646,8 @@ schedule = replace(preset_schedule("sine1-py"), total_steps=400, drift_start=201
 cfg = ExperimentConfig(
     schedule=schedule, pipelines=[PipelineSpec("OB", "OB")], runs=3, members=3
 )
-print("runs", [rec.run for rec in run_experiment(cfg)["OB"]])
+for _ in range(2):
+    print("runs", [rec.run for rec in run_experiment(cfg)["OB"]])
 """
 
 
@@ -652,7 +657,8 @@ print("runs", [rec.run for rec in run_experiment(cfg)["OB"]])
 def test_an_unguarded_script_gets_its_runs_and_one_line_on_why(tmp_path):
     # without an `if __name__ == "__main__":` guard, a spawned worker reruns
     # the script as it starts and dies of it; the caller runs every run itself
-    # and says once why
+    # and says once why, and runs its second experiment serially, with no
+    # worker to die of it again
     script = tmp_path / "unguarded.py"
     script.write_text(UNGUARDED_SCRIPT)
     src = str(Path(skewstream.__file__).resolve().parent.parent)
@@ -663,7 +669,8 @@ def test_an_unguarded_script_gets_its_runs_and_one_line_on_why(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "runs [0, 1, 2]"
+    assert res.stdout.splitlines() == ["runs [0, 1, 2]"] * 2
+    assert res.stderr.count("Traceback (most recent call last)") == 1
     assert res.stderr.count(RERUN_LINE) == 1
     assert f"{RERUN_LINE} in this process; " in res.stderr
     assert 'guard its entry point with `if __name__ == "__main__":`' in res.stderr

@@ -15,6 +15,7 @@ from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
 from skewstream.learners import (
+    SAMPLERS,
     MlpBank,
     OnlineEnsemble,
     RowSchedule,
@@ -48,9 +49,17 @@ def _slice_params(bank, e, m):
     return np.concatenate([getattr(bank, n)[rows].ravel() for n in PARAMS])
 
 
-def _train(ens, label, status):
+def _rates(ens, label, tracker, threshold=1.5):
+    """Every ensemble's rate for one example of ``label`` at the tracker's
+    sizes: `sampling_rates` on a stretch of one step."""
+    sizes = np.array([tracker.w[POS]]), np.array([tracker.w[NEG]])
+    _, [rates] = ens.sampling_rates([label], *sizes, threshold)
+    return rates
+
+
+def _train(ens, label, tracker):
     """`train_one` on counts drawn for this step alone: a one-step block."""
-    [ks] = ens.draw_counts([ens.sampling_rates(label, status)])
+    [ks] = ens.draw_counts([_rates(ens, label, tracker)])
     ens.train_one(label, ks)
 
 
@@ -164,8 +173,8 @@ def test_balanced_tracker_degenerates_to_plain_bagging():
     tracker = ClassSizeTracker()  # starts perfectly even
     for sampler in ("OB", "OOB", "UOB"):
         ens = OnlineEnsemble(2, samplers=(sampler,), n_members=3, seed=0)
-        assert ens.sampling_rates(POS, tracker.status()) == [1.0]
-        assert ens.sampling_rates(NEG, tracker.status()) == [1.0]
+        assert _rates(ens, POS, tracker).tolist() == [1.0]
+        assert _rates(ens, NEG, tracker).tolist() == [1.0]
     # and k ~ Poisson(1): chi-square over 10,000 draws at alpha = 0.01
     rng = np.random.default_rng(3)
     draws = rng.poisson(1.0, 10_000)
@@ -179,15 +188,14 @@ def test_balanced_tracker_degenerates_to_plain_bagging():
 def test_adaptive_rates_match_size_ratios():
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.1, NEG: 0.9}
-    status = tracker.status()
     oob = OnlineEnsemble(2, samplers=("OOB",), n_members=2, seed=0)
-    assert oob.sampling_rates(POS, status) == pytest.approx([9.0])
-    assert oob.sampling_rates(NEG, status) == pytest.approx([1.0])
+    assert _rates(oob, POS, tracker) == pytest.approx([9.0])
+    assert _rates(oob, NEG, tracker) == pytest.approx([1.0])
     uob = OnlineEnsemble(2, samplers=("UOB",), n_members=2, seed=0)
-    assert uob.sampling_rates(NEG, status) == pytest.approx([1.0 / 9.0])
-    assert uob.sampling_rates(POS, status) == pytest.approx([1.0])
+    assert _rates(uob, NEG, tracker) == pytest.approx([1.0 / 9.0])
+    assert _rates(uob, POS, tracker) == pytest.approx([1.0])
     ob = OnlineEnsemble(2, samplers=("OB",), n_members=2, seed=0)
-    assert ob.sampling_rates(POS, status) == ob.sampling_rates(NEG, status) == [1.0]
+    assert _rates(ob, POS, tracker).tolist() == _rates(ob, NEG, tracker).tolist() == [1.0]
     with pytest.raises(ValueError):
         OnlineEnsemble(2, samplers=("SMOTE",))
 
@@ -203,11 +211,94 @@ def test_rates_come_from_the_sizes_at_status_time():
     assert (status.minority, status.majority) == (POS, NEG)
     ens = OnlineEnsemble(2, samplers=("OB", "OOB", "UOB"), n_members=2, seed=0)
     for label in (POS, NEG):
-        assert ens.sampling_rates(label, status) == [
-            1.0,
-            w[NEG] / w[label],
-            w[POS] / w[label],
-        ]
+        minority, rates = ens.sampling_rates(
+            [label], np.array([status.sizes[POS]]), np.array([status.sizes[NEG]]), 1.5
+        )
+        assert minority.tolist() == [status.minority]
+        assert rates.tolist() == [[1.0, w[NEG] / w[label], w[POS] / w[label]]]
+
+
+def reference_plan(labels, theta, threshold, samplers, w_pos=0.5, w_neg=0.5):
+    """Each step's sizes, minority (0 for none) and rates, made step by step
+    with Python floats: the decayed sizes after the label, the smaller class
+    (POS on a tie) as minority where w_max / w_min exceeds ``threshold``, and
+    rate 1 for OB, w_max / w_label for OOB and w_min / w_label for UOB, 1 for
+    all while no minority is designated. The oracle of the planned arrays."""
+    w = {POS: w_pos, NEG: w_neg}
+    sizes, minorities, rates = [], [], []
+    for label in labels:
+        for k in (POS, NEG):
+            w[k] = theta * w[k] + ((1.0 - theta) if k == label else 0.0)
+        lo, hi = (POS, NEG) if w[POS] <= w[NEG] else (NEG, POS)
+        ratio = w[hi] / w[lo] if w[lo] > 0.0 else math.inf
+        designated = ratio > threshold
+        rate = {
+            "OB": 1.0,
+            "OOB": w[hi] / w[label] if designated else 1.0,
+            "UOB": w[lo] / w[label] if designated else 1.0,
+        }
+        sizes.append((w[POS], w[NEG]))
+        minorities.append(lo if designated else 0)
+        rates.append([rate[s] for s in samplers])
+    return np.array(sizes), np.array(minorities), np.array(rates)
+
+
+def planned(labels, theta, threshold, samplers, w_pos=0.5, w_neg=0.5):
+    """The same three as a block plans them: `ClassSizeTracker.track` and
+    `OnlineEnsemble.sampling_rates`."""
+    tracker = ClassSizeTracker(theta)
+    tracker.w = {POS: w_pos, NEG: w_neg}
+    sizes = tracker.track(labels)
+    ens = OnlineEnsemble(2, samplers=samplers, n_members=1)
+    minority, rates = ens.sampling_rates(labels, *sizes, threshold)
+    return np.stack(sizes, axis=1), minority, rates
+
+
+SAMPLER_MIXES = (
+    [(s,) for s in SAMPLERS]
+    + [(a, b) for a in SAMPLERS for b in SAMPLERS]
+    + [("OB", "OOB", "UOB"), ("UOB", "OOB", "OB", "OOB")]
+)
+
+
+@pytest.mark.parametrize("samplers", SAMPLER_MIXES, ids="-".join)
+def test_planned_rates_equal_a_per_step_reference(samplers):
+    rng = np.random.default_rng(len(samplers))
+    # the prior swings between balanced and skewed either way
+    prior = np.repeat([0.5, 0.1, 0.5, 0.9, 0.3], 80)
+    labels = np.where(rng.random(len(prior)) < prior, POS, NEG).tolist()
+    designated = balanced = 0
+    for theta in (0.0, 0.5, 0.9, 0.995):
+        for threshold in (1.0, 1.5, 3.0):
+            want = reference_plan(labels, theta, threshold, samplers)
+            got = planned(labels, theta, threshold, samplers)
+            for w, g in zip(want, got):
+                assert np.array_equal(w, g), (theta, threshold)
+            designated += np.count_nonzero(want[1])
+            balanced += np.count_nonzero(want[1] == 0)
+    assert designated and balanced
+
+
+def test_planned_rates_at_ties_zero_sizes_and_the_threshold():
+    samplers = ("OB", "OOB", "UOB")
+    cases = {"equal sizes": 0, "ratio at threshold": 0, "zero size": 0}
+    # from sizes (0, 1) at theta 0.5: POS gives equal sizes, where POS is the
+    # smaller class; then NEG gives (0.25, 0.75), a ratio of exactly 3
+    runs = [(0.5, 3.0, [POS, NEG, NEG, POS, POS, NEG], 0.0, 1.0)]
+    # at theta 0 a size is exactly 0 after every step: the ratio is inf
+    rng = np.random.default_rng(4)
+    runs.append((0.0, 1.5, np.where(rng.random(50) < 0.3, POS, NEG).tolist(), 0.5, 0.5))
+    for theta, threshold, labels, w_pos, w_neg in runs:
+        want = reference_plan(labels, theta, threshold, samplers, w_pos, w_neg)
+        got = planned(labels, theta, threshold, samplers, w_pos, w_neg)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g), theta
+        w_pos, w_neg = want[0].T
+        lo, hi = np.minimum(w_pos, w_neg), np.maximum(w_pos, w_neg)
+        cases["equal sizes"] += np.count_nonzero(w_pos == w_neg)
+        cases["ratio at threshold"] += np.count_nonzero(hi == threshold * lo)
+        cases["zero size"] += np.count_nonzero(lo == 0.0)
+    assert all(cases.values()), cases
 
 
 # rates at and around numpy's special cases: zero, a tiny rate, and both sides
@@ -329,13 +420,12 @@ def test_interleaved_ensembles_step_as_if_alone():
     ]
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.2, NEG: 0.8}
-    status = tracker.status()
     interleaved, alone = make(), make()
     seen = {0: [], 1: []}
     for x, y in steps:
         outputs = [ens.predict(x) for ens in interleaved]
         for ens in interleaved:
-            _train(ens, y, status)
+            _train(ens, y, tracker)
         for i, out in enumerate(outputs):
             seen[i].append(out)
     for i, ens in enumerate(alone):
@@ -343,7 +433,7 @@ def test_interleaved_ensembles_step_as_if_alone():
             want_labels, want_scores = ens.predict(x)
             assert np.array_equal(labels, want_labels)
             assert np.array_equal(scores, want_scores)
-            _train(ens, y, status)
+            _train(ens, y, tracker)
         assert np.array_equal(
             _slice_params(ens._bank, 0, 10), _slice_params(interleaved[i]._bank, 0, 10)
         )
@@ -360,7 +450,7 @@ def test_full_training_is_deterministic():
             y = POS if rng.random() < 0.2 else NEG
             outputs.append(tuple(a.tolist() for a in ens.predict(x)))
             tracker.update(y)
-            _train(ens, y, tracker.status())
+            _train(ens, y, tracker)
         return outputs
 
     assert run() == run()
@@ -372,7 +462,7 @@ def test_reset_reinitializes_from_derived_seeds():
     b = OnlineEnsemble(2, n_members=4, seed=5)
     for _ in range(50):
         a.predict([0.2, 0.8])
-        _train(a, POS, tracker.status())
+        _train(a, POS, tracker)
     trained = _slice_params(a._bank, 0, 4)
     a.reset(0)
     assert a.reset_counts[0] == 1
@@ -419,7 +509,7 @@ def test_reset_touches_only_its_own_ensemble():
     ens = OnlineEnsemble(3, samplers=("OB", "OOB", "UOB"), n_members=4, seed=8)
     for _ in range(20):
         ens.predict([0.1, 0.5, 0.9])
-        _train(ens, POS, tracker.status())
+        _train(ens, POS, tracker)
     trained = [_slice_params(ens._bank, e, 4) for e in range(3)]
     ens.reset(1)
     ens.reset(1)
@@ -465,10 +555,39 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     )
     # a pass with every step size 0 leaves the parameter buffer as it was
     before = bank._params.copy()
-    X = np.random.default_rng(d).uniform(0, 1, (3 * members, d))
+    rng = np.random.default_rng(d)
+    X = rng.uniform(0, 1, (3 * members, d))
     bank.forward_in_place(X)
-    bank.backward_in_place(X, np.array([1.0, 0.0]), np.zeros((3 * members, 1)))
+    bank.backward_in_place(X, np.array([1.0, 0.0]), np.zeros(3 * members))
     assert np.array_equal(bank._params, before)
+    # the kernel's rows-last views are transposes of the work buffers, so the
+    # column broadcasts and outer products that run through them write into
+    # the gradient buffer, each gradient at its place
+    for view, buffer, axes in (
+        (bank._grad_W1_rl, bank._grad_W1, (2, 0, 1)),
+        (bank._grad_W2_rl, bank._grad_W2, (2, 0, 1)),
+        (bank._probs_rl, bank._probs, (1, 0)),
+        (bank._dz1_rl_col[:, 0], bank._dz1, (1, 0)),
+    ):
+        back = view.transpose(axes)
+        assert back.ctypes.data == buffer.ctypes.data
+        assert back.strides == buffer.strides and np.shares_memory(view, bank._grads)
+    # a pass at random step sizes: the softmax is that of the shifted outputs,
+    # and the gradient buffer holds both outer products, which the update
+    # subtracts from the parameters
+    bank.forward_in_place(X)
+    z2, probs = bank._z2.copy(), bank._probs.copy()
+    assert (z2.max(axis=1) == 0.0).all()
+    e = np.exp(z2)
+    assert np.array_equal(probs, e / e.sum(axis=1, keepdims=True))
+    steps, T = rng.uniform(0.0, 0.5, 3 * members), np.array([0.0, 1.0])
+    before = bank._params.copy()
+    bank.backward_in_place(X, T, steps)
+    dz2 = (probs - T) * steps[:, None]
+    assert np.array_equal(bank._probs, dz2)
+    assert np.array_equal(bank._grad_W2, dz2[:, :, None] * bank._a1[:, None, :])
+    assert np.array_equal(bank._grad_W1, bank._dz1[:, :, None] * X[:, None, :])
+    assert np.array_equal(bank._params, before - bank._grads)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +618,6 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     for step in range(240):
         x = rng.uniform(0, 1, d)
         label = POS if rng.random() < 0.3 else NEG
-        status = tracker.status()
         labels, scores = ens.predict(x)
         predicted_x = x.copy()
         _, ref_probs = _ref_forward(*params, x)
@@ -520,7 +638,7 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
         ks = np.concatenate(
             [
                 r.poisson(lam, members)
-                for r, lam in zip(ref_rngs, ens.sampling_rates(label, status))
+                for r, lam in zip(ref_rngs, _rates(ens, label, tracker))
             ]
         )
         ens.train_one(label, ks)
@@ -533,13 +651,17 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     assert all(cases.values()), cases
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("rounds", [1, 8])
-def test_row_schedule_equals_frozen_reference(d, rounds):
+@pytest.mark.parametrize(
+    "d, rounds, members",
+    [(2, 1, 4), (3, 1, 4), (2, 8, 4), (3, 8, 4), (2, 8, 30), (3, 8, 30)],
+    ids=["1-2", "1-3", "8-2", "8-3", "90rows-8-2", "90rows-8-3"],
+)
+def test_row_schedule_equals_frozen_reference(d, rounds, members):
     # a block trained row by row, with resets at its first and last step, at
     # two steps in a row, and at a step where no row of the reset ensemble
-    # trains, predicts and learns as the frozen kernel does step by step
-    members, samplers, seed, lr, n = 4, ("OB", "OOB", "UOB"), 23, 0.1, 30
+    # trains, predicts and learns as the frozen kernel does step by step; on
+    # 12 rows and on 90, an acceptance fixture's bank
+    samplers, seed, lr, n = ("OB", "OOB", "UOB"), 23, 0.1, 30
     rng = np.random.default_rng(d)
     xs = rng.uniform(0, 1, (n, d))
     labels = [POS if u < 0.3 else NEG for u in rng.random(n)]
