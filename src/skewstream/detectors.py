@@ -202,6 +202,10 @@ class RecallDropDetector(DriftDetector):
 _TPR, _TNR, _PPV, _NPV = 0, 1, 2, 3
 _RATE_NAMES = ("tpr", "tnr", "ppv", "npv")
 
+# update counts interpolated per pass when a bound table builds its query
+# index: the pass's temporaries are this many rows of the table
+INDEX_CHUNK = 64
+
 
 class BoundTable:
     """Null quantiles of a decayed-vs-cumulative deviation, indexed by (p, n).
@@ -219,7 +223,9 @@ class BoundTable:
     distribution is stationary), at four tail levels: detect-low, warn-low,
     warn-high, detect-high. Queries interpolate bilinearly and clamp outside
     the grid; the interpolation along n is done once, at construction, for
-    every integer n up to max_n, so a query interpolates only along p.
+    every integer n up to max_n, so a query interpolates only along p. It is
+    written into the query index in place, a chunk of n at a time, so no
+    temporary is larger than one chunk of rows.
 
     Built once per parameter set from a fixed seed and cached on disk, so
     bounds are reproducible across processes. The build splits the p rows
@@ -251,20 +257,25 @@ class BoundTable:
                 "detect_level and warn_level must satisfy 0 < detect_level "
                 f"<= warn_level < 1, got {detect_level!r} and {warn_level!r}"
             )
+        # so are bad sizes: a negative max_n would simulate no step and
+        # cache a table that was never filled in
+        for name, count in (("n_paths", n_paths), ("max_n", max_n)):
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         self.decay = decay
         self.warn_level = warn_level
         self.detect_level = detect_level
         self.n_paths = n_paths
         self.max_n = max_n
         self.seed = seed
-        self.p_grid = np.unique(
-            np.concatenate(
-                [np.linspace(0.01, 0.99, 25), [0.02, 0.03, 0.05, 0.95, 0.97, 0.98]]
-            )
-        )
-        self.n_grid = np.unique(
-            np.rint(np.geomspace(1, max_n, 40)).astype(int)
-        )
+        # sorted sets, not np.unique, which imports numpy.ma (about 1 MB);
+        # the values and dtypes, and so the cache key, are np.unique's
+        self.p_grid = np.array(sorted(
+            {*np.linspace(0.01, 0.99, 25).tolist(), 0.02, 0.03, 0.05, 0.95, 0.97, 0.98}
+        ))
+        self.n_grid = np.array(sorted(
+            set(np.rint(np.geomspace(1, max_n, 40)).astype(int).tolist())
+        ))
         self.levels = np.array(
             [detect_level / 2, warn_level / 2, 1 - warn_level / 2, 1 - detect_level / 2]
         )
@@ -277,11 +288,24 @@ class BoundTable:
         self._index()
 
     def _index(self) -> None:
+        """rows[n - 1] = the table interpolated along n at update count n,
+        for n = 1..max_n, shape (max_n, len(p_grid), 4), in C order as the
+        flat array of doubles `_rows`: a query's two neighbouring p rows at
+        one n are eight consecutive entries, and an array slice unpacks into
+        Python floats without numpy's call costs."""
         self._p_list = self.p_grid.tolist()
-        # `_n_rows` in C order as a flat array of doubles: a query's two
-        # neighbouring p rows at one n are eight consecutive entries, and an
-        # array slice unpacks into Python floats without numpy's call costs
-        self._rows = array("d", self._n_rows().tobytes())
+        n_p = len(self._p_list)
+        self._rows = array("d", [0.0]) * (self.max_n * n_p * 4)
+        rows = np.frombuffer(self._rows).reshape(self.max_n, n_p, 4)
+        t = self.table.transpose(1, 0, 2)
+        grid = self.n_grid
+        for lo in range(0, self.max_n, INDEX_CHUNK):
+            n = np.arange(lo + 1, min(lo + INDEX_CHUNK, self.max_n) + 1)
+            ni = np.clip(np.searchsorted(grid, n), 1, len(grid) - 1)
+            n0, n1 = grid[ni - 1], grid[ni]
+            # a one-point ladder (max_n = 1) has n0 == n1 == n, so fn = 0
+            fn = ((n - n0) / np.maximum(n1 - n0, 1))[:, None, None]
+            rows[lo : lo + len(n)] = (1 - fn) * t[ni - 1] + fn * t[ni]
 
     # pickled without the query index, 28 times the table's size: a table
     # handed to a worker process travels as ~36 KB and is indexed there
@@ -403,17 +427,6 @@ class BoundTable:
         return table
 
     # -- queries -------------------------------------------------------------
-
-    def _n_rows(self) -> np.ndarray:
-        """rows[n - 1] = the table interpolated along n at update count n,
-        for n = 1..max_n, shape (max_n, len(p_grid), 4)."""
-        n = np.arange(1, self.max_n + 1)
-        ni = np.clip(np.searchsorted(self.n_grid, n), 1, len(self.n_grid) - 1)
-        n0, n1 = self.n_grid[ni - 1], self.n_grid[ni]
-        # a one-point ladder (max_n = 1) has n0 == n1 == n, so fn = 0
-        fn = ((n - n0) / np.maximum(n1 - n0, 1))[:, None, None]
-        t = self.table.transpose(1, 0, 2)
-        return (1 - fn) * t[ni - 1] + fn * t[ni]
 
     def bounds(self, p: float, n: int) -> tuple[float, float, float, float]:
         """(detect_low, warn_low, warn_high, detect_high) deviation quantiles

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from bisect import bisect_left
 from pathlib import Path
 
@@ -193,17 +194,26 @@ def test_bound_table_rebuilds_on_misshapen_cache_and_says_so(
         {"detect_level": 2.0},
         {"detect_level": 0.0},
         {"warn_level": 1.0},
+        {"max_n": 0},
+        {"max_n": -3},
+        {"n_paths": 0},
+        {"n_paths": -1},
+        {"max_n": 50.0},
     ],
 )
-def test_bound_table_rejects_bad_parameters_before_any_work(params, monkeypatch):
+def test_bound_table_rejects_bad_parameters_before_any_work(
+    params, tmp_path, monkeypatch
+):
     def unreachable(self):
         raise AssertionError("reached the cache or the simulation")
 
-    monkeypatch.setattr(BoundTable, "_load_cache", unreachable)
-    monkeypatch.setattr(BoundTable, "_simulate", unreachable)
-    key = "decay" if "decay" in params else "level"
-    with pytest.raises(ValueError, match=key):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    for step in ("_load_cache", "_simulate", "_store_cache"):
+        monkeypatch.setattr(BoundTable, step, unreachable)
+    key = next(iter(params))
+    with pytest.raises(ValueError, match="level" if key.endswith("_level") else key):
         small_table(**params)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bound_table_accepts_equal_levels(tmp_path, monkeypatch):
@@ -269,9 +279,88 @@ def test_bound_table_rows_equal_bilinear_formula(tmp_path, monkeypatch):
             assert np.array_equal(table.bounds(p, n), bilinear_bounds(table, p, n))
 
 
+def n_rows(table):
+    """rows[n - 1] = the table interpolated along n at update count n, for
+    n = 1..max_n, in one whole-array pass: the oracle of the query index,
+    which `_index` writes in place a chunk of n at a time."""
+    n = np.arange(1, table.max_n + 1)
+    ni = np.clip(np.searchsorted(table.n_grid, n), 1, len(table.n_grid) - 1)
+    n0, n1 = table.n_grid[ni - 1], table.n_grid[ni]
+    fn = ((n - n0) / np.maximum(n1 - n0, 1))[:, None, None]
+    t = table.table.transpose(1, 0, 2)
+    return (1 - fn) * t[ni - 1] + fn * t[ni]
+
+
+def random_nested_tables(monkeypatch, seed):
+    """Make `_simulate` return random nested quantiles, so a table of any
+    max_n is built without the Monte Carlo simulation."""
+    rng = np.random.default_rng(seed)
+
+    def simulate(self):
+        shape = (len(self.p_grid), len(self.n_grid), 4)
+        return np.sort(rng.normal(scale=0.1, size=shape), axis=2)
+
+    monkeypatch.setattr(BoundTable, "_simulate", simulate)
+
+
+@pytest.mark.parametrize(
+    "max_n",
+    [1, detectors.INDEX_CHUNK - 1, detectors.INDEX_CHUNK,
+     detectors.INDEX_CHUNK + 1, 1000],
+)
+def test_query_index_equals_the_whole_array_rows(max_n, tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    random_nested_tables(monkeypatch, seed=max_n)
+    table = BoundTable(max_n=max_n)
+    oracle = array("d", n_rows(table).tobytes())
+    assert table._rows == oracle
+    assert pickle.loads(pickle.dumps(table))._rows == oracle
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3, 40, 1000, 5000])
+def test_bound_table_grids_equal_the_unique_formula(max_n, tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    random_nested_tables(monkeypatch, seed=max_n)
+    table = BoundTable(max_n=max_n)
+    p_grid = np.unique(np.concatenate(
+        [np.linspace(0.01, 0.99, 25), [0.02, 0.03, 0.05, 0.95, 0.97, 0.98]]
+    ))
+    n_grid = np.unique(np.rint(np.geomspace(1, max_n, 40)).astype(int))
+    for got, want in [(table.p_grid, p_grid), (table.n_grid, n_grid)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_default_bound_table_keeps_its_cache_name(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    random_nested_tables(monkeypatch, seed=0)
+    name = BoundTable()._cache_path().name
+    assert name == "rate_bounds_4ac972d0b67fbbf3.npz"
+
+
+def test_bound_table_loads_without_numpy_ma(tmp_path, monkeypatch):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    BoundTable(n_paths=200, max_n=30)
+    src = str(Path(detectors.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from skewstream.detectors import BoundTable\n"
+        "def unreachable(self): raise AssertionError('simulated, not loaded')\n"
+        "BoundTable._simulate = unreachable\n"
+        "BoundTable(n_paths=200, max_n=30)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def sliced_row_bounds(table, rows, p, n):
     """The lookup as it reads a numpy slice of ``rows``, the table's
-    `_n_rows()`, through ``tolist``: the oracle of `bounds`, which reads the
+    `n_rows`, through ``tolist``: the oracle of `bounds`, which reads the
     same rows from a flat array of doubles."""
     grid = table.p_grid.tolist()
     p = min(max(p, grid[0]), grid[-1])
@@ -294,7 +383,7 @@ def test_bound_lookup_equals_the_sliced_rows(tmp_path, monkeypatch):
     ns = rng.integers(-3, table.max_n + 4, 20_000).tolist()
     ps[: len(grid)] = grid
     ns[-8:] = [-1, 0, 1, 2, table.max_n - 1, table.max_n, table.max_n + 1, 10**6]
-    rows, clamped = table._n_rows(), 0
+    rows, clamped = n_rows(table), 0
     for p, n in zip(ps, ns):
         assert table.bounds(p, n) == sliced_row_bounds(table, rows, p, n), (p, n)
         clamped += not (grid[0] <= p <= grid[-1] and 1 <= n <= table.max_n)
