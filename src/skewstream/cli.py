@@ -121,7 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
         "score-detectors", help="score an alarms CSV against a known drift time"
     )
     p.add_argument("alarms", help="alarms CSV (run,seed,t,verdict)")
-    p.add_argument("--drift-start", type=int, required=True)
+    p.add_argument(
+        "--drift-start",
+        type=_int_at_least(1),
+        required=True,
+        help="the first step of the new concept (counted from 1)",
+    )
     p.add_argument(
         "--runs", type=_int_at_least(1), required=True, help="number of runs scored"
     )

@@ -408,6 +408,11 @@ class BoundTable:
         n_p = len(p_rows)
         paths = np.full((n_p, self.n_paths), 0.5)
         successes = np.zeros((n_p, self.n_paths), dtype=np.int32)
+        # the hits since `successes` last took them: an int8 add per step is
+        # far cheaper than a bool-to-int32 one, and `most` of them cannot
+        # overflow
+        recent = np.zeros((n_p, self.n_paths), dtype=np.int8)
+        unflushed, most = 0, np.iinfo(np.int8).max
         hit = np.empty((n_p, self.n_paths), dtype=bool)
         p_col = p_rows[:, None]
         table = np.empty((n_p, len(self.n_grid), 4))
@@ -419,8 +424,13 @@ class BoundTable:
             paths *= self.decay
             # a miss adds 0.0, which leaves a (positive) path unchanged
             paths += hit * gain
-            successes += hit
+            recent += hit.view(np.int8)
+            unflushed += 1
             i = record.get(n)
+            if i is not None or unflushed == most:
+                successes += recent
+                recent.fill(0)
+                unflushed = 0
             if i is not None:
                 deviation = paths - (successes + 0.5) / (n + 1.0)
                 table[:, i, :] = np.quantile(deviation, self.levels, axis=1).T

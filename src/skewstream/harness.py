@@ -295,13 +295,13 @@ def _train_block(block, detectors, labels, minorities, events, done: int):
     """Train a planned block and step the detectors through it; returns its
     scores as (steps, pipelines).
 
-    Every ``CATCH_UP_ROUNDS`` rounds of ``block`` (a `RowSchedule`), each of
-    ``detectors``, given as (pipeline, detector), catches up in one call
-    (`DriftDetector.catch_up`) on the steps that all of its pipeline's rows
-    have predicted, appending its alarms to the pipeline's ``events``
-    (``done`` is the steps before the block); a drift alarm rewinds the
-    pipeline's rows to its step. With no detector there is nothing to catch
-    up, and the block runs to its end at once.
+    Every ``CATCH_UP_ROUNDS`` rounds of ``block`` (a `RowSchedule` with the
+    block laid out), each of ``detectors``, given as (pipeline, detector),
+    catches up in one call (`DriftDetector.catch_up`) on the steps that all
+    of its pipeline's rows have predicted, appending its alarms to the
+    pipeline's ``events`` (``done`` is the steps before the block); a drift
+    alarm rewinds the pipeline's rows to its step. With no detector there is
+    nothing to catch up, and the block runs to its end at once.
     """
     if not detectors:
         block.run()
@@ -350,8 +350,9 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     the block's examples, class sizes and Poisson counts: the stream, the
     tracker and the Poisson generators read neither the predictions nor the
     weights, and a reset re-seeds the weights only, so every draw is the one
-    a step-by-step run makes, in the same order on each generator. Then a
-    `RowSchedule` trains the block, each bank row at its own pace, and every
+    a step-by-step run makes, in the same order on each generator. Then the
+    run's one `RowSchedule` lays the block out in the buffers it keeps and
+    trains it, each bank row at its own pace, and every
     ``CATCH_UP_ROUNDS`` rounds each detector steps through the steps that
     all of its pipeline's rows have predicted. A drift alarm at a step resets
     the pipeline's slice and rewinds only its rows to that step.
@@ -378,15 +379,16 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     truths = np.empty(total, dtype=np.int8)
     scores = np.empty((len(pipes), total))
     events: list[list[tuple[int, str]]] = [[] for _ in pipes]
+    rows = RowSchedule(model, BLOCK_STEPS)
     for done in range(0, total, BLOCK_STEPS):
         n = min(BLOCK_STEPS, total - done)
         xs, labels, minorities, ks = _plan_block(
             stream, tracker, model, n, cfg.designation_threshold
         )
         truths[done : done + n] = labels
+        rows.start(xs, labels, ks)
         scores[:, done : done + n] = _train_block(
-            RowSchedule(model, xs, labels, ks), detectors, labels, minorities,
-            events, done,
+            rows, detectors, labels, minorities, events, done
         ).T
     # the records keep the steps past the warm-up
     truths, scores = truths[cfg.warm_up :], scores[:, cfg.warm_up :]

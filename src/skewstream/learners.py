@@ -35,10 +35,12 @@ Poisson count there), the first of which is the row's prediction of the step,
 and each round runs every row's next pass. So a block takes as many rounds as
 its busiest row has passes, not the sum over steps of the largest k. One
 layout serves a new block and a reset's rewind alike, and a step's scores are
-read from the history of rounds at its first passes. `OnlineEnsemble.predict`
-and `train_one`, and `MlpBank.train_rounds`, are the one-step case of the
-same kernel: row i takes ``ks[i]`` passes and then idles with step size 0
-until the last row is done.
+read from the history of rounds at its first passes. A run makes one
+schedule, which lays each block out in buffers it keeps for the run; they
+grow only when a block or a rewind needs more positions than any before.
+`OnlineEnsemble.predict` and `train_one`, and `MlpBank.train_rounds`, are
+the one-step case of the same kernel: row i takes ``ks[i]`` passes and then
+idles with step size 0 until the last row is done.
 
 A bank's kernel allocates nothing per call. Each `MlpBank` keeps its weights
 in one flat parameter buffer, W1, b1, W2 and b2 being C-contiguous views of
@@ -395,9 +397,10 @@ class OnlineEnsemble:
 
 
 class RowSchedule:
-    """A planned block of steps, trained row by row on an `OnlineEnsemble`.
+    """A run's planned blocks of steps, each trained row by row on an
+    `OnlineEnsemble`.
 
-    Bank row r takes max(1, k) passes at each step of the block, k being its
+    Bank row r takes max(1, k) passes at each step of a block, k being its
     count there, one after another: each pass is one forward pass and one
     gradient step on the step's example, of size lr, or 0 when k is 0, and the
     first pass of a step is the row's prediction of it. Round j of `run` gives
@@ -418,33 +421,54 @@ class RowSchedule:
     There is one layout, `_lay_out`: from the current round on, it places
     some rows' passes position by position in arrays of ``(positions, rows,
     ...)``, so that a round reads one position of each, and notes the
-    position of each step's first pass. A new block lays out every row from
-    step 0, and a rewind the reset rows from step ``t``. The scores of a step
-    are read from the history at those positions.
+    position of each step's first pass. `start` lays out every row of a new
+    block from step 0, and a rewind the reset rows from step ``t``. The
+    scores of a step are read from the history at those positions.
+
+    One schedule serves a run, and its buffers are kept from block to block:
+    the per-step tables hold up to ``max_steps`` steps and the idle step
+    after them, and the position arrays and the history grow to exactly the
+    positions that a block or a rewind needs, and are written in place.
     """
 
-    def __init__(self, model: OnlineEnsemble, xs, labels, ks: np.ndarray):
+    def __init__(self, model: OnlineEnsemble, max_steps: int):
         self._model = model
-        self._ks = ks
-        self.n_steps = n = len(ks)
-        rows = ks.shape[1]
+        bank = model._bank
+        rows, d = bank.n_members, bank.n_features
         self._cols = np.arange(rows)
-        # by step, and the idle step n: a zero input and target, step size 0
-        self._inputs = np.zeros((n + 1, np.shape(xs)[1]))
+        # by step, with room for a block's idle step n after its n steps: a
+        # zero input and target, step size 0
+        self._inputs = np.empty((max_steps + 1, d))
+        self._targets = np.empty((max_steps + 1, N_CLASSES))
+        self._sizes = np.empty((max_steps + 1, rows))
+        # each step's first pass and each row's end, where it goes idle, as
+        # positions; the idle step's first pass is past every round
+        self._first = np.empty((max_steps + 1, rows), dtype=np.intp)
+        self._ends = np.zeros(rows, dtype=np.intp)
+        # by position, the first `_length` of them the block's: each row's
+        # step, input, target and step size there, and the history
+        self._step = np.empty((0, rows), dtype=np.intp)
+        self._X = np.empty((0, rows, d))
+        self._T = np.empty((0, rows, N_CLASSES))
+        self._S = np.empty((0, rows))
+        self._hist = np.empty((0, rows))
+        self._length = self.n_steps = self.round = 0
+
+    def start(self, xs, labels, ks: np.ndarray) -> None:
+        """Lay out a new block of ``len(ks)`` steps, to run from round 0: row
+        t of ``xs`` and of ``ks`` are step t's input and Poisson counts, and
+        ``labels[t]`` its label."""
+        self.n_steps = n = len(ks)
+        self._ks = ks
         self._inputs[:n] = xs
         positive = np.equal(labels, POS)
-        self._targets = np.zeros((n + 1, N_CLASSES))
         self._targets[:n, _CLASS_INDEX[POS]] = positive
         self._targets[:n, _CLASS_INDEX[NEG]] = ~positive
-        self._sizes = np.zeros((n + 1, rows))
-        self._sizes[:n] = np.where(ks > 0, model._bank.lr, 0.0)
-        # each step's first pass and each row's end, where it goes idle, as
-        # positions; the idle step n's first pass is past every round
-        self._first = np.empty((n + 1, rows), dtype=np.intp)
+        np.multiply(ks > 0, self._model._bank.lr, out=self._sizes[:n])
+        self._inputs[n] = self._targets[n] = self._sizes[n] = 0.0
         self._first[n] = np.iinfo(np.intp).max
-        self._ends = np.empty(rows, dtype=np.intp)
-        self.round = 0
-        self._lay_out(slice(None), 0, relearn=False)
+        self.round = self._length = 0
+        self._lay_out(slice(0, len(self._cols)), 0, relearn=False)
 
     @property
     def finished(self) -> bool:
@@ -495,49 +519,62 @@ class RowSchedule:
         self._lay_out(slice(e * m, (e + 1) * m), t, relearn=True)
 
     def _lay_out(self, rows: slice, t: int, relearn: bool) -> None:
-        """Lay out the passes of ``rows`` at steps ``t`` .. n - 1 from the
+        """Lay out the passes of ``rows`` at steps t .. n - 1 from the
         current round on, max(1, k) at each step, and idle positions after
         them. Rows that ``relearn`` step t, having predicted it, take only
-        its k passes there. A new block's arrays are made here; a rewind
-        writes into them, lengthened first if its rows end past them."""
+        its k passes there. The block's positions run to an idle one past
+        the last pass of any row; where a rewind adds positions, the other
+        rows idle there."""
         j, n = self.round, self.n_steps
         passes = np.maximum(self._ks[t:, rows], 1)
         if relearn:
             passes[0] = self._ks[t, rows]
-        ends = j + passes.cumsum(axis=0)
-        starts = ends - passes
+        ends = passes.cumsum(axis=0)
+        ends += j
+        starts = np.subtract(ends, passes, out=passes)
         first = t + 1 if relearn else t
         self._first[first:n, rows] = starts[first - t :]
         self._ends[rows] = ends[-1]
-        size = int(ends[-1].max()) + 1  # an idle position past the last
-        if relearn:
-            if size > len(self._step):
-                self._grow(size)
-            size = len(self._step)
+        kept, length = self._length, int(ends[-1].max()) + 1
+        if length > kept:
+            self._reserve(length, kept)
+            positions = (self._step, self._X, self._T, self._S)
+            for a, idle in zip(positions, (n, 0.0, 0.0, 0.0)):
+                a[kept:length, : rows.start] = idle
+                a[kept:length, rows.stop :] = idle
+            self._length = length
+        end = self._length
         # the step of each position, n once a row is idle, counted up from t
         # at marks where a row's next step starts
-        cols = np.arange(passes.shape[1])
-        step = np.zeros((size - j, len(cols)), dtype=np.intp)
+        step = self._step[j:end, rows]
+        step.fill(0)
+        cols = np.arange(step.shape[1])
         step[starts[1:] - j, cols] = 1
         step[ends[-1] - j, cols] = 1
         np.cumsum(step, axis=0, out=step)
         step += t
-        X, T = self._inputs.take(step, axis=0), self._targets.take(step, axis=0)
-        S = np.take_along_axis(self._sizes[:, rows], step, axis=0)
-        if relearn:
-            self._step[j:, rows], self._X[j:, rows] = step, X
-            self._T[j:, rows], self._S[j:, rows] = T, S
-        else:
-            self._step, self._X, self._T, self._S = step, X, T, S
-            # each round's positive-class probabilities, as `run` takes them
-            self._hist = np.empty(step.shape)
+        # every index is in range; with mode "raise", `take` would write
+        # into a copy of ``out`` first
+        X, T, S = self._X[j:end, rows], self._T[j:end, rows], self._S[j:end, rows]
+        np.take(self._inputs, step, axis=0, out=X, mode="clip")
+        np.take(self._targets, step, axis=0, out=T, mode="clip")
+        # the step sizes, from the sizes table at flat index step * rows +
+        # row; then the steps are restored
+        width, row = len(self._cols), self._cols[rows]
+        step *= width
+        step += row
+        np.take(self._sizes.reshape(-1), step, out=S, mode="clip")
+        step -= row
+        step //= width
 
-    def _grow(self, size: int) -> None:
-        """Lengthen the position arrays and the history to ``size`` with idle
-        positions, one at a time, so that no more than one is held twice."""
-        arrays = ("_step", "_X", "_T", "_S", "_hist")
-        for name, idle in zip(arrays, (self.n_steps, 0.0, 0.0, 0.0, 0.0)):
+    def _reserve(self, length: int, kept: int) -> None:
+        """Make the position arrays and the history hold ``length``
+        positions, keeping their first ``kept``. An array that is short is
+        grown to exactly ``length``, one at a time, so that no more than one
+        is held twice."""
+        for name in ("_step", "_X", "_T", "_S", "_hist"):
             a = getattr(self, name)
-            grown = np.full((size,) + a.shape[1:], idle, dtype=a.dtype)
-            grown[: len(a)] = a
-            setattr(self, name, grown)
+            if len(a) < length:
+                grown = np.empty((length,) + a.shape[1:], dtype=a.dtype)
+                grown[:kept] = a[:kept]
+                setattr(self, name, grown)

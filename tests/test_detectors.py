@@ -417,6 +417,36 @@ def test_bound_table_build_equals_masked_reference(tmp_path, monkeypatch):
     assert np.array_equal(table.table, masked_simulate(table))
 
 
+def int32_simulate_rows(table, p_rows):
+    """Reference rows of the table for the rates ``p_rows``, adding each
+    step's hits to int32 counts."""
+    rng = np.random.default_rng(table.seed)
+    paths = np.full((len(p_rows), table.n_paths), 0.5)
+    successes = np.zeros((len(p_rows), table.n_paths), dtype=np.int32)
+    out = np.empty((len(p_rows), len(table.n_grid), 4))
+    record = {n: i for i, n in enumerate(table.n_grid)}
+    for n in range(1, table.max_n + 1):
+        hit = rng.random(table.n_paths)[None, :] < p_rows[:, None]
+        paths *= table.decay
+        paths += hit * (1.0 - table.decay)
+        successes += hit
+        if n in record:
+            deviation = paths - (successes + 0.5) / (n + 1.0)
+            out[:, record[n], :] = np.quantile(deviation, table.levels, axis=1).T
+    return out
+
+
+def test_bound_table_rows_count_more_hits_than_int8_holds(tmp_path, monkeypatch):
+    # at max_n = 1000 some recorded update counts are more than 127 steps
+    # apart, and paths at p near 1 hit nearly every step, so the build's int8
+    # hit counts must be added up between recorded counts
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table(n_paths=64, max_n=1000)
+    assert np.diff(table.n_grid).max() > np.iinfo(np.int8).max
+    rows = table.p_grid
+    assert np.array_equal(table._simulate_rows(rows), int32_simulate_rows(table, rows))
+
+
 def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 

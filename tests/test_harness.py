@@ -1357,6 +1357,17 @@ def test_cli_runs_flag_errors_name_the_flag(argv, tmp_path, capsys, monkeypatch)
     assert "argument --runs: must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", ["0", "-5"])
+def test_cli_drift_start_flag_errors_name_the_flag(start, tmp_path, capsys):
+    alarms = tmp_path / "alarms.csv"
+    alarms.write_text("run,seed,t,verdict\n0,3,1600,drift\n")
+    with pytest.raises(SystemExit) as stop:
+        main(["score-detectors", str(alarms), "--drift-start", start, "--runs", "1"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --drift-start: must be >= 1, got {start}" in err
+
+
 def test_cli_seed_flag_errors_name_the_flag(tmp_path, capsys):
     out = tmp_path / "s.csv"
     with pytest.raises(SystemExit) as stop:

@@ -651,26 +651,11 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     assert all(cases.values()), cases
 
 
-@pytest.mark.parametrize(
-    "d, rounds, members",
-    [(2, 1, 4), (3, 1, 4), (2, 8, 4), (3, 8, 4), (2, 8, 30), (3, 8, 30)],
-    ids=["1-2", "1-3", "8-2", "8-3", "90rows-8-2", "90rows-8-3"],
-)
-def test_row_schedule_equals_frozen_reference(d, rounds, members):
-    # a block trained row by row, with resets at its first and last step, at
-    # two steps in a row, and at a step where no row of the reset ensemble
-    # trains, predicts and learns as the frozen kernel does step by step; on
-    # 12 rows and on 90, an acceptance fixture's bank
-    samplers, seed, lr, n = ("OB", "OOB", "UOB"), 23, 0.1, 30
-    rng = np.random.default_rng(d)
-    xs = rng.uniform(0, 1, (n, d))
-    labels = [POS if u < 0.3 else NEG for u in rng.random(n)]
-    ks = rng.poisson(rng.choice([0.3, 1.0, 4.0], (n, 1)), (n, 3 * members))
-    ks[12, members : 2 * members] = 0
-    ks[13, members : 2 * members] = 0
-    alarms = {(0, 2), (12, 1), (13, 1), (20, 0), (n - 1, 2), (n - 1, 0)}
-    ens = OnlineEnsemble(d, samplers=samplers, n_members=members, seed=seed, lr=lr)
-    block = RowSchedule(ens, xs, labels, ks)
+def _train_with_alarms(block, alarms, rounds):
+    """Run the block laid out in ``block`` to its end, ``rounds`` rounds at
+    a time, and rewind ensemble e as soon as all of its rows have predicted
+    step t, for each (t, e) in ``alarms``, as a detector would; returns the
+    block's scores."""
     seen = [0, 0, 0]  # the steps each ensemble has been checked for alarms at
     while True:
         block.run(rounds)
@@ -684,29 +669,72 @@ def test_row_schedule_equals_frozen_reference(d, rounds, members):
                     # the steps the detectors have seen keep their scores
                     assert np.array_equal(block.scores(0, t + 1), before)
                     break
-        if block.finished and seen == [n] * 3:
-            break
-    # the rewinds took rows past the busiest row's planned passes, which
-    # lengthens the block's position arrays
-    assert block.round > np.maximum(ks, 1).sum(axis=0).max()
+        if block.finished and seen == [block.n_steps] * 3:
+            return block.scores()
+
+
+@pytest.mark.parametrize(
+    "d, rounds, members",
+    [(2, 1, 4), (3, 1, 4), (2, 8, 4), (3, 8, 4), (2, 8, 30), (3, 8, 30)],
+    ids=["1-2", "1-3", "8-2", "8-3", "90rows-8-2", "90rows-8-3"],
+)
+def test_row_schedule_equals_frozen_reference(d, rounds, members):
+    # one run's schedule through three blocks, trained row by row: a long
+    # block, a shorter one that fits the positions the first left, and one
+    # with more passes than either, which grows them. Resets at a block's
+    # first and last step, at two steps in a row, at a step where no row of
+    # the reset ensemble trains, and past the busiest row's planned passes,
+    # all predict and learn as the frozen kernel does step by step; on 12
+    # rows and on 90, an acceptance fixture's bank
+    samplers, seed, lr, most = ("OB", "OOB", "UOB"), 23, 0.1, 30
+    rng = np.random.default_rng(d)
+    blocks = []
+    for n, scale, alarms in (
+        (most, 1.0, {(0, 2), (12, 1), (13, 1), (20, 0), (29, 2), (29, 0)}),
+        (12, 1.0, {(0, 1), (5, 0), (11, 2)}),
+        (most, 3.0, {(3, 0), (17, 2), (29, 1)}),
+    ):
+        xs = rng.uniform(0, 1, (n, d))
+        labels = [POS if u < 0.3 else NEG for u in rng.random(n)]
+        rates = scale * rng.choice([0.3, 1.0, 4.0], (n, 1))
+        blocks.append((xs, labels, rng.poisson(rates, (n, 3 * members)), alarms))
+    blocks[0][2][12:14, members : 2 * members] = 0
+    ens = OnlineEnsemble(d, samplers=samplers, n_members=members, seed=seed, lr=lr)
+    schedule = RowSchedule(ens, most)
     h = ens._bank.hidden
     params = _ref_init(d, h, [[seed, 0, i] for i in range(members)] * 3)
     reset_counts = [0, 0, 0]
-    ref_scores = np.empty((n, 3))
-    for t in range(n):
-        _, ref_probs = _ref_forward(*params, xs[t])
-        ref_scores[t] = ref_probs[:, 0].reshape(3, members).mean(axis=1)
-        for e in range(3):
-            if (t, e) in alarms:
-                reset_counts[e] += 1
-                fresh = _ref_init(
-                    d, h, [[seed, reset_counts[e], i] for i in range(members)]
-                )
-                for p, f in zip(params, fresh):
-                    p[e * members : (e + 1) * members] = f
-        if ks[t].any():
-            _ref_train_rounds(params, xs[t], labels[t], ks[t], lr)
-    assert ens.reset_counts == reset_counts
-    assert np.array_equal(block.scores(), ref_scores)
-    for name, ref in zip(PARAMS, params):
-        assert np.array_equal(getattr(ens._bank, name), ref), name
+    kept = None  # the previous block's position arrays
+    for b, (xs, labels, ks, alarms) in enumerate(blocks):
+        n, passes = len(ks), int(np.maximum(ks, 1).sum(axis=0).max())
+        schedule.start(xs, labels, ks)
+        if b == 1:  # fits the kept positions, and lays out into them
+            assert passes < len(kept[0])
+            assert np.shares_memory(schedule._X, kept[0])
+            assert np.shares_memory(schedule._hist, kept[1])
+        elif b == 2:  # needs more positions than any block before
+            assert len(schedule._X) == passes + 1 > len(kept[0])
+        scores = _train_with_alarms(schedule, alarms, rounds)
+        if b == 0:
+            # the rewinds took rows past the busiest row's planned passes,
+            # which lengthens the kept position arrays
+            assert schedule.round > passes
+        kept = schedule._X, schedule._hist
+        ref_scores = np.empty((n, 3))
+        for t in range(n):
+            _, ref_probs = _ref_forward(*params, xs[t])
+            ref_scores[t] = ref_probs[:, 0].reshape(3, members).mean(axis=1)
+            for e in range(3):
+                if (t, e) in alarms:
+                    reset_counts[e] += 1
+                    fresh = _ref_init(
+                        d, h, [[seed, reset_counts[e], i] for i in range(members)]
+                    )
+                    for p, f in zip(params, fresh):
+                        p[e * members : (e + 1) * members] = f
+            if ks[t].any():
+                _ref_train_rounds(params, xs[t], labels[t], ks[t], lr)
+        assert ens.reset_counts == reset_counts, b
+        assert np.array_equal(scores, ref_scores), b
+        for name, ref in zip(PARAMS, params):
+            assert np.array_equal(getattr(ens._bank, name), ref), (b, name)
