@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .cpus import usable_cpus
-from .labels import NEG, POS
+from .labels import POS
 from .metrics import ScoreWindow, prequential_auc
 
 
@@ -491,7 +491,11 @@ class FourRatesDetector(DriftDetector):
     """Monitors decayed TPR, TNR, PPV and NPV against null deviation bounds.
 
     Each step updates exactly two of the four rates (one row rate picked by
-    the true class, one column rate picked by the predicted class). A rate is
+    the true class, one column rate picked by the predicted class), and with
+    two classes a hit of either is the same event: the prediction is right.
+    `catch_up` steps a stretch in one pass that decides the hit once per
+    step, updates both rates and then tests the row rate before the column
+    rate, each against `BoundTable.bounds`, its one lookup. A rate is
     tested only when it has just updated, has accumulated ``min_updates``
     updates since (re)arm, and its history holds at least one hit and one
     miss: a pure streak is the extreme trajectory consistent with an
@@ -546,28 +550,33 @@ class FourRatesDetector(DriftDetector):
         checks = self.checks
         for i, (truth, predicted) in enumerate(zip(truths, preds)):
             # one row rate, picked by the true class, and one column rate,
-            # picked by the predicted class, update; then each is tested
-            if truth == POS:
-                row, row_hit = _TPR, predicted == POS
+            # picked by the predicted class, update; a hit of either is the
+            # prediction being right, and a miss adds 0.0 to a rate
+            row = _TPR if truth == POS else _TNR
+            col = _PPV if predicted == POS else _NPV
+            if truth == predicted:
+                row_rate = rates[row] = decay * rates[row] + gain
+                col_rate = rates[col] = decay * rates[col] + gain
+                row_hits = successes[row] = successes[row] + 1
+                col_hits = successes[col] = successes[col] + 1
             else:
-                row, row_hit = _TNR, predicted == NEG
-            if predicted == POS:
-                col, col_hit = _PPV, truth == POS
-            else:
-                col, col_hit = _NPV, truth == NEG
-            for idx, hit in ((row, row_hit), (col, col_hit)):
-                rates[idx] = decay * rates[idx] + gain * float(hit)
-                successes[idx] += int(hit)
-                counts[idx] += 1
-            verdict = Verdict.NORMAL
-            for idx in (row, col):
-                n, hits = counts[idx], successes[idx]
+                row_rate = rates[row] = decay * rates[row]
+                col_rate = rates[col] = decay * rates[col]
+                row_hits, col_hits = successes[row], successes[col]
+            row_n = counts[row] = counts[row] + 1
+            col_n = counts[col] = counts[col] + 1
+            # then each is tested, the row rate first
+            warned = False
+            for rate, hits, n in (
+                (row_rate, row_hits, row_n),
+                (col_rate, col_hits, col_n),
+            ):
                 if n < min_updates or hits == 0 or hits == n:
                     continue
                 checks += 1
                 p_hat = (hits + 0.5) / (n + 1.0)
                 lo_d, lo_w, hi_w, hi_d = bounds(p_hat, n)
-                d = rates[idx] - p_hat
+                d = rate - p_hat
                 if d < lo_d or d > hi_d:
                     self.checks = checks
                     if self.auto_rearm:
@@ -575,9 +584,9 @@ class FourRatesDetector(DriftDetector):
                     verdicts.append((i, Verdict.DRIFT))
                     return verdicts
                 if d < lo_w or d > hi_w:
-                    verdict = Verdict.WARNING
-            if verdict is Verdict.WARNING:
-                verdicts.append((i, verdict))
+                    warned = True
+            if warned:
+                verdicts.append((i, Verdict.WARNING))
         self.checks = checks
         return verdicts
 
@@ -637,16 +646,21 @@ class AucDropDetector(DriftDetector):
         self.auc_count = 0
 
     def catch_up(self, truths, preds, scores, minorities):
+        # the whole stretch is checked first, so that a score it cannot take
+        # leaves the detector as it was
+        if None in scores:
+            raise ValueError("AucDropDetector needs the classifier score")
+        if any(map(math.isnan, scores)):
+            raise ValueError("AucDropDetector cannot take a NaN score")
         verdicts = []
         window, min_fill, delta = self.window, self.min_fill, self.delta
+        push, fifo = window.push, window._fifo
         threshold, warn = self.threshold, self.threshold / 2.0
         m, m_min = self.m, self.m_min
         auc_mean, auc_count = self.auc_mean, self.auc_count
         for i, (truth, score) in enumerate(zip(truths, scores)):
-            if score is None:
-                raise ValueError("AucDropDetector needs the classifier score")
-            window.push(score, truth)
-            if len(window) < min_fill:
+            push(score, truth)
+            if len(fifo) < min_fill:
                 continue
             auc = prequential_auc(window)
             auc_count += 1

@@ -298,10 +298,13 @@ def _train_block(block, detectors, labels, minorities, events, done: int):
     Every ``CATCH_UP_ROUNDS`` rounds of ``block`` (a `RowSchedule` with the
     block laid out), each of ``detectors``, given as (pipeline, detector),
     catches up in one call (`DriftDetector.catch_up`) on the steps that all
-    of its pipeline's rows have predicted, appending its alarms to the
-    pipeline's ``events`` (``done`` is the steps before the block); a drift
-    alarm rewinds the pipeline's rows to its step. With no detector there is
-    nothing to catch up, and the block runs to its end at once.
+    of its pipeline's rows have predicted since its last call, and on no
+    other: their scores are read for that pipeline alone, and its labels
+    follow from them as `OnlineEnsemble.predict` gives them. Its alarms go
+    to the pipeline's ``events`` (``done`` is the steps before the block),
+    and a drift alarm rewinds the pipeline's rows to its step. With no
+    detector there is nothing to catch up, and the block runs to its end at
+    once.
     """
     if not detectors:
         block.run()
@@ -311,19 +314,15 @@ def _train_block(block, detectors, labels, minorities, events, done: int):
     while True:
         block.run(CATCH_UP_ROUNDS)
         ready = block.predicted()
-        behind = [(e, det) for e, det in detectors if seen[e] < ready[e]]
-        if behind:
-            # one read of the scores serves every detector that is behind
-            lo = min(seen[e] for e, _ in behind)
-            caught = block.scores(lo, max(ready[e] for e, _ in behind))
-            preds = np.where(caught >= 0.5, POS, NEG)
-        for e, detector in behind:
+        for e, detector in detectors:
             start, stop = seen[e], ready[e]
-            stretch = slice(start - lo, stop - lo)
+            if start == stop:
+                continue
+            scores = block.scores(start, stop, e).tolist()
             verdicts = detector.catch_up(
                 labels[start:stop],
-                preds[stretch, e].tolist(),
-                caught[stretch, e].tolist(),
+                [POS if score >= 0.5 else NEG for score in scores],
+                scores,
                 minorities[start:stop],
             )
             for i, verdict in verdicts:

@@ -66,6 +66,7 @@ row's two or three elements; each element gets the same operation either way.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -420,10 +421,15 @@ class RowSchedule:
 
     There is one layout, `_lay_out`: from the current round on, it places
     some rows' passes position by position in arrays of ``(positions, rows,
-    ...)``, so that a round reads one position of each, and notes the
-    position of each step's first pass. `start` lays out every row of a new
-    block from step 0, and a rewind the reset rows from step ``t``. The
-    scores of a step are read from the history at those positions.
+    ...)``, so that a round reads one position of each. It numbers each row's
+    positions with one repeat of the row's step codes by its passes (a code
+    is 2 * step, plus 1 where the row trains at the step), and reads the
+    inputs, targets and step sizes by code. It also notes the position of
+    each step's first pass, and for each ensemble the latest of those over
+    its rows. `start` lays out every row of a new block from step 0, and a
+    rewind the reset rows from step ``t``. The steps an ensemble has
+    predicted are those whose latest first pass lies before the current
+    round, and their scores are read from the history at their first passes.
 
     One schedule serves a run, and its buffers are kept from block to block:
     the per-step tables hold up to ``max_steps`` steps and the idle step
@@ -436,18 +442,31 @@ class RowSchedule:
         bank = model._bank
         rows, d = bank.n_members, bank.n_features
         self._cols = np.arange(rows)
-        # by step, with room for a block's idle step n after its n steps: a
-        # zero input and target, step size 0
-        self._inputs = np.empty((max_steps + 1, d))
-        self._targets = np.empty((max_steps + 1, N_CLASSES))
-        self._sizes = np.empty((max_steps + 1, rows))
-        # each step's first pass and each row's end, where it goes idle, as
-        # positions; the idle step's first pass is past every round
-        self._first = np.empty((max_steps + 1, rows), dtype=np.intp)
+        # by row and step: the block's Poisson counts, and the codes, 2 *
+        # step + 1 where the row trains (k > 0) and 2 * step where it only
+        # predicts; a block's idle step n after its n steps has code 2n
+        self._ks = np.empty((rows, max_steps), dtype=np.intp)
+        self._codes = np.empty((rows, max_steps + 1), dtype=np.intp)
+        self._evens = np.arange(0, 2 * max_steps, 2)
+        # by code: each step's input and target (twice), a zero input and
+        # target at the idle step, and the step size, lr or 0
+        self._inputs = np.empty((2 * max_steps + 1, d))
+        self._targets = np.empty((2 * max_steps + 1, N_CLASSES))
+        self._sizes = np.tile([0.0, bank.lr], max_steps + 1)
+        # by ensemble, each step's first pass of each of its rows, as an
+        # index into the flat history, position * rows + row
+        m = model.n_members
+        self._first = np.empty((len(model.samplers), max_steps, m), dtype=np.intp)
+        # per ensemble, the latest of each step's first passes over its rows:
+        # ascending, so the steps all of its rows have predicted by a round
+        # are the ones before a bisection at it
+        self._latest: list[list[int]] = []
+        # each row's end, where it goes idle, and the last of them
         self._ends = np.zeros(rows, dtype=np.intp)
+        self._last = 0
         # by position, the first `_length` of them the block's: each row's
-        # step, input, target and step size there, and the history
-        self._step = np.empty((0, rows), dtype=np.intp)
+        # code, input, target and step size there, and the history
+        self._code = np.empty((0, rows), dtype=np.intp)
         self._X = np.empty((0, rows, d))
         self._T = np.empty((0, rows, N_CLASSES))
         self._S = np.empty((0, rows))
@@ -459,21 +478,26 @@ class RowSchedule:
         t of ``xs`` and of ``ks`` are step t's input and Poisson counts, and
         ``labels[t]`` its label."""
         self.n_steps = n = len(ks)
-        self._ks = ks
-        self._inputs[:n] = xs
-        positive = np.equal(labels, POS)
-        self._targets[:n, _CLASS_INDEX[POS]] = positive
-        self._targets[:n, _CLASS_INDEX[NEG]] = ~positive
-        np.multiply(ks > 0, self._model._bank.lr, out=self._sizes[:n])
-        self._inputs[n] = self._targets[n] = self._sizes[n] = 0.0
-        self._first[n] = np.iinfo(np.intp).max
+        ks_by_row = self._ks[:, :n]
+        ks_by_row[...] = ks.T
+        codes = self._codes[:, :n]
+        np.minimum(ks_by_row, 1, out=codes)
+        codes += self._evens[:n]
+        self._codes[:, n] = 2 * n
+        self._inputs[: 2 * n].reshape(n, 2, -1)[...] = xs[:, None]
+        positive = np.equal(labels, POS)[:, None]
+        targets = self._targets[: 2 * n].reshape(n, 2, N_CLASSES)
+        targets[:, :, _CLASS_INDEX[POS]] = positive
+        targets[:, :, _CLASS_INDEX[NEG]] = ~positive
+        self._inputs[2 * n] = self._targets[2 * n] = 0.0
+        self._latest = [[] for _ in self._model.samplers]
         self.round = self._length = 0
         self._lay_out(slice(0, len(self._cols)), 0, relearn=False)
 
     @property
     def finished(self) -> bool:
         """Whether every row has taken all of its passes."""
-        return self.round >= self._ends.max()
+        return self.round >= self._last
 
     def run(self, rounds: int | None = None) -> None:
         """Run up to ``rounds`` more rounds, or all that are left, stopping
@@ -482,7 +506,7 @@ class RowSchedule:
         forward, backward = bank.forward_in_place, bank.backward_in_place
         X, T, S, hist = self._X, self._T, self._S, self._hist
         positive = bank._probs_cols[_CLASS_INDEX[POS]]
-        start, end = self.round, int(self._ends.max())
+        start, end = self.round, self._last
         stop = end if rounds is None else min(start + rounds, end)
         for j in range(start, stop):
             x = X[j]
@@ -493,21 +517,22 @@ class RowSchedule:
 
     def predicted(self) -> list[int]:
         """For each ensemble, how many of the block's first steps every one of
-        its rows has predicted."""
-        step = self._step[self.round]
-        # a row about to take a step's first pass has predicted the steps
-        # before it; one past it, the step too
-        done = step + (self._first[step, self._cols] < self.round)
-        return done.reshape(-1, self._model.n_members).min(axis=1).tolist()
+        its rows has predicted: the steps whose latest first pass over its
+        rows lies before the current round, a prefix of the block."""
+        return [bisect_left(latest, self.round) for latest in self._latest]
 
-    def scores(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def scores(self, lo: int = 0, hi: int | None = None, e: int | None = None):
         """Every ensemble's scores of steps ``lo`` .. ``hi - 1``, as (steps,
-        ensembles): the mean of its rows' predictions, with the bits of
-        `OnlineEnsemble.predict`."""
+        ensembles), or with ``e`` ensemble e's alone, as (steps,): the mean
+        of its rows' predictions, with the bits of `OnlineEnsemble.predict`.
+        Every row read must have predicted those steps (`predicted`): the
+        history holds nothing else at a step's first pass."""
         m = self._model.n_members
-        first = self._first[lo : self.n_steps if hi is None else hi]
-        preds = self._hist[first, self._cols]
-        return preds.reshape(len(preds), -1, m).sum(axis=2) / m
+        hist = self._hist.reshape(-1)
+        steps = slice(lo, self.n_steps if hi is None else hi)
+        if e is not None:
+            return np.add.reduce(hist.take(self._first[e, steps]), 1) / m
+        return (np.add.reduce(hist.take(self._first[:, steps]), 2) / m).T
 
     def rewind(self, e: int, t: int) -> None:
         """Reset ensemble ``e``, whose rows have all predicted step ``t``, and
@@ -519,60 +544,59 @@ class RowSchedule:
         self._lay_out(slice(e * m, (e + 1) * m), t, relearn=True)
 
     def _lay_out(self, rows: slice, t: int, relearn: bool) -> None:
-        """Lay out the passes of ``rows`` at steps t .. n - 1 from the
-        current round on, max(1, k) at each step, and idle positions after
-        them. Rows that ``relearn`` step t, having predicted it, take only
-        its k passes there. The block's positions run to an idle one past
-        the last pass of any row; where a rewind adds positions, the other
-        rows idle there."""
-        j, n = self.round, self.n_steps
-        passes = np.maximum(self._ks[t:, rows], 1)
+        """Lay out the passes of ``rows``, whole ensembles, at steps t .. n -
+        1 from the current round on, max(1, k) at each step, and idle
+        positions after them. Rows that ``relearn`` step t, having predicted
+        it, take only its k passes there. The block's positions run to an
+        idle one past the last pass of any row; where a rewind adds
+        positions, the other rows idle there."""
+        j, n, m = self.round, self.n_steps, self._model.n_members
+        # by row: the passes at each step, then the positions idle to the end
+        repeats = np.empty((rows.stop - rows.start, n - t + 1), dtype=np.intp)
+        passes = repeats[:, :-1]
+        np.maximum(self._ks[rows, t:n], 1, out=passes)
         if relearn:
-            passes[0] = self._ks[t, rows]
-        ends = passes.cumsum(axis=0)
+            passes[:, 0] = self._ks[rows, t]
+        ends = passes.cumsum(axis=1)
         ends += j
-        starts = np.subtract(ends, passes, out=passes)
+        starts = ends - passes
         first = t + 1 if relearn else t
-        self._first[first:n, rows] = starts[first - t :]
-        self._ends[rows] = ends[-1]
-        kept, length = self._length, int(ends[-1].max()) + 1
+        starts = starts[:, first - t :].reshape(len(starts) // m, m, n - first)
+        ensembles = slice(rows.start // m, rows.stop // m)
+        firsts = self._first[ensembles, first:n]
+        np.multiply(starts.transpose(0, 2, 1), len(self._cols), out=firsts)
+        firsts += self._cols[rows].reshape(-1, 1, m)
+        for e, steps in enumerate(starts.max(axis=1).tolist(), ensembles.start):
+            self._latest[e][first:] = steps
+        self._ends[rows] = last = ends[:, -1]
+        self._last = int(self._ends.max())
+        kept, length = self._length, int(last.max()) + 1
         if length > kept:
             self._reserve(length, kept)
-            positions = (self._step, self._X, self._T, self._S)
-            for a, idle in zip(positions, (n, 0.0, 0.0, 0.0)):
-                a[kept:length, : rows.start] = idle
-                a[kept:length, rows.stop :] = idle
+            for a in (self._X, self._T, self._S):
+                a[kept:length, : rows.start] = 0.0
+                a[kept:length, rows.stop :] = 0.0
             self._length = length
         end = self._length
-        # the step of each position, n once a row is idle, counted up from t
-        # at marks where a row's next step starts
-        step = self._step[j:end, rows]
-        step.fill(0)
-        cols = np.arange(step.shape[1])
-        step[starts[1:] - j, cols] = 1
-        step[ends[-1] - j, cols] = 1
-        np.cumsum(step, axis=0, out=step)
-        step += t
+        np.subtract(end, last, out=repeats[:, -1])
+        # each row's codes, each repeated by its passes at the step, the
+        # idle one to the end, written position by position
+        codes = np.repeat(self._codes[rows, t : n + 1], repeats.reshape(-1))
+        code = self._code[j:end, rows]
+        code[...] = codes.reshape(len(repeats), -1).T
         # every index is in range; with mode "raise", `take` would write
         # into a copy of ``out`` first
         X, T, S = self._X[j:end, rows], self._T[j:end, rows], self._S[j:end, rows]
-        np.take(self._inputs, step, axis=0, out=X, mode="clip")
-        np.take(self._targets, step, axis=0, out=T, mode="clip")
-        # the step sizes, from the sizes table at flat index step * rows +
-        # row; then the steps are restored
-        width, row = len(self._cols), self._cols[rows]
-        step *= width
-        step += row
-        np.take(self._sizes.reshape(-1), step, out=S, mode="clip")
-        step -= row
-        step //= width
+        np.take(self._inputs, code, axis=0, out=X, mode="clip")
+        np.take(self._targets, code, axis=0, out=T, mode="clip")
+        np.take(self._sizes, code, out=S, mode="clip")
 
     def _reserve(self, length: int, kept: int) -> None:
         """Make the position arrays and the history hold ``length``
         positions, keeping their first ``kept``. An array that is short is
         grown to exactly ``length``, one at a time, so that no more than one
         is held twice."""
-        for name in ("_step", "_X", "_T", "_S", "_hist"):
+        for name in ("_code", "_X", "_T", "_S", "_hist"):
             a = getattr(self, name)
             if len(a) < length:
                 grown = np.empty((length,) + a.shape[1:], dtype=a.dtype)

@@ -21,6 +21,16 @@ import numpy as np
 from .labels import NEG, POS
 
 
+def _twice_below(scores: list[float], x: float) -> int:
+    """2 per entry of the sorted ``scores`` below x, and 1 per entry equal to
+    it: ``bisect_left + bisect_right``, with the second search made only
+    where x is there."""
+    lo = bisect_left(scores, x)
+    if lo < len(scores) and scores[lo] == x:
+        return lo + bisect_right(scores, x, lo)
+    return 2 * lo
+
+
 class ScoreWindow:
     """Fixed-capacity FIFO of recent (score, label) pairs.
 
@@ -43,27 +53,27 @@ class ScoreWindow:
     def __len__(self) -> int:
         return len(self._fifo)
 
-    def _pair_count(self, score: float, positive: bool) -> int:
-        """2U contribution of one score against the other class's scores."""
-        if positive:
-            neg = self._neg
-            return bisect_left(neg, score) + bisect_right(neg, score)
-        pos = self._pos
-        return 2 * len(pos) - bisect_left(pos, score) - bisect_right(pos, score)
-
     def push(self, score: float, label: int) -> None:
         score = float(score)
         if score != score:
             raise ValueError("score must not be NaN")
-        if len(self._fifo) == self.capacity:
-            old, old_positive = self._fifo.popleft()
-            mine = self._pos if old_positive else self._neg
-            del mine[bisect_left(mine, old)]
-            self._u2 -= self._pair_count(old, old_positive)
-        positive = label == POS
-        self._fifo.append((score, positive))
-        insort(self._pos if positive else self._neg, score)
-        self._u2 += self._pair_count(score, positive)
+        fifo, pos, neg = self._fifo, self._pos, self._neg
+        if len(fifo) == self.capacity:
+            old, old_positive = fifo.popleft()
+            if old_positive:
+                del pos[bisect_left(pos, old)]
+                self._u2 -= _twice_below(neg, old)
+            else:
+                del neg[bisect_left(neg, old)]
+                self._u2 -= 2 * len(pos) - _twice_below(pos, old)
+        if label == POS:
+            fifo.append((score, True))
+            insort(pos, score)
+            self._u2 += _twice_below(neg, score)
+        else:
+            fifo.append((score, False))
+            insort(neg, score)
+            self._u2 += 2 * len(pos) - _twice_below(pos, score)
 
     def clear(self) -> None:
         self._fifo.clear()

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frozen_detectors import FrozenAucDrop, FrozenFourRates
 from skewstream import detectors
 from skewstream.detectors import (
     AucDropDetector,
@@ -879,6 +880,77 @@ def test_catch_up_stretches_equal_one_step_at_a_time(kind, tmp_path, monkeypatch
         assert got == want, seed
         warnings += sum(v is Verdict.WARNING for _, v in got)
     assert mid_stretch_drifts and warnings, (mid_stretch_drifts, warnings)
+
+
+FROZEN_DETECTORS = {
+    "four-rates": lambda table: (
+        FourRatesDetector(decay=0.95, min_updates=10, table=table),
+        FrozenFourRates(table, decay=0.95, min_updates=10),
+    ),
+    "four-rates-free": lambda table: (
+        FourRatesDetector(decay=0.95, min_updates=10, auto_rearm=False, table=table),
+        FrozenFourRates(table, decay=0.95, min_updates=10, auto_rearm=False),
+    ),
+    "auc-drop": lambda table: (
+        AucDropDetector(window=100, min_fill=40, delta=0.05, threshold=4.0),
+        FrozenAucDrop(window=100, min_fill=40, delta=0.05, threshold=4.0),
+    ),
+    "auc-drop-defaults": lambda table: (AucDropDetector(), FrozenAucDrop()),
+}
+
+
+def frozen_state(det):
+    """The state a detector and its frozen loop share: the rates, counts and
+    ``checks``, or the accumulator and the whole score window."""
+    if isinstance(det, (FourRatesDetector, FrozenFourRates)):
+        return tuple(det.rates), tuple(det.successes), tuple(det.counts), det.checks
+    w = det.window
+    return (
+        (det.m, det.m_min, det.auc_mean, det.auc_count),
+        (list(w._fifo), list(w._pos), list(w._neg), w._u2),
+    )
+
+
+@pytest.mark.parametrize("kind", list(FROZEN_DETECTORS))
+def test_catch_ups_equal_the_frozen_loops(kind, tmp_path, monkeypatch):
+    # random cuts, each stretch stopped after its first drift as a harness
+    # catch-up stops it; the frozen loops are an oracle that `step` is not
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
+    table = small_table(decay=0.95, max_n=100)
+    drifts = warnings = 0
+    for seed in range(3):
+        stream = phased_stream(seed)
+        n = len(stream[0])
+        det, frozen = FROZEN_DETECTORS[kind](table)
+        rng = np.random.default_rng([seed, 2])
+        t = 0
+        while t < n:
+            stop = min(n, t + int(rng.integers(1, 60)))
+            stretch = [part[t:stop] for part in stream]
+            got = det.catch_up(*stretch)
+            assert got == frozen.catch_up(*stretch), (seed, t)
+            assert frozen_state(det) == frozen_state(frozen), (seed, t)
+            if got and got[-1][1] is Verdict.DRIFT:
+                drifts += 1
+                stop = t + got[-1][0] + 1
+            warnings += sum(v is Verdict.WARNING for _, v in got)
+            t = stop
+    assert drifts and warnings, (drifts, warnings)
+
+
+@pytest.mark.parametrize("bad", [None, float("nan")], ids=["None", "NaN"])
+def test_auc_drop_refuses_a_stretch_with_a_bad_score_before_any_step(bad):
+    det = AucDropDetector(window=100, min_fill=40, delta=0.05, threshold=4.0)
+    truths, preds, scores, minorities = phased_stream(0, n=400)
+    det.catch_up(truths[:150], preds[:150], scores[:150], minorities[:150])
+    before = full_state(det), det.window._pos[:], det.window._neg[:], det.window._u2
+    # the bad score comes after steps that would move every field
+    scores = scores[150:200]
+    scores[30] = bad
+    with pytest.raises(ValueError, match="score"):
+        det.catch_up(truths[150:200], preds[150:200], scores, minorities[150:200])
+    after = full_state(det), det.window._pos[:], det.window._neg[:], det.window._u2
+    assert after == before
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -39,7 +40,12 @@ from skewstream.harness import (
 )
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
-from skewstream.learners import MlpBank, OnlineEnsemble, default_hidden_size
+from skewstream.learners import (
+    MlpBank,
+    OnlineEnsemble,
+    RowSchedule,
+    default_hidden_size,
+)
 from skewstream.metrics import decayed_recall_gmean_series
 from skewstream.presets import preset_schedule
 from skewstream.streams import ConceptSpec, DriftSchedule, Skew, StreamGenerator
@@ -462,6 +468,49 @@ def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatc
             assert rounds == passes, b
     # a rewind that makes a row the busiest lengthens its block
     assert any(rounds > passes for passes, rounds in blocks)
+
+
+@pytest.mark.parametrize(
+    "poison", [float("nan"), float("inf"), 1e308], ids=["nan", "inf", "1e308"]
+)
+def test_catch_ups_read_only_the_steps_a_pipeline_has_predicted(
+    monkeypatch, poison
+):
+    # every history position that no round has written yet is poisoned as
+    # a block or a rewind is laid out: a read of one would hand back a score
+    # that is no probability, or overflow in the mean, and a RuntimeWarning
+    # is an error here
+    pipelines = [
+        PipelineSpec("OB+ddm", "OB", "ddm-oci"),
+        PipelineSpec("OOB+lfr", "OOB", "lfr"),
+        PipelineSpec("OOB+auc", "OOB", "pauc-ph"),
+    ]
+    cfg = tiny_config(pipelines=pipelines, runs=1, steps=1200)
+    names = [pipe.name for pipe in pipelines]
+    want = dict(zip(names, ([rec] for rec in harness._run_once(cfg, 0))))
+    # rewinds, whose layouts are poisoned too
+    assert want["OOB+lfr"][0].detection_log.alarms
+    lay_out, scores = RowSchedule._lay_out, RowSchedule.scores
+    reads = 0
+
+    def poisoned(self, rows, t, relearn):
+        lay_out(self, rows, t, relearn)
+        self._hist[self.round :] = poison
+
+    def checked(self, *args):
+        nonlocal reads
+        got = scores(self, *args)
+        assert ((got >= 0.0) & (got <= 1.0)).all(), args
+        reads += 1
+        return got
+
+    monkeypatch.setattr(RowSchedule, "_lay_out", poisoned)
+    monkeypatch.setattr(RowSchedule, "scores", checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = dict(zip(names, ([rec] for rec in harness._run_once(cfg, 0))))
+    assert reads > 100
+    assert_same_records(got, want)
 
 
 def test_no_pipelines_builds_no_stream(monkeypatch):

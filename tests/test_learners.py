@@ -651,23 +651,41 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     assert all(cases.values()), cases
 
 
+def brute_force_predicted(block):
+    """For each ensemble, the fewest of the block's steps that any of its
+    rows has predicted: its steps whose first pass lies before the current
+    round, counted row by row."""
+    n, rows = block.n_steps, len(block._cols)
+    # by ensemble, each step's first pass of each row, as a position
+    first = block._first[:, :n] // rows
+    return (first < block.round).sum(axis=1).min(axis=1).tolist()
+
+
 def _train_with_alarms(block, alarms, rounds):
     """Run the block laid out in ``block`` to its end, ``rounds`` rounds at
     a time, and rewind ensemble e as soon as all of its rows have predicted
     step t, for each (t, e) in ``alarms``, as a detector would; returns the
-    block's scores."""
+    block's scores. After every run and every rewind, `predicted` must equal
+    a brute-force count."""
     seen = [0, 0, 0]  # the steps each ensemble has been checked for alarms at
     while True:
         block.run(rounds)
+        assert block.predicted() == brute_force_predicted(block)
         for e, ready in enumerate(block.predicted()):
             while seen[e] < ready:
                 seen[e] += 1
                 if (seen[e] - 1, e) in alarms:
                     t = seen[e] - 1
-                    before = block.scores(0, t + 1)
+                    # the steps each ensemble has predicted, t the last of e
+                    done = block.predicted()
+                    done[e] = t + 1
+                    before = [block.scores(0, hi, f) for f, hi in enumerate(done)]
                     block.rewind(e, t)
+                    assert block.predicted() == brute_force_predicted(block)
+                    assert block.predicted()[e] == t + 1
                     # the steps the detectors have seen keep their scores
-                    assert np.array_equal(block.scores(0, t + 1), before)
+                    for f, hi in enumerate(done):
+                        assert np.array_equal(block.scores(0, hi, f), before[f])
                     break
         if block.finished and seen == [block.n_steps] * 3:
             return block.scores()
