@@ -308,15 +308,12 @@ class BoundTable:
             rows[lo : lo + len(n)] = (1 - fn) * t[ni - 1] + fn * t[ni]
 
     # pickled without the query index, 28 times the table's size: a table
-    # handed to a worker process travels as ~36 KB and is indexed there
-    def __getstate__(self) -> dict:
+    # handed to a worker process travels as ~36 KB and is indexed there,
+    # unless the worker already shares one like it (`_unpickled_table`)
+    def __reduce__(self):
         state = self.__dict__.copy()
         del state["_p_list"], state["_rows"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._index()
+        return _unpickled_table, (state,)
 
     # -- cache ---------------------------------------------------------------
 
@@ -476,6 +473,27 @@ def default_bound_table(
                 decay=decay, warn_level=warn_level, detect_level=detect_level
             )
         return _default_tables[key]
+
+
+def _unpickled_table(state: dict) -> BoundTable:
+    """The `BoundTable` pickled as ``state``: the one this process shares for
+    its parameters if that has the same sizes, seed and quantiles, so a
+    worker handed the same table with every run indexes it once; else the
+    pickled table, indexed here."""
+    key = (state["decay"], state["warn_level"], state["detect_level"])
+    with _default_tables_lock:
+        shared = _default_tables.get(key)
+    if (
+        shared is not None
+        and (shared.n_paths, shared.max_n, shared.seed)
+        == (state["n_paths"], state["max_n"], state["seed"])
+        and np.array_equal(shared.table, state["table"])
+    ):
+        return shared
+    table = BoundTable.__new__(BoundTable)
+    table.__dict__.update(state)
+    table._index()
+    return table
 
 
 def adopt_bound_tables(tables) -> None:

@@ -57,11 +57,15 @@ the kernel reads them through. `forward_in_place` and `backward_in_place`
 write into those buffers, with the same ufunc and matmul calls on the same
 operand shapes as a pass that allocates, so the bits are those of a fresh
 pass. What `forward_in_place` returns is the bank's and is overwritten by its
-next pass. The three column broadcasts (the outputs minus their max, the
-exponentials over their sum, the output error times the step size) and the
-two outer products run through views of their buffers with the row axis
-last, in C order, so that each inner loop runs over the rows, not over a
-row's two or three elements; each element gets the same operation either way.
+next pass. A round's elementwise calls, but for the two outer products, take
+numpy's one-loop path and set up no general iterator: the three column
+broadcasts (the outputs minus their max, the exponentials over their sum, the
+output error times the step size) are one 1-D call per class column, and the
+1.0 of the sigmoid and of ``1 - a1`` is a 0-d array, which numpy does not
+convert on every call as it does a Python float. The two outer products run
+through views of their buffers with the row axis last, in C order, so that
+each inner loop runs over the rows, not over a row's two or three elements.
+Each element gets the same operation on the same operands either way.
 """
 from __future__ import annotations
 
@@ -93,6 +97,10 @@ def default_hidden_size(n_features: int) -> int:
 # so it pays for each name it looks up
 _add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
 _negative, _exp, _maximum, _matmul = np.negative, np.exp, np.maximum, np.matmul
+# the kernel's 1.0, read-only: numpy takes a 0-d array operand as it is, and
+# converts a Python float on every call
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -131,6 +139,11 @@ class MlpBank:
         size = sum(math.prod(shape) for shape in shapes)
         self._params = np.empty(size)
         self.W1, self.b1, self.W2, self.b2 = _views(self._params, shapes)
+        # by member, the places of its weights in the parameter buffer, in
+        # the order W1, b1, W2, b2 that `init_weights` draws them in
+        self._member_at = np.concatenate(
+            [a.reshape(m, -1) for a in _views(np.arange(size), shapes)], axis=1
+        )
         self.init_weights(member_seeds)
         # each weight's gradient at its place; dz1 and dz2 are those of the
         # biases, and dz2 starts as the class probabilities
@@ -158,13 +171,10 @@ class MlpBank:
         da1_col = np.empty((m, h, 1))
         self._da1_col, self._da1 = da1_col, da1_col[:, :, 0]
         self._one_minus_a1 = np.empty((m, h))
-        # "_rl": views with the row axis last, through which the column
-        # broadcasts and the outer products run in C order, rows innermost:
-        # one inner loop over the rows per column, not one of two or three
-        # elements per row
-        self._z2_rl, self._e_rl = self._z2.T, self._e.T
-        self._probs_rl = self._probs.T
-        self._probs_rl_col = self._probs_rl[:, None, :]
+        # "_rl": views with the row axis last, through which the outer
+        # products run in C order, rows innermost: one inner loop over the
+        # rows per weight, not one of two or three elements per row
+        self._probs_rl_col = self._probs.T[:, None, :]
         self._a1_rl = self._a1.T
         self._dz1_rl_col = self._dz1.T[:, None, :]
         self._grad_W1_rl = self._grad_W1.transpose(1, 2, 0)
@@ -174,13 +184,13 @@ class MlpBank:
         """Re-initialize members ``first`` .. ``first + len(member_seeds) - 1``."""
         if not 0 <= first <= first + len(member_seeds) <= self.n_members:
             raise ValueError("seeds must name members inside the bank")
-        h, d = self.hidden, self.n_features
-        for i, seed in enumerate(member_seeds, start=first):
-            rng = np.random.default_rng(seed)
-            self.W1[i] = rng.uniform(-0.5, 0.5, (h, d))
-            self.b1[i] = rng.uniform(-0.5, 0.5, h)
-            self.W2[i] = rng.uniform(-0.5, 0.5, (N_CLASSES, h))
-            self.b2[i] = rng.uniform(-0.5, 0.5, N_CLASSES)
+        # one draw per member, of the doubles that four draws for W1, b1, W2
+        # and b2 in turn would give
+        at = self._member_at[first : first + len(member_seeds)]
+        for seed, places in zip(member_seeds, at):
+            self._params[places] = np.random.default_rng(seed).uniform(
+                -0.5, 0.5, len(places)
+            )
 
     def rows_of(self, x) -> np.ndarray:
         """``x`` in every row of the bank's one-input buffer, which the next
@@ -207,16 +217,21 @@ class MlpBank:
         # the sigmoid 1.0 / (1.0 + exp(-z1)), step by step in z1's buffer
         _negative(a1, a1)
         _exp(a1, a1)
-        _add(a1, 1.0, a1)
-        _divide(1.0, a1, a1)
+        _add(a1, _ONE, a1)
+        _divide(_ONE, a1, a1)
         _matmul(self.W2, self._a1_col, self._z2_col)
         _add(z2, self.b2, z2)
         # a positional out is deprecated for maximum, and for it alone
-        _maximum(*self._z2_cols, out=self._cmax)
-        _subtract(self._z2_rl, self._cmax, self._z2_rl, order="C")
+        (z0, z1), cmax = self._z2_cols, self._cmax
+        _maximum(z0, z1, out=cmax)
+        _subtract(z0, cmax, z0)
+        _subtract(z1, cmax, z1)
         _exp(z2, self._e)
-        _add(*self._e_cols, self._csum)
-        _divide(self._e_rl, self._csum, self._probs_rl, order="C")
+        (e0, e1), csum = self._e_cols, self._csum
+        _add(e0, e1, csum)
+        p0, p1 = self._probs_cols
+        _divide(e0, csum, p0)
+        _divide(e1, csum, p1)
         return a1, self._probs
 
     def backward_in_place(
@@ -232,11 +247,13 @@ class MlpBank:
         subtraction of the gradient buffer updates all four weights."""
         a1, dz1, dz2 = self._a1, self._dz1, self._probs  # dz2 = probs - T
         _subtract(dz2, T, dz2)
-        _multiply(self._probs_rl, steps, self._probs_rl, order="C")
+        d0, d1 = self._probs_cols
+        _multiply(d0, steps, d0)
+        _multiply(d1, steps, d1)
         _matmul(self._W2_t, self._probs_col, self._da1_col)
         _multiply(self._probs_rl_col, self._a1_rl, self._grad_W2_rl, order="C")
         _multiply(self._da1, a1, dz1)
-        _subtract(1.0, a1, self._one_minus_a1)
+        _subtract(_ONE, a1, self._one_minus_a1)
         _multiply(dz1, self._one_minus_a1, dz1)
         _multiply(self._dz1_rl_col, X.T, self._grad_W1_rl, order="C")
         _subtract(self._params, self._grads, self._params)

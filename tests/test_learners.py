@@ -13,6 +13,7 @@ from scipy import stats
 
 from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
 from skewstream.imbalance import ClassSizeTracker
+from skewstream import learners
 from skewstream.labels import NEG, POS
 from skewstream.learners import (
     SAMPLERS,
@@ -561,17 +562,28 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     bank.backward_in_place(X, np.array([1.0, 0.0]), np.zeros(3 * members))
     assert np.array_equal(bank._params, before)
     # the kernel's rows-last views are transposes of the work buffers, so the
-    # column broadcasts and outer products that run through them write into
-    # the gradient buffer, each gradient at its place
+    # outer products that run through them write into the gradient buffer,
+    # each gradient at its place
     for view, buffer, axes in (
         (bank._grad_W1_rl, bank._grad_W1, (2, 0, 1)),
         (bank._grad_W2_rl, bank._grad_W2, (2, 0, 1)),
-        (bank._probs_rl, bank._probs, (1, 0)),
         (bank._dz1_rl_col[:, 0], bank._dz1, (1, 0)),
     ):
         back = view.transpose(axes)
         assert back.ctypes.data == buffer.ctypes.data
         assert back.strides == buffer.strides and np.shares_memory(view, bank._grads)
+    # the per-column calls run through the columns of their buffers, and
+    # the output error's columns lie in the gradient buffer
+    for cols, buffer in (
+        (bank._z2_cols, bank._z2),
+        (bank._e_cols, bank._e),
+        (bank._probs_cols, bank._probs),
+    ):
+        assert len(cols) == buffer.shape[1]
+        for c, col in enumerate(cols):
+            assert col.shape == (len(buffer),) and col.strides == buffer.strides[:1]
+            assert col.ctypes.data == buffer.ctypes.data + c * buffer.strides[1]
+    assert all(np.shares_memory(col, bank._grads) for col in bank._probs_cols)
     # a pass at random step sizes: the softmax is that of the shifted outputs,
     # and the gradient buffer holds both outer products, which the update
     # subtracts from the parameters
@@ -588,6 +600,37 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     assert np.array_equal(bank._grad_W2, dz2[:, :, None] * bank._a1[:, None, :])
     assert np.array_equal(bank._grad_W1, bank._dz1[:, :, None] * X[:, None, :])
     assert np.array_equal(bank._params, before - bank._grads)
+
+
+def test_the_kernels_one_cannot_be_written():
+    # the 0-d 1.0 that every pass reads is shared by every bank
+    one = learners._ONE
+    assert one.shape == () and one.dtype == np.float64 and one == 1.0
+    assert not one.flags.writeable
+    with pytest.raises(ValueError):
+        one[...] = 2.0
+    with pytest.raises(ValueError):
+        np.add(one, one, out=one)
+    assert one == 1.0
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_init_weights_draws_what_four_draws_per_member_do(d):
+    # one draw per member for all four weights, against the frozen four, at
+    # hidden sizes other than d (the frozen-reference tests run d = h = 2, 3)
+    h = default_hidden_size(d)
+    seeds = [[3, 0, i] for i in range(6)]
+    bank = MlpBank(d, seeds)
+    for name, want in zip(PARAMS, _ref_init(d, h, seeds)):
+        assert np.array_equal(getattr(bank, name), want), name
+    # a re-initialization of some members leaves the others as they were
+    before = _weights(bank)
+    fresh = [[3, 1, i] for i in range(2)]
+    bank.init_weights(fresh, first=2)
+    for name, was, want in zip(PARAMS, before, _ref_init(d, h, fresh)):
+        got = getattr(bank, name)
+        assert np.array_equal(got[2:4], want), name
+        assert np.array_equal(got[:2], was[:2]) and np.array_equal(got[4:], was[4:])
 
 
 # ---------------------------------------------------------------------------
