@@ -24,7 +24,7 @@ from .metrics import (
     prequential_auc,
     wilcoxon_signed_rank,
 )
-from .imbalance import ClassSizeTracker, ImbalanceStatus
+from .imbalance import ClassSizeTracker
 from .learners import OnlineEnsemble, default_hidden_size
 from .detectors import (
     AucDropDetector,
@@ -73,7 +73,6 @@ __all__ = [
     "prequential_auc",
     "wilcoxon_signed_rank",
     "ClassSizeTracker",
-    "ImbalanceStatus",
     "OnlineEnsemble",
     "default_hidden_size",
     "AucDropDetector",

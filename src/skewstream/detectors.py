@@ -2,8 +2,7 @@
 
 Three detectors share one verdict interface: `catch_up` steps through a
 stretch of prequential observations (true labels, predicted labels, scores
-and the tracker's minorities) in one call, stopping after the first Drift,
-and `step(...) -> Verdict` is its one-observation case:
+and the tracker's minorities) in one call, stopping after the first Drift:
 
 * RecallDropDetector — tracks the time-decayed recall of the current minority
   class and fires when it falls 2 (warning) or 3 (drift) dispersion units
@@ -62,20 +61,10 @@ class DriftDetector:
     ) -> list[tuple[int, Verdict]]:
         """Step through the observations ``(truths[i], preds[i], scores[i],
         minorities[i])`` in order, up to and including the first that gives
-        Drift; returns the non-Normal verdicts with their indices. A stretch
-        is exactly that many `step` calls."""
+        Drift; returns the non-Normal verdicts with their indices. How a
+        run is cut into stretches does not change its verdicts: a stretch
+        leaves the state that its observations one at a time would."""
         raise NotImplementedError
-
-    def step(
-        self,
-        truth: int,
-        predicted: int,
-        score: float | None = None,
-        minority: int | None = None,
-    ) -> Verdict:
-        """The verdict on one observation: `catch_up` on a stretch of one."""
-        verdicts = self.catch_up((truth,), (predicted,), (score,), (minority,))
-        return verdicts[0][1] if verdicts else Verdict.NORMAL
 
     def reset(self) -> None:
         raise NotImplementedError

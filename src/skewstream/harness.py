@@ -300,7 +300,8 @@ def _train_block(block, detectors, labels, minorities, events, done: int):
     catches up in one call (`DriftDetector.catch_up`) on the steps that all
     of its pipeline's rows have predicted since its last call, and on no
     other: their scores are read for that pipeline alone, and its labels
-    follow from them as `OnlineEnsemble.predict` gives them. Its alarms go
+    follow from them, POS where a score is 0.5 or more (as in the records
+    `_run_once` makes). Its alarms go
     to the pipeline's ``events`` (``done`` is the steps before the block),
     and a drift alarm rewinds the pipeline's rows to its step. With no
     detector there is nothing to catch up, and the block runs to its end at
@@ -339,8 +340,8 @@ def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
     """Run ``r`` of every pipeline on one stream; one record each.
 
     All pipelines of a run see the same stream (seed ``base_seed + r``), so
-    the stream, the class-size tracker and its status are computed once per
-    step and shared. Each pipeline's ensemble is one slice of a stacked
+    the stream, the class sizes and the minority they designate are computed
+    once per step and shared. Each pipeline's ensemble is one slice of a stacked
     `OnlineEnsemble` (its own Poisson generator and reset seeds), and its
     detector, if any, is its own; a drift alarm resets only that slice. The
     records are exactly those of running each pipeline alone, step by step.

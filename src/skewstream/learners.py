@@ -38,9 +38,6 @@ layout serves a new block and a reset's rewind alike, and a step's scores are
 read from the history of rounds at its first passes. A run makes one
 schedule, which lays each block out in buffers it keeps for the run; they
 grow only when a block or a rewind needs more positions than any before.
-`OnlineEnsemble.predict` and `train_one`, and `MlpBank.train_rounds`, are
-the one-step case of the same kernel: row i takes ``ks[i]`` passes and then
-idles with step size 0 until the last row is done.
 
 A bank's kernel allocates nothing per call. Each `MlpBank` keeps its weights
 in one flat parameter buffer, W1, b1, W2 and b2 being C-contiguous views of
@@ -49,11 +46,10 @@ the same layout: the two outer-product weight gradients, the hidden error dz1
 and the output error dz2, which is the buffer of the class probabilities. So
 a gradient step ends in one update, parameters minus gradients, which is
 exact because every gradient is computed from the weights before it. The
-bank also makes its other work buffers once: the one-input rows of `rows_of`,
-the hidden pre-activations and activations (one buffer), the output
-pre-activations, the class-column max and sum, the exponentials, the
-backpropagated hidden error and its `(1 - a1)` factor; and it keeps the views
-the kernel reads them through. `forward_in_place` and `backward_in_place`
+bank also makes its other work buffers once: the hidden pre-activations and
+activations (one buffer), the output pre-activations, the class-column max
+and sum, the exponentials, the backpropagated hidden error and its
+`(1 - a1)` factor; and it keeps the views the kernel reads them through. `forward_in_place` and `backward_in_place`
 write into those buffers, with the same ufunc and matmul calls on the same
 operand shapes as a pass that allocates, so the bits are those of a fresh
 pass. What `forward_in_place` returns is the bank's and is overwritten by its
@@ -84,8 +80,6 @@ SAMPLERS = (OB, OOB, UOB)
 
 N_CLASSES = 2
 _CLASS_INDEX = {POS: 0, NEG: 1}
-# each label's one-hot target over the class columns
-_ONE_HOT = {label: np.eye(N_CLASSES)[i] for label, i in _CLASS_INDEX.items()}
 
 
 def default_hidden_size(n_features: int) -> int:
@@ -153,8 +147,6 @@ class MlpBank:
         )
         # the view the kernel reads W2 through
         self._W2_t = self.W2.transpose(0, 2, 1)
-        # one input in every row (`rows_of`)
-        self._X = np.empty((m, d))
         # forward pass: a1 is z1's buffer, probs the softmax of z2
         self._a1 = np.empty((m, h))
         self._a1_col = self._a1[:, :, None]
@@ -191,14 +183,6 @@ class MlpBank:
             self._params[places] = np.random.default_rng(seed).uniform(
                 -0.5, 0.5, len(places)
             )
-
-    def rows_of(self, x) -> np.ndarray:
-        """``x`` in every row of the bank's one-input buffer, which the next
-        call overwrites."""
-        if len(x) != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {len(x)}")
-        self._X[:] = x
-        return self._X
 
     def forward_in_place(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-member (hidden activations, class probabilities), member i on
@@ -258,19 +242,6 @@ class MlpBank:
         _multiply(self._dz1_rl_col, X.T, self._grad_W1_rl, order="C")
         _subtract(self._params, self._grads, self._params)
 
-    def train_rounds(self, x: np.ndarray, label: int, ks: np.ndarray) -> None:
-        """Give member i ``ks[i]`` sequential gradient steps on (x, label):
-        ``max(ks)`` passes of the kernel, in which a member whose k is spent
-        takes step size 0."""
-        X = self.rows_of(x)
-        passes = int(ks.max()) if len(ks) else 0
-        # step size per pass and member: lr while the member's k lasts, else 0
-        steps = np.where(ks > np.arange(passes)[:, None], self.lr, 0.0)
-        T = _ONE_HOT[label]
-        for j in range(passes):
-            self.forward_in_place(X)
-            self.backward_in_place(X, T, steps[j])
-
 
 class OnlineEnsemble:
     """Online bagging ensembles, one per sampler, over one stacked MLP bank.
@@ -287,10 +258,10 @@ class OnlineEnsemble:
 
     The caller plans the counts ahead: it collects a block of steps' rates,
     `draw_counts` draws them with one Poisson call per ensemble, and a
-    `RowSchedule` trains the whole block on them, or `train_one` one step's
-    row. The rates never depend on the weights or on `reset`, which leaves
-    the generators alone, so the counts are exactly those of a draw per step
-    (see `draw_counts`).
+    `RowSchedule` predicts and trains the whole block on them. The rates
+    never depend on the weights or on `reset`, which leaves the generators
+    alone, so the counts are exactly those of a draw per step (see
+    `draw_counts`).
     """
 
     def __init__(
@@ -319,8 +290,6 @@ class OnlineEnsemble:
         self._bank = MlpBank(
             n_features, self._member_seeds(0) * len(samplers), lr=lr
         )
-        # the last predicted example, which `train_one` consumes
-        self._x = None
 
     def _member_seeds(self, reset_count: int):
         return [[self.seed, reset_count, i] for i in range(self.n_members)]
@@ -337,7 +306,7 @@ class OnlineEnsemble:
         division rounds as a Python float division does, so each rate has
         the bits of one computed step by step.
         """
-        minority, _ = designate(w_pos, w_neg, threshold)
+        minority = designate(w_pos, w_neg, threshold)
         designated = minority != 0
         w_label = np.where(np.equal(labels, POS), w_pos, w_neg)
         pos_minor = minority == POS
@@ -351,24 +320,6 @@ class OnlineEnsemble:
                     w, w_label, out=np.ones(len(w)), where=designated
                 )
         return minority, np.stack([rate[s] for s in self.samplers], axis=1)
-
-    def predict(self, features) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, scores), one entry per ensemble: a score is the mean
-        positive-class probability of the ensemble's members.
-
-        Ties at 0.5 go to the positive class. A copy of the example is kept
-        for `train_one`.
-        """
-        self._x = x = np.array(features, dtype=float)
-        _, probs = self._bank.forward_in_place(self._bank.rows_of(x))
-        # sum / n: the bits of .mean(axis=1), without its Python wrapper
-        scores = (
-            probs[:, _CLASS_INDEX[POS]]
-            .reshape(len(self.samplers), self.n_members)
-            .sum(axis=1)
-            / self.n_members
-        )
-        return np.where(scores >= 0.5, POS, NEG), scores
 
     def draw_counts(self, rates) -> np.ndarray:
         """Every bank row's Poisson count for each step of a block: row t of
@@ -390,20 +341,6 @@ class OnlineEnsemble:
             ],
             axis=1,
         )
-
-    def train_one(self, label, ks: np.ndarray) -> None:
-        """Bagging update of every ensemble on the example of the last
-        `predict`, which this consumes: bank row i takes ``ks[i]`` gradient
-        steps on it. ``ks`` is one step's row of `draw_counts`."""
-        x = self._x
-        if x is None:
-            raise RuntimeError("train_one needs a predicted example to learn")
-        if len(ks) != self._bank.n_members:
-            raise ValueError(
-                f"expected {self._bank.n_members} counts, got {len(ks)}"
-            )
-        self._x = None
-        self._bank.train_rounds(x, label, ks)
 
     def reset(self, e: int) -> None:
         """Fresh weights for ensemble ``e`` from seeds derived off (seed, its
@@ -541,9 +478,11 @@ class RowSchedule:
     def scores(self, lo: int = 0, hi: int | None = None, e: int | None = None):
         """Every ensemble's scores of steps ``lo`` .. ``hi - 1``, as (steps,
         ensembles), or with ``e`` ensemble e's alone, as (steps,): the mean
-        of its rows' predictions, with the bits of `OnlineEnsemble.predict`.
-        Every row read must have predicted those steps (`predicted`): the
-        history holds nothing else at a step's first pass."""
+        of its rows' positive-class probabilities at the steps' first passes,
+        their sum over the rows divided by the members, which has the bits
+        of numpy's ``mean`` over them. Every row read must have predicted
+        those steps (`predicted`): the history holds nothing else at a step's
+        first pass."""
         m = self._model.n_members
         hist = self._hist.reshape(-1)
         steps = slice(lo, self.n_steps if hi is None else hi)

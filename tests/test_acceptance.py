@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from one_step import step
 from skewstream.detectors import AucDropDetector, FourRatesDetector, Verdict
 from skewstream.harness import (
     ExperimentConfig,
@@ -182,8 +183,7 @@ def test_streaming_metric_oracles_match_brute_force():
         # time-decayed class sizes
         theta = float(rng.uniform(0.5, 0.99))
         tracker = ClassSizeTracker(theta)
-        for t in truths:
-            tracker.update(int(t))
+        tracker.track(truths.tolist())
         for label in LABELS:
             w = (theta**n) * 0.5 + (1.0 - theta) * sum(
                 theta ** (n - 1 - i) for i, t in enumerate(truths) if t == label
@@ -302,7 +302,7 @@ def test_stationary_null_detector_calibration():
             truth = POS if rng.random() < 0.5 else NEG
             mu = 0.65 if truth == POS else 0.35
             score = float(np.clip(rng.normal(mu, 0.2), 0.0, 1.0))
-            if det.step(truth, None, score=score) is Verdict.DRIFT:
+            if step(det, truth, None, score=score) is Verdict.DRIFT:
                 alarms += 1
         false_alarms.append(alarms)
     fa = float(np.mean(false_alarms))
@@ -322,7 +322,7 @@ def test_stationary_null_detector_calibration():
         for _ in range(3000):
             truth = POS if rng.random() < 0.5 else NEG
             pred = truth if rng.random() < 0.8 else -truth
-            if det.step(truth, pred) is Verdict.DRIFT:
+            if step(det, truth, pred) is Verdict.DRIFT:
                 drifts += 1
         checks += det.checks
     rate = drifts / checks

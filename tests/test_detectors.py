@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from frozen_detectors import FrozenAucDrop, FrozenFourRates
+from one_step import step
 from skewstream import detectors
 from skewstream.detectors import (
     AucDropDetector,
@@ -47,7 +48,7 @@ def detector_state(det):
 def test_base_interface_is_abstract():
     base = DriftDetector()
     with pytest.raises(NotImplementedError):
-        base.step(POS, POS)
+        base.catch_up((POS,), (POS,), (None,), (None,))
     with pytest.raises(NotImplementedError):
         base.reset()
 
@@ -60,27 +61,27 @@ def test_base_interface_is_abstract():
 def test_recall_drop_stays_quiet_on_perfect_minority():
     det = RecallDropDetector()
     for _ in range(500):
-        assert det.step(POS, POS, minority=POS) is Verdict.NORMAL
+        assert step(det, POS, POS, minority=POS) is Verdict.NORMAL
 
 
 def test_recall_drop_ignores_majority_examples():
     det = RecallDropDetector()
     for _ in range(40):
-        det.step(POS, POS, minority=POS)
+        step(det, POS, POS, minority=POS)
     before = detector_state(det)
     for _ in range(100):
         # wrong majority predictions must not move the monitored recall
-        assert det.step(NEG, POS, minority=POS) is Verdict.NORMAL
+        assert step(det, NEG, POS, minority=POS) is Verdict.NORMAL
     assert detector_state(det) == before
 
 
 def test_recall_drop_tracks_normalized_decayed_recall_value():
     det = RecallDropDetector(decay=0.99)
     for _ in range(3):
-        det.step(POS, POS, minority=POS)
+        step(det, POS, POS, minority=POS)
     # ratio of decayed hit sum to decayed count: all hits give exactly 1
     assert det.recall == pytest.approx(1.0, abs=1e-12)
-    det.step(POS, NEG, minority=POS)
+    step(det, POS, NEG, minority=POS)
     num = 0.99 * (1 - 0.99**3)
     den = 0.99 * (1 - 0.99**3) + 0.01
     assert det.recall == pytest.approx(num / den, abs=1e-12)
@@ -96,9 +97,9 @@ def test_recall_drop_warns_before_drifting_on_collapse():
     det = RecallDropDetector()
     for _ in range(60):
         for _ in range(4):
-            det.step(POS, POS, minority=POS)
-        det.step(POS, NEG, minority=POS)
-    tail = [det.step(POS, NEG, minority=POS) for _ in range(4)]
+            step(det, POS, POS, minority=POS)
+        step(det, POS, NEG, minority=POS)
+    tail = [step(det, POS, NEG, minority=POS) for _ in range(4)]
     assert tail == [
         Verdict.NORMAL, Verdict.WARNING, Verdict.WARNING, Verdict.DRIFT,
     ]
@@ -107,8 +108,8 @@ def test_recall_drop_warns_before_drifting_on_collapse():
 def test_recall_drop_rearms_after_drift():
     det = RecallDropDetector()
     for _ in range(300):
-        det.step(POS, POS, minority=POS)
-    while det.step(POS, NEG, minority=POS) is not Verdict.DRIFT:
+        step(det, POS, POS, minority=POS)
+    while step(det, POS, NEG, minority=POS) is not Verdict.DRIFT:
         pass
     assert detector_state(det) == detector_state(RecallDropDetector())
 
@@ -116,17 +117,17 @@ def test_recall_drop_rearms_after_drift():
 def test_recall_drop_min_updates_suppresses_early_alarms():
     det = RecallDropDetector(min_updates=400)
     for _ in range(300):
-        det.step(POS, POS, minority=POS)
+        step(det, POS, POS, minority=POS)
     for _ in range(30):
-        assert det.step(POS, NEG, minority=POS) is Verdict.NORMAL
+        assert step(det, POS, NEG, minority=POS) is Verdict.NORMAL
 
 
 def test_recall_drop_defaults_to_positive_minority():
     a = RecallDropDetector()
     b = RecallDropDetector()
     for _ in range(50):
-        a.step(POS, POS)
-        b.step(POS, POS, minority=POS)
+        step(a, POS, POS)
+        step(b, POS, POS, minority=POS)
     assert detector_state(a) == detector_state(b)
 
 
@@ -209,8 +210,8 @@ def test_bound_table_rejects_bad_parameters_before_any_work(
         raise AssertionError("reached the cache or the simulation")
 
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
-    for step in ("_load_cache", "_simulate", "_store_cache"):
-        monkeypatch.setattr(BoundTable, step, unreachable)
+    for name in ("_load_cache", "_simulate", "_store_cache"):
+        monkeypatch.setattr(BoundTable, name, unreachable)
     key = next(iter(params))
     with pytest.raises(ValueError, match="level" if key.endswith("_level") else key):
         small_table(**params)
@@ -684,10 +685,10 @@ def test_a_worker_indexes_a_table_handed_to_it_again_once(tmp_path, monkeypatch)
 
 def test_four_rates_updates_one_row_and_one_column_rate():
     det = FourRatesDetector()
-    det.step(POS, POS)  # tpr hit, ppv hit
-    det.step(POS, NEG)  # tpr miss, npv miss
-    det.step(NEG, POS)  # tnr miss, ppv miss
-    det.step(NEG, NEG)  # tnr hit, npv hit
+    step(det, POS, POS)  # tpr hit, ppv hit
+    step(det, POS, NEG)  # tpr miss, npv miss
+    step(det, NEG, POS)  # tnr miss, ppv miss
+    step(det, NEG, NEG)  # tnr hit, npv hit
     assert det.counts == [2, 2, 2, 2]
     assert det.successes == [1, 1, 1, 1]
     hit_then_miss = 0.99 * (0.99 * 0.5 + 0.01)
@@ -712,7 +713,7 @@ def scripted_accuracy_stream(seed, n, accuracy_at):
 def test_four_rates_quiet_on_stationary_stream():
     det = FourRatesDetector()
     for _, truth, pred in scripted_accuracy_stream(3, 1000, lambda t: 0.9):
-        assert det.step(truth, pred) is not Verdict.DRIFT
+        assert step(det, truth, pred) is not Verdict.DRIFT
 
 
 def test_four_rates_fires_soon_after_accuracy_collapse():
@@ -721,7 +722,7 @@ def test_four_rates_fires_soon_after_accuracy_collapse():
     for t, truth, pred in scripted_accuracy_stream(
         3, 2000, lambda t: 0.9 if t <= 1000 else 0.3
     ):
-        if det.step(truth, pred) is Verdict.DRIFT:
+        if step(det, truth, pred) is Verdict.DRIFT:
             first = t
             break
     assert first == 1019
@@ -733,7 +734,7 @@ def test_four_rates_rearms_after_drift():
     for _, truth, pred in scripted_accuracy_stream(
         3, 1019, lambda t: 0.9 if t <= 1000 else 0.3
     ):
-        last = det.step(truth, pred)
+        last = step(det, truth, pred)
     assert last is Verdict.DRIFT
     assert detector_state(det) == detector_state(FourRatesDetector())
 
@@ -743,7 +744,7 @@ def test_four_rates_min_updates_suppresses_early_alarms():
     for _, truth, pred in scripted_accuracy_stream(
         3, 2000, lambda t: 0.9 if t <= 1000 else 0.3
     ):
-        assert lax.step(truth, pred) is Verdict.NORMAL
+        assert step(lax, truth, pred) is Verdict.NORMAL
 
 
 def test_four_rates_accepts_injected_table(tmp_path, monkeypatch):
@@ -759,10 +760,10 @@ def test_four_rates_pure_streaks_never_alarm():
     # underlying rate of exactly 1, so no amount of it is evidence of change
     det = FourRatesDetector()
     for _ in range(2000):
-        assert det.step(NEG, NEG) is Verdict.NORMAL
+        assert step(det, NEG, NEG) is Verdict.NORMAL
     assert det.checks == 0
     # the first miss makes TNR's history mixed, so checking begins
-    det.step(NEG, POS)
+    step(det, NEG, POS)
     assert det.checks == 1
 
 
@@ -770,12 +771,12 @@ def test_four_rates_check_counter_survives_rearm():
     det = FourRatesDetector()
     stream = scripted_accuracy_stream(3, 2000, lambda t: 0.9 if t <= 1000 else 0.3)
     for _, truth, pred in stream:
-        if det.step(truth, pred) is Verdict.DRIFT:
+        if step(det, truth, pred) is Verdict.DRIFT:
             break
     at_drift = det.checks
     assert at_drift > 0
     for _, truth, pred in stream:
-        det.step(truth, pred)
+        step(det, truth, pred)
     assert det.checks > at_drift
 
 
@@ -787,7 +788,7 @@ def test_four_rates_check_counter_survives_rearm():
 def test_auc_drop_requires_score():
     det = AucDropDetector()
     with pytest.raises(ValueError):
-        det.step(POS, POS)
+        step(det, POS, POS)
 
 
 def separation_stream(seed, n, flipped_after):
@@ -806,14 +807,14 @@ def separation_stream(seed, n, flipped_after):
 def test_auc_drop_quiet_while_separation_holds():
     det = AucDropDetector()
     for _, truth, score in separation_stream(5, 1200, flipped_after=1200):
-        assert det.step(truth, None, score=score) is Verdict.NORMAL
+        assert step(det, truth, None, score=score) is Verdict.NORMAL
 
 
 def test_auc_drop_warns_then_fires_after_score_flip():
     det = AucDropDetector()
     events = []
     for t, truth, score in separation_stream(5, 1200, flipped_after=600):
-        v = det.step(truth, None, score=score)
+        v = step(det, truth, None, score=score)
         if v is not Verdict.NORMAL:
             events.append((t, v))
     assert events == [(t, Verdict.WARNING) for t in range(763, 811)] + [
@@ -824,7 +825,7 @@ def test_auc_drop_warns_then_fires_after_score_flip():
 def test_auc_drop_rearms_after_drift():
     det = AucDropDetector()
     for t, truth, score in separation_stream(5, 811, flipped_after=600):
-        v = det.step(truth, None, score=score)
+        v = step(det, truth, None, score=score)
     assert v is Verdict.DRIFT
     assert detector_state(det) == detector_state(AucDropDetector())
 
@@ -834,7 +835,7 @@ def test_auc_drop_quiet_until_window_min_fill():
     rng = np.random.default_rng(0)
     for i in range(99):
         # adversarial garbage below the fill threshold cannot alarm
-        v = det.step(POS if i % 2 else NEG, None, score=rng.random())
+        v = step(det, POS if i % 2 else NEG, None, score=rng.random())
         assert v is Verdict.NORMAL
         assert det.auc_count == 0
 
@@ -910,7 +911,7 @@ def test_catch_up_stretches_equal_one_step_at_a_time(kind, tmp_path, monkeypatch
                 stop = t + drifts[0] + 1
             for i in range(t, stop):
                 truth, pred, score, minority = (part[i] for part in stream)
-                v = stepped.step(truth, pred, score=score, minority=minority)
+                v = step(stepped, truth, pred, score=score, minority=minority)
                 if v is not Verdict.NORMAL:
                     want.append((i, v))
             assert full_state(stretched) == full_state(stepped), (seed, stop)
@@ -952,7 +953,8 @@ def frozen_state(det):
 @pytest.mark.parametrize("kind", list(FROZEN_DETECTORS))
 def test_catch_ups_equal_the_frozen_loops(kind, tmp_path, monkeypatch):
     # random cuts, each stretch stopped after its first drift as a harness
-    # catch-up stops it; the frozen loops are an oracle that `step` is not
+    # catch-up stops it; the frozen loops are an oracle apart from
+    # `catch_up`, which a stretch of one (`one_step.step`) is not
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
     table = small_table(decay=0.95, max_n=100)
     drifts = warnings = 0

@@ -18,6 +18,7 @@ import pytest
 
 import skewstream
 from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
+from one_step import step
 from skewstream import cpus, harness
 from skewstream.cli import main
 from skewstream.detectors import AucDropDetector, DriftDetector, Verdict
@@ -38,7 +39,6 @@ from skewstream.harness import (
     run_experiment,
     summarize_runs,
 )
-from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import NEG, POS
 from skewstream.learners import (
     MlpBank,
@@ -228,26 +228,40 @@ def test_run_experiment_is_deterministic():
         assert ra.events == rb.events
 
 
-def reference_rate(learner, label, status):
-    """The Poisson rate of an example of ``label``: OB samples at rate 1,
-    OOB oversamples and UOB undersamples by the class-size ratio, and all
-    sample at rate 1 while the stream is balanced."""
-    w = status.sizes
-    if status.minority is None or learner == "OB":
+def reference_track(w, label, cfg):
+    """Step the class sizes ``w``, a dict by label, through ``label`` with
+    the textbook recursion w_k <- theta * w_k + (1 - theta) * [label = k],
+    and return the minority they designate: the smaller class (POS on a
+    tie) where w_max / w_min exceeds the threshold, else None."""
+    theta = cfg.tracker_theta
+    for k in (POS, NEG):
+        w[k] = theta * w[k] + (1.0 - theta) * (k == label)
+    lo, hi = (POS, NEG) if w[POS] <= w[NEG] else (NEG, POS)
+    ratio = w[hi] / w[lo] if w[lo] > 0.0 else math.inf
+    return lo if ratio > cfg.designation_threshold else None
+
+
+def reference_rate(learner, label, w, minority):
+    """The Poisson rate of an example of ``label`` at the sizes ``w``: OB
+    samples at rate 1, OOB oversamples and UOB undersamples by the
+    class-size ratio, and all sample at rate 1 while no minority is
+    designated."""
+    if minority is None or learner == "OB":
         return 1.0
     if learner == "OOB":
-        return w[status.majority] / w[label]
-    return w[status.minority] / w[label]
+        return w[-minority] / w[label]
+    return w[minority] / w[label]
 
 
 def reference_run(cfg, pipe, r):
-    """One pipeline run on its own stream, tracker and detector, with the
-    frozen kernel for its ensemble and its Poisson counts drawn step by
-    step: the scalar engine that `run_experiment` must reproduce exactly."""
+    """One pipeline run on its own stream, class sizes and detector, with the
+    frozen kernel for its ensemble, its Poisson counts drawn step by step
+    and its detector handed one observation at a time: the scalar engine
+    that `run_experiment` must reproduce exactly."""
     seed = cfg.base_seed + r
     schedule = cfg.schedule
     stream = StreamGenerator(schedule, seed)
-    tracker = ClassSizeTracker(cfg.tracker_theta)
+    w = {POS: 0.5, NEG: 0.5}
     d, m = schedule.old.n_features, cfg.members
     h = default_hidden_size(d)
     resets = 0
@@ -264,18 +278,15 @@ def reference_run(cfg, pipe, r):
             truths.append(label)
             preds.append(pred)
             scores.append(score)
-        tracker.update(label)
-        status = tracker.status(cfg.designation_threshold)
+        minority = reference_track(w, label, cfg)
         if detector is not None:
-            verdict = detector.step(
-                label, pred, score=float(score), minority=status.minority
-            )
+            verdict = step(detector, label, pred, score=float(score), minority=minority)
             if verdict is not Verdict.NORMAL:
                 events.append((t, verdict.value))
             if verdict is Verdict.DRIFT:
                 resets += 1
                 params = _ref_init(d, h, [[seed, resets, i] for i in range(m)])
-        lam = reference_rate(pipe.learner, label, status)
+        lam = reference_rate(pipe.learner, label, w, minority)
         _ref_train_rounds(params, x, label, poisson.poisson(lam, m), cfg.lr)
     return RunRecord(
         run=r,
@@ -384,14 +395,14 @@ def drawn_counts(cfg, learner, r):
     `reference_run` draws them: they never depend on the model."""
     seed = cfg.base_seed + r
     stream = StreamGenerator(cfg.schedule, seed)
-    tracker = ClassSizeTracker(cfg.tracker_theta)
+    w = {POS: 0.5, NEG: 0.5}
     poisson = np.random.default_rng([seed, 1])
     ks = []
     for _ in range(cfg.schedule.total_steps):
         _, label = stream.next_example()
-        tracker.update(label)
-        status = tracker.status(cfg.designation_threshold)
-        ks.append(poisson.poisson(reference_rate(learner, label, status), cfg.members))
+        minority = reference_track(w, label, cfg)
+        lam = reference_rate(learner, label, w, minority)
+        ks.append(poisson.poisson(lam, cfg.members))
     return np.array(ks)
 
 
@@ -468,6 +479,34 @@ def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatc
             assert rounds == passes, b
     # a rewind that makes a row the busiest lengthens its block
     assert any(rounds > passes for passes, rounds in blocks)
+
+
+def test_tie_score_goes_positive(monkeypatch):
+    # with every output layer at zero and no learning, each row's P(+1) is
+    # exactly 0.5, and so is every score: a detector is handed POS as each
+    # step's label, and the record predicts POS at each step
+    def init_weights(self, member_seeds, first=0, _init=MlpBank.init_weights):
+        _init(self, member_seeds, first)
+        rows = slice(first, first + len(member_seeds))
+        self.W2[rows] = self.b2[rows] = 0.0
+
+    handed = []
+
+    class Recording(DriftDetector):
+        def catch_up(self, truths, preds, scores, minorities):
+            handed.extend(zip(preds, scores))
+            return []
+
+    monkeypatch.setattr(MlpBank, "init_weights", init_weights)
+    monkeypatch.setattr(MlpBank, "backward_in_place", lambda self, X, T, steps: None)
+    monkeypatch.setattr(harness, "build_detector", lambda pipe: Recording())
+    cfg = tiny_config(
+        pipelines=[PipelineSpec("OB+ties", "OB", "ddm-oci")], runs=1, steps=300
+    )
+    [record] = harness._run_once(cfg, 0)
+    assert len(record.scores) == 300 - cfg.warm_up > 0
+    assert (record.scores == 0.5).all() and (record.preds == POS).all()
+    assert len(handed) == 300 and set(handed) == {(POS, 0.5)}
 
 
 @pytest.mark.parametrize(

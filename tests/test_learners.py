@@ -1,7 +1,10 @@
 """Learner tests: MLP gradients and training, Poisson resampling, ensembles.
 
 A single net is a one-row `MlpBank`: ``_forward(bank, x)[1][0]`` is its
-(P(+1), P(-1)) and ``train_rounds(x, label, ONE_STEP)`` is one gradient step.
+(P(+1), P(-1)) and ``_rounds(bank, x, label, ONE_STEP)`` is one gradient
+step, both through the bank's kernel, `forward_in_place` and
+`backward_in_place`. An ensemble predicts and learns through a
+`RowSchedule`, as a run does.
 """
 from __future__ import annotations
 
@@ -32,11 +35,26 @@ def _weights(bank):
     return [getattr(bank, name).copy() for name in PARAMS]
 
 
+def _rows(bank, x):
+    """One input ``x`` in every row of the bank."""
+    return np.tile(np.asarray(x, dtype=float), (bank.n_members, 1))
+
+
 def _forward(bank, x):
     """Per-row (hidden activations, class probabilities) for one input ``x``,
     as copies of what `forward_in_place` leaves in the bank's buffers."""
-    a1, probs = bank.forward_in_place(bank.rows_of(x))
+    a1, probs = bank.forward_in_place(_rows(bank, x))
     return a1.copy(), probs.copy()
+
+
+def _rounds(bank, x, label, ks):
+    """Give row i ``ks[i]`` gradient steps on (x, label): ``max(ks)`` passes
+    of the kernel, in which a row whose k is spent takes step size 0."""
+    X, ks = _rows(bank, x), np.asarray(ks)
+    T = np.array([1.0, 0.0] if label == POS else [0.0, 1.0])
+    for j in range(int(ks.max(initial=0))):
+        bank.forward_in_place(X)
+        bank.backward_in_place(X, T, np.where(ks > j, bank.lr, 0.0))
 
 
 def _positive_prob(bank, x):
@@ -58,10 +76,30 @@ def _rates(ens, label, tracker, threshold=1.5):
     return rates
 
 
-def _train(ens, label, tracker):
-    """`train_one` on counts drawn for this step alone: a one-step block."""
-    [ks] = ens.draw_counts([_rates(ens, label, tracker)])
-    ens.train_one(label, ks)
+def _block(ens, xs, labels, ks):
+    """Predict and learn the steps ``(xs[t], labels[t])`` on counts ``ks[t]``
+    as one planned block of a `RowSchedule`; returns the scores as (steps,
+    ensembles)."""
+    schedule = RowSchedule(ens, len(ks))
+    schedule.start(np.asarray(xs, dtype=float), labels, np.asarray(ks))
+    schedule.run()
+    return schedule.scores()
+
+
+def _learn(ens, xs, labels, tracker, block=16):
+    """Predict and learn the steps ``(xs[t], labels[t])`` in blocks of
+    ``block`` steps, as a run without detectors does: each step's rates from
+    the tracker's sizes after its label, each block's counts drawn at once;
+    returns the scores as (steps, ensembles)."""
+    schedule = RowSchedule(ens, block)
+    scores = []
+    for lo in range(0, len(labels), block):
+        part = labels[lo : lo + block]
+        _, rates = ens.sampling_rates(part, *tracker.track(part), 1.5)
+        schedule.start(np.asarray(xs[lo : lo + block]), part, ens.draw_counts(rates))
+        schedule.run()
+        scores.append(schedule.scores())
+    return np.concatenate(scores)
 
 
 def _loss(bank, x, label):
@@ -89,7 +127,7 @@ def test_zero_learning_rate_leaves_weights_unchanged():
     bank = MlpBank(2, [3], lr=0.0)
     before = _weights(bank)
     for _ in range(20):
-        bank.train_rounds(np.array([0.2, 0.7]), POS, ONE_STEP)
+        _rounds(bank, [0.2, 0.7], POS, ONE_STEP)
     for name, b in zip(PARAMS, before):
         assert np.array_equal(getattr(bank, name), b), name
 
@@ -112,7 +150,7 @@ def test_gradient_matches_central_differences():
         x = rng.uniform(0, 1, 3)
         y = POS if seed % 2 else NEG
         base = _weights(bank)
-        bank.train_rounds(x, y, ONE_STEP)
+        _rounds(bank, x, y, ONE_STEP)
         analytic = np.concatenate(
             [(b - getattr(bank, name)).ravel() for name, b in zip(PARAMS, base)]
         )
@@ -141,7 +179,7 @@ def test_learns_separable_blobs():
             x, y = rng.normal([0.25, 0.25], 0.08), POS
         else:
             x, y = rng.normal([0.75, 0.75], 0.08), NEG
-        bank.train_rounds(x, y, ONE_STEP)
+        _rounds(bank, x, y, ONE_STEP)
         xs.append(x)
         ys.append(y)
     recent = list(zip(xs[-500:], ys[-500:]))
@@ -160,7 +198,7 @@ def test_training_reduces_loss_on_average():
         x = rng.uniform(0, 1, 2)
         y = POS if rng.random() < 0.5 else NEG
         before = _loss(bank, x, y)
-        bank.train_rounds(x, y, ONE_STEP)
+        _rounds(bank, x, y, ONE_STEP)
         drops += _loss(bank, x, y) < before
     assert drops / trials > 0.9
 
@@ -202,20 +240,16 @@ def test_adaptive_rates_match_size_ratios():
 
 
 def test_rates_come_from_the_sizes_at_status_time():
+    # a step's minority and rates read the sizes after its own label, as
+    # `track` handed them over; later steps move the tracker, not those sizes
     tracker = ClassSizeTracker(theta=0.8)
-    for label in (NEG, NEG, POS, NEG, NEG, NEG):
-        tracker.update(label)
-    status = tracker.status()
+    w_pos, w_neg = tracker.track([NEG, NEG, POS, NEG, NEG, NEG])
     w = dict(tracker.w)
-    for label in (POS, POS, POS):  # later updates move the tracker, not status
-        tracker.update(label)
-    assert (status.minority, status.majority) == (POS, NEG)
+    tracker.track([POS, POS, POS])
     ens = OnlineEnsemble(2, samplers=("OB", "OOB", "UOB"), n_members=2, seed=0)
     for label in (POS, NEG):
-        minority, rates = ens.sampling_rates(
-            [label], np.array([status.sizes[POS]]), np.array([status.sizes[NEG]]), 1.5
-        )
-        assert minority.tolist() == [status.minority]
+        minority, rates = ens.sampling_rates([label], w_pos[-1:], w_neg[-1:], 1.5)
+        assert minority.tolist() == [POS]
         assert rates.tolist() == [[1.0, w[NEG] / w[label], w[POS] / w[label]]]
 
 
@@ -341,33 +375,12 @@ def test_draw_counts_equals_each_ensembles_per_step_draws():
 # ---------------------------------------------------------------------------
 
 
-def test_train_one_learns_only_a_predicted_example():
-    ens = OnlineEnsemble(2, n_members=3, seed=0)
-    ks = np.ones(3, dtype=np.int64)
-    with pytest.raises(RuntimeError, match="predicted example"):
-        ens.train_one(POS, ks)
-    ens.predict([0.4, 0.6])
-    with pytest.raises(ValueError, match="expected 3 counts, got 1"):
-        ens.train_one(POS, ks[:1])
-    ens.train_one(POS, ks)
-    with pytest.raises(RuntimeError, match="predicted example"):
-        ens.train_one(POS, ks)  # the first call consumed the example
-
-
 def test_single_member_ensemble_equals_that_member():
     ens = OnlineEnsemble(2, samplers=("OB",), n_members=1, seed=42)
     solo = MlpBank(2, [[42, 0, 0]])
     x = np.array([0.3, 0.6])
-    assert ens.predict(x)[1][0] == pytest.approx(_positive_prob(solo, x), abs=1e-15)
-
-
-def test_tie_score_goes_positive():
-    ens = OnlineEnsemble(2, n_members=3, seed=0)
-    ens._bank.W2[:] = 0.0
-    ens._bank.b2[:] = 0.0
-    [label], [score] = ens.predict([0.1, 0.9])
-    assert score == 0.5
-    assert label == POS
+    [[score]] = _block(ens, [x], [POS], [[0]])
+    assert score == _positive_prob(solo, x)
 
 
 def test_batched_rounds_equal_sequential_member_training():
@@ -379,10 +392,10 @@ def test_batched_rounds_equal_sequential_member_training():
         x = rng.uniform(0, 1, 2)
         y = POS if rng.random() < 0.4 else NEG
         ks = rng.integers(0, 4, size=3)
-        bank.train_rounds(x, y, ks)
+        _rounds(bank, x, y, ks)
         for solo, k in zip(solos, ks):
             for _ in range(k):
-                solo.train_rounds(x, y, ONE_STEP)
+                _rounds(solo, x, y, ONE_STEP)
     x = np.array([0.5, 0.25])
     stacked = _forward(bank, x)[1][:, 0]
     for i, solo in enumerate(solos):
@@ -394,20 +407,20 @@ def test_forward_in_place_results_are_the_banks():
     # overwrites
     bank = MlpBank(3, [[2, 0, i] for i in range(4)])
     x = np.array([0.2, 0.5, 0.9])
-    a1, probs = bank.forward_in_place(bank.rows_of(x))
+    a1, probs = bank.forward_in_place(_rows(bank, x))
     kept = a1.copy(), probs.copy()
-    again = bank.forward_in_place(bank.rows_of(np.array([0.7, 0.1, 0.3])))
+    again = bank.forward_in_place(_rows(bank, [0.7, 0.1, 0.3]))
     assert again[0] is a1 and again[1] is probs
     assert not np.array_equal(a1, kept[0]) and not np.array_equal(probs, kept[1])
     assert np.array_equal(_forward(bank, x)[1], kept[1])
-    bank.train_rounds(x, NEG, np.array([2, 0, 1, 3]))
+    _rounds(bank, x, NEG, [2, 0, 1, 3])
     assert not np.array_equal(_forward(bank, x)[1], kept[1])  # the bank did learn
 
 
 def test_interleaved_ensembles_step_as_if_alone():
-    # each bank's work buffers are its own: stepping two ensembles turn about
-    # (predict A, predict B, train A, train B) gives each the outputs and
-    # weights of stepping it alone
+    # each bank's work buffers are its own: running two ensembles' schedules
+    # a round each in turn gives each the scores and weights of running it
+    # alone
     def make():
         return [
             OnlineEnsemble(2, samplers=("OB", "OOB"), n_members=5, seed=s)
@@ -415,26 +428,23 @@ def test_interleaved_ensembles_step_as_if_alone():
         ]
 
     rng = np.random.default_rng(5)
-    steps = [
-        (rng.uniform(0, 1, 2), POS if rng.random() < 0.3 else NEG)
-        for _ in range(150)
-    ]
-    tracker = ClassSizeTracker()
-    tracker.w = {POS: 0.2, NEG: 0.8}
+    n = 150
+    xs = rng.uniform(0, 1, (n, 2))
+    labels = [POS if u < 0.3 else NEG for u in rng.random(n)]
+    sizes = np.full(n, 0.2), np.full(n, 0.8)
+
+    def counts(ens):
+        return ens.draw_counts(ens.sampling_rates(labels, *sizes, 1.5)[1])
+
     interleaved, alone = make(), make()
-    seen = {0: [], 1: []}
-    for x, y in steps:
-        outputs = [ens.predict(x) for ens in interleaved]
-        for ens in interleaved:
-            _train(ens, y, tracker)
-        for i, out in enumerate(outputs):
-            seen[i].append(out)
+    schedules = [RowSchedule(ens, n) for ens in interleaved]
+    for schedule, ens in zip(schedules, interleaved):
+        schedule.start(xs, labels, counts(ens))
+    while not all(schedule.finished for schedule in schedules):
+        for schedule in schedules:
+            schedule.run(1)
     for i, ens in enumerate(alone):
-        for (x, y), (labels, scores) in zip(steps, seen[i]):
-            want_labels, want_scores = ens.predict(x)
-            assert np.array_equal(labels, want_labels)
-            assert np.array_equal(scores, want_scores)
-            _train(ens, y, tracker)
+        assert np.array_equal(_block(ens, xs, labels, counts(ens)), schedules[i].scores())
         assert np.array_equal(
             _slice_params(ens._bank, 0, 10), _slice_params(interleaved[i]._bank, 0, 10)
         )
@@ -442,28 +452,19 @@ def test_interleaved_ensembles_step_as_if_alone():
 
 def test_full_training_is_deterministic():
     def run():
-        tracker = ClassSizeTracker()
         ens = OnlineEnsemble(2, samplers=("OOB",), n_members=5, seed=99)
         rng = np.random.default_rng(1234)
-        outputs = []
-        for _ in range(300):
-            x = rng.uniform(0, 1, 2)
-            y = POS if rng.random() < 0.2 else NEG
-            outputs.append(tuple(a.tolist() for a in ens.predict(x)))
-            tracker.update(y)
-            _train(ens, y, tracker)
-        return outputs
+        xs = rng.uniform(0, 1, (300, 2))
+        labels = [POS if u < 0.2 else NEG for u in rng.random(300)]
+        return _learn(ens, xs, labels, ClassSizeTracker()).tolist()
 
     assert run() == run()
 
 
 def test_reset_reinitializes_from_derived_seeds():
-    tracker = ClassSizeTracker()
     a = OnlineEnsemble(2, n_members=4, seed=5)
     b = OnlineEnsemble(2, n_members=4, seed=5)
-    for _ in range(50):
-        a.predict([0.2, 0.8])
-        _train(a, POS, tracker)
+    _learn(a, np.tile([0.2, 0.8], (50, 1)), [POS] * 50, ClassSizeTracker())
     trained = _slice_params(a._bank, 0, 4)
     a.reset(0)
     assert a.reset_counts[0] == 1
@@ -493,10 +494,9 @@ def test_stacked_bank_rounds_like_separate_banks(d):
             _forward(stacked, x)[1][:, 0],
             np.concatenate([_forward(b, x)[1][:, 0] for b in banks]),
         )
-        stacked.train_rounds(x, y, ks)
+        _rounds(stacked, x, y, ks)
         for b, part in zip(banks, np.split(ks, 3)):
-            if part.any():
-                b.train_rounds(x, y, part)
+            _rounds(b, x, y, part)
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(
             getattr(stacked, name),
@@ -508,9 +508,7 @@ def test_reset_touches_only_its_own_ensemble():
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.2, NEG: 0.8}
     ens = OnlineEnsemble(3, samplers=("OB", "OOB", "UOB"), n_members=4, seed=8)
-    for _ in range(20):
-        ens.predict([0.1, 0.5, 0.9])
-        _train(ens, POS, tracker)
+    _learn(ens, np.tile([0.1, 0.5, 0.9], (20, 1)), [POS] * 20, tracker)
     trained = [_slice_params(ens._bank, e, 4) for e in range(3)]
     ens.reset(1)
     ens.reset(1)
@@ -646,12 +644,18 @@ def test_init_weights_draws_what_four_draws_per_member_do(d):
     ids=["members1", "members15"],
 )
 def test_step_kernel_equals_frozen_reference(d, members, samplers):
+    # the kernel a step at a time: a schedule of one-step blocks, which is a
+    # run at a block size of 1. A drift alarm between a step's prediction and
+    # its training (a rewind), an input that the caller changes once the
+    # step is laid out, and steps at which no row trains all predict and
+    # learn as the frozen kernel does
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.05, NEG: 0.95}  # pinned: POS is the minority
     seed, lr = 17, 0.1
     ens = OnlineEnsemble(
         d, samplers=samplers, n_members=members, seed=seed, lr=lr
     )
+    schedule = RowSchedule(ens, 1)
     h = ens._bank.hidden
     params = _ref_init(d, h, [[seed, 0, i] for i in range(members)] * 3)
     ref_rngs = [np.random.default_rng([seed, 1]) for _ in samplers]
@@ -661,36 +665,39 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     for step in range(240):
         x = rng.uniform(0, 1, d)
         label = POS if rng.random() < 0.3 else NEG
-        labels, scores = ens.predict(x)
-        predicted_x = x.copy()
-        _, ref_probs = _ref_forward(*params, x)
-        ref_scores = ref_probs[:, 0].reshape(3, members).mean(axis=1)
-        assert np.array_equal(scores, ref_scores)
-        assert np.array_equal(labels, np.where(ref_scores >= 0.5, POS, NEG))
-        if step % 9 == 4:  # a drift alarm between predict and training
-            e = step % 3
-            ens.reset(e)
-            reset_counts[e] += 1
-            fresh = _ref_init(d, h, [[seed, reset_counts[e], i] for i in range(members)])
-            for p, f in zip(params, fresh):
-                p[e * members : (e + 1) * members] = f
-            cases["reset"] += 1
-        if step % 11 == 6:  # the caller reuses its array after predict
-            x[:] = rng.uniform(0, 1, d)
-            cases["mutated_x"] += 1
         ks = np.concatenate(
             [
                 r.poisson(lam, members)
                 for r, lam in zip(ref_rngs, _rates(ens, label, tracker))
             ]
         )
-        ens.train_one(label, ks)
+        predicted_x = x.copy()
+        schedule.start(x[None], [label], ks[None])
+        if step % 11 == 6:  # the caller reuses its array
+            x[:] = rng.uniform(0, 1, d)
+            cases["mutated_x"] += 1
+        schedule.run(1)  # every row's first pass: the step's prediction
+        assert schedule.predicted() == [1, 1, 1]
+        _, ref_probs = _ref_forward(*params, predicted_x)
+        ref_scores = ref_probs[:, 0].reshape(3, members).mean(axis=1)
+        assert np.array_equal(schedule.scores()[0], ref_scores)
+        if step % 9 == 4:  # a drift alarm between predict and training
+            e = step % 3
+            schedule.rewind(e, 0)
+            reset_counts[e] += 1
+            fresh = _ref_init(d, h, [[seed, reset_counts[e], i] for i in range(members)])
+            for p, f in zip(params, fresh):
+                p[e * members : (e + 1) * members] = f
+            cases["reset"] += 1
+        schedule.run()
+        assert np.array_equal(schedule.scores()[0], ref_scores)
         if ks.any():  # training learns the predicted example
             _ref_train_rounds(params, predicted_x, label, ks, lr)
         else:
             cases["no_training"] += 1
         for name, ref in zip(("W1", "b1", "W2", "b2"), params):
             assert np.array_equal(getattr(ens._bank, name), ref), (step, name)
+    assert ens.reset_counts == reset_counts
     assert all(cases.values()), cases
 
 
