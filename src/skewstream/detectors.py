@@ -189,7 +189,6 @@ class RecallDropDetector(DriftDetector):
 # ---------------------------------------------------------------------------
 
 _TPR, _TNR, _PPV, _NPV = 0, 1, 2, 3
-_RATE_NAMES = ("tpr", "tnr", "ppv", "npv")
 
 # update counts interpolated per pass when a bound table builds its query
 # index: the pass's temporaries are this many rows of the table
@@ -297,12 +296,15 @@ class BoundTable:
             rows[lo : lo + len(n)] = (1 - fn) * t[ni - 1] + fn * t[ni]
 
     # pickled without the query index, 28 times the table's size: a table
-    # handed to a worker process travels as ~36 KB and is indexed there,
-    # unless the worker already shares one like it (`_unpickled_table`)
-    def __reduce__(self):
+    # handed to a worker process travels as ~36 KB and is indexed there
+    def __getstate__(self):
         state = self.__dict__.copy()
         del state["_p_list"], state["_rows"]
-        return _unpickled_table, (state,)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._index()
 
     # -- cache ---------------------------------------------------------------
 
@@ -464,34 +466,14 @@ def default_bound_table(
         return _default_tables[key]
 
 
-def _unpickled_table(state: dict) -> BoundTable:
-    """The `BoundTable` pickled as ``state``: the one this process shares for
-    its parameters if that has the same sizes, seed and quantiles, so a
-    worker handed the same table with every run indexes it once; else the
-    pickled table, indexed here."""
-    key = (state["decay"], state["warn_level"], state["detect_level"])
-    with _default_tables_lock:
-        shared = _default_tables.get(key)
-    if (
-        shared is not None
-        and (shared.n_paths, shared.max_n, shared.seed)
-        == (state["n_paths"], state["max_n"], state["seed"])
-        and np.array_equal(shared.table, state["table"])
-    ):
-        return shared
-    table = BoundTable.__new__(BoundTable)
-    table.__dict__.update(state)
-    table._index()
-    return table
-
-
 def adopt_bound_tables(tables) -> None:
     """Share ``tables``, made by `default_bound_table` in another process,
-    as this process's tables for their parameters, so none is rebuilt here."""
+    as this process's tables for their parameters, so none is rebuilt here.
+    Each replaces the table this process shared for its decay and levels, if
+    any, so the detectors made here run on exactly the tables handed."""
     with _default_tables_lock:
         for table in tables:
-            key = (table.decay, table.warn_level, table.detect_level)
-            _default_tables.setdefault(key, table)
+            _default_tables[(table.decay, table.warn_level, table.detect_level)] = table
 
 
 class FourRatesDetector(DriftDetector):

@@ -462,7 +462,8 @@ def _hand_out(pool, tables: list, cfg: ExperimentConfig) -> dict:
 
 
 def _run_in_worker(tables: list, cfg: ExperimentConfig, r: int) -> list[RunRecord]:
-    """`_run_once` in a worker, on the bound tables the caller has built."""
+    """`_run_once` in a worker, on the bound tables the caller has built:
+    they replace any the worker shared for the same parameters."""
     adopt_bound_tables(tables)
     return _run_once(cfg, r)
 
@@ -524,17 +525,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     Runs are independent, so they are spread over at most one process per
     usable CPU: spawned workers take runs from the front while this process
     runs run 0 and then the runs still waiting, from the back. The records
-    do not depend on which process ran a run. The workers are shared by
-    every experiment of this process and live as long as it does; they
-    start on demand, up to one fewer than the usable CPUs. A run lost with a
-    worker that died is run again here, with one line on stderr that says
-    so, and the broken pool is shut down before this returns, its dead
-    workers reaped. The workers start with the ``spawn`` method, which
-    imports the calling script's main module, so a script that runs two or
-    more runs must guard its entry point with ``if __name__ ==
-    "__main__":``; an unguarded one has each worker die as it starts. Once a
-    worker has exited by itself before any run came back, this process runs
-    the runs of its later experiments itself.
+    do not depend on which process ran a run: a worker runs on exactly the
+    bound tables this process holds for the experiment, handed over with
+    each run. The workers are shared by every experiment of this process and
+    live as long as it does; they start on demand, up to one fewer than the
+    usable CPUs. A run lost with a worker that died is run again here, with
+    one line on stderr that says so, and the broken pool is shut down before
+    this returns, its dead workers reaped. The workers start with the
+    ``spawn`` method, which imports the calling script's main module, so a
+    script that runs two or more runs must guard its entry point with ``if
+    __name__ == "__main__":``; an unguarded one has each worker die as it
+    starts. Once a worker has exited by itself before any run came back,
+    this process runs the runs of its later experiments itself.
     """
     global _workers_cannot_start
     if not cfg.pipelines:
@@ -878,9 +880,18 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _load_config(path: Path) -> ExperimentConfig:
+    try:
+        data = path.read_bytes()
+    except OSError:
+        raise ConfigError(f"config file not found: {path}") from None
+    # UTF-8, as config.lock is written, whatever the locale's encoding
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        row = data.count(b"\n", 0, e.start) + 1
+        raise ConfigError(f"{path}:{row}: not UTF-8 text ({e.reason})") from None
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
-        raise ConfigError(f"config file not found: {path}")
+    parser.read_string(text, source=str(path))
     exp_values = {}
     if parser.has_section("experiment"):
         section = parser["experiment"]

@@ -22,6 +22,7 @@ from skewstream.detectors import AucDropDetector, FourRatesDetector, Verdict
 from skewstream.harness import (
     ExperimentConfig,
     PipelineSpec,
+    _segmented_series,
     aggregate_and_test,
     run_experiment,
 )
@@ -40,6 +41,7 @@ from skewstream.streams import StreamGenerator, mixture_weight, stationary_sched
 
 RUNS = 30
 BASE_SEED = 0
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def check(fails: list, tag: str, ok: bool, detail: str) -> None:
@@ -254,6 +256,39 @@ def test_minority_feature_shift_reproduction(feature_shift_report):
               s_oob.tdr >= 0.90,
               f"OOB+{det} tdr={s_oob.tdr:.3f} (need >= 0.90)")
     finish(fails)
+
+
+def test_readme_quotes_the_failing_claims_as_measured(
+    prior_flip_report, feature_shift_report
+):
+    # README's paragraph on the claims that fail quotes the acceptance
+    # fixtures' figures, each at the precision it prints
+    shift = feature_shift_report
+
+    def mean(name: str, field: str) -> float:
+        return np.mean([getattr(a, field) for a in shift.per_run[name]])
+
+    ob = shift.records["OB"]
+    recall = np.mean(
+        [_segmented_series(r, shift.config.schedule, shift.config.metric_decay)[0]
+         for r in ob],
+        axis=0,
+    )
+    at = {step: recall[step - ob[0].warm_up - 1] for step in (1600, 2000, 3000)}
+    lfr = shift.detector_scores["OB+lfr"]
+    quoted = [
+        f"averages {post_gmeans(prior_flip_report, 'OOB').mean():.4f}, above the "
+        "pinned band",
+        f"averages {mean('OB', 'pre_recall_pos'):.3f} over the pre-drift window "
+        f"(`OOB`: {mean('OOB', 'pre_recall_pos'):.3f})",
+        f"still {at[1600]:.3f} at step 1600, {at[2000]:.3f} at step 2000 and "
+        f"{at[3000]:.3f} at step 3000",
+        f"therefore {mean('OB', 'post_recall_pos'):.3f} (target <= 0.02)",
+        f"detects the drift in {lfr.tdr:.3f} of the runs",
+        f"{lfr.dod:.0f} steps after the shift on average",
+    ]
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    assert [q for q in quoted if q not in readme] == []
 
 
 # ---------------------------------------------------------------------------

@@ -635,47 +635,10 @@ def test_adopted_bound_tables_serve_the_detectors(tmp_path, monkeypatch):
     table = pickle.loads(pickle.dumps(small_table(decay=0.98)))
     adopt_bound_tables([table])
     assert FourRatesDetector(decay=0.98).table is table
-    # a table this process already shares is kept
-    adopt_bound_tables([small_table(decay=0.98)])
-    assert default_bound_table(0.98) is table
-
-
-def test_a_worker_indexes_a_table_handed_to_it_again_once(tmp_path, monkeypatch):
-    # a pool worker unpickles the caller's tables with every run and adopts
-    # them (`harness._run_in_worker`): from the second run on it is given
-    # the table it already shares, without indexing it again
-    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(detectors, "_default_tables", {})
-    table = small_table(decay=0.98)
-    other_size = small_table(decay=0.98, n_paths=1000)
-    other_quantiles = small_table(decay=0.98)
-    other_quantiles.table = other_quantiles.table + 0.01
-    other_quantiles._index()
-    indexed = []
-    index = BoundTable._index
-
-    def counted_index(self):
-        indexed.append(self)
-        index(self)
-
-    monkeypatch.setattr(BoundTable, "_index", counted_index)
-    blob = pickle.dumps([table])
-    for _ in range(2):
-        adopt_bound_tables(pickle.loads(blob))
-    assert len(indexed) == 1
-    shared = default_bound_table(0.98)
-    assert indexed == [shared] and shared is not table
-    assert shared._rows == table._rows
-    # the same decay and levels, with other sizes or other quantiles, are
-    # other tables: indexed, with their own bounds
-    for original in (other_size, other_quantiles):
-        copy = pickle.loads(pickle.dumps(original))
-        assert indexed[-1] is copy and copy is not shared
-        assert copy._rows == original._rows
-        for p, n in [(0.001, 0), (0.3, 7), (0.5, 50), (0.97, 80)]:
-            assert copy.bounds(p, n) == original.bounds(p, n)
-    assert len(indexed) == 3
-    assert other_quantiles.bounds(0.3, 7) != table.bounds(0.3, 7)
+    # a table this process already shares is replaced
+    other = small_table(decay=0.98)
+    adopt_bound_tables([other])
+    assert default_bound_table(0.98) is other
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ reproductions live in test_acceptance.py.
 import configparser
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -824,6 +825,44 @@ def test_workers_take_the_callers_bound_tables(
     assert_same_records(spread, run_serially(monkeypatch, cfg))
 
 
+def test_workers_run_on_the_table_the_caller_holds_now(
+    tmp_path, monkeypatch, pool_sizes
+):
+    from skewstream import detectors
+
+    # the caller's table for the default parameters is A in one experiment
+    # and B, a copy with shifted quantiles, in the next, while one worker
+    # lives through both: it must drop A for B
+    monkeypatch.setenv("SKEWSTREAM_CACHE", str(tmp_path))
+    table_a = detectors.BoundTable(n_paths=2000, max_n=50)
+    table_b = pickle.loads(pickle.dumps(table_a))
+    table_b.table = table_b.table + 0.05
+    table_b._index()
+    key = (table_a.decay, table_a.warn_level, table_a.detect_level)
+    tables = {}
+    monkeypatch.setattr(detectors, "_default_tables", tables)
+    cfg = tiny_config(
+        pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=3, steps=POOL_STEPS
+    )
+    usable_cpus(monkeypatch, 2)
+    spread = {}
+    for name, table in (("A", table_a), ("B", table_b)):
+        tables[key] = table
+        spread[name] = run_experiment(cfg)
+    assert pool_sizes == [1]
+    serial = {}
+    for name, table in (("A", table_a), ("B", table_b)):
+        tables[key] = table
+        serial[name] = run_serially(monkeypatch, cfg)
+    events = {
+        name: [rec.events for rec in records["OOB+lfr"]]
+        for name, records in serial.items()
+    }
+    assert events["A"] != events["B"]
+    assert_same_records(spread["A"], serial["A"])
+    assert_same_records(spread["B"], serial["B"])
+
+
 def test_one_run_makes_no_process_pool(monkeypatch):
     usable_cpus(monkeypatch, 4)
     refuse_processes(monkeypatch)
@@ -1180,6 +1219,48 @@ def test_load_config_error_messages(tmp_path, text, needle):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nothing.ini")
+
+
+LOCALE_SCRIPT = """\
+import codecs
+import locale
+import sys
+
+from skewstream.harness import ConfigError, load_config
+
+print(codecs.lookup(locale.getpreferredencoding(False)).name)
+for path in sys.argv[1:]:
+    try:
+        print("runs", load_config(path).runs)
+    except ConfigError as e:
+        print("ConfigError", e)
+"""
+
+
+def test_configs_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # config.lock is written as UTF-8, so a config is read as UTF-8 whatever
+    # the locale's encoding; bytes that are not UTF-8 are reported against
+    # the file and row
+    utf8 = tmp_path / "utf8.ini"
+    utf8.write_text(
+        "[experiment]\n; tracker \u03b8 \u2192 0.9\npreset = sine1-py\nruns = 4\n",
+        encoding="utf-8",
+    )
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[experiment]\npreset = sine1-py\nruns = 4  ; caf\xe9\n")
+    src = str(Path(skewstream.__file__).resolve().parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", LOCALE_SCRIPT, str(utf8), str(latin1)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "ascii",
+        "runs 4",
+        f"ConfigError {latin1}:3: not UTF-8 text (invalid continuation byte)",
+    ]
 
 
 def test_lock_is_a_fixed_point(tmp_path):
