@@ -194,6 +194,10 @@ _TPR, _TNR, _PPV, _NPV = 0, 1, 2, 3
 # index: the pass's temporaries are this many rows of the table
 INDEX_CHUNK = 64
 
+# bound tables that ship with the package, under their cache file names; a
+# table found here is neither built nor written to the user's cache
+SHIPPED_TABLES = Path(__file__).resolve().parent / "tables"
+
 
 class BoundTable:
     """Null quantiles of a decayed-vs-cumulative deviation, indexed by (p, n).
@@ -215,14 +219,18 @@ class BoundTable:
     written into the query index in place, a chunk of n at a time, so no
     temporary is larger than one chunk of rows.
 
-    Built once per parameter set from a fixed seed and cached on disk, so
-    bounds are reproducible across processes. The build splits the p rows
-    into one contiguous block per usable CPU and simulates the blocks in
-    threads. The split is exact: a row's paths depend only on its own p and
-    on each step's uniform vector, which every row shares, so a block that
-    draws from its own generator on the same seed sees the same vectors,
-    and every update and quantile is computed row by row. The table is the
-    same bit for bit on any number of CPUs.
+    Built from a fixed seed, so bounds are reproducible across processes.
+    The table for the default parameters ships with the package
+    (`SHIPPED_TABLES`) and is loaded from there. Any other table is built
+    once per parameter set and cached on disk under ``$SKEWSTREAM_CACHE``,
+    else ``$XDG_CACHE_HOME/skewstream``, else ``~/.cache/skewstream``. A
+    shipped or cached file that cannot be read is reported and passed over.
+    The build splits the p rows into one contiguous block per usable CPU
+    and simulates the blocks in threads. The split is exact: a row's paths
+    depend only on its own p and on each step's uniform vector, which every
+    row shares, so a block that draws from its own generator on the same
+    seed sees the same vectors, and every update and quantile is computed
+    row by row. The table is the same bit for bit on any number of CPUs.
     """
 
     CACHE_ENV = "SKEWSTREAM_CACHE"
@@ -330,19 +338,27 @@ class BoundTable:
         return Path(root) / f"rate_bounds_{digest}.npz"
 
     def _load_cache(self) -> np.ndarray | None:
-        path = self._cache_path()
+        """The shipped table for these parameters, else the cached one."""
+        cached = self._cache_path()
+        for path in (SHIPPED_TABLES / cached.name, cached):
+            table = self._read_table(path)
+            if table is not None:
+                return table
+        return None
+
+    def _read_table(self, path: Path) -> np.ndarray | None:
         if not path.exists():
             return None
         try:
             with np.load(path) as data:
                 table = data["table"]
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-            print(f"skewstream: ignoring unreadable bound-table cache {path}: {exc}",
+            print(f"skewstream: ignoring unreadable bound-table file {path}: {exc}",
                   file=sys.stderr)
             return None
         expected = (len(self.p_grid), len(self.n_grid), 4)
         if table.shape != expected:
-            print(f"skewstream: ignoring misshapen bound-table cache {path}: "
+            print(f"skewstream: ignoring misshapen bound-table file {path}: "
                   f"found shape {table.shape}, expected {expected}",
                   file=sys.stderr)
             return None

@@ -6,6 +6,7 @@ so first-alarm step indices are frozen exactly.
 import math
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import threading
@@ -293,9 +294,30 @@ def n_rows(table):
     return (1 - fn) * t[ni - 1] + fn * t[ni]
 
 
+# the tables that ship with the package, wherever a test points the lookup
+SHIPPED = detectors.SHIPPED_TABLES
+REGENERATE = (
+    "to regenerate the shipped table: delete the file in "
+    "src/skewstream/tables/, run `SKEWSTREAM_CACHE=$(mktemp -d) PYTHONPATH=src "
+    "python -c 'from skewstream.detectors import BoundTable; "
+    "print(BoundTable()._cache_path())'` and copy the printed file there"
+)
+
+
+@pytest.fixture
+def no_shipped_tables(tmp_path, monkeypatch):
+    """Point the shipped-table lookup at an empty directory, so a table for
+    the default parameters is looked up in the cache and built like any
+    other."""
+    empty = tmp_path / "shipped"
+    empty.mkdir()
+    monkeypatch.setattr(detectors, "SHIPPED_TABLES", empty)
+
+
 def random_nested_tables(monkeypatch, seed):
     """Make `_simulate` return random nested quantiles, so a table of any
-    max_n is built without the Monte Carlo simulation."""
+    max_n is built without the Monte Carlo simulation (with the shipped
+    tables hidden, `no_shipped_tables`, for the default max_n)."""
     rng = np.random.default_rng(seed)
 
     def simulate(self):
@@ -310,7 +332,9 @@ def random_nested_tables(monkeypatch, seed):
     [1, detectors.INDEX_CHUNK - 1, detectors.INDEX_CHUNK,
      detectors.INDEX_CHUNK + 1, 1000],
 )
-def test_query_index_equals_the_whole_array_rows(max_n, tmp_path, monkeypatch):
+def test_query_index_equals_the_whole_array_rows(
+    max_n, tmp_path, monkeypatch, no_shipped_tables
+):
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
     random_nested_tables(monkeypatch, seed=max_n)
     table = BoundTable(max_n=max_n)
@@ -320,7 +344,9 @@ def test_query_index_equals_the_whole_array_rows(max_n, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("max_n", [1, 2, 3, 40, 1000, 5000])
-def test_bound_table_grids_equal_the_unique_formula(max_n, tmp_path, monkeypatch):
+def test_bound_table_grids_equal_the_unique_formula(
+    max_n, tmp_path, monkeypatch, no_shipped_tables
+):
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
     random_nested_tables(monkeypatch, seed=max_n)
     table = BoundTable(max_n=max_n)
@@ -332,19 +358,33 @@ def test_bound_table_grids_equal_the_unique_formula(max_n, tmp_path, monkeypatch
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_default_bound_table_keeps_its_cache_name(tmp_path, monkeypatch):
+def test_default_bound_table_keeps_its_cache_name(
+    tmp_path, monkeypatch, no_shipped_tables
+):
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
     random_nested_tables(monkeypatch, seed=0)
     name = BoundTable()._cache_path().name
     assert name == "rate_bounds_4ac972d0b67fbbf3.npz"
 
 
+def fresh_python(code, cache, src=None):
+    """Run ``code`` in a fresh interpreter that imports skewstream from the
+    directory ``src`` (this checkout's by default), with ``cache`` as its
+    bound-table cache."""
+    if src is None:
+        src = Path(detectors.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env[BoundTable.CACHE_ENV] = str(cache)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
+
 def test_bound_table_loads_without_numpy_ma(tmp_path, monkeypatch):
     monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
     BoundTable(n_paths=200, max_n=30)
-    src = str(Path(detectors.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
         "from skewstream.detectors import BoundTable\n"
@@ -353,11 +393,107 @@ def test_bound_table_loads_without_numpy_ma(tmp_path, monkeypatch):
         "BoundTable(n_paths=200, max_n=30)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
+    res = fresh_python(code, tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_shipped_bound_table_equals_a_fresh_build(
+    tmp_path, monkeypatch, no_shipped_tables
+):
+    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path / "cache"))
+    built = BoundTable()
+    name = built._cache_path().name
+    assert sorted(f.name for f in SHIPPED.iterdir()) == [name], REGENERATE
+    with np.load(SHIPPED / name) as data:
+        shipped = data["table"]
+    assert shipped.dtype == built.table.dtype, REGENERATE
+    assert shipped.shape == built.table.shape, REGENERATE
+    same_bits = np.array_equal(shipped.view(np.int64), built.table.view(np.int64))
+    assert same_bits, REGENERATE
+
+
+def test_a_cold_default_bound_table_loads_the_shipped_one(tmp_path):
+    code = (
+        "import numpy as np\n"
+        "from skewstream.detectors import BoundTable, SHIPPED_TABLES\n"
+        "def unreachable(self): raise AssertionError('simulated, not loaded')\n"
+        "BoundTable._simulate = unreachable\n"
+        "table = BoundTable()\n"
+        "with np.load(SHIPPED_TABLES / table._cache_path().name) as data:\n"
+        "    print(np.array_equal(table.table, data['table']))\n"
+    )
+    res = fresh_python(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "True" and res.stderr == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_other_bound_tables_are_still_built_and_cached(tmp_path):
+    code = (
+        "from skewstream.detectors import BoundTable\n"
+        "real = BoundTable._simulate\n"
+        "def simulate(self):\n"
+        "    print('simulated')\n"
+        "    return real(self)\n"
+        "BoundTable._simulate = simulate\n"
+        "print(BoundTable(decay=0.97, n_paths=2000, max_n=50)._cache_path().name)\n"
+    )
+    res = fresh_python(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    said, name = res.stdout.split()
+    assert said == "simulated"
+    assert [f.name for f in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("fault", ["unreadable", "misshapen"])
+@pytest.mark.parametrize("fallback", ["cache", "build"])
+def test_a_bad_shipped_bound_table_is_reported_and_passed_over(
+    fault, fallback, tmp_path
+):
+    # a copy of the package, whose shipped table is spoiled
+    src = tmp_path / "src"
+    shutil.copytree(
+        SHIPPED.parent, src / "skewstream",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    [spoiled] = (src / "skewstream" / "tables").iterdir()
+    if fault == "unreadable":
+        spoiled.write_bytes(b"not an npz file")
+    else:
+        np.savez(spoiled, table=np.zeros((31, 34, 4)))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    if fallback == "cache":
+        shutil.copy(SHIPPED / spoiled.name, cache)
+    # a build says so, and returns the intact shipped table at no cost
+    code = (
+        "import numpy as np\n"
+        "from skewstream.detectors import BoundTable\n"
+        "def simulate(self):\n"
+        "    print('simulated')\n"
+        f"    with np.load({str(SHIPPED / spoiled.name)!r}) as data:\n"
+        "        return data['table']\n"
+        "BoundTable._simulate = simulate\n"
+        "print(BoundTable().table.shape)\n"
+    )
+    res = fresh_python(code, cache, src=src)
+    assert res.returncode == 0, res.stderr
+    [line] = res.stderr.splitlines()
+    assert f"ignoring {fault} bound-table file {spoiled}" in line
+    built = [] if fallback == "cache" else ["simulated"]
+    assert res.stdout.splitlines() == built + ["(31, 35, 4)"]
+    assert [f.name for f in cache.iterdir()] == [spoiled.name]
+
+
+def test_package_data_ships_every_bound_table():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["skewstream"]
+    package = SHIPPED.parent
+    packaged = {path for glob in globs for path in package.glob(glob)}
+    shipped = {path for path in SHIPPED.rglob("*") if path.is_file()}
+    assert shipped and shipped <= packaged
 
 
 def sliced_row_bounds(table, rows, p, n):
@@ -502,10 +638,6 @@ def test_bound_table_build_raises_a_blocks_error_and_caches_nothing(
 
 
 def test_bound_table_build_imports_thread_pools_only_on_several_cpus(tmp_path):
-    src = str(Path(detectors.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env[BoundTable.CACHE_ENV] = str(tmp_path)
     code = (
         "import os, sys; os.sched_getaffinity = lambda pid: set(range({cpus}));"
         "from skewstream.detectors import BoundTable;"
@@ -514,10 +646,7 @@ def test_bound_table_build_imports_thread_pools_only_on_several_cpus(tmp_path):
     )
 
     def imports_pools(cpus, max_n):
-        res = subprocess.run(
-            [sys.executable, "-c", code.format(cpus=cpus, max_n=max_n)],
-            capture_output=True, text=True, env=env,
-        )
+        res = fresh_python(code.format(cpus=cpus, max_n=max_n), tmp_path)
         assert res.returncode == 0, res.stderr
         return res.stdout.strip()
 

@@ -800,29 +800,33 @@ def test_a_change_of_usable_cpus_remakes_the_pool(monkeypatch, pool_sizes):
     assert_same_records(spread, run_serially(monkeypatch, cfg))
 
 
-def test_workers_take_the_callers_bound_tables(
-    tmp_path, monkeypatch, capfd, pool_sizes
-):
+def test_workers_take_the_callers_bound_tables(tmp_path, monkeypatch, pool_sizes):
     from skewstream import detectors
 
-    # an unwritable cache, which the worker spawned here inherits: any
-    # process that needs the table must simulate it, and says so
-    blocker = tmp_path / "not-a-dir"
-    blocker.write_text("")
-    monkeypatch.setenv("SKEWSTREAM_CACHE", str(blocker / "cache"))
-    # this process's table for the default parameters, a small one (this
-    # says so once); a worker that failed to adopt it would build the full
-    # table and say so a second time
-    monkeypatch.setattr(detectors, "_default_tables", {})
-    detectors.adopt_bound_tables([detectors.BoundTable(n_paths=2000, max_n=50)])
+    # this process's table for the default parameters is a small one with
+    # shifted quantiles. The worker spawned here sees no monkeypatch, so one
+    # that failed to adopt it would load the table that ships with the
+    # package, whose records differ
+    monkeypatch.setenv("SKEWSTREAM_CACHE", str(tmp_path))
+    mine = detectors.BoundTable(n_paths=2000, max_n=50)
+    mine.table = mine.table + 0.05
+    mine._index()
+    tables = {}
+    monkeypatch.setattr(detectors, "_default_tables", tables)
+    detectors.adopt_bound_tables([mine])
     usable_cpus(monkeypatch, 2)
     cfg = tiny_config(
         pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=2, steps=POOL_STEPS
     )
     spread = run_experiment(cfg)
     assert pool_sizes == [1]
-    assert capfd.readouterr().err.count("could not cache bound table") == 1
-    assert_same_records(spread, run_serially(monkeypatch, cfg))
+    serial = run_serially(monkeypatch, cfg)
+    tables.clear()
+    shipped = run_serially(monkeypatch, cfg)
+    assert all(
+        a.events != b.events for a, b in zip(serial["OOB+lfr"], shipped["OOB+lfr"])
+    )
+    assert_same_records(spread, serial)
 
 
 def test_workers_run_on_the_table_the_caller_holds_now(
