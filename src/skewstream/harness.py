@@ -1000,8 +1000,30 @@ def format_detectors_csv(scores: dict[str, DetectorScore]) -> str:
 
 def emit_report(report: Report, out_dir) -> list[Path]:
     """Write summary.csv, detectors.csv, per-run and alarm tables, metric
-    curves, and config.lock under ``out_dir``; returns the written paths."""
+    curves, and config.lock under ``out_dir``; returns the written paths.
+
+    A directory already written is overwritten, but only if its table
+    directories hold no file but this report's tables: a table left from a
+    pipeline the new config.lock does not name would make the directory
+    differ from a replay of that lock. Such a file is refused, by name,
+    before anything is written."""
     out = Path(out_dir)
+    tables = {f"curves/{name}.csv" for name in report.curves}
+    tables.update(
+        f"{table}/{name}.csv" for table in ("runs", "alarms") for name in report.records
+    )
+    for table in ("alarms", "curves", "runs"):
+        try:
+            names = sorted(p.name for p in (out / table).iterdir())
+        except FileNotFoundError:
+            continue
+        for name in names:
+            if f"{table}/{name}" not in tables:
+                raise ValueError(
+                    f"{out / table / name}: not a table of this experiment, "
+                    f"whose config.lock would not name it; write to a fresh "
+                    f"directory or remove the file"
+                )
     written = []
 
     def emit(rel: str, text: str):

@@ -3,8 +3,8 @@
 The base learner is a one-hidden-layer MLP (sigmoid hidden units, softmax
 output, cross-entropy loss), `default_hidden_size` units wide, trained by one
 stochastic-gradient step per presented example. `MlpBank` holds every such
-net, and its `backward_in_place` is the one backpropagation: the tests
-gradient-check one round of the kernel as a `RowSchedule` makes it, on rows
+net, and its `kernel` is the one forward pass and the one backpropagation:
+the tests gradient-check one round of it as a `RowSchedule` makes it, on rows
 with their own inputs, targets and step sizes. The ensembles
 follow online bagging: every incoming example is shown to each member k times
 with k ~ Poisson(lambda), where
@@ -20,14 +20,14 @@ hands over and the minorities that `designate` names from them; where the
 stream looks balanced, all three collapse to plain OB.
 
 The members' weights are stored stacked along the leading row axis of an
-`MlpBank`, and the bank has one kernel, a *pass*: `forward_in_place` and
-`backward_in_place` give every row one forward pass and one gradient step on
-its own input, one-hot target and step size, and a step size of 0 leaves a
-row's weights as they were. Rows are independent and the batched products
-give each row the bits it gets alone, so one call serves every row. An
-`OnlineEnsemble` stacks several ensembles (one per sampler, as the harness
-runs one per pipeline) in the same bank; each keeps its own Poisson
-generator, its own reset seeds and exactly the outputs it would have alone.
+`MlpBank`, and the bank has one kernel, a *pass*: `kernel` gives every row
+one forward pass and one gradient step on its own input, one-hot target and
+step size, and a step size of 0 leaves a row's weights as they were. Rows
+are independent and the batched products give each row the bits it gets
+alone, so one call serves every row. An `OnlineEnsemble` stacks several
+ensembles (one per sampler, as the harness runs one per pipeline) in the
+same bank; each keeps its own Poisson generator, its own reset seeds and
+exactly the outputs it would have alone.
 
 A run trains a planned block of steps with a `RowSchedule`: each bank row
 lays out its own passes back to back, max(1, k) of them at each step (k its
@@ -39,29 +39,47 @@ read from the history of rounds at its first passes. A run makes one
 schedule, which lays each block out in buffers it keeps for the run; they
 grow only when a block or a rewind needs more positions than any before.
 
-A bank's kernel allocates nothing per call. Each `MlpBank` keeps its weights
-in one flat parameter buffer, W1, b1, W2 and b2 being C-contiguous views of
-consecutive stretches of it, and their gradients in a flat gradient buffer of
-the same layout: the two outer-product weight gradients, the hidden error dz1
-and the output error dz2, which is the buffer of the class probabilities. So
-a gradient step ends in one update, parameters minus gradients, which is
-exact because every gradient is computed from the weights before it. The
-bank also makes its other work buffers once: the hidden pre-activations and
-activations (one buffer), the output pre-activations, the class-column max
-and sum, the exponentials, the backpropagated hidden error and its
-`(1 - a1)` factor; and it keeps the views the kernel reads them through. `forward_in_place` and `backward_in_place`
-write into those buffers, with the same ufunc and matmul calls on the same
-operand shapes as a pass that allocates, so the bits are those of a fresh
-pass. What `forward_in_place` returns is the bank's and is overwritten by its
-next pass. A round's elementwise calls, but for the two outer products, take
-numpy's one-loop path and set up no general iterator: the three column
-broadcasts (the outputs minus their max, the exponentials over their sum, the
-output error times the step size) are one 1-D call per class column, and the
-1.0 of the sigmoid and of ``1 - a1`` is a 0-d array, which numpy does not
-convert on every call as it does a Python float. The two outer products run
-through views of their buffers with the row axis last, in C order, so that
-each inner loop runs over the rows, not over a row's two or three elements.
-Each element gets the same operation on the same operands either way.
+A bank's kernel allocates nothing and looks nothing up per call. Each
+`MlpBank` keeps its weights in one flat parameter buffer, the four weight
+arrays being C-contiguous views of consecutive stretches of it, and their
+gradients in a flat gradient buffer of the same layout: the two
+outer-product weight gradients, the hidden error and the output error dz2,
+which is the buffer of the class probabilities. So a gradient step ends in
+one update, parameters minus gradients, which is exact because every
+gradient is computed from the weights before it. The bank also makes its
+other work buffers once: the hidden pre-activations and activations (one
+buffer), the output pre-activations, the class-column max and sum, the
+exponentials, the backpropagated hidden error and its ``(a1 - 1)`` factor.
+When it is made, it binds these buffers, the views the kernel reads them
+through and the kernel's numpy callables (the module names ``_add`` to
+``_copyto`` below) as the locals of one function, its `kernel`, which
+`RowSchedule.run` calls once per round with the round's operands. A round
+is 24 numpy calls: 14 for the forward pass, one to copy the rows' P(+1)
+into the schedule's history, and 9 for the gradient step.
+
+The hidden layer is stored negated, as ``neg_W1`` and ``neg_b1``, so that
+the stored pair computes -z1 and the sigmoid, 1.0 / (1.0 + exp(-z1)), takes
+no negation. The gradient buffer holds the gradient of what is stored: the
+negated layer's error is -dz1 = da1 * a1 * (a1 - 1), and its weight
+gradient the outer product of -dz1 with the input, so that the one update
+moves the stored weights by the negation of the textbook step. Negation and
+the swapped subtraction (``a1 - 1`` for ``1 - a1``) are exact in IEEE
+round-to-nearest arithmetic, and a batched product with negated weights is
+the negated product, so every score and weight has the bits of the textbook
+kernel (the tests' frozen reference). `init_weights` draws the textbook
+weights and stores the hidden part negated. A round's step sizes come per
+class column, each row's size in both columns of a (rows, 2) array, so that
+one elementwise call on operands of the output error's shape scales it.
+
+A round's elementwise calls, but for the two outer products, take numpy's
+one-loop path and set up no general iterator: the two column broadcasts of
+the softmax (the outputs minus their max, the exponentials over their sum)
+are one 1-D call per class column, and the 1.0 of the sigmoid and of
+``a1 - 1`` is a 0-d array, which numpy does not convert on every call as it
+does a Python float. The two outer products run through views of their
+buffers with the row axis last, in C order, so that each inner loop runs
+over the rows, not over a row's two or three elements. Each element gets
+the same operation on the same operands either way.
 """
 from __future__ import annotations
 
@@ -87,10 +105,10 @@ def default_hidden_size(n_features: int) -> int:
     return int(math.floor((n_features + N_CLASSES) / 2.0 + 0.5))
 
 
-# the kernel's ufuncs, bound once: a round is some 25 calls on small arrays,
-# so it pays for each name it looks up
+# the kernel's numpy callables, which each bank binds as it is made: a round
+# is 24 calls on small arrays, so it pays for each name it looks up
 _add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
-_negative, _exp, _maximum, _matmul = np.negative, np.exp, np.maximum, np.matmul
+_exp, _maximum, _matmul, _copyto = np.exp, np.maximum, np.matmul, np.copyto
 # the kernel's 1.0, read-only: numpy takes a 0-d array operand as it is, and
 # converts a Python float on every call
 _ONE = np.array(1.0)
@@ -110,17 +128,19 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 class MlpBank:
     """``m`` independent one-hidden-layer nets with stacked weights.
 
-    Weight shapes: W1 (m, h, d), b1 (m, h), W2 (m, 2, h), b2 (m, 2); member i
-    is initialized from its own seeded generator with all entries uniform on
-    [-0.5, 0.5]. The four are views of one flat parameter buffer, and their
-    gradients views of one flat gradient buffer laid out alike, so that a
-    gradient step is one subtraction of the two (see the module docstring).
-    The weights are updated in place and stay the views made here: an
-    assignment such as ``bank.W1 = ...`` would take W1 out of training.
+    Member i's weights W1 (h, d), b1 (h,), W2 (2, h) and b2 (2,) are
+    initialized from its own seeded generator with all entries uniform on
+    [-0.5, 0.5]. The bank stores the hidden layer negated, as ``neg_W1``
+    (m, h, d) and ``neg_b1`` (m, h), and the output layer as it is, as
+    ``W2`` (m, 2, h) and ``b2`` (m, 2) (see the module docstring). The four
+    are views of one flat parameter buffer, and their gradients views of one
+    flat gradient buffer laid out alike, so that a gradient step is one
+    subtraction of the two. The weights are updated in place and stay the
+    views made here: an assignment such as ``bank.W2 = ...`` would take W2
+    out of training.
 
-    The kernel's two halves, `forward_in_place` and `backward_in_place`,
-    take one input row per member and write into work buffers that the bank
-    makes once.
+    `kernel`, bound when the bank is made, is the bank's one kernel: a pass
+    on one input row per member, in work buffers that the bank makes once.
     """
 
     def __init__(self, n_features, member_seeds, lr=0.1):
@@ -132,22 +152,24 @@ class MlpBank:
         shapes = ((m, h, d), (m, h), (m, N_CLASSES, h), (m, N_CLASSES))
         size = sum(math.prod(shape) for shape in shapes)
         self._params = np.empty(size)
-        self.W1, self.b1, self.W2, self.b2 = _views(self._params, shapes)
+        self.neg_W1, self.neg_b1, self.W2, self.b2 = _views(self._params, shapes)
         # by member, the places of its weights in the parameter buffer, in
-        # the order W1, b1, W2, b2 that `init_weights` draws them in
+        # the order W1, b1, W2, b2 that `init_weights` draws them in, and
+        # how many of them, from the first, are the hidden layer's
         self._member_at = np.concatenate(
             [a.reshape(m, -1) for a in _views(np.arange(size), shapes)], axis=1
         )
+        self._n_hidden = h * d + h
         self.init_weights(member_seeds)
-        # each weight's gradient at its place; dz1 and dz2 are those of the
-        # biases, and dz2 starts as the class probabilities
+        # each stored weight's gradient at its place; -dz1 and dz2 are those
+        # of the biases, and dz2 starts as the class probabilities
         self._grads = np.empty(size)
-        self._grad_W1, self._dz1, self._grad_W2, self._probs = _views(
+        self._grad_neg_W1, self._neg_dz1, self._grad_W2, self._probs = _views(
             self._grads, shapes
         )
         # the view the kernel reads W2 through
         self._W2_t = self.W2.transpose(0, 2, 1)
-        # forward pass: a1 is z1's buffer, probs the softmax of z2
+        # forward pass: a1 is -z1's buffer, probs the softmax of z2
         self._a1 = np.empty((m, h))
         self._a1_col = self._a1[:, :, None]
         z2_col = np.empty((m, N_CLASSES, 1))
@@ -159,88 +181,109 @@ class MlpBank:
         self._csum = np.empty(m)
         self._probs_col = self._probs[:, :, None]
         self._probs_cols = (self._probs[:, 0], self._probs[:, 1])
-        # backward pass: da1 over the hidden units and the (1 - a1) term
+        # backward pass: da1 over the hidden units and the (a1 - 1) term
         da1_col = np.empty((m, h, 1))
         self._da1_col, self._da1 = da1_col, da1_col[:, :, 0]
-        self._one_minus_a1 = np.empty((m, h))
+        self._a1_minus_one = np.empty((m, h))
         # "_rl": views with the row axis last, through which the outer
         # products run in C order, rows innermost: one inner loop over the
         # rows per weight, not one of two or three elements per row
         self._probs_rl_col = self._probs.T[:, None, :]
         self._a1_rl = self._a1.T
-        self._dz1_rl_col = self._dz1.T[:, None, :]
-        self._grad_W1_rl = self._grad_W1.transpose(1, 2, 0)
+        self._neg_dz1_rl_col = self._neg_dz1.T[:, None, :]
+        self._grad_neg_W1_rl = self._grad_neg_W1.transpose(1, 2, 0)
         self._grad_W2_rl = self._grad_W2.transpose(1, 2, 0)
+        self.kernel = self._bind_kernel()
 
     def init_weights(self, member_seeds, first: int = 0) -> None:
         """Re-initialize members ``first`` .. ``first + len(member_seeds) - 1``."""
         if not 0 <= first <= first + len(member_seeds) <= self.n_members:
             raise ValueError("seeds must name members inside the bank")
         # one draw per member, of the doubles that four draws for W1, b1, W2
-        # and b2 in turn would give
+        # and b2 in turn would give, the hidden layer's stored negated
         at = self._member_at[first : first + len(member_seeds)]
+        hidden = self._n_hidden
         for seed, places in zip(member_seeds, at):
-            self._params[places] = np.random.default_rng(seed).uniform(
-                -0.5, 0.5, len(places)
-            )
+            weights = np.random.default_rng(seed).uniform(-0.5, 0.5, len(places))
+            np.negative(weights[:hidden], out=weights[:hidden])
+            self._params[places] = weights
 
-    def forward_in_place(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-member (hidden activations, class probabilities), member i on
-        input ``X[i]``, left in the bank's buffers: the arrays returned are
-        overwritten by the next pass.
+    def _bind_kernel(self):
+        """The bank's kernel, with every buffer, view and numpy callable it
+        uses bound as a local, so that a call looks nothing up:
 
-        The hidden layer is one batched product ``W1 @ X[:, :, None]``, which
-        gives each member the bits of a matrix-vector product on its input
-        alone. The softmax takes the max and the sum of the two class columns
-        with one elementwise call each: the values of ``max``/``sum`` over
-        axis 1, without the cost of an axis reduction.
+        ``kernel(X)`` is a forward pass, member i on input ``X[i]``, and
+        returns the per-member (hidden activations, class probabilities),
+        left in the bank's buffers: the arrays returned are overwritten by
+        the next pass.
+
+        ``kernel(X, T, S, score)`` is a whole pass, a round of a
+        `RowSchedule`: the forward pass, then each member's P(+1) copied into
+        ``score``, then one gradient step per member. ``S[i]`` is member i's
+        step size, the same in both class columns, and the step moves the
+        member that many times down the gradient of its cross-entropy on
+        input ``X[i]`` and one-hot target ``T[i]`` (a step of 0 leaves it as
+        it was).
+
+        The hidden layer is one batched product, which gives each member the
+        bits of a matrix-vector product on its input alone. The softmax
+        takes the max and the sum of the two class columns with one
+        elementwise call each: the values of ``max``/``sum`` over axis 1,
+        without the cost of an axis reduction. Every gradient is computed
+        from the weights before the step, so one subtraction of the gradient
+        buffer updates all four weights.
         """
-        a1, z2 = self._a1, self._z2
-        _matmul(self.W1, X[:, :, None], self._a1_col)
-        _add(a1, self.b1, a1)
-        # the sigmoid 1.0 / (1.0 + exp(-z1)), step by step in z1's buffer
-        _negative(a1, a1)
-        _exp(a1, a1)
-        _add(a1, _ONE, a1)
-        _divide(_ONE, a1, a1)
-        _matmul(self.W2, self._a1_col, self._z2_col)
-        _add(z2, self.b2, z2)
-        # a positional out is deprecated for maximum, and for it alone
-        (z0, z1), cmax = self._z2_cols, self._cmax
-        _maximum(z0, z1, out=cmax)
-        _subtract(z0, cmax, z0)
-        _subtract(z1, cmax, z1)
-        _exp(z2, self._e)
-        (e0, e1), csum = self._e_cols, self._csum
-        _add(e0, e1, csum)
-        p0, p1 = self._probs_cols
-        _divide(e0, csum, p0)
-        _divide(e1, csum, p1)
-        return a1, self._probs
+        add, subtract, multiply, divide = _add, _subtract, _multiply, _divide
+        exp, maximum, matmul, copyto, one = _exp, _maximum, _matmul, _copyto, _ONE
+        params, grads = self._params, self._grads
+        neg_W1, neg_b1, W2, b2 = self.neg_W1, self.neg_b1, self.W2, self.b2
+        W2_t = self._W2_t
+        a1, a1_col, a1_rl, a1_minus_one = (
+            self._a1, self._a1_col, self._a1_rl, self._a1_minus_one
+        )
+        z2, z2_col, (z0, z1), cmax = self._z2, self._z2_col, self._z2_cols, self._cmax
+        e, (e0, e1), csum = self._e, self._e_cols, self._csum
+        probs, (p0, p1) = self._probs, self._probs_cols
+        probs_col, probs_rl_col = self._probs_col, self._probs_rl_col
+        positive = self._probs_cols[_CLASS_INDEX[POS]]
+        da1, da1_col = self._da1, self._da1_col
+        neg_dz1, neg_dz1_rl_col = self._neg_dz1, self._neg_dz1_rl_col
+        grad_neg_W1_rl, grad_W2_rl = self._grad_neg_W1_rl, self._grad_W2_rl
 
-    def backward_in_place(
-        self, X: np.ndarray, T: np.ndarray, steps: np.ndarray
-    ) -> None:
-        """One gradient step per member on the forward pass in the buffers,
-        which must be `forward_in_place(X)` on the current weights: member i
-        moves ``steps[i]`` times down the gradient of its cross-entropy
-        on input ``X[i]`` and one-hot target ``T[i]`` (a step of 0 leaves it
-        as it was). Overwrites the probabilities.
+        def kernel(X, T=None, S=None, score=None):
+            # -z1, from the negated hidden layer, in a1's buffer; then the
+            # sigmoid 1.0 / (1.0 + exp(-z1)) step by step
+            matmul(neg_W1, X[:, :, None], a1_col)
+            add(a1, neg_b1, a1)
+            exp(a1, a1)
+            add(a1, one, a1)
+            divide(one, a1, a1)
+            matmul(W2, a1_col, z2_col)
+            add(z2, b2, z2)
+            # a positional out is deprecated for maximum, and for it alone
+            maximum(z0, z1, out=cmax)
+            subtract(z0, cmax, z0)
+            subtract(z1, cmax, z1)
+            exp(z2, e)
+            add(e0, e1, csum)
+            divide(e0, csum, p0)
+            divide(e1, csum, p1)
+            if T is None:
+                return a1, probs
+            copyto(score, positive)
+            # dz2 = (probs - T) times the step sizes, in the probabilities
+            subtract(probs, T, probs)
+            multiply(probs, S, probs)
+            matmul(W2_t, probs_col, da1_col)
+            multiply(probs_rl_col, a1_rl, grad_W2_rl, order="C")
+            # -dz1 = da1 * a1 * (a1 - 1), the gradient of the negated layer
+            multiply(da1, a1, neg_dz1)
+            subtract(a1, one, a1_minus_one)
+            multiply(neg_dz1, a1_minus_one, neg_dz1)
+            multiply(neg_dz1_rl_col, X.T, grad_neg_W1_rl, order="C")
+            subtract(params, grads, params)
 
-        Every gradient is computed from the weights before the step, so one
-        subtraction of the gradient buffer updates all four weights."""
-        a1, dz1, dz2 = self._a1, self._dz1, self._probs  # dz2 = probs - T
-        _subtract(dz2, T, dz2)
-        d0, d1 = self._probs_cols
-        _multiply(d0, steps, d0)
-        _multiply(d1, steps, d1)
-        _matmul(self._W2_t, self._probs_col, self._da1_col)
-        _multiply(self._probs_rl_col, self._a1_rl, self._grad_W2_rl, order="C")
-        _multiply(self._da1, a1, dz1)
-        _subtract(_ONE, a1, self._one_minus_a1)
-        _multiply(dz1, self._one_minus_a1, dz1)
-        _multiply(self._dz1_rl_col, X.T, self._grad_W1_rl, order="C")
-        _subtract(self._params, self._grads, self._params)
+        return kernel
 
 
 class OnlineEnsemble:
@@ -403,10 +446,11 @@ class RowSchedule:
         self._codes = np.empty((rows, max_steps + 1), dtype=np.intp)
         self._evens = np.arange(0, 2 * max_steps, 2)
         # by code: each step's input and target (twice), a zero input and
-        # target at the idle step, and the step size, lr or 0
+        # target at the idle step, and the step size, lr or 0, in both class
+        # columns
         self._inputs = np.empty((2 * max_steps + 1, d))
         self._targets = np.empty((2 * max_steps + 1, N_CLASSES))
-        self._sizes = np.tile([0.0, bank.lr], max_steps + 1)
+        self._sizes = np.tile([[0.0], [bank.lr]], (max_steps + 1, N_CLASSES))
         # by ensemble, each step's first pass of each of its rows, as an
         # index into the flat history, position * rows + row
         m = model.n_members
@@ -423,7 +467,7 @@ class RowSchedule:
         self._code = np.empty((0, rows), dtype=np.intp)
         self._X = np.empty((0, rows, d))
         self._T = np.empty((0, rows, N_CLASSES))
-        self._S = np.empty((0, rows))
+        self._S = np.empty((0, rows, N_CLASSES))
         self._hist = np.empty((0, rows))
         self._length = self.n_steps = self.round = 0
 
@@ -456,17 +500,13 @@ class RowSchedule:
     def run(self, rounds: int | None = None) -> None:
         """Run up to ``rounds`` more rounds, or all that are left, stopping
         when every row is done."""
-        bank = self._model._bank
-        forward, backward = bank.forward_in_place, bank.backward_in_place
-        X, T, S, hist = self._X, self._T, self._S, self._hist
-        positive = bank._probs_cols[_CLASS_INDEX[POS]]
+        kernel = self._model._bank.kernel
         start, end = self.round, self._last
         stop = end if rounds is None else min(start + rounds, end)
-        for j in range(start, stop):
-            x = X[j]
-            forward(x)
-            np.copyto(hist[j], positive)
-            backward(x, T[j], S[j])
+        at = slice(start, stop)
+        X, T, S, hist = self._X[at], self._T[at], self._S[at], self._hist[at]
+        for x, t, s, score in zip(X, T, S, hist):
+            kernel(x, t, s, score)
         self.round = stop
 
     def predicted(self) -> list[int]:
@@ -545,7 +585,7 @@ class RowSchedule:
         X, T, S = self._X[j:end, rows], self._T[j:end, rows], self._S[j:end, rows]
         np.take(self._inputs, code, axis=0, out=X, mode="clip")
         np.take(self._targets, code, axis=0, out=T, mode="clip")
-        np.take(self._sizes, code, out=S, mode="clip")
+        np.take(self._sizes, code, axis=0, out=S, mode="clip")
 
     def _reserve(self, length: int, kept: int) -> None:
         """Make the position arrays and the history hold ``length``

@@ -2,10 +2,14 @@
 
 This is the plain form of the MLP bank's kernel, kept apart from `MlpBank`:
 a fresh forward pass every round, max and sum over the class axis, the
-ensemble score as a mean. `MlpBank` keeps its work buffers, works on the two
-class columns directly and updates all weights in one subtraction; both must
-give these bits exactly. Weights are a list ``[W1, b1, W2, b2]`` of stacked
-arrays, one row per bank row, which the functions below update in place.
+ensemble score as a mean, and the textbook weights and signs. `MlpBank`
+keeps its work buffers, stores the hidden layer negated (``neg_W1``,
+``neg_b1``) with the gradient of what it stores, works on the two class
+columns directly and updates all weights in one subtraction; both must give
+these bits exactly. Weights are a list ``[W1, b1, W2, b2]`` of stacked
+arrays, one row per bank row, which the functions below update in place;
+the tests compare a bank with them through one helper, `_textbook` in
+`test_learners.py`, which negates the bank's hidden layer back.
 """
 from __future__ import annotations
 

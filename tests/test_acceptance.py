@@ -415,12 +415,14 @@ def test_mlp_gradients_match_finite_differences():
     # one-hot target and step size. At step size 1 a row's weights move by
     # minus the gradient of its cross-entropy, so (weights before - weights
     # after) must match central differences of -log P(label | x), taken on
-    # the weights before the round; a row at step size 0 must not move.
+    # the weights before the round; a row at step size 0 must not move. The
+    # weights are the ones the bank stores, the hidden layer negated, and
+    # the loss is taken as a function of them.
     fails = []
     worst = 0.0
     unmoved = True
     eps = 1e-5
-    names = ("W1", "b1", "W2", "b2")
+    names = ("neg_W1", "neg_b1", "W2", "b2")
     m = 4
     for seed in range(10):
         rng = np.random.default_rng([7, seed])
@@ -429,11 +431,10 @@ def test_mlp_gradients_match_finite_differences():
         cls = rng.integers(0, 2, m)  # column 0 is POS, 1 is NEG
         T = np.eye(2)[cls]
         still = int(rng.integers(m))
-        steps = np.ones(m)
+        steps = np.ones((m, 2))  # a row's step size, in both class columns
         steps[still] = 0.0
         before = [getattr(bank, n).copy() for n in names]
-        bank.forward_in_place(X)
-        bank.backward_in_place(X, T, steps)
+        bank.kernel(X, T, steps, np.empty(m))
         grads = [b - getattr(bank, n) for n, b in zip(names, before)]
         unmoved &= all(
             np.array_equal(getattr(bank, n)[still], b[still])
@@ -452,9 +453,9 @@ def test_mlp_gradients_match_finite_differences():
             k, r, i = coords[coord]
             w, v = getattr(bank, names[k])[r], before[k][r].flat[i]
             w.flat[i] = v + eps
-            up = -math.log(bank.forward_in_place(X)[1].copy()[r, cls[r]])
+            up = -math.log(bank.kernel(X)[1][r, cls[r]])
             w.flat[i] = v - eps
-            down = -math.log(bank.forward_in_place(X)[1].copy()[r, cls[r]])
+            down = -math.log(bank.kernel(X)[1][r, cls[r]])
             w.flat[i] = v
             fd = (up - down) / (2.0 * eps)
             g = grads[k][r].flat[i]

@@ -457,13 +457,19 @@ def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatc
         blocks.append([int(np.maximum(ks, 1).sum(axis=0).max()), 0])
         return ks
 
-    def forward_in_place(self, X, _forward=MlpBank.forward_in_place):
-        blocks[-1][1] += 1
-        return _forward(self, X)
+    def bind_kernel(self, _bind=MlpBank._bind_kernel):
+        # a round is one call of the kernel a bank binds as it is made
+        kernel = _bind(self)
+
+        def counted(X, T=None, S=None, score=None):
+            blocks[-1][1] += 1
+            return kernel(X, T, S, score)
+
+        return counted
 
     monkeypatch.setattr(StreamGenerator, "next_example", next_example)
     monkeypatch.setattr(OnlineEnsemble, "draw_counts", draw_counts)
-    monkeypatch.setattr(MlpBank, "forward_in_place", forward_in_place)
+    monkeypatch.setattr(MlpBank, "_bind_kernel", bind_kernel)
     pipelines = [PipelineSpec("UOB", "UOB"), PipelineSpec("OOB+drift", "OOB", "lfr")]
     script_detectors(monkeypatch, {"OOB+drift": {40, 300}})
     cfg = tiny_config(
@@ -498,8 +504,11 @@ def test_tie_score_goes_positive(monkeypatch):
             handed.extend(zip(preds, scores))
             return []
 
+    def no_learning(self, n_features, member_seeds, lr=0.1, _init=MlpBank.__init__):
+        _init(self, n_features, member_seeds, lr=0.0)  # every step size 0
+
     monkeypatch.setattr(MlpBank, "init_weights", init_weights)
-    monkeypatch.setattr(MlpBank, "backward_in_place", lambda self, X, T, steps: None)
+    monkeypatch.setattr(MlpBank, "__init__", no_learning)
     monkeypatch.setattr(harness, "build_detector", lambda pipe: Recording())
     cfg = tiny_config(
         pipelines=[PipelineSpec("OB+ties", "OB", "ddm-oci")], runs=1, steps=300
@@ -1479,6 +1488,51 @@ def test_cli_run_replay_and_report(tmp_path, capsys):
     before = (tmp_path / "outA" / "summary.csv").read_bytes()
     assert main(["report", str(tmp_path / "outA")]) == 0
     assert (tmp_path / "outA" / "summary.csv").read_bytes() == before
+
+
+STALE_CONFIG = """
+[experiment]
+preset = sine1-py
+runs = 1
+base_seed = 3
+members = 3
+
+[pipeline OB]
+learner = OB
+"""
+
+
+def test_cli_run_refuses_a_directory_with_another_pipelines_tables(tmp_path, capsys):
+    # a directory must equal a replay of its config.lock: rerunning a config
+    # into it overwrites, but a table of a pipeline the new lock does not
+    # name is refused, and nothing is written
+    out = tmp_path / "out"
+    both = write_config(
+        tmp_path, STALE_CONFIG + "\n[pipeline OOB+lfr]\nlearner = OOB\ndetector = lfr\n"
+    )
+    assert main(["run", str(both), "--out", str(out)]) == 0
+    assert main(["run", str(both), "--out", str(out)]) == 0
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    one = tmp_path / "one.ini"
+    one.write_text(STALE_CONFIG)
+    assert main(["run", str(one), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'alarms' / 'OOB+lfr.csv'}: not a table")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # once the other pipeline's tables are gone, the directory is overwritten
+    # with exactly what a fresh directory gets
+    for table in ("alarms", "curves", "runs"):
+        (out / table / "OOB+lfr.csv").unlink()
+    fresh = tmp_path / "fresh"
+    assert main(["run", str(one), "--out", str(out)]) == 0
+    assert main(["run", str(one), "--out", str(fresh)]) == 0
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert files == sorted(
+        p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file()
+    )
+    for rel in files:
+        assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
 
 
 def test_cli_run_honors_out_env(tmp_path, monkeypatch):

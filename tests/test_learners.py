@@ -2,9 +2,10 @@
 
 A single net is a one-row `MlpBank`: ``_forward(bank, x)[1][0]`` is its
 (P(+1), P(-1)) and ``_rounds(bank, x, label, ONE_STEP)`` is one gradient
-step, both through the bank's kernel, `forward_in_place` and
-`backward_in_place`. An ensemble predicts and learns through a
-`RowSchedule`, as a run does.
+step, both through the bank's one kernel, ``bank.kernel``. An ensemble
+predicts and learns through a `RowSchedule`, as a run does. A bank stores
+its hidden layer negated; the tests compare its weights with the frozen
+reference through `_textbook`, and everything else on the stored weights.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from skewstream.imbalance import ClassSizeTracker
 from skewstream import learners
 from skewstream.labels import NEG, POS
 from skewstream.learners import (
+    N_CLASSES,
     SAMPLERS,
     MlpBank,
     OnlineEnsemble,
@@ -26,13 +28,28 @@ from skewstream.learners import (
     default_hidden_size,
 )
 
-PARAMS = ("W1", "b1", "W2", "b2")
+# the stored weights, in the order of the parameter buffer, and the weights
+# of the frozen reference that `_textbook` gives back
+STORED = ("neg_W1", "neg_b1", "W2", "b2")
+TEXTBOOK = ("W1", "b1", "W2", "b2")
 ONE_STEP = np.array([1])
 
 
 def _weights(bank):
-    """Copies of the bank's weight arrays, in `PARAMS` order."""
-    return [getattr(bank, name).copy() for name in PARAMS]
+    """Copies of the bank's stored weight arrays, in `STORED` order."""
+    return [getattr(bank, name).copy() for name in STORED]
+
+
+def _textbook(bank):
+    """The bank's weights W1, b1, W2 and b2 as the frozen reference holds
+    them: the stored hidden layer negated back."""
+    neg_W1, neg_b1, W2, b2 = _weights(bank)
+    return [-neg_W1, -neg_b1, W2, b2]
+
+
+def _steps(sizes):
+    """Each row's step size in both class columns, as the kernel takes them."""
+    return np.repeat(np.asarray(sizes, dtype=float)[:, None], N_CLASSES, axis=1)
 
 
 def _rows(bank, x):
@@ -42,8 +59,9 @@ def _rows(bank, x):
 
 def _forward(bank, x):
     """Per-row (hidden activations, class probabilities) for one input ``x``,
-    as copies of what `forward_in_place` leaves in the bank's buffers."""
-    a1, probs = bank.forward_in_place(_rows(bank, x))
+    as copies of what the kernel's forward pass leaves in the bank's
+    buffers."""
+    a1, probs = bank.kernel(_rows(bank, x))
     return a1.copy(), probs.copy()
 
 
@@ -52,9 +70,9 @@ def _rounds(bank, x, label, ks):
     of the kernel, in which a row whose k is spent takes step size 0."""
     X, ks = _rows(bank, x), np.asarray(ks)
     T = np.array([1.0, 0.0] if label == POS else [0.0, 1.0])
+    score = np.empty(bank.n_members)
     for j in range(int(ks.max(initial=0))):
-        bank.forward_in_place(X)
-        bank.backward_in_place(X, T, np.where(ks > j, bank.lr, 0.0))
+        bank.kernel(X, T, _steps(np.where(ks > j, bank.lr, 0.0)), score)
 
 
 def _positive_prob(bank, x):
@@ -65,7 +83,7 @@ def _positive_prob(bank, x):
 def _slice_params(bank, e, m):
     """Ensemble ``e``'s weights (rows e*m .. e*m+m-1) as one flat vector."""
     rows = slice(e * m, (e + 1) * m)
-    return np.concatenate([getattr(bank, n)[rows].ravel() for n in PARAMS])
+    return np.concatenate([getattr(bank, n)[rows].ravel() for n in STORED])
 
 
 def _rates(ens, label, tracker, threshold=1.5):
@@ -128,7 +146,7 @@ def test_zero_learning_rate_leaves_weights_unchanged():
     before = _weights(bank)
     for _ in range(20):
         _rounds(bank, [0.2, 0.7], POS, ONE_STEP)
-    for name, b in zip(PARAMS, before):
+    for name, b in zip(STORED, before):
         assert np.array_equal(getattr(bank, name), b), name
 
 
@@ -137,12 +155,14 @@ def test_predict_has_no_side_effects():
     before = _weights(bank)
     for _ in range(10):
         _forward(bank, np.array([0.5, 0.5]))
-    for name, b in zip(PARAMS, before):
+    for name, b in zip(STORED, before):
         assert np.array_equal(getattr(bank, name), b), name
 
 
 def test_gradient_matches_central_differences():
-    # at lr 1, one training step moves the weights by minus the gradient
+    # at lr 1, one training step moves the weights by minus the gradient;
+    # the loss is taken as a function of the stored weights, the hidden
+    # layer negated, whose gradient is the one the kernel stores
     h = 1e-5
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -152,14 +172,14 @@ def test_gradient_matches_central_differences():
         base = _weights(bank)
         _rounds(bank, x, y, ONE_STEP)
         analytic = np.concatenate(
-            [(b - getattr(bank, name)).ravel() for name, b in zip(PARAMS, base)]
+            [(b - getattr(bank, name)).ravel() for name, b in zip(STORED, base)]
         )
-        for name, b in zip(PARAMS, base):
+        for name, b in zip(STORED, base):
             getattr(bank, name)[...] = b
         coords = [(k, i) for k, b in enumerate(base) for i in range(b.size)]
         for idx in rng.choice(len(coords), size=8, replace=False):
             k, i = coords[idx]
-            w, v = getattr(bank, PARAMS[k]), base[k].flat[i]
+            w, v = getattr(bank, STORED[k]), base[k].flat[i]
             w.flat[i] = v + h
             up = _loss(bank, x, y)
             w.flat[i] = v - h
@@ -402,14 +422,14 @@ def test_batched_rounds_equal_sequential_member_training():
         assert stacked[i] == pytest.approx(_positive_prob(solo, x), abs=0.0)
 
 
-def test_forward_in_place_results_are_the_banks():
-    # what a pass returns lives in the bank's buffers, which its next pass
-    # overwrites
+def test_forward_pass_results_are_the_banks():
+    # what a forward pass returns lives in the bank's buffers, which its
+    # next pass overwrites
     bank = MlpBank(3, [[2, 0, i] for i in range(4)])
     x = np.array([0.2, 0.5, 0.9])
-    a1, probs = bank.forward_in_place(_rows(bank, x))
+    a1, probs = bank.kernel(_rows(bank, x))
     kept = a1.copy(), probs.copy()
-    again = bank.forward_in_place(_rows(bank, [0.7, 0.1, 0.3]))
+    again = bank.kernel(_rows(bank, [0.7, 0.1, 0.3]))
     assert again[0] is a1 and again[1] is probs
     assert not np.array_equal(a1, kept[0]) and not np.array_equal(probs, kept[1])
     assert np.array_equal(_forward(bank, x)[1], kept[1])
@@ -497,7 +517,7 @@ def test_stacked_bank_rounds_like_separate_banks(d):
         _rounds(stacked, x, y, ks)
         for b, part in zip(banks, np.split(ks, 3)):
             _rounds(b, x, y, part)
-    for name in ("W1", "b1", "W2", "b2"):
+    for name in STORED:
         assert np.array_equal(
             getattr(stacked, name),
             np.concatenate([getattr(b, name) for b in banks]),
@@ -531,8 +551,8 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     ens = OnlineEnsemble(d, samplers=("OB", "OOB", "UOB"), n_members=members, seed=5)
     bank = ens._bank
     for flat, names in (
-        (bank._params, PARAMS),
-        (bank._grads, ("_grad_W1", "_dz1", "_grad_W2", "_probs")),
+        (bank._params, STORED),
+        (bank._grads, ("_grad_neg_W1", "_neg_dz1", "_grad_W2", "_probs")),
     ):
         offset = 0
         for name in names:
@@ -546,26 +566,26 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     ens.reset(1)
     fresh = MlpBank(d, [[5, 1, i] for i in range(members)])
     rows = slice(members, 2 * members)
-    for name in PARAMS:
+    for name in STORED:
         assert np.array_equal(getattr(bank, name)[rows], getattr(fresh, name)), name
     assert not np.array_equal(bank._params, before)
     assert np.array_equal(
-        bank._params, np.concatenate([getattr(bank, n).ravel() for n in PARAMS])
+        bank._params, np.concatenate([getattr(bank, n).ravel() for n in STORED])
     )
     # a pass with every step size 0 leaves the parameter buffer as it was
     before = bank._params.copy()
     rng = np.random.default_rng(d)
     X = rng.uniform(0, 1, (3 * members, d))
-    bank.forward_in_place(X)
-    bank.backward_in_place(X, np.array([1.0, 0.0]), np.zeros(3 * members))
+    score = np.empty(3 * members)
+    bank.kernel(X, np.array([1.0, 0.0]), _steps(np.zeros(3 * members)), score)
     assert np.array_equal(bank._params, before)
     # the kernel's rows-last views are transposes of the work buffers, so the
     # outer products that run through them write into the gradient buffer,
     # each gradient at its place
     for view, buffer, axes in (
-        (bank._grad_W1_rl, bank._grad_W1, (2, 0, 1)),
+        (bank._grad_neg_W1_rl, bank._grad_neg_W1, (2, 0, 1)),
         (bank._grad_W2_rl, bank._grad_W2, (2, 0, 1)),
-        (bank._dz1_rl_col[:, 0], bank._dz1, (1, 0)),
+        (bank._neg_dz1_rl_col[:, 0], bank._neg_dz1, (1, 0)),
     ):
         back = view.transpose(axes)
         assert back.ctypes.data == buffer.ctypes.data
@@ -583,20 +603,24 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
             assert col.ctypes.data == buffer.ctypes.data + c * buffer.strides[1]
     assert all(np.shares_memory(col, bank._grads) for col in bank._probs_cols)
     # a pass at random step sizes: the softmax is that of the shifted outputs,
-    # and the gradient buffer holds both outer products, which the update
-    # subtracts from the parameters
-    bank.forward_in_place(X)
+    # the score is P(+1), and the gradient buffer holds both outer products,
+    # the negated layer's from -dz1, which the update subtracts from the
+    # parameters
+    bank.kernel(X)
     z2, probs = bank._z2.copy(), bank._probs.copy()
     assert (z2.max(axis=1) == 0.0).all()
     e = np.exp(z2)
     assert np.array_equal(probs, e / e.sum(axis=1, keepdims=True))
     steps, T = rng.uniform(0.0, 0.5, 3 * members), np.array([0.0, 1.0])
     before = bank._params.copy()
-    bank.backward_in_place(X, T, steps)
+    bank.kernel(X, T, _steps(steps), score)
+    assert np.array_equal(score, probs[:, 0])
     dz2 = (probs - T) * steps[:, None]
     assert np.array_equal(bank._probs, dz2)
-    assert np.array_equal(bank._grad_W2, dz2[:, :, None] * bank._a1[:, None, :])
-    assert np.array_equal(bank._grad_W1, bank._dz1[:, :, None] * X[:, None, :])
+    a1 = bank._a1
+    assert np.array_equal(bank._grad_W2, dz2[:, :, None] * a1[:, None, :])
+    assert np.array_equal(bank._neg_dz1, -(bank._da1 * a1 * (1.0 - a1)))
+    assert np.array_equal(bank._grad_neg_W1, bank._neg_dz1[:, :, None] * X[:, None, :])
     assert np.array_equal(bank._params, before - bank._grads)
 
 
@@ -612,6 +636,40 @@ def test_the_kernels_one_cannot_be_written():
     assert one == 1.0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_round_makes_24_numpy_calls(d, monkeypatch):
+    # a round is numpy calls on small arrays, each of which costs more than
+    # the arithmetic it does: the forward pass (14), the copy of the scores
+    # (1) and the gradient step (9). The kernel's numpy callables are names
+    # in `learners` that a bank binds as it is made, so counters put there
+    # before see every call a round makes
+    calls = []
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    wrapped = [
+        name
+        for name, value in vars(learners).items()
+        if name.startswith("_") and getattr(np, name[1:], None) is value
+    ]
+    assert "_copyto" in wrapped and "_matmul" in wrapped
+    for name in wrapped:
+        monkeypatch.setattr(learners, name, counted(name, getattr(learners, name)))
+    ens = OnlineEnsemble(d, samplers=SAMPLERS, n_members=15, seed=4)
+    schedule = RowSchedule(ens, 1)
+    rng = np.random.default_rng(d)
+    schedule.start(rng.uniform(0, 1, (1, d)), [POS], np.ones((1, 45), dtype=int))
+    calls.clear()
+    schedule.run(1)
+    assert schedule.round == 1
+    assert len(calls) == 24, sorted(calls)
+
+
 @pytest.mark.parametrize("d", [4, 6])
 def test_init_weights_draws_what_four_draws_per_member_do(d):
     # one draw per member for all four weights, against the frozen four, at
@@ -619,14 +677,16 @@ def test_init_weights_draws_what_four_draws_per_member_do(d):
     h = default_hidden_size(d)
     seeds = [[3, 0, i] for i in range(6)]
     bank = MlpBank(d, seeds)
-    for name, want in zip(PARAMS, _ref_init(d, h, seeds)):
-        assert np.array_equal(getattr(bank, name), want), name
-    # a re-initialization of some members leaves the others as they were
-    before = _weights(bank)
+    for name, got, want in zip(TEXTBOOK, _textbook(bank), _ref_init(d, h, seeds)):
+        assert np.array_equal(got, want), name
+    # a re-initialization of some members leaves the others as they were,
+    # and stores the hidden layer negated as at start-up
+    before = _textbook(bank)
     fresh = [[3, 1, i] for i in range(2)]
     bank.init_weights(fresh, first=2)
-    for name, was, want in zip(PARAMS, before, _ref_init(d, h, fresh)):
-        got = getattr(bank, name)
+    for name, was, got, want in zip(
+        TEXTBOOK, before, _textbook(bank), _ref_init(d, h, fresh)
+    ):
         assert np.array_equal(got[2:4], want), name
         assert np.array_equal(got[:2], was[:2]) and np.array_equal(got[4:], was[4:])
 
@@ -695,8 +755,8 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
             _ref_train_rounds(params, predicted_x, label, ks, lr)
         else:
             cases["no_training"] += 1
-        for name, ref in zip(("W1", "b1", "W2", "b2"), params):
-            assert np.array_equal(getattr(ens._bank, name), ref), (step, name)
+        for name, got, ref in zip(TEXTBOOK, _textbook(ens._bank), params):
+            assert np.array_equal(got, ref), (step, name)
     assert ens.reset_counts == reset_counts
     assert all(cases.values()), cases
 
@@ -804,5 +864,5 @@ def test_row_schedule_equals_frozen_reference(d, rounds, members):
                 _ref_train_rounds(params, xs[t], labels[t], ks[t], lr)
         assert ens.reset_counts == reset_counts, b
         assert np.array_equal(scores, ref_scores), b
-        for name, ref in zip(PARAMS, params):
-            assert np.array_equal(getattr(ens._bank, name), ref), (b, name)
+        for name, got, ref in zip(TEXTBOOK, _textbook(ens._bank), params):
+            assert np.array_equal(got, ref), (b, name)
