@@ -1,7 +1,7 @@
 """The CPUs this process may use.
 
 One definition for everything that spreads work over the CPUs, the run
-pool of the harness and the bound-table build of the detectors alike, so
+pool of the run engine and the bound-table build of the detectors alike, so
 one affinity mask (``taskset``) governs both.
 """
 from __future__ import annotations

@@ -482,16 +482,6 @@ def default_bound_table(
         return _default_tables[key]
 
 
-def adopt_bound_tables(tables) -> None:
-    """Share ``tables``, made by `default_bound_table` in another process,
-    as this process's tables for their parameters, so none is rebuilt here.
-    Each replaces the table this process shared for its decay and levels, if
-    any, so the detectors made here run on exactly the tables handed."""
-    with _default_tables_lock:
-        for table in tables:
-            _default_tables[(table.decay, table.warn_level, table.detect_level)] = table
-
-
 class FourRatesDetector(DriftDetector):
     """Monitors decayed TPR, TNR, PPV and NPV against null deviation bounds.
 

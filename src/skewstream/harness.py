@@ -5,6 +5,9 @@ Composes stream x learner x detector pipelines, runs them over derived seeds
 one stream), computes per-concept averages under the reset-at-drift
 reporting convention, compares pipelines with the signed-rank test, and
 emits CSV tables plus a fully resolved ``config.lock`` for exact replay.
+The runs themselves, and the worker processes they are spread over, are the
+engine's (`engine`): `run_experiment` builds each run's detectors from the
+config and hands them to it.
 
 Config files are INI-style::
 
@@ -32,14 +35,11 @@ import configparser
 import inspect
 import math
 import re
-import sys
-import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cpus import usable_cpus
 from .detectors import (
     AucDropDetector,
     DetectionLog,
@@ -48,12 +48,10 @@ from .detectors import (
     FourRatesDetector,
     RecallDropDetector,
     Verdict,
-    adopt_bound_tables,
     score_detections,
 )
-from .imbalance import ClassSizeTracker
-from .labels import NEG, POS
-from .learners import SAMPLERS, OnlineEnsemble, RowSchedule
+from .engine import RunRecord, run_all
+from .learners import SAMPLERS
 from .metrics import (
     TooFewPairsError,
     decayed_recall_gmean_series,
@@ -66,7 +64,6 @@ from .streams import (
     ConceptSpec,
     DriftSchedule,
     Skew,
-    StreamGenerator,
 )
 
 
@@ -219,28 +216,6 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate pipeline names: {sorted(dupes)}")
 
 
-@dataclass
-class RunRecord:
-    """Per-step record of one pipeline run (steps warm_up+1 .. total_steps).
-
-    ``events`` lists the non-Normal detector verdicts as (step, verdict value)
-    over the whole run, warm-up included.
-    """
-
-    run: int
-    seed: int
-    warm_up: int
-    truths: np.ndarray
-    preds: np.ndarray
-    scores: np.ndarray
-    events: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def detection_log(self) -> DetectionLog:
-        alarms = [t for t, v in self.events if v == Verdict.DRIFT.value]
-        return DetectionLog(run=self.run, seed=self.seed, alarms=alarms)
-
-
 @dataclass(frozen=True)
 class ConceptAverages:
     """Mean decayed per-class recall and G-mean over the two stable windows."""
@@ -256,322 +231,29 @@ class ConceptAverages:
 METRICS = tuple(f.name for f in fields(ConceptAverages))
 
 
-# Steps a run plans at a time (see `_run_once`).
-BLOCK_STEPS = 128
-# Rounds a block trains between two catch-ups of its detectors (see
-# `_train_block`). A catch-up costs a read of the scores and one call per
-# detector that is behind, while a late one lets a reset pipeline's rows run
-# ahead on weights the reset throws away. Against every 8 rounds (process
-# CPU time, median ratio of shuffled in-process repetitions on a 2-vCPU VM):
-# on detect-sweep's two runs (30 repetitions) every 4 rounds took 1.087x and
-# every 16 0.959x, for 11,354, 11,384 and 11,440 rounds; on a 6-pipeline
-# `sine1-pxy` run of the acceptance fixture's shape (24 repetitions, seeds
-# 1000-1003) every 4 took 1.075x and every 16 0.972x.
-CATCH_UP_ROUNDS = 16
-
-
-def _plan_block(stream, tracker, model, n: int, threshold: float):
-    """The next ``n`` steps' inputs, labels, minorities and Poisson counts.
-
-    Takes each example from ``stream``, then steps ``tracker`` through the
-    block's labels in one call (`ClassSizeTracker.track`) and reads every
-    step's minority and rates from the sizes after its label as array code
-    (`OnlineEnsemble.sampling_rates`), as a step does; then every ensemble
-    draws the block's counts with one call (`OnlineEnsemble.draw_counts`).
-    Returns ``(xs, labels, minorities, ks)``: row i of ``xs`` is step i's
-    input and row i of ``ks`` its counts; a minority is 0 where none is
-    designated.
-    """
-    examples = [stream.next_example() for _ in range(n)]
-    labels = [label for _, label in examples]
-    minorities, rates = model.sampling_rates(
-        labels, *tracker.track(labels), threshold
-    )
-    xs = np.array([x for x, _ in examples])
-    return xs, labels, minorities.tolist(), model.draw_counts(rates)
-
-
-def _train_block(block, detectors, labels, minorities, events, done: int):
-    """Train a planned block and step the detectors through it; returns its
-    scores as (steps, pipelines).
-
-    Every ``CATCH_UP_ROUNDS`` rounds of ``block`` (a `RowSchedule` with the
-    block laid out), each of ``detectors``, given as (pipeline, detector),
-    catches up in one call (`DriftDetector.catch_up`) on the steps that all
-    of its pipeline's rows have predicted since its last call, and on no
-    other: their scores are read for that pipeline alone, and its labels
-    follow from them, POS where a score is 0.5 or more (as in the records
-    `_run_once` makes). Its alarms go
-    to the pipeline's ``events`` (``done`` is the steps before the block),
-    and a drift alarm rewinds the pipeline's rows to its step. With no
-    detector there is nothing to catch up, and the block runs to its end at
-    once.
-    """
-    if not detectors:
-        block.run()
-        return block.scores()
-    n = block.n_steps
-    seen = [0] * len(events)  # the steps each detector has stepped
-    while True:
-        block.run(CATCH_UP_ROUNDS)
-        ready = block.predicted()
-        for e, detector in detectors:
-            start, stop = seen[e], ready[e]
-            if start == stop:
-                continue
-            scores = block.scores(start, stop, e).tolist()
-            verdicts = detector.catch_up(
-                labels[start:stop],
-                [POS if score >= 0.5 else NEG for score in scores],
-                scores,
-                minorities[start:stop],
-            )
-            for i, verdict in verdicts:
-                events[e].append((done + start + i + 1, verdict.value))
-            if verdicts and verdicts[-1][1] is Verdict.DRIFT:
-                stop = start + verdicts[-1][0] + 1
-                block.rewind(e, stop - 1)
-            seen[e] = stop
-        if block.finished and all(seen[e] == n for e, _ in detectors):
-            return block.scores()
-
-
-def _run_once(cfg: ExperimentConfig, r: int) -> list[RunRecord]:
-    """Run ``r`` of every pipeline on one stream; one record each.
-
-    All pipelines of a run see the same stream (seed ``base_seed + r``), so
-    the stream, the class sizes and the minority they designate are computed
-    once per step and shared. Each pipeline's ensemble is one slice of a stacked
-    `OnlineEnsemble` (its own Poisson generator and reset seeds), and its
-    detector, if any, is its own; a drift alarm resets only that slice. The
-    records are exactly those of running each pipeline alone, step by step.
-
-    The run goes ``BLOCK_STEPS`` steps at a time. `_plan_block` first takes
-    the block's examples, class sizes and Poisson counts: the stream, the
-    tracker and the Poisson generators read neither the predictions nor the
-    weights, and a reset re-seeds the weights only, so every draw is the one
-    a step-by-step run makes, in the same order on each generator. Then the
-    run's one `RowSchedule` lays the block out in the buffers it keeps and
-    trains it, each bank row at its own pace, and every
-    ``CATCH_UP_ROUNDS`` rounds each detector steps through the steps that
-    all of its pipeline's rows have predicted. A drift alarm at a step resets
-    the pipeline's slice and rewinds only its rows to that step.
-    """
-    seed = cfg.base_seed + r
-    schedule = cfg.schedule
-    pipes = cfg.pipelines
-    # first, so that a rejected detector parameter stops the run before it starts
-    detectors = [
-        (e, det)
-        for e, det in enumerate(build_detector(pipe) for pipe in pipes)
-        if det is not None
-    ]
-    stream = StreamGenerator(schedule, seed)
-    tracker = ClassSizeTracker(cfg.tracker_theta)
-    model = OnlineEnsemble(
-        schedule.old.n_features,
-        samplers=[pipe.learner for pipe in pipes],
-        n_members=cfg.members,
-        seed=seed,
-        lr=cfg.lr,
-    )
-    total = schedule.total_steps
-    truths = np.empty(total, dtype=np.int8)
-    scores = np.empty((len(pipes), total))
-    events: list[list[tuple[int, str]]] = [[] for _ in pipes]
-    rows = RowSchedule(model, BLOCK_STEPS)
-    for done in range(0, total, BLOCK_STEPS):
-        n = min(BLOCK_STEPS, total - done)
-        xs, labels, minorities, ks = _plan_block(
-            stream, tracker, model, n, cfg.designation_threshold
-        )
-        truths[done : done + n] = labels
-        rows.start(xs, labels, ks)
-        scores[:, done : done + n] = _train_block(
-            rows, detectors, labels, minorities, events, done
-        ).T
-    # the records keep the steps past the warm-up
-    truths, scores = truths[cfg.warm_up :], scores[:, cfg.warm_up :]
-    preds = np.where(scores >= 0.5, POS, NEG).astype(np.int8)
-    return [
-        RunRecord(
-            run=r,
-            seed=seed,
-            warm_up=cfg.warm_up,
-            truths=truths.copy(),
-            preds=preds[e],
-            scores=scores[e],
-            events=events[e],
-        )
-        for e in range(len(pipes))
-    ]
-
-
-# The spawned workers that every experiment of this process shares, as
-# (usable CPUs when made, executor); made when an experiment first needs one.
-# The lock keeps experiments run from several threads from remaking or
-# shutting down the pool under one another.
-_pool = None
-_pool_lock = threading.Lock()
-# Set once a worker has exited by itself before any run came back from one, as
-# every worker of a script without an `if __name__ == "__main__":` guard does
-# (it dies of rerunning the script as it starts): later experiments of this
-# process then run serially instead of paying a worker for nothing each time.
-_workers_cannot_start = False
-
-
-def _worker_pool(cpus: int):
-    """The shared pool of ``cpus - 1`` workers, which start on demand; it is
-    remade when the usable CPUs have changed or it has broken (its manager
-    saw a worker die, and it would refuse every run)."""
-    global _pool
-    if _pool is not None and (_pool[0] != cpus or _pool[1]._broken):
-        _drop_pool()
-    if _pool is None:
-        # imported only here: a one-run experiment pays no memory for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # spawn, not fork: this process may already hold BLAS threads
-        context = multiprocessing.get_context("spawn")
-        _pool = (cpus, ProcessPoolExecutor(cpus - 1, mp_context=context))
-    return _pool[1]
-
-
-def _drop_pool() -> None:
-    """Shut the shared pool down, cancelling its queued runs, and forget it."""
-    global _pool
-    if _pool is not None:
-        pool, _pool = _pool[1], None
-        pool.shutdown(cancel_futures=True)
-
-
-def _hand_out(pool, tables: list, cfg: ExperimentConfig) -> dict:
-    """Futures of runs 1 .. runs - 1 in ``pool``'s workers, by run; if the
-    pool breaks while they are handed out, the rest are left to this process
-    (`_collect_runs` runs every run that has no future)."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    pending = {}
-    for r in range(1, cfg.runs):
-        try:
-            pending[r] = pool.submit(_run_in_worker, tables, cfg, r)
-        except BrokenProcessPool:
-            break
-    return pending
-
-
-def _run_in_worker(tables: list, cfg: ExperimentConfig, r: int) -> list[RunRecord]:
-    """`_run_once` in a worker, on the bound tables the caller has built:
-    they replace any the worker shared for the same parameters."""
-    adopt_bound_tables(tables)
-    return _run_once(cfg, r)
-
-
-def _exited_unstarted(pool, pending: dict) -> bool:
-    """Whether a worker of the broken ``pool`` exited by itself (a positive
-    exit code; one killed by a signal has a negative one) while none of the
-    runs in ``pending`` came back from a worker."""
-    came_back = any(
-        f.done() and not f.cancelled() and f.exception() is None
-        for f in pending.values()
-    )
-    exits = [p.exitcode or 0 for p in pool._processes.values()]
-    return not came_back and max(exits, default=0) > 0
-
-
-def _lost(future) -> bool:
-    """Whether a started worker run died with its worker (its pool broke);
-    waits for the run to end."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(future.exception(), BrokenProcessPool)
-
-
-def _collect_runs(cfg: ExperimentConfig, pending: dict) -> list[list[RunRecord]]:
-    """Every run's records, in run order.
-
-    ``pending`` maps runs handed to worker processes to their futures. This
-    process runs run 0, then takes from the back each run that no worker has
-    started (or every run, when ``pending`` is empty), and reads the rest
-    from the workers. A run lost with its worker (the pool broke) is run
-    again here: a run is a function of ``(cfg, r)`` only, so its records are
-    the same. Any other failed worker run is raised as soon as it is seen.
-    """
-    done = {0: _run_once(cfg, 0)}
-    for r in range(cfg.runs - 1, 0, -1):
-        for future in pending.values():
-            ended = future.done() and not future.cancelled()
-            if ended and future.exception() and not _lost(future):
-                raise future.exception()
-        future = pending.get(r)
-        if future is None or future.cancel() or (future.done() and _lost(future)):
-            done[r] = _run_once(cfg, r)
-    for r, future in pending.items():
-        if r not in done:
-            done[r] = _run_once(cfg, r) if _lost(future) else future.result()
-    return [done[r] for r in range(cfg.runs)]
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict[str, list[RunRecord]]:
     """All pipelines x all runs; deterministic given the config.
 
     Run r steps every pipeline on one stream seeded ``base_seed + r``, each
     bank row of their shared ensemble training at its own pace through a
-    planned block of steps (see `_run_once`); each pipeline's records are
+    planned block of steps (`engine._run_once`); each pipeline's records are
     exactly those it would get run alone, step by step. With no pipelines
     nothing is run, not even a stream.
 
-    Runs are independent, so they are spread over at most one process per
-    usable CPU: spawned workers take runs from the front while this process
-    runs run 0 and then the runs still waiting, from the back. The records
-    do not depend on which process ran a run: a worker runs on exactly the
-    bound tables this process holds for the experiment, handed over with
-    each run. The workers are shared by every experiment of this process and
-    live as long as it does; they start on demand, up to one fewer than the
-    usable CPUs. A run lost with a worker that died is run again here, with
-    one line on stderr that says so, and the broken pool is shut down before
-    this returns, its dead workers reaped. The workers start with the
-    ``spawn`` method, which imports the calling script's main module, so a
-    script that runs two or more runs must guard its entry point with ``if
-    __name__ == "__main__":``; an unguarded one has each worker die as it
-    starts. Once a worker has exited by itself before any run came back,
-    this process runs the runs of its later experiments itself.
+    Each run's detectors are built here, fresh, before any run is handed
+    out, so a rejected detector parameter raises in this process, and each
+    bound table is built (or loaded) once. The runs are spread over worker
+    processes (`engine.run_all`), and each run's detectors travel with it,
+    bound tables inside, so a worker runs on exactly the tables this process
+    holds. The workers start with the ``spawn`` method, which imports the
+    calling script's main module, so a script that runs two or more runs
+    must guard its entry point with ``if __name__ == "__main__":``.
     """
-    global _workers_cannot_start
-    if not cfg.pipelines:
+    pipes = cfg.pipelines
+    if not pipes:
         return {}
-    # here, before any run is handed out: a rejected detector parameter
-    # raises in this process, and each bound table is built (or loaded) once
-    detectors = [build_detector(pipe) for pipe in cfg.pipelines]
-    cpus = usable_cpus()
-    if min(cfg.runs, cpus) < 2 or _workers_cannot_start:
-        runs = _collect_runs(cfg, {})
-    else:
-        tables = [d.table for d in detectors if isinstance(d, FourRatesDetector)]
-        with _pool_lock:
-            pool = _worker_pool(cpus)
-            try:
-                pending = _hand_out(pool, tables, cfg)
-                runs = _collect_runs(cfg, pending)
-            except BaseException:
-                # no queued run of a failed experiment is left for the next one
-                _drop_pool()
-                raise
-            if pool._broken:
-                # a worker died and its runs were rerun here: shutting the
-                # pool down joins its manager, which reaps the dead worker
-                # before this returns
-                _workers_cannot_start = _exited_unstarted(pool, pending)
-                print("skewstream: a worker process died and its runs were run again "
-                      "in this process; a script that runs two or more runs must "
-                      'guard its entry point with `if __name__ == "__main__":`',
-                      file=sys.stderr)
-                _drop_pool()
-    return {
-        pipe.name: [records[e] for records in runs]
-        for e, pipe in enumerate(cfg.pipelines)
-    }
+    runs = run_all(cfg, [[build_detector(p) for p in pipes] for _ in range(cfg.runs)])
+    return {pipe.name: [records[e] for records in runs] for e, pipe in enumerate(pipes)}
 
 
 def _segmented_series(rec: RunRecord, schedule: DriftSchedule, decay: float):
@@ -871,27 +553,34 @@ def _file_error(path: Path, e: configparser.Error) -> ConfigError:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an experiment config (or lock) file."""
+    """Parse an experiment config (or lock) file. A file that is missing,
+    cannot be read or is not UTF-8 raises a `ConfigError` that names it."""
     path = Path(path)
     try:
         return _load_config(path)
     except configparser.Error as e:
         raise _file_error(path, e) from None
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:  # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+
+
+def _utf8_text(path: Path, error=ValueError) -> str:
+    """The file's text, read as UTF-8 (as the program writes its files)
+    whatever the locale's encoding; bytes that are not UTF-8 raise ``error``
+    naming the file and the row."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        row = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}:{row}: not UTF-8 text ({e.reason})") from None
 
 
 def _load_config(path: Path) -> ExperimentConfig:
-    try:
-        data = path.read_bytes()
-    except OSError:
-        raise ConfigError(f"config file not found: {path}") from None
-    # UTF-8, as config.lock is written, whatever the locale's encoding
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        row = data.count(b"\n", 0, e.start) + 1
-        raise ConfigError(f"{path}:{row}: not UTF-8 text ({e.reason})") from None
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_string(text, source=str(path))
+    parser.read_string(_utf8_text(path, ConfigError), source=str(path))
     exp_values = {}
     if parser.has_section("experiment"):
         section = parser["experiment"]
@@ -1057,7 +746,7 @@ def emit_report(report: Report, out_dir) -> list[Path]:
 def _read_table(path, header: str) -> tuple[Path, list[tuple[int, str]]]:
     """The numbered data rows of a CSV table whose first line is ``header``."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _utf8_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected header {header!r}")
     if lines[0] != header:

@@ -25,7 +25,7 @@ one forward pass and one gradient step on its own input, one-hot target and
 step size, and a step size of 0 leaves a row's weights as they were. Rows
 are independent and the batched products give each row the bits it gets
 alone, so one call serves every row. An `OnlineEnsemble` stacks several
-ensembles (one per sampler, as the harness runs one per pipeline) in the
+ensembles (one per sampler, as the run engine runs one per pipeline) in the
 same bank; each keeps its own Poisson generator, its own reset seeds and
 exactly the outputs it would have alone.
 

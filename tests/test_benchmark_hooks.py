@@ -1,5 +1,5 @@
-"""The program names that the benchmark in ``perfbench/`` wraps must exist,
-and the ones it no longer should must not.
+"""The program names that the benchmark in ``perfbench/`` wraps or calls
+must exist, and the ones it no longer should must not.
 
 The benchmark times each layer by wrapping the calls listed in
 ``perfbench/spans.py`` (``TARGETS``) and probes the host's speed from inside
@@ -8,7 +8,9 @@ and skips it instead of failing, so a renamed call would silently drop that
 layer's spans, or leave ``experiment_s`` scaled by the probes taken between
 repetitions only. These tests read ``spans.py`` without changing it and
 resolve every name on the source tree, and check that a run still makes the
-calls that some of the spans time.
+calls that some of the spans time. ``perfbench/job.py`` also calls some
+``harness`` names directly, with no wrapper to skip them: a moved one would
+fail every benchmark job, so they are read from ``job.py`` and resolved too.
 
 Some targets name one-step calls that the run engine stopped making when it
 moved to planned blocks, and that are since deleted (`RETIRED`). Their spans
@@ -17,6 +19,7 @@ as absent instead.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from dataclasses import replace
@@ -24,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from one_step import run_once
 from skewstream import detectors, harness
 from skewstream.detectors import BoundTable
 from skewstream.harness import ExperimentConfig, PipelineSpec
@@ -69,6 +73,19 @@ def test_every_span_target_resolves(module, cls, attr, name):
     assert callable(getattr(owner, attr, None)) is (name not in RETIRED), name
 
 
+def test_every_harness_name_the_job_calls_resolves():
+    job = SPANS.with_name("job.py")
+    names = {
+        node.attr
+        for node in ast.walk(ast.parse(job.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "harness"
+    }
+    assert {"build_detector", "rebuild_tables", "run_experiment"} <= names
+    assert sorted(n for n in names if not callable(getattr(harness, n, None))) == []
+
+
 def test_speed_probe_hook_resolves():
     assert callable(getattr(StreamGenerator, "next_example", None))
 
@@ -105,6 +122,6 @@ def test_a_detect_run_calls_the_bound_lookup_and_the_auc(monkeypatch):
         runs=1,
         members=3,
     )
-    harness._run_once(cfg, 0)
+    run_once(cfg, 0)
     assert calls["bounds"] > 100 and calls["auc"] > 100, calls
     assert calls["examples"] == 400, calls

@@ -29,7 +29,6 @@ from skewstream.detectors import (
     FourRatesDetector,
     RecallDropDetector,
     Verdict,
-    adopt_bound_tables,
     default_bound_table,
     score_detections,
 )
@@ -756,18 +755,6 @@ def test_bound_table_pickles_without_its_query_index(tmp_path, monkeypatch):
     assert copy._rows == table._rows
     for p, n in [(0.001, 0), (0.3, 7), (0.5, 50), (0.97, 80)]:
         assert copy.bounds(p, n) == table.bounds(p, n)
-
-
-def test_adopted_bound_tables_serve_the_detectors(tmp_path, monkeypatch):
-    monkeypatch.setenv(BoundTable.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(detectors, "_default_tables", {})
-    table = pickle.loads(pickle.dumps(small_table(decay=0.98)))
-    adopt_bound_tables([table])
-    assert FourRatesDetector(decay=0.98).table is table
-    # a table this process already shares is replaced
-    other = small_table(decay=0.98)
-    adopt_bound_tables([other])
-    assert default_bound_table(0.98) is other
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 Heavier runs use 3 ensemble members and 2 runs to stay fast; the full-size
 reproductions live in test_acceptance.py.
 """
+import ast
 import configparser
 import math
 import os
@@ -19,8 +20,8 @@ import pytest
 
 import skewstream
 from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
-from one_step import step
-from skewstream import cpus, harness
+from one_step import run_once, step
+from skewstream import cpus, engine, harness
 from skewstream.cli import main
 from skewstream.detectors import AucDropDetector, DriftDetector, Verdict
 from skewstream.harness import (
@@ -342,7 +343,7 @@ def test_single_member_single_pipeline_equals_reference():
 def test_block_boundaries_leave_the_records_unchanged(monkeypatch):
     # a stream of 2.5 default blocks, so that blocks of every size end
     # mid-run, and resets land inside blocks and in later ones
-    steps = harness.BLOCK_STEPS * 5 // 2
+    steps = engine.BLOCK_STEPS * 5 // 2
     pipelines = [
         PipelineSpec("OB+lfr", "OB", "lfr"),
         PipelineSpec("OOB+lfr", "OOB", "lfr"),
@@ -352,8 +353,8 @@ def test_block_boundaries_leave_the_records_unchanged(monkeypatch):
     cfg = tiny_config(pipelines=pipelines, runs=1, steps=steps, warm_up=5)
     usable_cpus(monkeypatch, 1)
     runs = {}
-    for block in (harness.BLOCK_STEPS, 1, 7):  # 1: the step-by-step order
-        monkeypatch.setattr(harness, "BLOCK_STEPS", block)
+    for block in (engine.BLOCK_STEPS, 1, 7):  # 1: the step-by-step order
+        monkeypatch.setattr(engine, "BLOCK_STEPS", block)
         runs[block] = run_experiment(cfg)
     for records in runs.values():
         assert_same_records(records, runs[1])
@@ -433,7 +434,7 @@ def test_rewinds_at_block_edges_equal_per_pipeline_runs(
     assert len(idle) >= 3
     alarms = {"UOB+edges": edges, "OOB+idle": {idle[0], idle[1], idle[-1]}}
     script_detectors(monkeypatch, alarms)
-    monkeypatch.setattr(harness, "BLOCK_STEPS", block)
+    monkeypatch.setattr(engine, "BLOCK_STEPS", block)
     records = run_experiment(cfg)
     for name, want in alarms.items():
         assert records[name][0].detection_log.alarms == sorted(want)
@@ -473,12 +474,12 @@ def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatc
     pipelines = [PipelineSpec("UOB", "UOB"), PipelineSpec("OOB+drift", "OOB", "lfr")]
     script_detectors(monkeypatch, {"OOB+drift": {40, 300}})
     cfg = tiny_config(
-        pipelines=pipelines, runs=1, steps=harness.BLOCK_STEPS * 3 + 3, members=2
+        pipelines=pipelines, runs=1, steps=engine.BLOCK_STEPS * 3 + 3, members=2
     )
-    harness._run_once(cfg, 0)
+    run_once(cfg, 0)
     assert examples == cfg.schedule.total_steps
     assert len(blocks) == 4
-    rewound = {(t - 1) // harness.BLOCK_STEPS for t in (40, 300)}
+    rewound = {(t - 1) // engine.BLOCK_STEPS for t in (40, 300)}
     for b, (passes, rounds) in enumerate(blocks):
         if b in rewound:
             assert rounds >= passes, b
@@ -509,11 +510,10 @@ def test_tie_score_goes_positive(monkeypatch):
 
     monkeypatch.setattr(MlpBank, "init_weights", init_weights)
     monkeypatch.setattr(MlpBank, "__init__", no_learning)
-    monkeypatch.setattr(harness, "build_detector", lambda pipe: Recording())
     cfg = tiny_config(
         pipelines=[PipelineSpec("OB+ties", "OB", "ddm-oci")], runs=1, steps=300
     )
-    [record] = harness._run_once(cfg, 0)
+    [record] = engine._run_once(cfg, 0, [Recording()])
     assert len(record.scores) == 300 - cfg.warm_up > 0
     assert (record.scores == 0.5).all() and (record.preds == POS).all()
     assert len(handed) == 300 and set(handed) == {(POS, 0.5)}
@@ -536,7 +536,7 @@ def test_catch_ups_read_only_the_steps_a_pipeline_has_predicted(
     ]
     cfg = tiny_config(pipelines=pipelines, runs=1, steps=1200)
     names = [pipe.name for pipe in pipelines]
-    want = dict(zip(names, ([rec] for rec in harness._run_once(cfg, 0))))
+    want = dict(zip(names, ([rec] for rec in run_once(cfg, 0))))
     # rewinds, whose layouts are poisoned too
     assert want["OOB+lfr"][0].detection_log.alarms
     lay_out, scores = RowSchedule._lay_out, RowSchedule.scores
@@ -557,7 +557,7 @@ def test_catch_ups_read_only_the_steps_a_pipeline_has_predicted(
     monkeypatch.setattr(RowSchedule, "scores", checked)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = dict(zip(names, ([rec] for rec in harness._run_once(cfg, 0))))
+        got = dict(zip(names, ([rec] for rec in run_once(cfg, 0))))
     assert reads > 100
     assert_same_records(got, want)
 
@@ -566,7 +566,7 @@ def test_no_pipelines_builds_no_stream(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a stream was built")
 
-    monkeypatch.setattr(harness, "StreamGenerator", refuse)
+    monkeypatch.setattr(engine, "StreamGenerator", refuse)
     assert run_experiment(tiny_config(pipelines=[])) == {}
 
 
@@ -598,11 +598,11 @@ def pool_sizes(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    harness._drop_pool()
+    engine._drop_pool()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(harness, "_workers_cannot_start", False)
+    monkeypatch.setattr(engine, "_workers_cannot_start", False)
     yield sizes
-    harness._drop_pool()
+    engine._drop_pool()
 
 
 # the pool tests check where runs go, not what they learn: a short stream
@@ -689,7 +689,7 @@ def test_a_killed_worker_is_replaced_by_a_new_pool(monkeypatch, capfd, pool_size
     [pid] = worker_pids()
     os.kill(pid, signal.SIGKILL)
     deadline = time.monotonic() + 30
-    while not harness._pool[1]._broken:  # the pool notices the death
+    while not engine._pool[1]._broken:  # the pool notices the death
         assert time.monotonic() < deadline
         time.sleep(0.01)
     spread = run_experiment(cfg)
@@ -814,15 +814,14 @@ def test_workers_take_the_callers_bound_tables(tmp_path, monkeypatch, pool_sizes
 
     # this process's table for the default parameters is a small one with
     # shifted quantiles. The worker spawned here sees no monkeypatch, so one
-    # that failed to adopt it would load the table that ships with the
+    # that was not handed it would load the table that ships with the
     # package, whose records differ
     monkeypatch.setenv("SKEWSTREAM_CACHE", str(tmp_path))
     mine = detectors.BoundTable(n_paths=2000, max_n=50)
     mine.table = mine.table + 0.05
     mine._index()
-    tables = {}
+    tables = {(mine.decay, mine.warn_level, mine.detect_level): mine}
     monkeypatch.setattr(detectors, "_default_tables", tables)
-    detectors.adopt_bound_tables([mine])
     usable_cpus(monkeypatch, 2)
     cfg = tiny_config(
         pipelines=[PipelineSpec("OOB+lfr", "OOB", "lfr")], runs=2, steps=POOL_STEPS
@@ -874,6 +873,26 @@ def test_workers_run_on_the_table_the_caller_holds_now(
     assert events["A"] != events["B"]
     assert_same_records(spread["A"], serial["A"])
     assert_same_records(spread["B"], serial["B"])
+
+
+def test_the_engine_imports_nothing_from_the_config_layer():
+    # read, not imported: `import skewstream` loads the harness anyway
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    modules = set()  # the package's modules that it names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(["skewstream"] * (node.level > 0) + [node.module or ""])
+            base = base.rstrip(".")  # `from . import harness`
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        modules |= {
+            name.split(".")[1] for name in names if name.startswith("skewstream.")
+        }
+    assert "learners" in modules
+    assert modules & {"harness", "cli"} == set()
 
 
 def test_one_run_makes_no_process_pool(monkeypatch):
@@ -1624,20 +1643,24 @@ def test_cli_seed_flag_errors_name_the_flag(tmp_path, capsys):
         ["run", "nan-ddm-drift-scale.ini"],
         ["score-detectors", "alarm-run-out-of-range.csv", "--drift-start", "1501",
          "--runs", "2"],
+        ["score-detectors", "alarm-not-utf8.csv", "--drift-start", "1501",
+         "--runs", "2"],
+        ["run", "."],  # a directory: it exists, but is no file to read
     ],
 )
 def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a stream was built")
 
-    monkeypatch.setattr(harness, "StreamGenerator", refuse)
+    monkeypatch.setattr(engine, "StreamGenerator", refuse)
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_CONFIGS.items():
-        (tmp_path / name).write_text(text)
+        # surrogate escapes stand for bytes that are not UTF-8
+        (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    if argv[1] in BAD_CONFIGS:
+    if argv[1] in BAD_CONFIG_MESSAGES:
         assert BAD_CONFIG_MESSAGES[argv[1]] in err
 
 
@@ -1689,6 +1712,9 @@ BAD_CONFIGS = {
     "alarm-run-out-of-range.csv": (
         "run,seed,t,verdict\n0,3,100,drift\n7,99,1600,drift\n"
     ),
+    "alarm-not-utf8.csv": (
+        "run,seed,t,verdict\n0,3,100,drift\n1,4,\udcff\udcfe,drift\n"
+    ),
 }
 BAD_CONFIG_MESSAGES = {
     "duplicate-key.ini": "duplicate-key.ini:3: [experiment] preset is set twice",
@@ -1712,6 +1738,11 @@ BAD_CONFIG_MESSAGES = {
     "alarm-run-out-of-range.csv": (
         "alarm-run-out-of-range.csv:3: run 7 is not one of the 2 runs 0 .. 1"
     ),
+    "alarm-not-utf8.csv": (
+        "alarm-not-utf8.csv:3: not UTF-8 text (invalid start byte)"
+    ),
+    # not "config file not found", which is kept for a missing file
+    ".": "error: cannot read config file .: Is a directory",
 }
 
 
@@ -1736,9 +1767,14 @@ BAD_CONFIG_MESSAGES = {
             lambda lines: lines[:2] + ["5,77," + lines[1].split(",", 2)[2]],
             ":3: expected run 1 with seed 4, got run 5 with seed 77",
         ),
+        (
+            "runs",
+            lambda lines: lines[:2] + ["\udcff\udcfe"],
+            ":3: not UTF-8 text (invalid start byte)",
+        ),
     ],
     ids=["bad-verdict", "empty-runs", "missing-run", "alarm-run-out-of-range",
-         "alarm-seed-mismatch", "runs-row-replaced"],
+         "alarm-seed-mismatch", "runs-row-replaced", "runs-not-utf8"],
 )
 def test_cli_report_names_the_bad_table(table, text, message, tmp_path, capsys):
     cfg_path = write_config(tmp_path, CLI_CONFIG)
@@ -1747,7 +1783,8 @@ def test_cli_report_names_the_bad_table(table, text, message, tmp_path, capsys):
     path = out / table / "OOB+auc.csv"
     if callable(text):  # an edit of the table's lines
         text = "\n".join(text(path.read_text().splitlines())) + "\n"
-    path.write_text(text)
+    # surrogate escapes stand for bytes that are not UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["report", str(out)]) == 2
     assert f"{path}{message}" in capsys.readouterr().err
 
