@@ -37,7 +37,10 @@ OUT_ENV = "SKEWSTREAM_OUT"
 
 
 def cmd_generate(args) -> int:
-    schedule = preset_schedule(args.preset)
+    try:
+        schedule = preset_schedule(args.preset)
+    except KeyError as e:
+        raise ValueError(e.args[0]) from None
     examples = list(StreamGenerator(schedule, args.seed))
     n = dump_stream(examples, args.out)
     print(f"wrote {n} examples to {args.out}")
@@ -144,9 +147,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,46 +1,45 @@
 """Release acceptance gate: one test per shipping criterion.
 
-Each test prints one PASS/FAIL line per checked claim (visible with
+Each test prints one PASS/FAIL line per checked value (visible with
 ``pytest -s`` and in the failure output) and fails if any claim inside it
 fails, so a plain ``pytest -v tests/test_acceptance.py`` is the release
-verdict.  The stream experiments run 30 seeds per pipeline and take a few
-minutes each; everything is deterministic from fixed base seeds.
+verdict. The stream experiments (rows of ``FIXTURES``, read by the rows of
+``CLAIMS``) run 30 seeds per pipeline, take 6-10 s each and run once per
+session; everything is deterministic from fixed base seeds.
 """
 from __future__ import annotations
 
 import filecmp
+import functools
 import math
+import re
 import subprocess
 import sys
+from collections import namedtuple
+from itertools import product
+from operator import eq, ge, le, lt
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
-import pytest
 
 from one_step import step
 from skewstream.detectors import AucDropDetector, FourRatesDetector, Verdict
 from skewstream.harness import (
-    ExperimentConfig,
-    PipelineSpec,
-    _segmented_series,
-    aggregate_and_test,
-    run_experiment,
+    NO_DETECTOR, ExperimentConfig, PipelineSpec, _segmented_series,
+    aggregate_and_test, run_experiment,
 )
 from skewstream.imbalance import ClassSizeTracker
 from skewstream.labels import LABELS, NEG, POS
 from skewstream.learners import MlpBank
 from skewstream.metrics import (
-    ScoreWindow,
-    decayed_confusion_series,
-    decayed_recall_gmean_series,
-    prequential_auc,
-    wilcoxon_signed_rank,
+    ScoreWindow, decayed_confusion_series, decayed_recall_gmean_series,
+    prequential_auc, wilcoxon_signed_rank,
 )
 from skewstream.presets import PRESETS
 from skewstream.streams import StreamGenerator, mixture_weight, stationary_schedule
 
 RUNS = 30
-BASE_SEED = 0
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -54,81 +53,159 @@ def finish(fails: list) -> None:
     assert not fails, "failed claims -> " + " | ".join(fails)
 
 
-def run_report(preset: str, pipes: list[PipelineSpec]):
-    cfg = ExperimentConfig(
-        schedule=PRESETS[preset],
-        pipelines=pipes,
-        runs=RUNS,
-        base_seed=BASE_SEED,
-    )
+class Band(NamedTuple):
+    """A claim's target: the text its line prints after "need", and its test."""
+
+    text: str
+    holds: Callable[[float], bool]
+
+
+def compare(op: str, x: str) -> Band:
+    test = {"<": lt, "<=": le, ">=": ge, "exactly": eq, "significant at": le}[op]
+    return Band(f"{op} {x}", lambda v: test(v, float(x)))
+
+
+def near(x: str, r: str) -> Band:
+    return Band(f"{x} +/- {r}", lambda v: abs(v - float(x)) <= float(r))
+
+
+# the fixtures: stream experiments, each run once per session; a pipeline is
+# named by its learner, then "+" and its detector's short name
+Fixture = namedtuple("Fixture", "preset pipelines runs base_seed", defaults=(RUNS, 0))
+FIXTURES = {
+    "prior-flip": Fixture("sine1-py", "OB OOB OB+lfr OOB+lfr OB+auc OOB+auc"),
+    "feature-shift": Fixture("sine1-pxy", "OB OOB OB+ddm OOB+ddm OB+lfr OOB+lfr"),
+    "boundary-shift": Fixture("sea-pyx", "OB OOB OB+ddm OB+lfr OB+auc OOB+auc"),
+    "gradual-boundary-shift": Fixture("seag-pyx", "OB+auc OOB+auc"),
+}
+DETECTOR_NAMES = {"": NO_DETECTOR, "ddm": "ddm-oci", "lfr": "lfr", "auc": "pauc-ph"}
+
+
+def pipeline_spec(name: str) -> PipelineSpec:
+    learner, _, detector = name.partition("+")
+    return PipelineSpec(name, learner, DETECTOR_NAMES[detector])
+
+
+@functools.cache
+def fixture_report(name: str):
+    preset, pipelines, runs, base_seed = FIXTURES[name]
+    pipes = [pipeline_spec(p) for p in pipelines.split()]
+    cfg = ExperimentConfig(PRESETS[preset], pipes, runs=runs, base_seed=base_seed)
     return aggregate_and_test(run_experiment(cfg), cfg)
 
 
-def post_gmeans(report, name: str) -> np.ndarray:
-    return np.array([a.post_gmean for a in report.per_run[name]])
+class Claim(NamedTuple):
+    """A claim on a fixture, one line per entry (a pipeline or a pair).
+    ``value(report, entry)`` is the number the band judges, or a dict of the
+    line's fields holding it as "value" and an "ok" that must hold too.
+    ``readme`` is the phrase README quotes a failing value in."""
+
+    tag: str
+    fixture: str
+    entries: tuple
+    value: Callable
+    line: str
+    band: Band | None = None
+    readme: str | None = None
 
 
-@pytest.fixture(scope="session")
-def prior_flip_report():
-    return run_report(
-        "sine1-py",
-        [
-            PipelineSpec("OB", "OB"),
-            PipelineSpec("OOB", "OOB"),
-            PipelineSpec("OB+lfr", "OB", "lfr"),
-            PipelineSpec("OOB+lfr", "OOB", "lfr"),
-            PipelineSpec("OB+auc", "OB", "pauc-ph"),
-            PipelineSpec("OOB+auc", "OOB", "pauc-ph"),
-        ],
-    )
+def tdr(rep, pipe: str) -> float:
+    return rep.detector_scores[pipe].tdr
 
 
-@pytest.fixture(scope="session")
-def feature_shift_report():
-    return run_report(
-        "sine1-pxy",
-        [
-            PipelineSpec("OB", "OB"),
-            PipelineSpec("OOB", "OOB"),
-            PipelineSpec("OB+ddm", "OB", "ddm-oci"),
-            PipelineSpec("OOB+ddm", "OOB", "ddm-oci"),
-            PipelineSpec("OB+lfr", "OB", "lfr"),
-            PipelineSpec("OOB+lfr", "OOB", "lfr"),
-        ],
-    )
+def run_mean(field: str) -> Callable:
+    return lambda rep, pipe: np.mean([getattr(a, field) for a in rep.per_run[pipe]])
 
 
-@pytest.fixture(scope="session")
-def boundary_shift_report():
-    return run_report(
-        "sea-pyx",
-        [
-            PipelineSpec("OB", "OB"),
-            PipelineSpec("OOB", "OOB"),
-            PipelineSpec("OB+ddm", "OB", "ddm-oci"),
-            PipelineSpec("OB+lfr", "OB", "lfr"),
-            PipelineSpec("OB+auc", "OB", "pauc-ph"),
-            PipelineSpec("OOB+auc", "OOB", "pauc-ph"),
-        ],
-    )
+def beats(rep, pair) -> dict:
+    mine, theirs = (run_mean("post_gmean")(rep, p) for p in pair)
+    return {"value": mine, "mine": mine, "theirs": theirs, "ok": mine > theirs}
 
 
-@pytest.fixture(scope="session")
-def gradual_boundary_shift_report():
-    return run_report(
-        "seag-pyx",
-        [
-            PipelineSpec("OB+auc", "OB", "pauc-ph"),
-            PipelineSpec("OOB+auc", "OOB", "pauc-ph"),
-        ],
-    )
+def beats_significantly(rep, pair) -> dict:
+    gmeans = [[a.post_gmean for a in rep.per_run[p]] for p in pair]
+    return {**beats(rep, pair), "value": wilcoxon_signed_rank(*gmeans).p_value}
 
 
-# ---------------------------------------------------------------------------
+TDR = "{e} tdr={value:.3f}"
+POST_GMEAN = "{e} post-drift G-mean mean={value:.4f}"
+CLAIMS = [
+    Claim("c2a ranking-monitor-silent-on-prior-flip", "prior-flip",
+          ("OB+auc", "OOB+auc"), tdr, TDR, compare("exactly", "0")),
+    Claim("c2b rate-monitor-catches-prior-flip", "prior-flip", ("OB+lfr", "OOB+lfr"),
+          tdr, TDR, compare(">=", "0.90")),
+    Claim("c2c oversampling-post-drift-gmean-level", "prior-flip", ("OOB",),
+          run_mean("post_gmean"), POST_GMEAN, near("0.83", "0.08"),
+          "averages {value:.4f}, above the pinned band {band}"),
+    Claim("c2d oversampling-beats-plain-bagging", "prior-flip", (("OOB", "OB"),),
+          beats_significantly,
+          "{e[0]} {mine:.3f} vs {e[1]} {theirs:.3f}, p={value:.2e}",
+          compare("significant at", "0.05")),
+    Claim("c3a plain-bagging-minority-collapse", "feature-shift", ("OB",),
+          run_mean("post_recall_pos"),
+          "{e} post-drift minority recall mean={value:.4f}", compare("<=", "0.02"),
+          "therefore {value:.3f} (target {band})"),
+    Claim("c3b oversampling-absorbs-feature-shift", "feature-shift", ("OOB",),
+          run_mean("post_gmean"), POST_GMEAN, compare(">=", "0.70")),
+    *(
+        Claim(f"{cid} {det}-{what}", "feature-shift", (f"{learner}+{det}",), tdr, TDR,
+              band, readme)
+        for det in ("ddm", "lfr")
+        for cid, what, learner, band, readme in (
+            ("c3c", "blind-without-oversampling", "OB", compare("<=", "0.10"),
+             "detects the drift in {value:.3f} of the runs (target {band})"),
+            ("c3d", "sees-drift-with-oversampling", "OOB", compare(">=", "0.90"), None),
+        )
+    ),
+    Claim("c4a oversampling-dominates-plain-pipelines", "boundary-shift",
+          tuple(product(("OOB", "OOB+auc"), ("OB", "OB+ddm", "OB+lfr", "OB+auc"))),
+          beats, "{e[0]} {mine:.4f} > {e[1]} {theirs:.4f}"),
+    *(
+        Claim("c4b ranking-monitor-silent-on-shallow-shift", fixture,
+              ("OB+auc", "OOB+auc"), tdr, "{preset} " + TDR, compare("exactly", "0"))
+        for fixture in ("boundary-shift", "gradual-boundary-shift")
+    ),
+]
+
+
+def verdicts(claim: Claim):
+    """(fields, line without PASS/FAIL, ok) for each of the claim's entries."""
+    report = fixture_report(claim.fixture)
+    for entry in claim.entries:
+        got = claim.value(report, entry)
+        fields = {"preset": FIXTURES[claim.fixture].preset, "e": entry}
+        fields.update(got if isinstance(got, dict) else {"value": got})
+        line = claim.line.format(**fields)
+        ok = fields.get("ok", True)
+        if claim.band:
+            line += f" (need {claim.band.text})"
+            ok = ok and claim.band.holds(fields["value"])
+        yield fields, line, ok
+
+
+def judge(criterion: str) -> None:
+    """Print the criterion's claim lines; fail if any claim fails."""
+    fails = []
+    for claim in (c for c in CLAIMS if c.tag.startswith(criterion)):
+        for _, line, ok in verdicts(claim):
+            check(fails, claim.tag, ok, line)
+    finish(fails)
+
+
+def test_claims_table_is_consistent():
+    # runs no experiment, so a typo in the table shows before a fixture does
+    for claim in CLAIMS:
+        runs = FIXTURES[claim.fixture].pipelines.split()
+        assert set(np.ravel(claim.entries)) <= set(runs), claim.tag
+        if claim.readme:
+            claim.readme.format(value=0.0, band=claim.band.text)
+    for preset, pipelines, *_ in FIXTURES.values():
+        assert preset in PRESETS and all(map(pipeline_spec, pipelines.split()))
+    assert set(FIXTURES) == {c.fixture for c in CLAIMS}
+    assert {c.tag[:2] for c in CLAIMS} == {"c2", "c3", "c4"}
+
+
 # 1. streaming metrics against brute-force oracles
-# ---------------------------------------------------------------------------
-
-
 def brute_ratio(num: float, den: float) -> float:
     return num / den if den > 0.0 else 0.0
 
@@ -192,138 +269,73 @@ def test_streaming_metric_oracles_match_brute_force():
             )
             worst = max(worst, abs(tracker.w[label] - w))
 
-    check(fails, "c1 metric-oracles", worst < 1e-12,
+    band = compare("<", "1e-12")
+    check(fails, "c1 metric-oracles", band.holds(worst),
           f"worst |streaming - brute| = {worst:.2e} over 1000 sequences "
-          "(need < 1e-12)")
+          f"(need {band.text})")
     finish(fails)
 
 
-# ---------------------------------------------------------------------------
 # 2. abrupt prior flip on the sine boundary
-# ---------------------------------------------------------------------------
-
-
-def test_prior_flip_reproduction(prior_flip_report):
-    rep = prior_flip_report
-    fails = []
-
-    for name in ("OB+auc", "OOB+auc"):
-        s = rep.detector_scores[name]
-        check(fails, "c2a ranking-monitor-silent-on-prior-flip",
-              s.tdr == 0.0, f"{name} tdr={s.tdr:.3f} (need exactly 0)")
-    for name in ("OB+lfr", "OOB+lfr"):
-        s = rep.detector_scores[name]
-        check(fails, "c2b rate-monitor-catches-prior-flip",
-              s.tdr >= 0.90, f"{name} tdr={s.tdr:.3f} (need >= 0.90)")
-    gm = post_gmeans(rep, "OOB")
-    check(fails, "c2c oversampling-post-drift-gmean-level",
-          abs(gm.mean() - 0.83) <= 0.08,
-          f"OOB post-drift G-mean mean={gm.mean():.4f} (need 0.83 +/- 0.08)")
-    res = wilcoxon_signed_rank(gm, post_gmeans(rep, "OB"))
-    ok = res.significant and gm.mean() > post_gmeans(rep, "OB").mean()
-    check(fails, "c2d oversampling-beats-plain-bagging",
-          ok,
-          f"OOB {gm.mean():.3f} vs OB {post_gmeans(rep, 'OB').mean():.3f}, "
-          f"p={res.p_value:.2e} (need significant at 0.05)")
-    finish(fails)
-
-
-# ---------------------------------------------------------------------------
 # 3. minority-feature shift on the sine boundary
-# ---------------------------------------------------------------------------
+# 4. boundary threshold shift (ordinal claims only)
+def test_prior_flip_reproduction():
+    judge("c2")
 
 
-def test_minority_feature_shift_reproduction(feature_shift_report):
-    rep = feature_shift_report
-    fails = []
-
-    rp = np.array([a.post_recall_pos for a in rep.per_run["OB"]])
-    check(fails, "c3a plain-bagging-minority-collapse",
-          rp.mean() <= 0.02,
-          f"OB post-drift minority recall mean={rp.mean():.4f} "
-          "(need <= 0.02)")
-    gm = post_gmeans(rep, "OOB")
-    check(fails, "c3b oversampling-absorbs-feature-shift",
-          gm.mean() >= 0.70,
-          f"OOB post-drift G-mean mean={gm.mean():.4f} (need >= 0.70)")
-    for det in ("ddm", "lfr"):
-        s_ob = rep.detector_scores[f"OB+{det}"]
-        s_oob = rep.detector_scores[f"OOB+{det}"]
-        check(fails, f"c3c {det}-blind-without-oversampling",
-              s_ob.tdr <= 0.10,
-              f"OB+{det} tdr={s_ob.tdr:.3f} (need <= 0.10)")
-        check(fails, f"c3d {det}-sees-drift-with-oversampling",
-              s_oob.tdr >= 0.90,
-              f"OOB+{det} tdr={s_oob.tdr:.3f} (need >= 0.90)")
-    finish(fails)
+def test_minority_feature_shift_reproduction():
+    judge("c3")
 
 
-def test_readme_quotes_the_failing_claims_as_measured(
-    prior_flip_report, feature_shift_report
-):
-    # README's paragraph on the claims that fail quotes the acceptance
-    # fixtures' figures, each at the precision it prints
-    shift = feature_shift_report
+def test_boundary_shift_ordinal_claims():
+    judge("c4")
 
-    def mean(name: str, field: str) -> float:
-        return np.mean([getattr(a, field) for a in shift.per_run[name]])
 
-    ob = shift.records["OB"]
-    recall = np.mean(
-        [_segmented_series(r, shift.config.schedule, shift.config.metric_decay)[0]
-         for r in ob],
-        axis=0,
-    )
-    at = {step: recall[step - ob[0].warm_up - 1] for step in (1600, 2000, 3000)}
-    lfr = shift.detector_scores["OB+lfr"]
-    quoted = [
-        f"averages {post_gmeans(prior_flip_report, 'OOB').mean():.4f}, above the "
-        "pinned band",
-        f"averages {mean('OB', 'pre_recall_pos'):.3f} over the pre-drift window "
-        f"(`OOB`: {mean('OOB', 'pre_recall_pos'):.3f})",
+def test_readme_quotes_the_failing_claims_as_measured():
+    # README names the experiment claims that fail, by test, and quotes each
+    # failing value in its claim's README phrase, beside the claim's band
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    failing, quoted = set(), []
+    for claim in CLAIMS:
+        for fields, _, ok in verdicts(claim):
+            if not ok:
+                failing.add(claim.tag[:3])
+                assert claim.readme, f"README quotes no phrase for {claim.tag}"
+                quoted.append(claim.readme.format(**fields, band=claim.band.text))
+    named = set()
+    for test, ids in re.findall(r"`(test_\w+)`, claims? ([^:]+):", readme):
+        assert test in globals(), f"README names no test {test}"
+        named.update(re.findall(r"c\d[a-z]", ids))
+    assert named == failing
+
+    # the diagnostics README gives for them, each at its printed precision
+    flip, shift = fixture_report("prior-flip"), fixture_report("feature-shift")
+    curve = flip.curves["OOB"]
+    steps = np.arange(len(curve)) + flip.config.warm_up + 1
+    level = next(c.band for c in CLAIMS if c.tag[:3] == "c2c").text.split()[0]  # centre
+    flipped = steps >= flip.config.schedule.drift_start
+    last_below = steps[(curve < float(level)) & flipped].max()
+    late = curve[steps >= 2000]
+    cfg = shift.config
+    recall = np.mean([_segmented_series(r, cfg.schedule, cfg.metric_decay)[0]
+                      for r in shift.records["OB"]], axis=0)
+    at = {s: recall[s - cfg.warm_up - 1] for s in (1600, 2000, 3000)}
+    pre = [run_mean("pre_recall_pos")(shift, p) for p in ("OB", "OOB")]
+    quoted += [
+        f"{curve[steps == 1400][0]:.3f} at step 1400",
+        f"{curve[steps == 1510][0]:.2f} at step 1510",
+        f"back above {level} from step {last_below + 1} on (it is last below "
+        f"at step {last_below})",
+        f"{late.min():.2f}–{late.max():.2f} from step 2000 on",
+        f"averages {pre[0]:.3f} over the pre-drift window (`OOB`: {pre[1]:.3f})",
         f"still {at[1600]:.3f} at step 1600, {at[2000]:.3f} at step 2000 and "
         f"{at[3000]:.3f} at step 3000",
-        f"therefore {mean('OB', 'post_recall_pos'):.3f} (target <= 0.02)",
-        f"detects the drift in {lfr.tdr:.3f} of the runs",
-        f"{lfr.dod:.0f} steps after the shift on average",
+        f"{shift.detector_scores['OB+lfr'].dod:.0f} steps after the shift on average",
     ]
-    readme = " ".join(README.read_text(encoding="utf-8").split())
     assert [q for q in quoted if q not in readme] == []
 
 
-# ---------------------------------------------------------------------------
-# 4. boundary threshold shift (ordinal claims only)
-# ---------------------------------------------------------------------------
-
-
-def test_boundary_shift_ordinal_claims(
-    boundary_shift_report, gradual_boundary_shift_report
-):
-    rep = boundary_shift_report
-    fails = []
-
-    ob_based = ("OB", "OB+ddm", "OB+lfr", "OB+auc")
-    for name in ("OOB", "OOB+auc"):
-        mine = post_gmeans(rep, name).mean()
-        for other in ob_based:
-            theirs = post_gmeans(rep, other).mean()
-            check(fails, "c4a oversampling-dominates-plain-pipelines",
-                  mine > theirs,
-                  f"{name} {mine:.4f} > {other} {theirs:.4f}")
-    for stream, r in (("sea-pyx", rep), ("seag-pyx", gradual_boundary_shift_report)):
-        for name in ("OB+auc", "OOB+auc"):
-            s = r.detector_scores[name]
-            check(fails, "c4b ranking-monitor-silent-on-shallow-shift",
-                  s.tdr == 0.0,
-                  f"{stream} {name} tdr={s.tdr:.3f} (need exactly 0)")
-    finish(fails)
-
-
-# ---------------------------------------------------------------------------
 # 5. stationary-null calibration with a simulated classifier
-# ---------------------------------------------------------------------------
-
-
 def test_stationary_null_detector_calibration():
     fails = []
 
@@ -341,15 +353,13 @@ def test_stationary_null_detector_calibration():
                 alarms += 1
         false_alarms.append(alarms)
     fa = float(np.mean(false_alarms))
-    check(fails, "c5a ranking-monitor-null-rate",
-          fa <= 2.0,
+    band = compare("<=", "2")
+    check(fails, "c5a ranking-monitor-null-rate", band.holds(fa),
           f"mean false alarms per 3000 steps = {fa:.2f} over {RUNS} runs "
-          "(need <= 2)")
+          f"(need {band.text})")
 
     # rate monitor, free running: per-comparison violation rate vs its level
-    drifts = 0
-    checks = 0
-    level = None
+    drifts = checks = 0
     for run in range(100):
         rng = np.random.default_rng([202, run])
         det = FourRatesDetector(auto_rearm=False)
@@ -361,37 +371,34 @@ def test_stationary_null_detector_calibration():
                 drifts += 1
         checks += det.checks
     rate = drifts / checks
+    k = 3
     check(fails, "c5b rate-monitor-null-calibration",
-          level / 3.0 <= rate <= 3.0 * level,
+          level / k <= rate <= k * level,
           f"violation rate {rate:.2e} over {checks} comparisons "
-          f"(need within 3x of level {level:.0e})")
+          f"(need within {k}x of level {level:.0e})")
     finish(fails)
 
 
-# ---------------------------------------------------------------------------
 # 6. stream generator statistics
-# ---------------------------------------------------------------------------
-
-
 def test_generator_prior_statistics_and_gradual_cutover():
     fails = []
     n = 10_000
     worst = 0.0
+    band = compare("<=", "3")
     for name, schedule in sorted(PRESETS.items()):
         for which in ("old", "new"):
             concept = getattr(schedule, which)
             gen = StreamGenerator(stationary_schedule(concept, n), seed=42)
             got = np.mean([label == POS for _, label in gen])
             p = concept.positive_prior
-            se = math.sqrt(p * (1.0 - p) / n)
-            z = abs(got - p) / se
+            z = abs(got - p) / math.sqrt(p * (1.0 - p) / n)
             worst = max(worst, z)
-            if z > 3.0:
+            if not band.holds(z):
                 check(fails, "c6a preset-priors-within-3se", False,
                       f"{name}.{which}: prior {got:.4f} vs {p} (z={z:.2f})")
-    check(fails, "c6a preset-priors-within-3se", worst <= 3.0,
+    check(fails, "c6a preset-priors-within-3se", band.holds(worst),
           f"worst z over {2 * len(PRESETS)} stationary concepts = {worst:.2f} "
-          "(need <= 3)")
+          f"(need {band.text})")
 
     gradual = {k: v for k, v in PRESETS.items() if v.drift_duration > 0}
     ok = all(
@@ -404,11 +411,7 @@ def test_generator_prior_statistics_and_gradual_cutover():
     finish(fails)
 
 
-# ---------------------------------------------------------------------------
 # 7. the training kernel's update against central finite differences
-# ---------------------------------------------------------------------------
-
-
 def test_mlp_gradients_match_finite_differences():
     # One round of the kernel, as `RowSchedule.run` makes it: a forward pass
     # and a gradient step on every row of a bank, each row on its own input,
@@ -461,18 +464,15 @@ def test_mlp_gradients_match_finite_differences():
             g = grads[k][r].flat[i]
             rel = abs(g - fd) / max(abs(g), abs(fd), 1e-8)
             worst = max(worst, rel)
-    check(fails, "c7 gradient-check", worst < 1e-4 and unmoved,
+    band = compare("<", "1e-4")
+    check(fails, "c7 gradient-check", band.holds(worst) and unmoved,
           f"worst relative error {worst:.2e} of one kernel round on {m} rows "
-          "over 10 coords x 10 seeds (need < 1e-4); step-0 rows unmoved: "
+          f"over 10 coords x 10 seeds (need {band.text}); step-0 rows unmoved: "
           f"{unmoved} (need True)")
     finish(fails)
 
 
-# ---------------------------------------------------------------------------
 # 8. lock-file replay through the command line
-# ---------------------------------------------------------------------------
-
-
 REPLAY_CONFIG = """
 [experiment]
 runs = 2
@@ -505,8 +505,7 @@ def test_cli_lock_replay_byte_identical(tmp_path):
     fails = []
     cfg = tmp_path / "exp.ini"
     cfg.write_text(REPLAY_CONFIG)
-    first = tmp_path / "first"
-    second = tmp_path / "second"
+    first, second = tmp_path / "first", tmp_path / "second"
     for src, out in ((cfg, first), (first / "config.lock", second)):
         res = subprocess.run(
             [sys.executable, "-m", "skewstream.cli", "run", str(src),
@@ -523,6 +522,5 @@ def test_cli_lock_replay_byte_identical(tmp_path):
         if not filecmp.cmp(a[rel], b[rel], shallow=False)
     ]
     check(fails, "c8 replay-byte-identical", not diff,
-          f"differing files: {diff or 'none'} "
-          f"({len(a)} files compared)")
+          f"differing files: {diff or 'none'} ({len(a)} files compared)")
     finish(fails)

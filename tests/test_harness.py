@@ -21,7 +21,7 @@ import pytest
 import skewstream
 from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
 from one_step import run_once, step
-from skewstream import cpus, engine, harness
+from skewstream import cli, cpus, engine, harness
 from skewstream.cli import main
 from skewstream.detectors import AucDropDetector, DriftDetector, Verdict
 from skewstream.harness import (
@@ -1664,6 +1664,17 @@ def test_cli_errors_exit_nonzero(argv, tmp_path, capsys, monkeypatch):
         assert BAD_CONFIG_MESSAGES[argv[1]] in err
 
 
+def test_cli_lets_a_key_error_from_a_command_propagate(monkeypatch):
+    # only expected errors become exit status 2; a KeyError from a bug
+    # inside a command must surface with its traceback
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    with pytest.raises(KeyError):
+        main(["report", "results"])
+
+
 BAD_CONFIGS = {
     "duplicate-key.ini": "[experiment]\npreset = sine1-py\npreset = sea-py\n",
     "no-section.ini": "preset = sine1-py\n[experiment]\nruns = 1\n",
@@ -1717,6 +1728,7 @@ BAD_CONFIGS = {
     ),
 }
 BAD_CONFIG_MESSAGES = {
+    "nope": "error: unknown stream preset 'nope'; known presets: sea-pxy,",
     "duplicate-key.ini": "duplicate-key.ini:3: [experiment] preset is set twice",
     "no-section.ini": "no-section.ini:1: 'preset = sine1-py' comes before",
     "negative-seed.ini": "[experiment] base_seed must be >= 0, got -3",
