@@ -29,7 +29,6 @@ from .learners import OnlineEnsemble, default_hidden_size
 from .detectors import (
     AucDropDetector,
     BoundTable,
-    DetectionLog,
     DetectorScore,
     DriftDetector,
     FourRatesDetector,
@@ -77,7 +76,6 @@ __all__ = [
     "default_hidden_size",
     "AucDropDetector",
     "BoundTable",
-    "DetectionLog",
     "DetectorScore",
     "DriftDetector",
     "FourRatesDetector",

@@ -10,7 +10,9 @@ Four subcommands::
 ``run`` writes summary.csv, detectors.csv, curves/, runs/, alarms/ and a
 config.lock that replays byte-identically. When --out is omitted the output
 directory is <config stem> under $SKEWSTREAM_OUT (or the current directory).
-Exit status is 0 on success, 2 on any validation or I/O error.
+Exit status is 0 on success and 2 on a validation or I/O error or on a
+stream concept that yields no example of a class (InfeasibleConceptError);
+any other error propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .harness import (
 )
 from .detectors import score_detections
 from .presets import preset_schedule
-from .streams import StreamGenerator, dump_stream
+from .streams import InfeasibleConceptError, StreamGenerator, dump_stream
 
 OUT_ENV = "SKEWSTREAM_OUT"
 
@@ -67,8 +69,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_score_detectors(args) -> int:
-    logs = read_alarm_table(args.alarms, runs=args.runs)
-    score = score_detections(logs, args.drift_start, args.runs)
+    alarms = read_alarm_table(args.alarms, args.runs)
+    score = score_detections(alarms, args.drift_start)
     print(f"tdr {score.tdr!r}")
     print(f"fa {score.fa!r}")
     print("dod -" if score.dod is None else f"dod {score.dod!r}")
@@ -147,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as e:
+    except (ValueError, OSError, InfeasibleConceptError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

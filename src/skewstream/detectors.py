@@ -17,7 +17,7 @@ and the tracker's minorities) in one call, stopping after the first Drift:
 All three re-arm themselves (reset to the freshly initialized state) upon
 emitting Drift. Warnings are informational only.
 
-`score_detections` turns per-run alarm logs into the usual detection scores:
+`score_detections` turns per-run alarm lists into the usual detection scores:
 true-detection rate, false alarms per run, and mean delay to the first
 post-drift alarm.
 """
@@ -680,15 +680,6 @@ class AucDropDetector(DriftDetector):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DetectionLog:
-    """Drift-alarm time steps for one run, in increasing order."""
-
-    run: int
-    seed: int
-    alarms: list[int]
-
-
 @dataclass(frozen=True)
 class DetectorScore:
     """tdr: fraction of runs with a post-drift alarm; fa: mean false alarms
@@ -700,27 +691,24 @@ class DetectorScore:
     dod: float | None
 
 
-def score_detections(
-    logs: list[DetectionLog], drift_start: int, n_runs: int
-) -> DetectorScore:
-    """Score alarm logs of ``n_runs`` runs against a known drift time.
+def score_detections(alarms: list[list[int]], drift_start: int) -> DetectorScore:
+    """Score runs' drift alarms against a known drift time.
 
-    Alarms before drift_start are false; from drift_start on, the first alarm
-    in each run is the true detection and any further ones are false. A run
-    without alarms may have no log, so the rates are per ``n_runs``, not per
-    log.
+    ``alarms[r]`` holds run r's drift-alarm steps, empty for a run without
+    alarms. Alarms before drift_start are false; from drift_start on, the
+    first alarm in each run is the true detection and any further ones are
+    false.
     """
+    n_runs = len(alarms)
     if n_runs < 1:
         raise ValueError("need at least one run")
-    if len(logs) > n_runs:
-        raise ValueError(f"{len(logs)} logs for {n_runs} runs")
     detected = 0
     false_alarms = 0
     delays = []
-    for log in logs:
-        alarms = sorted(log.alarms)
-        pre = [t for t in alarms if t < drift_start]
-        post = [t for t in alarms if t >= drift_start]
+    for run_alarms in alarms:
+        steps = sorted(run_alarms)
+        pre = [t for t in steps if t < drift_start]
+        post = [t for t in steps if t >= drift_start]
         false_alarms += len(pre)
         if post:
             detected += 1

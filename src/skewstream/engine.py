@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpus import usable_cpus
-from .detectors import DetectionLog, Verdict
+from .detectors import Verdict
 from .imbalance import ClassSizeTracker
 from .labels import NEG, POS
 from .learners import OnlineEnsemble, RowSchedule
@@ -44,9 +44,9 @@ class RunRecord:
     events: list[tuple[int, str]] = field(default_factory=list)
 
     @property
-    def detection_log(self) -> DetectionLog:
-        alarms = [t for t, v in self.events if v == Verdict.DRIFT.value]
-        return DetectionLog(run=self.run, seed=self.seed, alarms=alarms)
+    def alarms(self) -> list[int]:
+        """The steps of the run's drift verdicts."""
+        return [t for t, v in self.events if v == Verdict.DRIFT.value]
 
 
 # Steps a run plans at a time (see `_run_once`).

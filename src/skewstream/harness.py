@@ -42,7 +42,6 @@ import numpy as np
 
 from .detectors import (
     AucDropDetector,
-    DetectionLog,
     DetectorScore,
     DriftDetector,
     FourRatesDetector,
@@ -396,9 +395,8 @@ def aggregate_and_test(
     for pipe in cfg.pipelines:
         if pipe.detector == NO_DETECTOR or pipe.name not in records:
             continue
-        logs = [r.detection_log for r in records[pipe.name]]
         detector_scores[pipe.name] = score_detections(
-            logs, cfg.schedule.drift_start, n_runs
+            [r.alarms for r in records[pipe.name]], cfg.schedule.drift_start
         )
     return Report(
         config=cfg,
@@ -788,26 +786,23 @@ def read_per_run_table(path, seeds=None) -> list[ConceptAverages]:
 _ALARM_VERDICTS = (Verdict.WARNING.value, Verdict.DRIFT.value)
 
 
-def read_alarm_table(path, seeds=None, runs=None) -> list[DetectionLog]:
-    """Parse an alarms/<pipeline>.csv back into per-run drift-alarm logs.
+def read_alarm_table(path, runs: int, seeds=None) -> list[list[int]]:
+    """Parse an alarms/<pipeline>.csv back into ``runs`` drift-alarm lists.
 
-    Runs without any recorded event simply have no log entry; scoring
-    normalizes by the configured run count, not by the number of logs. With
-    ``seeds`` (run r's seed at index r), every row must name one of those
-    runs, with its seed; with ``runs`` alone, one of runs 0 .. runs - 1.
+    Item r of the result holds run r's drift steps, empty for a run the
+    table has no drift row for. Every row must name one of runs 0 .. runs - 1;
+    with ``seeds`` (run r's seed at index r), also with that run's seed.
     """
-    what = "runs"
-    if seeds is not None:
-        runs, what = len(seeds), "configured runs"
+    what = "runs" if seeds is None else "configured runs"
     path, rows = _read_table(path, "run,seed,t,verdict")
-    logs: dict[int, DetectionLog] = {}
+    alarms: list[list[int]] = [[] for _ in range(runs)]
     for lineno, row in rows:
         try:
             run_s, seed_s, t_s, verdict = row.split(",")
             run, seed, t = int(run_s), int(seed_s), int(t_s)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
-        if runs is not None and not 0 <= run < runs:
+        if not 0 <= run < runs:
             raise ValueError(
                 f"{path}:{lineno}: run {run} is not one of the "
                 f"{runs} {what} 0 .. {runs - 1}"
@@ -821,10 +816,9 @@ def read_alarm_table(path, seeds=None, runs=None) -> list[DetectionLog]:
                 f"{path}:{lineno}: unknown verdict {verdict!r}, expected one "
                 f"of {', '.join(_ALARM_VERDICTS)}"
             )
-        log = logs.setdefault(run, DetectionLog(run=run, seed=seed, alarms=[]))
         if verdict == Verdict.DRIFT.value:
-            log.alarms.append(t)
-    return [logs[run] for run in sorted(logs)]
+            alarms[run].append(t)
+    return alarms
 
 
 def rebuild_tables(out_dir) -> tuple[str, str]:
@@ -844,9 +838,9 @@ def rebuild_tables(out_dir) -> tuple[str, str]:
             out / "runs" / f"{pipe.name}.csv", seeds
         )
         if pipe.detector != NO_DETECTOR:
-            logs = read_alarm_table(out / "alarms" / f"{pipe.name}.csv", seeds)
-            scores[pipe.name] = score_detections(
-                logs, cfg.schedule.drift_start, cfg.runs
+            alarms = read_alarm_table(
+                out / "alarms" / f"{pipe.name}.csv", cfg.runs, seeds
             )
+            scores[pipe.name] = score_detections(alarms, cfg.schedule.drift_start)
     summary = summarize_runs(per_run, cfg.runs) if per_run else []
     return format_summary_csv(summary), format_detectors_csv(scores)

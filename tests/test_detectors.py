@@ -24,7 +24,6 @@ from skewstream import detectors
 from skewstream.detectors import (
     AucDropDetector,
     BoundTable,
-    DetectionLog,
     DriftDetector,
     FourRatesDetector,
     RecallDropDetector,
@@ -1078,49 +1077,37 @@ def test_auc_drop_refuses_a_stretch_with_a_bad_score_before_any_step(bad):
 
 
 def test_score_detections_splits_true_and_false_alarms():
-    logs = [DetectionLog(run=0, seed=7, alarms=[100, 1600, 1700])]
-    got = score_detections(logs, drift_start=1501, n_runs=len(logs))
+    got = score_detections([[100, 1600, 1700]], drift_start=1501)
     assert got.tdr == 1.0
     assert got.fa == 2.0
     assert got.dod == 99.0
 
 
 def test_score_detections_alarm_at_drift_start_counts_with_zero_delay():
-    logs = [DetectionLog(run=0, seed=0, alarms=[1501])]
-    got = score_detections(logs, drift_start=1501, n_runs=len(logs))
+    got = score_detections([[1501]], drift_start=1501)
     assert (got.tdr, got.fa, got.dod) == (1.0, 0.0, 0.0)
 
 
 def test_score_detections_no_alarms_gives_none_delay():
-    logs = [DetectionLog(run=0, seed=0, alarms=[])]
-    got = score_detections(logs, drift_start=1501, n_runs=len(logs))
+    got = score_detections([[]], drift_start=1501)
     assert got.tdr == 0.0
     assert got.fa == 0.0
     assert got.dod is None
 
 
 def test_score_detections_normalizes_by_requested_runs():
-    logs = [
-        DetectionLog(run=0, seed=0, alarms=[1600]),
-        DetectionLog(run=1, seed=1, alarms=[200]),
-    ]
-    got = score_detections(logs, drift_start=1501, n_runs=4)
+    # silent runs count: the rates are per run, not per run with an alarm
+    got = score_detections([[1600], [200], [], []], drift_start=1501)
     assert got.tdr == 0.25
     assert got.fa == 0.25
     assert got.dod == 99.0
 
 
 def test_score_detections_is_insensitive_to_alarm_order():
-    shuffled = [DetectionLog(run=0, seed=0, alarms=[1700, 100, 1600])]
-    ordered = [DetectionLog(run=0, seed=0, alarms=[100, 1600, 1700])]
-    assert score_detections(shuffled, 1501, 1) == score_detections(ordered, 1501, 1)
+    shuffled, ordered = [[1700, 100, 1600]], [[100, 1600, 1700]]
+    assert score_detections(shuffled, 1501) == score_detections(ordered, 1501)
 
 
 def test_score_detections_validates_run_counts():
-    logs = [DetectionLog(run=0, seed=0, alarms=[])] * 3
-    with pytest.raises(ValueError):
-        score_detections(logs, drift_start=1501, n_runs=2)
-    with pytest.raises(ValueError):
-        score_detections([], drift_start=1501, n_runs=0)
-    with pytest.raises(TypeError):  # a run without alarms may have no log
-        score_detections(logs, drift_start=1501)
+    with pytest.raises(ValueError, match="need at least one run"):
+        score_detections([], drift_start=1501)

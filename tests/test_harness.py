@@ -360,7 +360,7 @@ def test_block_boundaries_leave_the_records_unchanged(monkeypatch):
         assert_same_records(records, runs[1])
     resets = {pipe.learner: 0 for pipe in pipelines}
     for pipe in pipelines:
-        resets[pipe.learner] += runs[1][pipe.name][0].detection_log.alarms != []
+        resets[pipe.learner] += runs[1][pipe.name][0].alarms != []
     assert all(resets.values()), resets  # a slice of every sampler is reset
 
 
@@ -437,7 +437,7 @@ def test_rewinds_at_block_edges_equal_per_pipeline_runs(
     monkeypatch.setattr(engine, "BLOCK_STEPS", block)
     records = run_experiment(cfg)
     for name, want in alarms.items():
-        assert records[name][0].detection_log.alarms == sorted(want)
+        assert records[name][0].alarms == sorted(want)
     assert_matches_reference(cfg, records)
 
 
@@ -538,7 +538,7 @@ def test_catch_ups_read_only_the_steps_a_pipeline_has_predicted(
     names = [pipe.name for pipe in pipelines]
     want = dict(zip(names, ([rec] for rec in run_once(cfg, 0))))
     # rewinds, whose layouts are poisoned too
-    assert want["OOB+lfr"][0].detection_log.alarms
+    assert want["OOB+lfr"][0].alarms
     lay_out, scores = RowSchedule._lay_out, RowSchedule.scores
     reads = 0
 
@@ -935,10 +935,10 @@ def test_no_detector_means_no_events():
     assert rec.events == []
 
 
-def test_detection_log_keeps_only_drift_events():
+def test_record_alarms_keep_only_drift_events():
     rec = random_record(0, preset_schedule("sine1-py"))
     rec.events = [(100, "warning"), (200, "drift"), (250, "warning"), (900, "drift")]
-    assert rec.detection_log.alarms == [200, 900]
+    assert rec.alarms == [200, 900]
 
 
 # ---------------------------------------------------------------------------
@@ -1437,9 +1437,8 @@ def test_emit_report_tables_round_trip(tmp_path):
     emit_report(report, tmp_path)
     parsed = read_per_run_table(tmp_path / "runs" / "OOB+auc.csv")
     assert parsed == report.per_run["OOB+auc"]
-    logs = read_alarm_table(tmp_path / "alarms" / "OOB+auc.csv")
-    expected = [r.detection_log for r in records["OOB+auc"] if r.events]
-    assert logs == expected
+    alarms = read_alarm_table(tmp_path / "alarms" / "OOB+auc.csv", cfg.runs)
+    assert alarms == [r.alarms for r in records["OOB+auc"]]
     curve_lines = (tmp_path / "curves" / "OOB+auc.csv").read_text().splitlines()
     assert curve_lines[0] == "t,gmean"
     assert len(curve_lines) == 1 + cfg.schedule.total_steps
@@ -1448,7 +1447,11 @@ def test_emit_report_tables_round_trip(tmp_path):
 RUNS_HEADER = "run,seed," + ",".join(METRICS)
 
 
-@pytest.mark.parametrize("reader", [read_per_run_table, read_alarm_table])
+@pytest.mark.parametrize(
+    "reader",
+    [read_per_run_table, lambda path: read_alarm_table(path, 1)],
+    ids=["read_per_run_table", "read_alarm_table"],
+)
 def test_table_readers_name_the_file_when_empty(reader, tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -1469,7 +1472,7 @@ def test_alarm_table_rejects_an_unknown_verdict(tmp_path):
     path = tmp_path / "alarms.csv"
     path.write_text("run,seed,t,verdict\n0,3,1600,warning\n0,3,1700,drfit\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: unknown verdict 'drfit'"):
-        read_alarm_table(path)
+        read_alarm_table(path, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1585,6 +1588,49 @@ def test_cli_score_detectors_output(tmp_path, capsys):
     assert out[2] == "dod 74.0"
 
 
+# a sine1 prior flip at step 451 of 600 on which OOB+lfr both fires and,
+# in some runs, writes no alarm row at all
+FIRING_CONFIG = """
+[experiment]
+runs = 10
+base_seed = 3
+members = 3
+
+[stream]
+generator = sine1
+positive_prior = 0.1
+new_positive_prior = 0.9
+total_steps = 600
+drift_start = 451
+
+[pipeline OOB+lfr]
+learner = OOB
+detector = lfr
+min_updates = 400
+"""
+
+
+def test_cli_score_detectors_agrees_with_the_detectors_table(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, FIRING_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    alarms = out / "alarms" / "OOB+lfr.csv"
+    rows = [line.split(",") for line in alarms.read_text().splitlines()[1:]]
+    assert any(verdict == "drift" for *_, verdict in rows)
+    assert {str(r) for r in range(10)} - {run for run, *_ in rows}  # a silent run
+    [row] = [
+        line.split(",")[1:]
+        for line in (out / "detectors.csv").read_text().splitlines()
+        if line.startswith("OOB+lfr,")
+    ]
+    capsys.readouterr()
+    argv = ["score-detectors", str(alarms), "--runs", "10", "--drift-start", "451"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name} {value}" for name, value in zip(("tdr", "fa", "dod"), row)
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1673,6 +1719,31 @@ def test_cli_lets_a_key_error_from_a_command_propagate(monkeypatch):
     monkeypatch.setattr(cli, "cmd_report", broken)
     with pytest.raises(KeyError):
         main(["report", "results"])
+
+
+def test_cli_lets_a_runtime_error_from_a_command_propagate(monkeypatch):
+    # of the RuntimeErrors, only an infeasible stream concept is expected
+    def broken(args):
+        raise RuntimeError("x")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    with pytest.raises(RuntimeError):
+        main(["report", "results"])
+
+
+def test_cli_run_names_an_infeasible_concept(tmp_path, capsys):
+    # x1 + x2 <= 0.0001 holds on about 5e-11 of SEA's [0, 10)^2, so no
+    # positive example is found
+    cfg_path = write_config(
+        tmp_path,
+        "[experiment]\nruns = 1\nmembers = 1\n"
+        "[stream]\ngenerator = sea\nthreshold = 0.0001\n"
+        "[pipeline A]\nlearner = OB\n",
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no example of class 1 found in 10000 attempts")
+    assert "ConceptSpec(generator='SEA'" in err
 
 
 BAD_CONFIGS = {
