@@ -49,17 +49,21 @@ class RunRecord:
         return [t for t, v in self.events if v == Verdict.DRIFT.value]
 
 
-# Steps a run plans at a time (see `_run_once`).
+# Steps a run plans at a time (see `_run_once`). Against a schedule whose
+# rows waited at each block's end, a resample-mix run took 0.962x at 128 and
+# 0.957x at 256 (median paired ratios of 60 shuffled in-process repetitions
+# on a 2-vCPU VM); 256 holds twice the positions.
 BLOCK_STEPS = 128
-# Rounds a block trains between two catch-ups of its detectors (see
-# `_train_block`). A catch-up costs a read of the scores and one call per
+# Rounds a run trains between two catch-ups of its detectors (see
+# `_catch_up`). A catch-up costs a read of the scores and one call per
 # detector that is behind, while a late one lets a reset pipeline's rows run
-# ahead on weights the reset throws away. Against every 8 rounds (process
-# CPU time, median ratio of shuffled in-process repetitions on a 2-vCPU VM):
-# on detect-sweep's two runs (30 repetitions) every 4 rounds took 1.087x and
-# every 16 0.959x, for 11,354, 11,384 and 11,440 rounds; on a 6-pipeline
-# `sine1-pxy` run of the acceptance fixture's shape (24 repetitions, seeds
-# 1000-1003) every 4 took 1.075x and every 16 0.972x.
+# ahead on weights the reset throws away. Measured while every row still
+# waited for the busiest at each block's end, against every 8 rounds
+# (process CPU time, median ratio of shuffled in-process repetitions on a
+# 2-vCPU VM): on detect-sweep's two runs (30 repetitions) every 4 rounds
+# took 1.087x and every 16 0.959x, for 11,354, 11,384 and 11,440 rounds; on
+# a 6-pipeline `sine1-pxy` run of the acceptance fixture's shape (24
+# repetitions, seeds 1000-1003) every 4 took 1.075x and every 16 0.972x.
 CATCH_UP_ROUNDS = 16
 
 
@@ -84,49 +88,36 @@ def _plan_block(stream, tracker, model, n: int, threshold: float):
     return xs, labels, minorities.tolist(), model.draw_counts(rates)
 
 
-def _train_block(block, detectors, labels, minorities, events, done: int):
-    """Train a planned block and step the detectors through it; returns its
-    scores as (steps, pipelines).
+def _catch_up(rows, detectors, labels, minorities, events, seen) -> None:
+    """Step each of ``detectors``, given as (pipeline, detector), through the
+    steps that all of its pipeline's rows have predicted since its last call,
+    and no other, in one call (`DriftDetector.catch_up`).
 
-    Every ``CATCH_UP_ROUNDS`` rounds of ``block`` (a `RowSchedule` with the
-    block laid out), each of ``detectors``, given as (pipeline, detector),
-    catches up in one call (`DriftDetector.catch_up`) on the steps that all
-    of its pipeline's rows have predicted since its last call, and on no
-    other: their scores are read for that pipeline alone, and its labels
-    follow from them, POS where a score is 0.5 or more (as in the records
-    `_run_once` makes). Its alarms go
-    to the pipeline's ``events`` (``done`` is the steps before the block),
-    and a drift alarm rewinds the pipeline's rows to its step. With no
-    detector there is nothing to catch up, and the block runs to its end at
-    once.
+    ``rows`` is the run's `RowSchedule`, and ``seen[e]`` counts the steps
+    pipeline e's detector has stepped. Its scores are read for that pipeline
+    alone, and its labels follow from them, POS where a score is 0.5 or more
+    (as in the records `_run_once` makes); ``labels`` and ``minorities``
+    hold every planned step's. Its alarms go to the pipeline's ``events``,
+    and a drift alarm rewinds the pipeline's rows to its step.
     """
-    if not detectors:
-        block.run()
-        return block.scores()
-    n = block.n_steps
-    seen = [0] * len(events)  # the steps each detector has stepped
-    while True:
-        block.run(CATCH_UP_ROUNDS)
-        ready = block.predicted()
-        for e, detector in detectors:
-            start, stop = seen[e], ready[e]
-            if start == stop:
-                continue
-            scores = block.scores(start, stop, e).tolist()
-            verdicts = detector.catch_up(
-                labels[start:stop],
-                [POS if score >= 0.5 else NEG for score in scores],
-                scores,
-                minorities[start:stop],
-            )
-            for i, verdict in verdicts:
-                events[e].append((done + start + i + 1, verdict.value))
-            if verdicts and verdicts[-1][1] is Verdict.DRIFT:
-                stop = start + verdicts[-1][0] + 1
-                block.rewind(e, stop - 1)
-            seen[e] = stop
-        if block.finished and all(seen[e] == n for e, _ in detectors):
-            return block.scores()
+    ready = rows.predicted()
+    for e, detector in detectors:
+        start, stop = seen[e], ready[e]
+        if start == stop:
+            continue
+        scores = rows.scores(start, stop, e).tolist()
+        verdicts = detector.catch_up(
+            labels[start:stop],
+            [POS if score >= 0.5 else NEG for score in scores],
+            scores,
+            minorities[start:stop],
+        )
+        for i, verdict in verdicts:
+            events[e].append((start + i + 1, verdict.value))
+        if verdicts and verdicts[-1][1] is Verdict.DRIFT:
+            stop = start + verdicts[-1][0] + 1
+            rows.rewind(e, stop - 1)
+        seen[e] = stop
 
 
 def _run_once(cfg, r: int, detectors: list) -> list[RunRecord]:
@@ -141,16 +132,20 @@ def _run_once(cfg, r: int, detectors: list) -> list[RunRecord]:
     own; a drift alarm resets only that slice. The records are exactly those
     of running each pipeline alone, step by step.
 
-    The run goes ``BLOCK_STEPS`` steps at a time. `_plan_block` first takes
-    the block's examples, class sizes and Poisson counts: the stream, the
-    tracker and the Poisson generators read neither the predictions nor the
-    weights, and a reset re-seeds the weights only, so every draw is the one
-    a step-by-step run makes, in the same order on each generator. Then the
-    run's one `RowSchedule` lays the block out in the buffers it keeps and
-    trains it, each bank row at its own pace, and every
-    ``CATCH_UP_ROUNDS`` rounds each detector steps through the steps that
-    all of its pipeline's rows have predicted. A drift alarm at a step resets
-    the pipeline's slice and rewinds only its rows to that step.
+    The run plans ``BLOCK_STEPS`` steps at a time and keeps two blocks
+    planned past the steps it has retired. `_plan_block` takes a block's
+    examples, class sizes and Poisson counts: the stream, the tracker and
+    the Poisson generators read neither the predictions nor the weights, and
+    a reset re-seeds the weights only, so every draw is the one a
+    step-by-step run makes, in the same order on each generator. The run's
+    one `RowSchedule` lays each block out after each bank row's last planned
+    pass and trains the rows at their own paces, so no row waits for another
+    at a block's end. Every ``CATCH_UP_ROUNDS`` rounds each detector steps
+    through the steps that all of its pipeline's rows have predicted
+    (`_catch_up`); a drift alarm at a step resets the pipeline's slice and
+    rewinds only its rows to that step. The oldest block retires, its scores
+    going to the records, once every row is past it and every detector has
+    stepped through it; the next block is then planned.
     """
     seed = cfg.base_seed + r
     schedule = cfg.schedule
@@ -166,22 +161,32 @@ def _run_once(cfg, r: int, detectors: list) -> list[RunRecord]:
         lr=cfg.lr,
     )
     total = schedule.total_steps
-    truths = np.empty(total, dtype=np.int8)
     scores = np.empty((len(pipes), total))
     events: list[list[tuple[int, str]]] = [[] for _ in pipes]
     rows = RowSchedule(model, BLOCK_STEPS)
-    for done in range(0, total, BLOCK_STEPS):
-        n = min(BLOCK_STEPS, total - done)
-        xs, labels, minorities, ks = _plan_block(
-            stream, tracker, model, n, cfg.designation_threshold
-        )
-        truths[done : done + n] = labels
-        rows.start(xs, labels, ks)
-        scores[:, done : done + n] = _train_block(
-            rows, watched, labels, minorities, events, done
-        ).T
+    labels: list[int] = []  # every planned step's label and minority
+    minorities: list[int] = []
+    seen = [0] * len(pipes)  # the steps each detector has stepped
+    while rows.retired < total:
+        while rows.planned < min(total, rows.retired + 2 * BLOCK_STEPS):
+            n = min(BLOCK_STEPS, total - rows.planned)
+            xs, block_labels, block_minorities, ks = _plan_block(
+                stream, tracker, model, n, cfg.designation_threshold
+            )
+            rows.add(xs, block_labels, ks)
+            labels += block_labels
+            minorities += block_minorities
+        # with no detector there is nothing to catch up, and the rows run
+        # until the oldest block can retire
+        rows.run(CATCH_UP_ROUNDS if watched else None)
+        _catch_up(rows, watched, labels, minorities, events, seen)
+        lo = rows.retired
+        hi = min(lo + BLOCK_STEPS, total)
+        if rows.can_retire and all(seen[e] >= hi for e, _ in watched):
+            scores[:, lo:hi] = rows.retire().T
     # the records keep the steps past the warm-up
-    truths, scores = truths[cfg.warm_up :], scores[:, cfg.warm_up :]
+    truths = np.array(labels[cfg.warm_up :], dtype=np.int8)
+    scores = scores[:, cfg.warm_up :]
     preds = np.where(scores >= 0.5, POS, NEG).astype(np.int8)
     return [
         RunRecord(
@@ -259,15 +264,16 @@ def _hand_out(pool, cfg, detectors: list) -> dict:
     return pending
 
 
-def _exited_unstarted(pool, pending: dict) -> bool:
-    """Whether a worker of the broken ``pool`` exited by itself (a positive
-    exit code; one killed by a signal has a negative one) while none of the
-    runs in ``pending`` came back from a worker."""
+def _exited_unstarted(workers: list, pending: dict) -> bool:
+    """Whether one of a broken pool's ``workers``, all ended and reaped,
+    exited by itself (a positive exit code; one killed by a signal has a
+    negative one) while none of the runs in ``pending`` came back from a
+    worker."""
     came_back = any(
         f.done() and not f.cancelled() and f.exception() is None
         for f in pending.values()
     )
-    exits = [p.exitcode or 0 for p in pool._processes.values()]
+    exits = [p.exitcode or 0 for p in workers]
     return not came_back and max(exits, default=0) > 0
 
 
@@ -342,12 +348,14 @@ def run_all(cfg, detectors: list) -> list[list[RunRecord]]:
             raise
         if pool._broken:
             # a worker died and its runs were rerun here: shutting the
-            # pool down joins its manager, which reaps the dead worker
-            # before this returns
-            _workers_cannot_start = _exited_unstarted(pool, pending)
+            # pool down joins its manager, which ends and reaps every worker
+            # before this returns. The exit codes are read after that: read
+            # while the manager's thread reaps a worker, a code can be None
+            workers = list(pool._processes.values())
+            _drop_pool()
+            _workers_cannot_start = _exited_unstarted(workers, pending)
             print("skewstream: a worker process died and its runs were run again "
                   "in this process; a script that runs two or more runs must "
                   'guard its entry point with `if __name__ == "__main__":`',
                   file=sys.stderr)
-            _drop_pool()
     return runs

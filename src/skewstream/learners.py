@@ -29,15 +29,17 @@ ensembles (one per sampler, as the run engine runs one per pipeline) in the
 same bank; each keeps its own Poisson generator, its own reset seeds and
 exactly the outputs it would have alone.
 
-A run trains a planned block of steps with a `RowSchedule`: each bank row
-lays out its own passes back to back, max(1, k) of them at each step (k its
-Poisson count there), the first of which is the row's prediction of the step,
-and each round runs every row's next pass. So a block takes as many rounds as
-its busiest row has passes, not the sum over steps of the largest k. One
-layout serves a new block and a reset's rewind alike, and a step's scores are
-read from the history of rounds at its first passes. A run makes one
-schedule, which lays each block out in buffers it keeps for the run; they
-grow only when a block or a rewind needs more positions than any before.
+A run trains its planned blocks of steps with one `RowSchedule`: each bank
+row lays out its own passes back to back, max(1, k) of them at each step (k
+its Poisson count there), the first of which is the row's prediction of the
+step, and each round runs every row's next pass. A row runs on from one
+block into the next, planned one block ahead, so no row waits for another at
+a block's end either, and a run without a reset takes as many rounds as its
+busiest row has passes over the whole run, not the sum over steps of the
+largest k. One layout serves a new block and a reset's rewind alike, and a
+step's scores are read from the history of rounds at its first passes. The
+schedule keeps its buffers for the run; they grow only when the blocks it
+holds need more positions than ever before.
 
 A bank's kernel allocates nothing and looks nothing up per call. Each
 `MlpBank` keeps its weights in one flat parameter buffer, the four weight
@@ -394,207 +396,309 @@ class OnlineEnsemble:
         )
 
 
-class RowSchedule:
-    """A run's planned blocks of steps, each trained row by row on an
-    `OnlineEnsemble`.
 
-    Bank row r takes max(1, k) passes at each step of a block, k being its
-    count there, one after another: each pass is one forward pass and one
-    gradient step on the step's example, of size lr, or 0 when k is 0, and the
-    first pass of a step is the row's prediction of it. Round j of `run` gives
-    every row its next pass in one call of the bank's kernel and keeps the
-    rows' positive-class probabilities in a history by round; a row whose
-    passes are all done takes passes of size 0 on a zero input until the
-    block is. A row's prediction of a step reads the weights its own passes at
-    the steps before left, and rows are independent, so every row predicts
-    and learns exactly as in a step-by-step run, while the block takes as
-    many rounds as its busiest row has passes.
+
+class RowSchedule:
+    """A run's planned steps, trained row by row on an `OnlineEnsemble`, up
+    to two blocks of them at a time.
+
+    Bank row r takes max(1, k) passes at each step, k being its count there,
+    one after another: each pass is one forward pass and one gradient step on
+    the step's example, of size lr, or 0 when k is 0, and the first pass of a
+    step is the row's prediction of it. Round j of `run` gives every row its
+    next pass in one call of the bank's kernel and keeps the rows'
+    positive-class probabilities in a history by round. A row's passes run
+    on from block to block: a row that has taken all of its passes of one
+    block takes its first pass of the next in its next round, and only a row
+    with no planned pass left takes passes of size 0 on a zero input. A
+    row's prediction of a step reads the weights its own passes at the steps
+    before left, and rows are independent, so every row predicts and learns
+    exactly as in a step-by-step run, and a run whose busiest row never
+    waits for a block to be planned takes as many rounds as that row has
+    passes.
+
+    Steps are numbered over the run. `add` plans the next block, every block
+    but a run's last ``block_steps`` long, and lays its passes out after each
+    row's last planned pass; the schedule holds at most two blocks, the
+    oldest from step `retired` and the rest to step `planned`. Once every
+    row is past the oldest block (`can_retire`), `retire` hands back its
+    scores and frees its steps. The per-step tables are a ring of two
+    blocks, step s in slot s mod 2 * ``block_steps``.
 
     A reset is the one thing that ties rows to a step: `rewind(e, t)` resets
     ensemble ``e`` after its detector has seen step ``t``, and its rows take
     their k passes at ``t`` again, without predicting it anew, then run on
-    through the block. This is exact: a reset re-seeds the weights only, and
-    the counts never read the weights.
+    through every planned step. This is exact: a reset re-seeds the weights
+    only, and the counts never read the weights.
 
-    There is one layout, `_lay_out`: from the current round on, it places
-    some rows' passes position by position in arrays of ``(positions, rows,
-    ...)``, so that a round reads one position of each. It numbers each row's
-    positions with one repeat of the row's step codes by its passes (a code
-    is 2 * step, plus 1 where the row trains at the step), and reads the
-    inputs, targets and step sizes by code. It also notes the position of
-    each step's first pass, and for each ensemble the latest of those over
-    its rows. `start` lays out every row of a new block from step 0, and a
-    rewind the reset rows from step ``t``. The steps an ensemble has
-    predicted are those whose latest first pass lies before the current
-    round, and their scores are read from the history at their first passes.
+    There is one layout, `_lay_out`: it places some rows' passes position by
+    position, each row from a position of its own, as codes in an array of
+    ``(positions, rows)`` (a code is 2 * slot, plus 1 where the row trains at
+    the step; positions past a row's last pass hold the idle code). It also
+    notes the position of each step's first pass, and for each ensemble the
+    latest of those over its rows. The steps an ensemble has predicted are
+    those whose latest first pass lies before the current round, and their
+    scores are read from the history at their first passes. `run` reads the
+    inputs, targets and step sizes of up to ``block_steps`` rounds at a time
+    by code into a window, which a layout empties.
 
-    One schedule serves a run, and its buffers are kept from block to block:
-    the per-step tables hold up to ``max_steps`` steps and the idle step
-    after them, and the position arrays and the history grow to exactly the
-    positions that a block or a rewind needs, and are written in place.
+    The codes and the history hold the positions from the earliest first
+    pass of a held step on; `retire` moves them to the front of their
+    arrays, which grow only when the held steps need more positions than
+    ever before.
     """
 
-    def __init__(self, model: OnlineEnsemble, max_steps: int):
+    def __init__(self, model: OnlineEnsemble, block_steps: int):
         self._model = model
         bank = model._bank
         rows, d = bank.n_members, bank.n_features
         self._cols = np.arange(rows)
-        # by row and step: the block's Poisson counts, and the codes, 2 *
-        # step + 1 where the row trains (k > 0) and 2 * step where it only
-        # predicts; a block's idle step n after its n steps has code 2n
-        self._ks = np.empty((rows, max_steps), dtype=np.intp)
-        self._codes = np.empty((rows, max_steps + 1), dtype=np.intp)
-        self._evens = np.arange(0, 2 * max_steps, 2)
-        # by code: each step's input and target (twice), a zero input and
-        # target at the idle step, and the step size, lr or 0, in both class
-        # columns
-        self._inputs = np.empty((2 * max_steps + 1, d))
-        self._targets = np.empty((2 * max_steps + 1, N_CLASSES))
-        self._sizes = np.tile([[0.0], [bank.lr]], (max_steps + 1, N_CLASSES))
-        # by ensemble, each step's first pass of each of its rows, as an
-        # index into the flat history, position * rows + row
+        self._block = block_steps
+        self._n_slots = slots = 2 * block_steps
+        # by row and slot: the Poisson counts, and the codes, 2 * slot + 1
+        # where the row trains (k > 0) and 2 * slot where it only predicts
+        self._ks = np.empty((rows, slots), dtype=np.intp)
+        self._codes = np.empty((rows, slots), dtype=np.intp)
+        self._evens = np.arange(0, 2 * slots, 2)
+        # by code: each step's input and target (twice), and the step size,
+        # lr or 0, in both class columns; the idle code 2 * slots has a zero
+        # input and target and the step size 0
+        self._idle = 2 * slots
+        self._inputs = np.zeros((2 * slots + 1, d))
+        self._targets = np.zeros((2 * slots + 1, N_CLASSES))
+        self._sizes = np.tile([[0.0], [bank.lr]], (slots + 1, N_CLASSES))
+        # by ensemble and slot, the step's first pass of each of its rows, as
+        # an index into the flat history, (position - base) * rows + row
         m = model.n_members
-        self._first = np.empty((len(model.samplers), max_steps, m), dtype=np.intp)
-        # per ensemble, the latest of each step's first passes over its rows:
-        # ascending, so the steps all of its rows have predicted by a round
-        # are the ones before a bisection at it
-        self._latest: list[list[int]] = []
-        # each row's end, where it goes idle, and the last of them
+        self._first = np.empty((len(model.samplers), slots, m), dtype=np.intp)
+        # per ensemble, the latest of each held step's first passes over its
+        # rows: ascending, so the steps all of its rows have predicted by a
+        # round are the ones before a bisection at it
+        self._latest: list[list[int]] = [[] for _ in model.samplers]
+        # each row's end, where its planned passes stop, the last of them, and
+        # the round by which every row is past the oldest block
         self._ends = np.zeros(rows, dtype=np.intp)
-        self._last = 0
-        # by position, the first `_length` of them the block's: each row's
-        # code, input, target and step size there, and the history
+        self._last = self._oldest_end = 0
+        # by position from `_base` on: each row's code there, and the history
+        self._base = 0
         self._code = np.empty((0, rows), dtype=np.intp)
-        self._X = np.empty((0, rows, d))
-        self._T = np.empty((0, rows, N_CLASSES))
-        self._S = np.empty((0, rows, N_CLASSES))
         self._hist = np.empty((0, rows))
-        self._length = self.n_steps = self.round = 0
+        # the window: inputs, targets and step sizes of the rounds from
+        # `_window` up to `_gathered`
+        self._X = np.empty((block_steps, rows, d))
+        self._T = np.empty((block_steps, rows, N_CLASSES))
+        self._S = np.empty((block_steps, rows, N_CLASSES))
+        self._window = self._gathered = 0
+        self.round = self.retired = self.planned = 0
 
-    def start(self, xs, labels, ks: np.ndarray) -> None:
-        """Lay out a new block of ``len(ks)`` steps, to run from round 0: row
-        t of ``xs`` and of ``ks`` are step t's input and Poisson counts, and
-        ``labels[t]`` its label."""
-        self.n_steps = n = len(ks)
-        ks_by_row = self._ks[:, :n]
+    def add(self, xs, labels, ks: np.ndarray) -> None:
+        """Plan the next block, of ``len(ks)`` steps from step `planned` on:
+        row i of ``xs`` and of ``ks`` are its i-th step's input and Poisson
+        counts, and ``labels[i]`` its label. Each row's passes of the block
+        start where its planned passes stop, or at the current round."""
+        n, t = len(ks), self.planned
+        if n > self._block or t % self._block or t - self.retired > self._block:
+            raise ValueError("a block follows a whole one, and at most one is held")
+        s = t % self._n_slots
+        at = slice(s, s + n)
+        ks_by_row = self._ks[:, at]
         ks_by_row[...] = ks.T
-        codes = self._codes[:, :n]
+        codes = self._codes[:, at]
         np.minimum(ks_by_row, 1, out=codes)
-        codes += self._evens[:n]
-        self._codes[:, n] = 2 * n
-        self._inputs[: 2 * n].reshape(n, 2, -1)[...] = xs[:, None]
+        codes += self._evens[at]
+        self._inputs[2 * s : 2 * (s + n)].reshape(n, 2, -1)[...] = xs[:, None]
         positive = np.equal(labels, POS)[:, None]
-        targets = self._targets[: 2 * n].reshape(n, 2, N_CLASSES)
+        targets = self._targets[2 * s : 2 * (s + n)].reshape(n, 2, N_CLASSES)
         targets[:, :, _CLASS_INDEX[POS]] = positive
         targets[:, :, _CLASS_INDEX[NEG]] = ~positive
-        self._inputs[2 * n] = self._targets[2 * n] = 0.0
-        self._latest = [[] for _ in self._model.samplers]
-        self.round = self._length = 0
-        self._lay_out(slice(0, len(self._cols)), 0, relearn=False)
+        self.planned += n
+        starts = np.maximum(self._ends, self.round)
+        self._lay_out(slice(0, len(self._cols)), t, starts, relearn=False)
 
     @property
-    def finished(self) -> bool:
-        """Whether every row has taken all of its passes."""
-        return self.round >= self._last
+    def can_retire(self) -> bool:
+        """Whether a block is held and every row has taken all of its passes
+        of the oldest one."""
+        return self.retired < self.planned and self.round >= self._oldest_end
 
     def run(self, rounds: int | None = None) -> None:
-        """Run up to ``rounds`` more rounds, or all that are left, stopping
-        when every row is done."""
+        """Run up to ``rounds`` more rounds, or with None until every row is
+        past the oldest block, stopping when every row is done."""
+        if rounds is None:
+            stop = self._oldest_end
+        else:
+            stop = min(self.round + rounds, self._last)
         kernel = self._model._bank.kernel
-        start, end = self.round, self._last
-        stop = end if rounds is None else min(start + rounds, end)
-        at = slice(start, stop)
-        X, T, S, hist = self._X[at], self._T[at], self._S[at], self._hist[at]
-        for x, t, s, score in zip(X, T, S, hist):
-            kernel(x, t, s, score)
-        self.round = stop
+        while self.round < stop:
+            if self.round == self._gathered:
+                self._gather(stop)
+            j, w = self.round, self._window
+            end = min(stop, self._gathered)
+            at, h = slice(j - w, end - w), j - self._base
+            hist = self._hist[h : h + end - j]
+            for x, t, s, score in zip(self._X[at], self._T[at], self._S[at], hist):
+                kernel(x, t, s, score)
+            self.round = end
 
     def predicted(self) -> list[int]:
-        """For each ensemble, how many of the block's first steps every one of
-        its rows has predicted: the steps whose latest first pass over its
-        rows lies before the current round, a prefix of the block."""
-        return [bisect_left(latest, self.round) for latest in self._latest]
+        """For each ensemble, how many of the run's first steps every one of
+        its rows has predicted: the retired steps, and the held steps whose
+        latest first pass over its rows lies before the current round."""
+        return [
+            self.retired + bisect_left(latest, self.round) for latest in self._latest
+        ]
 
-    def scores(self, lo: int = 0, hi: int | None = None, e: int | None = None):
-        """Every ensemble's scores of steps ``lo`` .. ``hi - 1``, as (steps,
-        ensembles), or with ``e`` ensemble e's alone, as (steps,): the mean
-        of its rows' positive-class probabilities at the steps' first passes,
-        their sum over the rows divided by the members, which has the bits
-        of numpy's ``mean`` over them. Every row read must have predicted
-        those steps (`predicted`): the history holds nothing else at a step's
-        first pass."""
+    def scores(self, lo: int, hi: int, e: int | None = None):
+        """Every ensemble's scores of steps ``lo`` .. ``hi - 1``, held ones,
+        as (steps, ensembles), or with ``e`` ensemble e's alone, as (steps,):
+        the mean of its rows' positive-class probabilities at the steps'
+        first passes, their sum over the rows divided by the members, which
+        has the bits of numpy's ``mean`` over them. Every row read must have
+        predicted those steps (`predicted`): the history holds nothing else
+        at a step's first pass."""
         m = self._model.n_members
         hist = self._hist.reshape(-1)
-        steps = slice(lo, self.n_steps if hi is None else hi)
+        steps = self._slots(lo, hi)
         if e is not None:
             return np.add.reduce(hist.take(self._first[e, steps]), 1) / m
         return (np.add.reduce(hist.take(self._first[:, steps]), 2) / m).T
+
+    def retire(self) -> np.ndarray:
+        """Free the oldest block, which every row is past (`can_retire`), and
+        return its scores as (steps, ensembles)."""
+        if not self.can_retire:
+            raise ValueError("a row has passes of the oldest block still to take")
+        lo, hi = self.retired, min(self.retired + self._block, self.planned)
+        scores = self.scores(lo, hi)
+        self.retired = hi
+        for latest in self._latest:
+            del latest[: hi - lo]
+        self._compact()
+        self._note_oldest_end()
+        return scores
 
     def rewind(self, e: int, t: int) -> None:
         """Reset ensemble ``e``, whose rows have all predicted step ``t``, and
         lay out its rows' passes from ``t`` on to start at the next round: the
         reset rows learn step t's example again, its prediction standing,
-        then predict and learn the rest of the block."""
+        then predict and learn every planned step after it."""
         self._model.reset(e)
         m = self._model.n_members
-        self._lay_out(slice(e * m, (e + 1) * m), t, relearn=True)
+        # a row has passes left at t or after, none of them more than the
+        # ones laid out anew, so these cover every position its old ones held
+        self._lay_out(slice(e * m, (e + 1) * m), t, np.full(m, self.round), True)
 
-    def _lay_out(self, rows: slice, t: int, relearn: bool) -> None:
-        """Lay out the passes of ``rows``, whole ensembles, at steps t .. n -
-        1 from the current round on, max(1, k) at each step, and idle
-        positions after them. Rows that ``relearn`` step t, having predicted
-        it, take only its k passes there. The block's positions run to an
-        idle one past the last pass of any row; where a rewind adds
-        positions, the other rows idle there."""
-        j, n, m = self.round, self.n_steps, self._model.n_members
-        # by row: the passes at each step, then the positions idle to the end
-        repeats = np.empty((rows.stop - rows.start, n - t + 1), dtype=np.intp)
-        passes = repeats[:, :-1]
-        np.maximum(self._ks[rows, t:n], 1, out=passes)
+    def _slots(self, lo: int, hi: int):
+        """The slots of steps ``lo`` .. ``hi - 1``: a slice, or an index
+        array where they pass the ring's end."""
+        a = lo % self._n_slots
+        b = a + hi - lo
+        return slice(a, b) if b <= self._n_slots else np.arange(a, b) % self._n_slots
+
+    def _note_oldest_end(self) -> None:
+        """Note the round by which every row has taken all of its passes of
+        the oldest block: the latest first pass of the next block's first
+        step, or with no next block planned, the last pass."""
+        t = self.retired + self._block
+        if t >= self.planned:
+            self._oldest_end = self._last
+        else:
+            latest = int(self._first[:, t % self._n_slots].max())
+            self._oldest_end = latest // len(self._cols) + self._base
+
+    def _lay_out(self, rows: slice, t: int, starts: np.ndarray, relearn: bool) -> None:
+        """Lay out the passes of ``rows``, whole ensembles, at steps t ..
+        `planned` - 1, row r's from position ``starts[r]`` on, max(1, k) at
+        each step. Rows that ``relearn`` step t, having predicted it, take
+        only its k passes there. Every position from a row's start on must
+        be idle or hold one of the passes laid out anew; the position arrays
+        grow to hold the positions the rows need, and the window is
+        emptied."""
+        m, n_rows, base = self._model.n_members, len(self._cols), self._base
+        steps = self._slots(t, self.planned)
+        ks = self._ks[rows, steps]
+        passes = np.maximum(ks, 1)
         if relearn:
-            passes[:, 0] = self._ks[rows, t]
+            passes[:, 0] = ks[:, 0]
         ends = passes.cumsum(axis=1)
-        ends += j
-        starts = ends - passes
-        first = t + 1 if relearn else t
-        starts = starts[:, first - t :].reshape(len(starts) // m, m, n - first)
+        ends += starts[:, None]
+        # each step's first pass, by ensemble, member and step, from the
+        # first step the rows predict
+        first = t + relearn
+        n_ens = (rows.stop - rows.start) // m
+        firsts = (ends - passes)[:, relearn:].reshape(n_ens, m, self.planned - first)
         ensembles = slice(rows.start // m, rows.stop // m)
-        firsts = self._first[ensembles, first:n]
-        np.multiply(starts.transpose(0, 2, 1), len(self._cols), out=firsts)
-        firsts += self._cols[rows].reshape(-1, 1, m)
-        for e, steps in enumerate(starts.max(axis=1).tolist(), ensembles.start):
-            self._latest[e][first:] = steps
-        self._ends[rows] = last = ends[:, -1]
+        for e, latest in enumerate(firsts.max(axis=1).tolist(), ensembles.start):
+            self._latest[e][first - self.retired :] = latest
+        firsts -= base
+        firsts *= n_rows
+        firsts += self._cols[rows].reshape(n_ens, m, 1)
+        self._first[ensembles, self._slots(first, self.planned)] = firsts.transpose(
+            0, 2, 1
+        )
+        last = ends[:, -1]
+        length = int(last.max()) - base
+        if length > len(self._code):
+            self._reserve(length)
+        # each row's codes, each repeated by its passes at the step, written
+        # from the row's start: row r's i-th pass goes to flat position
+        # (starts[r] - base + i) * rows + r
+        counts = last - starts
+        where = np.repeat(
+            (starts - base - (counts.cumsum() - counts)) * n_rows + self._cols[rows],
+            counts,
+        )
+        where += np.arange(len(where)) * n_rows
+        self._code.reshape(-1)[where] = np.repeat(
+            self._codes[rows, steps], passes.reshape(-1)
+        )
+        self._ends[rows] = last
         self._last = int(self._ends.max())
-        kept, length = self._length, int(last.max()) + 1
-        if length > kept:
-            self._reserve(length, kept)
-            for a in (self._X, self._T, self._S):
-                a[kept:length, : rows.start] = 0.0
-                a[kept:length, rows.stop :] = 0.0
-            self._length = length
-        end = self._length
-        np.subtract(end, last, out=repeats[:, -1])
-        # each row's codes, each repeated by its passes at the step, the
-        # idle one to the end, written position by position
-        codes = np.repeat(self._codes[rows, t : n + 1], repeats.reshape(-1))
-        code = self._code[j:end, rows]
-        code[...] = codes.reshape(len(repeats), -1).T
-        # every index is in range; with mode "raise", `take` would write
-        # into a copy of ``out`` first
-        X, T, S = self._X[j:end, rows], self._T[j:end, rows], self._S[j:end, rows]
-        np.take(self._inputs, code, axis=0, out=X, mode="clip")
-        np.take(self._targets, code, axis=0, out=T, mode="clip")
-        np.take(self._sizes, code, axis=0, out=S, mode="clip")
+        self._note_oldest_end()
+        self._gathered = self.round
 
-    def _reserve(self, length: int, kept: int) -> None:
-        """Make the position arrays and the history hold ``length``
-        positions, keeping their first ``kept``. An array that is short is
-        grown to exactly ``length``, one at a time, so that no more than one
-        is held twice."""
-        for name in ("_code", "_X", "_T", "_S", "_hist"):
-            a = getattr(self, name)
-            if len(a) < length:
-                grown = np.empty((length,) + a.shape[1:], dtype=a.dtype)
-                grown[:kept] = a[:kept]
-                setattr(self, name, grown)
+    def _gather(self, stop: int) -> None:
+        """Read the inputs, targets and step sizes of the rounds from the
+        current one into the window, as many as it holds, up to the oldest
+        block's end; past it, where the next block is laid out once the
+        oldest retires, up to round ``stop``."""
+        j, base = self.round, self._base
+        n = min(len(self._X), (self._oldest_end if j < self._oldest_end else stop) - j)
+        code = self._code[j - base : j - base + n]
+        # every index is in range; with mode "raise", `take` would write into
+        # a copy of ``out`` first
+        np.take(self._inputs, code, axis=0, out=self._X[:n], mode="clip")
+        np.take(self._targets, code, axis=0, out=self._T[:n], mode="clip")
+        np.take(self._sizes, code, axis=0, out=self._S[:n], mode="clip")
+        self._window, self._gathered = j, j + n
+
+    def _compact(self) -> None:
+        """Move the positions still needed to the front of their arrays: the
+        history from the earliest first pass of a held step on, and the codes
+        from the current round on."""
+        n_rows = len(self._cols)
+        keep = self.round
+        if self.retired < self.planned:
+            earliest = int(self._first[:, self.retired % self._n_slots].min())
+            keep = min(keep, earliest // n_rows + self._base)
+        shift, j = keep - self._base, self.round - self._base
+        if shift:
+            end = max(j, self._last - self._base)
+            self._hist[: j - shift] = self._hist[shift:j]
+            self._code[j - shift : end - shift] = self._code[j:end]
+            self._code[end - shift : end] = self._idle
+            self._first[:, self._slots(self.retired, self.planned)] -= shift * n_rows
+            self._base = keep
+
+    def _reserve(self, length: int) -> None:
+        """Make the codes and the history hold ``length`` positions or a
+        quarter more than they held, whichever is more, keeping those they
+        hold; the new positions are idle. They grow one at a time, so that
+        no more than one is held twice."""
+        length = max(length, len(self._code) * 5 // 4)
+        code = np.full((length, len(self._cols)), self._idle, dtype=np.intp)
+        code[: len(self._code)] = self._code
+        self._code = code
+        hist = np.empty((length, len(self._cols)))
+        hist[: len(self._hist)] = self._hist
+        self._hist = hist

@@ -25,7 +25,6 @@ and ``label`` +1 or -1, the form the ensembles and detectors consume.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
@@ -279,16 +278,19 @@ def dump_stream(examples: Iterable[tuple[np.ndarray, int]], path) -> int:
     numbering the rows from t = 1; returns the row count.
 
     Features are written with ``repr``, so parsing them with ``float`` gives
-    back the generated values exactly.
+    back the generated values exactly. No field needs quoting (ints, ``repr``
+    floats and the header's names), so the rows are joined by hand, with the
+    bytes the `csv` module's default dialect writes, and the module is not
+    imported.
     """
     path = Path(path)
     t = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         for t, (x, label) in enumerate(examples, start=1):
             if t == 1:
-                writer.writerow(["t", *(f"f{j + 1}" for j in range(len(x))), "label"])
-            writer.writerow([t, *map(repr, x.tolist()), label])
+                fh.write(",".join(["t", *(f"f{j + 1}" for j in range(len(x))), "label"]))
+                fh.write("\r\n")
+            fh.write(",".join([str(t), *map(repr, x.tolist()), str(label)]) + "\r\n")
         if t == 0:  # no examples at all: still emit a minimal header
-            writer.writerow(["t", "label"])
+            fh.write("t,label\r\n")
     return t

@@ -426,36 +426,57 @@ def test_rewinds_at_block_edges_equal_per_pipeline_runs(
         pipelines=pipelines, runs=1, steps=steps, members=members, warm_up=warm_up
     )
     # the first and last step of each block, the first and last of the run,
-    # and two steps in a row
-    edges = {1, block, block + 1, 2 * block, 2 * block + 1, 100, 101, steps}
+    # steps in a row, and the second step of the second block. Rows run on
+    # from block to block, so some of these rewinds come while the block
+    # before is held, or once faster rows have entered the next (checked
+    # below)
+    edges = {1, block, block + 1, block + 2, 2 * block, 2 * block + 1, 100, 101, steps}
     # steps at which no member of the OOB slice trains: its rewound rows
-    # take no pass there
+    # take no pass there; and the second block's last step, for the slower
+    # OOB rows
     idle = [t for t, ks in enumerate(drawn_counts(cfg, "OOB", 0), 1) if not ks.any()]
     assert len(idle) >= 3
-    alarms = {"UOB+edges": edges, "OOB+idle": {idle[0], idle[1], idle[-1]}}
+    alarms = {
+        "UOB+edges": edges,
+        "OOB+idle": {idle[0], idle[1], idle[-1], 2 * block},
+    }
     script_detectors(monkeypatch, alarms)
     monkeypatch.setattr(engine, "BLOCK_STEPS", block)
+    # by rewind: its pipeline, its step (from 1), whether the block before
+    # the step's was held, and whether some row had entered the block after
+    rewinds = []
+
+    def recording(self, e, t, _rewind=RowSchedule.rewind):
+        nxt = (t // block + 1) * block
+        first = int(self._first[:, nxt % (2 * block)].min()) // len(self._cols)
+        entered = nxt < self.planned and first + self._base < self.round
+        rewinds.append((e, t + 1, self.retired < t // block * block, entered))
+        _rewind(self, e, t)
+
+    monkeypatch.setattr(RowSchedule, "rewind", recording)
     records = run_experiment(cfg)
     for name, want in alarms.items():
         assert records[name][0].alarms == sorted(want)
+    # a rewind at a step whose block's predecessor was held, and one at a
+    # block's last step once some row had entered the next block
+    assert any(held for _, _, held, _ in rewinds), rewinds
+    assert any(t % block == 0 and ahead for _, t, _, ahead in rewinds), rewinds
     assert_matches_reference(cfg, records)
 
 
-def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatch):
-    # perfbench's host-speed probe fires on every 64th next_example; a block
-    # runs one round per pass of its busiest row, max(1, k) passes a step,
-    # and more only when a reset rewinds rows
-    examples = 0
-    blocks = []  # per block: [the busiest row's passes, rounds run]
+def count_rounds(monkeypatch):
+    """Count, from now on, the examples taken, the kernel's rounds and each
+    bank row's passes over every block planned, max(1, k) a step."""
+    counts = {"examples": 0, "rounds": 0, "blocks": 0, "passes": 0}
 
     def next_example(self, _next=StreamGenerator.next_example):
-        nonlocal examples
-        examples += 1
+        counts["examples"] += 1
         return _next(self)
 
     def draw_counts(self, rates, _draw=OnlineEnsemble.draw_counts):
         ks = _draw(self, rates)
-        blocks.append([int(np.maximum(ks, 1).sum(axis=0).max()), 0])
+        counts["blocks"] += 1
+        counts["passes"] = counts["passes"] + np.maximum(ks, 1).sum(axis=0)
         return ks
 
     def bind_kernel(self, _bind=MlpBank._bind_kernel):
@@ -463,7 +484,7 @@ def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatc
         kernel = _bind(self)
 
         def counted(X, T=None, S=None, score=None):
-            blocks[-1][1] += 1
+            counts["rounds"] += 1
             return kernel(X, T, S, score)
 
         return counted
@@ -471,22 +492,42 @@ def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatc
     monkeypatch.setattr(StreamGenerator, "next_example", next_example)
     monkeypatch.setattr(OnlineEnsemble, "draw_counts", draw_counts)
     monkeypatch.setattr(MlpBank, "_bind_kernel", bind_kernel)
+    return counts
+
+
+def test_a_run_takes_one_example_per_step_and_its_busiest_rows_rounds(monkeypatch):
+    # perfbench's host-speed probe fires on every 64th next_example. No row
+    # waits for another at a block's end, so a run without a rewind takes
+    # one round per pass of its busiest row over the whole run, max(1, k)
+    # passes a step, and a reset that rewinds rows only adds rounds
     pipelines = [PipelineSpec("UOB", "UOB"), PipelineSpec("OOB+drift", "OOB", "lfr")]
-    script_detectors(monkeypatch, {"OOB+drift": {40, 300}})
     cfg = tiny_config(
         pipelines=pipelines, runs=1, steps=engine.BLOCK_STEPS * 3 + 3, members=2
     )
-    run_once(cfg, 0)
-    assert examples == cfg.schedule.total_steps
-    assert len(blocks) == 4
-    rewound = {(t - 1) // engine.BLOCK_STEPS for t in (40, 300)}
-    for b, (passes, rounds) in enumerate(blocks):
-        if b in rewound:
-            assert rounds >= passes, b
+    for alarms in (set(), {40, 300}):
+        counts = count_rounds(monkeypatch)
+        script_detectors(monkeypatch, {"OOB+drift": alarms})
+        [_, drift] = run_once(cfg, 0)
+        assert drift.alarms == sorted(alarms)
+        assert counts["examples"] == cfg.schedule.total_steps
+        assert counts["blocks"] == 4
+        busiest = int(counts["passes"].max())
+        if alarms:
+            assert counts["rounds"] > busiest
         else:
-            assert rounds == passes, b
-    # a rewind that makes a row the busiest lengthens its block
-    assert any(rounds > passes for passes, rounds in blocks)
+            assert counts["rounds"] == busiest
+
+
+def test_resample_mix_run_0_takes_its_busiest_rows_rounds(monkeypatch):
+    # the benchmark's resample-mix workload at base_seed 0: 4,715 rounds,
+    # the passes of its busiest row, where a wait for every row at each
+    # 128-step block's end took 5,030
+    counts = count_rounds(monkeypatch)
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    cfg = load_config(perfbench / "workloads" / "resample-mix.ini")
+    assert (cfg.base_seed, cfg.runs, engine.BLOCK_STEPS) == (0, 1, 128)
+    run_once(cfg, 0)
+    assert counts["rounds"] == int(counts["passes"].max()) == 4715
 
 
 def test_tie_score_goes_positive(monkeypatch):
@@ -542,9 +583,9 @@ def test_catch_ups_read_only_the_steps_a_pipeline_has_predicted(
     lay_out, scores = RowSchedule._lay_out, RowSchedule.scores
     reads = 0
 
-    def poisoned(self, rows, t, relearn):
-        lay_out(self, rows, t, relearn)
-        self._hist[self.round :] = poison
+    def poisoned(self, rows, t, starts, relearn):
+        lay_out(self, rows, t, starts, relearn)
+        self._hist[self.round - self._base :] = poison
 
     def checked(self, *args):
         nonlocal reads
@@ -767,11 +808,12 @@ def test_an_unguarded_script_gets_its_runs_and_one_line_on_why(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["runs [0, 1, 2]"] * 2
-    assert res.stderr.count("Traceback (most recent call last)") == 1
-    assert res.stderr.count(RERUN_LINE) == 1
-    assert f"{RERUN_LINE} in this process; " in res.stderr
-    assert 'guard its entry point with `if __name__ == "__main__":`' in res.stderr
+    assert res.stdout.splitlines() == ["runs [0, 1, 2]"] * 2, res.stderr
+    assert res.stderr.count("Traceback (most recent call last)") == 1, res.stderr
+    assert res.stderr.count(RERUN_LINE) == 1, res.stderr
+    assert f"{RERUN_LINE} in this process; " in res.stderr, res.stderr
+    guard = 'guard its entry point with `if __name__ == "__main__":`'
+    assert guard in res.stderr, res.stderr
 
 
 class WorkerOnlyRate(float):

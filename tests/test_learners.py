@@ -99,24 +99,27 @@ def _block(ens, xs, labels, ks):
     as one planned block of a `RowSchedule`; returns the scores as (steps,
     ensembles)."""
     schedule = RowSchedule(ens, len(ks))
-    schedule.start(np.asarray(xs, dtype=float), labels, np.asarray(ks))
+    schedule.add(np.asarray(xs, dtype=float), labels, np.asarray(ks))
     schedule.run()
-    return schedule.scores()
+    return schedule.retire()
 
 
 def _learn(ens, xs, labels, tracker, block=16):
     """Predict and learn the steps ``(xs[t], labels[t])`` in blocks of
     ``block`` steps, as a run without detectors does: each step's rates from
-    the tracker's sizes after its label, each block's counts drawn at once;
-    returns the scores as (steps, ensembles)."""
+    the tracker's sizes after its label, each block's counts drawn at once,
+    two blocks planned ahead of the retired steps; returns the scores as
+    (steps, ensembles)."""
     schedule = RowSchedule(ens, block)
     scores = []
-    for lo in range(0, len(labels), block):
-        part = labels[lo : lo + block]
-        _, rates = ens.sampling_rates(part, *tracker.track(part), 1.5)
-        schedule.start(np.asarray(xs[lo : lo + block]), part, ens.draw_counts(rates))
+    while schedule.retired < len(labels):
+        while schedule.planned < min(len(labels), schedule.retired + 2 * block):
+            lo = schedule.planned
+            part = labels[lo : lo + block]
+            _, rates = ens.sampling_rates(part, *tracker.track(part), 1.5)
+            schedule.add(np.asarray(xs[lo : lo + block]), part, ens.draw_counts(rates))
         schedule.run()
-        scores.append(schedule.scores())
+        scores.append(schedule.retire())
     return np.concatenate(scores)
 
 
@@ -459,12 +462,12 @@ def test_interleaved_ensembles_step_as_if_alone():
     interleaved, alone = make(), make()
     schedules = [RowSchedule(ens, n) for ens in interleaved]
     for schedule, ens in zip(schedules, interleaved):
-        schedule.start(xs, labels, counts(ens))
-    while not all(schedule.finished for schedule in schedules):
+        schedule.add(xs, labels, counts(ens))
+    while not all(schedule.can_retire for schedule in schedules):
         for schedule in schedules:
             schedule.run(1)
     for i, ens in enumerate(alone):
-        assert np.array_equal(_block(ens, xs, labels, counts(ens)), schedules[i].scores())
+        assert np.array_equal(_block(ens, xs, labels, counts(ens)), schedules[i].retire())
         assert np.array_equal(
             _slice_params(ens._bank, 0, 10), _slice_params(interleaved[i]._bank, 0, 10)
         )
@@ -663,7 +666,7 @@ def test_a_round_makes_24_numpy_calls(d, monkeypatch):
     ens = OnlineEnsemble(d, samplers=SAMPLERS, n_members=15, seed=4)
     schedule = RowSchedule(ens, 1)
     rng = np.random.default_rng(d)
-    schedule.start(rng.uniform(0, 1, (1, d)), [POS], np.ones((1, 45), dtype=int))
+    schedule.add(rng.uniform(0, 1, (1, d)), [POS], np.ones((1, 45), dtype=int))
     calls.clear()
     schedule.run(1)
     assert schedule.round == 1
@@ -732,25 +735,25 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
             ]
         )
         predicted_x = x.copy()
-        schedule.start(x[None], [label], ks[None])
+        schedule.add(x[None], [label], ks[None])
         if step % 11 == 6:  # the caller reuses its array
             x[:] = rng.uniform(0, 1, d)
             cases["mutated_x"] += 1
         schedule.run(1)  # every row's first pass: the step's prediction
-        assert schedule.predicted() == [1, 1, 1]
+        assert schedule.predicted() == [step + 1] * 3
         _, ref_probs = _ref_forward(*params, predicted_x)
         ref_scores = ref_probs[:, 0].reshape(3, members).mean(axis=1)
-        assert np.array_equal(schedule.scores()[0], ref_scores)
+        assert np.array_equal(schedule.scores(step, step + 1)[0], ref_scores)
         if step % 9 == 4:  # a drift alarm between predict and training
             e = step % 3
-            schedule.rewind(e, 0)
+            schedule.rewind(e, step)
             reset_counts[e] += 1
             fresh = _ref_init(d, h, [[seed, reset_counts[e], i] for i in range(members)])
             for p, f in zip(params, fresh):
                 p[e * members : (e + 1) * members] = f
             cases["reset"] += 1
         schedule.run()
-        assert np.array_equal(schedule.scores()[0], ref_scores)
+        assert np.array_equal(schedule.retire()[0], ref_scores)
         if ks.any():  # training learns the predicted example
             _ref_train_rounds(params, predicted_x, label, ks, lr)
         else:
@@ -761,44 +764,102 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     assert all(cases.values()), cases
 
 
-def brute_force_predicted(block):
-    """For each ensemble, the fewest of the block's steps that any of its
-    rows has predicted: its steps whose first pass lies before the current
-    round, counted row by row."""
-    n, rows = block.n_steps, len(block._cols)
-    # by ensemble, each step's first pass of each row, as a position
-    first = block._first[:, :n] // rows
-    return (first < block.round).sum(axis=1).min(axis=1).tolist()
 
 
-def _train_with_alarms(block, alarms, rounds):
-    """Run the block laid out in ``block`` to its end, ``rounds`` rounds at
-    a time, and rewind ensemble e as soon as all of its rows have predicted
-    step t, for each (t, e) in ``alarms``, as a detector would; returns the
-    block's scores. After every run and every rewind, `predicted` must equal
-    a brute-force count."""
+def test_a_schedule_holds_two_whole_blocks_and_retires_only_passed_ones():
+    # the per-step tables are a ring of two blocks: a third block, or one
+    # after a short block, would overwrite held steps; and a block's scores
+    # are read only once every row has taken its passes there
+    ens = OnlineEnsemble(2, samplers=("OB",), n_members=3, seed=5)
+    schedule = RowSchedule(ens, 4)
+    rng = np.random.default_rng(0)
+
+    def block(n):
+        return rng.uniform(0, 1, (n, 2)), [POS] * n, rng.poisson(2.0, (n, 3))
+
+    schedule.add(*block(4))
+    schedule.add(*block(4))
+    with pytest.raises(ValueError, match="at most one is held"):
+        schedule.add(*block(4))
+    assert not schedule.can_retire
+    with pytest.raises(ValueError, match="still to take"):
+        schedule.retire()
+    schedule.run()
+    assert schedule.can_retire and schedule.retire().shape == (4, 1)
+    schedule.add(*block(3))
+    schedule.run()
+    schedule.retire()
+    with pytest.raises(ValueError, match="follows a whole one"):
+        schedule.add(*block(4))
+
+
+def brute_force_predicted(schedule):
+    """For each ensemble, the steps all of its rows have predicted: the
+    retired ones, and of the held ones those whose first pass lies before
+    the current round, counted row by row."""
+    rows = len(schedule._cols)
+    slots = [t % schedule._n_slots for t in range(schedule.retired, schedule.planned)]
+    # by ensemble, each held step's first pass of each row, as a position
+    first = schedule._first[:, slots] // rows + schedule._base
+    held = (first < schedule.round).sum(axis=1).min(axis=1)
+    return (schedule.retired + held).tolist()
+
+
+def entered(schedule, t):
+    """Whether some row has taken its first pass of held step ``t``."""
+    first = int(schedule._first[:, t % schedule._n_slots].min())
+    return first // len(schedule._cols) + schedule._base < schedule.round
+
+
+def _train_with_alarms(schedule, blocks, alarms, rounds):
+    """Train ``blocks``, each (xs, labels, ks), as a run does: two planned
+    ahead of the retired steps, ``rounds`` rounds at a time, ensemble e
+    rewound as soon as all of its rows have predicted step t, for each (t,
+    e) in ``alarms``, as a detector would, and the oldest block retired once
+    every row is past it and every ensemble has been checked through it.
+    After every run and every rewind, `predicted` must equal a brute-force
+    count, and the held steps an ensemble has been checked at keep their
+    scores across a rewind.
+
+    Returns the scores as (steps, ensembles); by rewind, (t, e, whether the
+    block before t's was still held, whether some row had entered the block
+    after t's); and by block added, the codes and history before and after.
+    """
+    block, steps = schedule._block, sum(len(ks) for _, _, ks in blocks)
     seen = [0, 0, 0]  # the steps each ensemble has been checked for alarms at
-    while True:
-        block.run(rounds)
-        assert block.predicted() == brute_force_predicted(block)
-        for e, ready in enumerate(block.predicted()):
+    scores, rewinds, adds = [], [], []
+    while schedule.retired < steps:
+        while len(adds) < len(blocks) and schedule.planned < schedule.retired + 2 * block:
+            before = schedule._code, schedule._hist
+            schedule.add(*blocks[len(adds)])
+            adds.append((before, (schedule._code, schedule._hist)))
+        schedule.run(rounds)
+        assert schedule.predicted() == brute_force_predicted(schedule)
+        for e, ready in enumerate(schedule.predicted()):
             while seen[e] < ready:
                 seen[e] += 1
                 if (seen[e] - 1, e) in alarms:
                     t = seen[e] - 1
-                    # the steps each ensemble has predicted, t the last of e
-                    done = block.predicted()
-                    done[e] = t + 1
-                    before = [block.scores(0, hi, f) for f, hi in enumerate(done)]
-                    block.rewind(e, t)
-                    assert block.predicted() == brute_force_predicted(block)
-                    assert block.predicted()[e] == t + 1
-                    # the steps the detectors have seen keep their scores
+                    # the steps each ensemble has been checked at, t the last of e
+                    done = [min(s, r) for s, r in zip(seen, schedule.predicted())]
+                    lo = schedule.retired
+                    kept = [schedule.scores(lo, hi, f) for f, hi in enumerate(done)]
+                    nxt = (t // block + 1) * block
+                    rewinds.append((
+                        t,
+                        e,
+                        lo < t // block * block,
+                        nxt < schedule.planned and entered(schedule, nxt),
+                    ))
+                    schedule.rewind(e, t)
+                    assert schedule.predicted() == brute_force_predicted(schedule)
+                    assert schedule.predicted()[e] == t + 1
                     for f, hi in enumerate(done):
-                        assert np.array_equal(block.scores(0, hi, f), before[f])
+                        assert np.array_equal(schedule.scores(lo, hi, f), kept[f])
                     break
-        if block.finished and seen == [block.n_steps] * 3:
-            return block.scores()
+        if schedule.can_retire and min(seen) >= min(schedule.retired + block, steps):
+            scores.append(schedule.retire())
+    return np.concatenate(scores), rewinds, adds
 
 
 @pytest.mark.parametrize(
@@ -807,62 +868,67 @@ def _train_with_alarms(block, alarms, rounds):
     ids=["1-2", "1-3", "8-2", "8-3", "90rows-8-2", "90rows-8-3"],
 )
 def test_row_schedule_equals_frozen_reference(d, rounds, members):
-    # one run's schedule through three blocks, trained row by row: a long
-    # block, a shorter one that fits the positions the first left, and one
-    # with more passes than either, which grows them. Resets at a block's
-    # first and last step, at two steps in a row, at a step where no row of
-    # the reset ensemble trains, and past the busiest row's planned passes,
-    # all predict and learn as the frozen kernel does step by step; on 12
-    # rows and on 90, an acceptance fixture's bank
-    samplers, seed, lr, most = ("OB", "OOB", "UOB"), 23, 0.1, 30
+    # one run's schedule through three blocks of up to 30 steps, two held at
+    # a time and each row running on from one into the next: a block, one
+    # with more passes, which grows the positions, and a short last one,
+    # laid out into the positions kept. Resets at a block's first and last
+    # step, at two steps in a row, at a step where no row of the reset
+    # ensemble trains, at a step of a block while the one before is held,
+    # at a block's last step once faster rows have entered the next, and
+    # past the busiest row's planned passes, all predict and learn as the
+    # frozen kernel does step by step; on 12 rows and on 90, an acceptance
+    # fixture's bank
+    samplers, seed, lr, block = ("OB", "OOB", "UOB"), 23, 0.1, 30
     rng = np.random.default_rng(d)
     blocks = []
-    for n, scale, alarms in (
-        (most, 1.0, {(0, 2), (12, 1), (13, 1), (20, 0), (29, 2), (29, 0)}),
-        (12, 1.0, {(0, 1), (5, 0), (11, 2)}),
-        (most, 3.0, {(3, 0), (17, 2), (29, 1)}),
-    ):
+    for n, scale in ((block, 1.0), (block, 3.0), (12, 1.0)):
         xs = rng.uniform(0, 1, (n, d))
         labels = [POS if u < 0.3 else NEG for u in rng.random(n)]
         rates = scale * rng.choice([0.3, 1.0, 4.0], (n, 1))
-        blocks.append((xs, labels, rng.poisson(rates, (n, 3 * members)), alarms))
+        blocks.append((xs, labels, rng.poisson(rates, (n, 3 * members))))
     blocks[0][2][12:14, members : 2 * members] = 0
+    alarms = {
+        (0, 2), (12, 1), (13, 1), (20, 0), (29, 2), (29, 0),
+        (30, 1), (33, 2), (41, 0), (59, 1),
+        (60, 2), (66, 0), (71, 1),
+    }
     ens = OnlineEnsemble(d, samplers=samplers, n_members=members, seed=seed, lr=lr)
-    schedule = RowSchedule(ens, most)
+    schedule = RowSchedule(ens, block)
+    scores, rewinds, adds = _train_with_alarms(schedule, blocks, alarms, rounds)
+    assert sorted((t, e) for t, e, _, _ in rewinds) == sorted(alarms)
+    # a step of a block rewound while the one before was held, and the
+    # first block's last step once some row had entered the second
+    assert any(t >= block and older for t, _, older, _ in rewinds)
+    assert any(t == block - 1 and ahead for t, _, _, ahead in rewinds)
+    # no row waits for another at a block's end, and the rewinds took rows
+    # past the busiest row's planned passes
+    ks = np.concatenate([ks for _, _, ks in blocks])
+    assert schedule.round > np.maximum(ks, 1).sum(axis=0).max()
+    # the second block grew the positions; the last was laid out into them
+    (code0, hist0), (code1, hist1) = adds[1]
+    assert len(hist1) > len(hist0) and len(code1) == len(hist1)
+    (code0, hist0), (code1, hist1) = adds[2]
+    assert code1 is code0 and hist1 is hist0
     h = ens._bank.hidden
     params = _ref_init(d, h, [[seed, 0, i] for i in range(members)] * 3)
     reset_counts = [0, 0, 0]
-    kept = None  # the previous block's position arrays
-    for b, (xs, labels, ks, alarms) in enumerate(blocks):
-        n, passes = len(ks), int(np.maximum(ks, 1).sum(axis=0).max())
-        schedule.start(xs, labels, ks)
-        if b == 1:  # fits the kept positions, and lays out into them
-            assert passes < len(kept[0])
-            assert np.shares_memory(schedule._X, kept[0])
-            assert np.shares_memory(schedule._hist, kept[1])
-        elif b == 2:  # needs more positions than any block before
-            assert len(schedule._X) == passes + 1 > len(kept[0])
-        scores = _train_with_alarms(schedule, alarms, rounds)
-        if b == 0:
-            # the rewinds took rows past the busiest row's planned passes,
-            # which lengthens the kept position arrays
-            assert schedule.round > passes
-        kept = schedule._X, schedule._hist
-        ref_scores = np.empty((n, 3))
-        for t in range(n):
-            _, ref_probs = _ref_forward(*params, xs[t])
-            ref_scores[t] = ref_probs[:, 0].reshape(3, members).mean(axis=1)
-            for e in range(3):
-                if (t, e) in alarms:
-                    reset_counts[e] += 1
-                    fresh = _ref_init(
-                        d, h, [[seed, reset_counts[e], i] for i in range(members)]
-                    )
-                    for p, f in zip(params, fresh):
-                        p[e * members : (e + 1) * members] = f
-            if ks[t].any():
-                _ref_train_rounds(params, xs[t], labels[t], ks[t], lr)
-        assert ens.reset_counts == reset_counts, b
-        assert np.array_equal(scores, ref_scores), b
-        for name, got, ref in zip(TEXTBOOK, _textbook(ens._bank), params):
-            assert np.array_equal(got, ref), (b, name)
+    xs = np.concatenate([xs for xs, _, _ in blocks])
+    labels = [label for _, part, _ in blocks for label in part]
+    ref_scores = np.empty((len(ks), 3))
+    for t in range(len(ks)):
+        _, ref_probs = _ref_forward(*params, xs[t])
+        ref_scores[t] = ref_probs[:, 0].reshape(3, members).mean(axis=1)
+        for e in range(3):
+            if (t, e) in alarms:
+                reset_counts[e] += 1
+                fresh = _ref_init(
+                    d, h, [[seed, reset_counts[e], i] for i in range(members)]
+                )
+                for p, f in zip(params, fresh):
+                    p[e * members : (e + 1) * members] = f
+        if ks[t].any():
+            _ref_train_rounds(params, xs[t], labels[t], ks[t], lr)
+    assert ens.reset_counts == reset_counts
+    assert np.array_equal(scores, ref_scores)
+    for name, got, ref in zip(TEXTBOOK, _textbook(ens._bank), params):
+        assert np.array_equal(got, ref), name

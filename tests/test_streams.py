@@ -288,3 +288,56 @@ def test_dump_stream_round_trips_features_exactly(tmp_path):
         assert int(row[0]) == t
         assert int(row[-1]) == label
         assert [float(v) for v in row[1:-1]] == x.tolist()  # repr is exact
+
+
+def _csv_module_bytes(examples) -> bytes:
+    """What `csv.writer` with its default dialect writes for ``examples``,
+    in `dump_stream`'s layout."""
+    import io
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for t, (x, label) in enumerate(examples, start=1):
+        if t == 1:
+            writer.writerow(["t", *(f"f{j + 1}" for j in range(len(x))), "label"])
+        writer.writerow([t, *map(repr, x.tolist()), label])
+    if not examples:
+        writer.writerow(["t", "label"])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("case", ["sea-py", "edge-values", "empty"])
+def test_dump_stream_writes_the_bytes_of_the_csv_module(case, tmp_path):
+    # rows are joined by hand: no field of a stream needs quoting, so they
+    # are the bytes `csv.writer` gives, "\r\n" line ends included
+    if case == "sea-py":
+        examples = list(StreamGenerator(preset_schedule("sea-py"), seed=9))[:40]
+    elif case == "edge-values":
+        values = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 2.5e17]
+        examples = [(np.array([v, 0.1 * i]), POS if i % 2 else NEG)
+                    for i, v in enumerate(values)]
+    else:
+        examples = []
+    path = tmp_path / "stream.csv"
+    assert dump_stream(examples, path) == len(examples)
+    assert path.read_bytes() == _csv_module_bytes(examples)
+
+
+def test_importing_the_package_does_not_import_csv():
+    # every command and every spawned worker imports the package, and none
+    # of them pays for the csv module
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import skewstream
+
+    src = str(Path(skewstream.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, skewstream.cli, skewstream.streams; print('csv' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False", out.stderr
