@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cache import CACHE_ENV, cache_root
 from .cpus import usable_cpus
 from .labels import POS
 from .metrics import ScoreWindow, prequential_auc
@@ -233,7 +234,7 @@ class BoundTable:
     row by row. The table is the same bit for bit on any number of CPUs.
     """
 
-    CACHE_ENV = "SKEWSTREAM_CACHE"
+    CACHE_ENV = CACHE_ENV
 
     def __init__(
         self,
@@ -331,11 +332,7 @@ class BoundTable:
             )
         ).encode()
         digest = hashlib.sha256(key).hexdigest()[:16]
-        root = os.environ.get(self.CACHE_ENV)
-        if root is None:
-            xdg = os.environ.get("XDG_CACHE_HOME", str(Path.home() / ".cache"))
-            root = str(Path(xdg) / "skewstream")
-        return Path(root) / f"rate_bounds_{digest}.npz"
+        return cache_root() / f"rate_bounds_{digest}.npz"
 
     def _load_cache(self) -> np.ndarray | None:
         """The shipped table for these parameters, else the cached one."""

@@ -52,19 +52,24 @@ class RunRecord:
 # Steps a run plans at a time (see `_run_once`). Against a schedule whose
 # rows waited at each block's end, a resample-mix run took 0.962x at 128 and
 # 0.957x at 256 (median paired ratios of 60 shuffled in-process repetitions
-# on a 2-vCPU VM); 256 holds twice the positions.
+# on a 2-vCPU VM); 256 holds twice the positions. Re-measured with the
+# compiled round (process CPU time of every run in-process, median ratio of
+# alternating pairs against 128): 64 took 1.035x on resample-mix (40 pairs)
+# and 1.033x on detect-sweep (30), 256 took 0.974x and 0.992x, its quartiles
+# either side of 1; so 128 stays.
 BLOCK_STEPS = 128
 # Rounds a run trains between two catch-ups of its detectors (see
 # `_catch_up`). A catch-up costs a read of the scores and one call per
 # detector that is behind, while a late one lets a reset pipeline's rows run
-# ahead on weights the reset throws away. Measured while every row still
-# waited for the busiest at each block's end, against every 8 rounds
-# (process CPU time, median ratio of shuffled in-process repetitions on a
-# 2-vCPU VM): on detect-sweep's two runs (30 repetitions) every 4 rounds
-# took 1.087x and every 16 0.959x, for 11,354, 11,384 and 11,440 rounds; on
-# a 6-pipeline `sine1-pxy` run of the acceptance fixture's shape (24
-# repetitions, seeds 1000-1003) every 4 took 1.075x and every 16 0.972x.
-CATCH_UP_ROUNDS = 16
+# ahead on weights the reset throws away. With the compiled round a round
+# costs about a third of what it did, so a catch-up weighs more. Against
+# every 16 rounds (process CPU time of every run in-process, median ratio of
+# alternating pairs on a 2-vCPU VM): on detect-sweep (40 pairs) every 32
+# took 0.974x and every 64 0.932x, for 10,963, 11,059 and 11,315 rounds; on
+# a 6-pipeline `sine1-pxy` experiment of the acceptance fixture's shape
+# (runs 1000-1003, 30 pairs) every 32 took 0.965x and every 64 0.991x. 32
+# is lower on both.
+CATCH_UP_ROUNDS = 32
 
 
 def _plan_block(stream, tracker, model, n: int, threshold: float):

@@ -3,11 +3,11 @@
 The base learner is a one-hidden-layer MLP (sigmoid hidden units, softmax
 output, cross-entropy loss), `default_hidden_size` units wide, trained by one
 stochastic-gradient step per presented example. `MlpBank` holds every such
-net, and its `kernel` is the one forward pass and the one backpropagation:
-the tests gradient-check one round of it as a `RowSchedule` makes it, on rows
-with their own inputs, targets and step sizes. The ensembles
-follow online bagging: every incoming example is shown to each member k times
-with k ~ Poisson(lambda), where
+net, and its rounds are the one forward pass and the one backpropagation:
+the tests gradient-check one round, as a `RowSchedule` makes it, through
+`MlpBank.kernel`, on rows with their own inputs, targets and step sizes.
+The ensembles follow online bagging: every incoming example is shown to each
+member k times with k ~ Poisson(lambda), where
 
     OB   lambda = 1
     OOB  lambda = w_max / w_label   (oversamples the minority class)
@@ -20,11 +20,11 @@ hands over and the minorities that `designate` names from them; where the
 stream looks balanced, all three collapse to plain OB.
 
 The members' weights are stored stacked along the leading row axis of an
-`MlpBank`, and the bank has one kernel, a *pass*: `kernel` gives every row
+`MlpBank`, and the bank has one kernel, a *pass*: a round gives every row
 one forward pass and one gradient step on its own input, one-hot target and
 step size, and a step size of 0 leaves a row's weights as they were. Rows
 are independent and the batched products give each row the bits it gets
-alone, so one call serves every row. An `OnlineEnsemble` stacks several
+alone, so one round serves every row. An `OnlineEnsemble` stacks several
 ensembles (one per sampler, as the run engine runs one per pipeline) in the
 same bank; each keeps its own Poisson generator, its own reset seeds and
 exactly the outputs it would have alone.
@@ -38,26 +38,28 @@ a block's end either, and a run without a reset takes as many rounds as its
 busiest row has passes over the whole run, not the sum over steps of the
 largest k. One layout serves a new block and a reset's rewind alike, and a
 step's scores are read from the history of rounds at its first passes. The
-schedule keeps its buffers for the run; they grow only when the blocks it
-holds need more positions than ever before.
+schedule keeps its buffers for the run: its second block sizes them, with a
+margin, and they grow only when the blocks it holds need more positions
+than that.
 
-A bank's kernel allocates nothing and looks nothing up per call. Each
-`MlpBank` keeps its weights in one flat parameter buffer, the four weight
-arrays being C-contiguous views of consecutive stretches of it, and their
-gradients in a flat gradient buffer of the same layout: the two
-outer-product weight gradients, the hidden error and the output error dz2,
-which is the buffer of the class probabilities. So a gradient step ends in
-one update, parameters minus gradients, which is exact because every
-gradient is computed from the weights before it. The bank also makes its
-other work buffers once: the hidden pre-activations and activations (one
-buffer), the output pre-activations, the class-column max and sum, the
-exponentials, the backpropagated hidden error and its ``(a1 - 1)`` factor.
-When it is made, it binds these buffers, the views the kernel reads them
-through and the kernel's numpy callables (the module names ``_add`` to
-``_copyto`` below) as the locals of one function, its `kernel`, which
-`RowSchedule.run` calls once per round with the round's operands. A round
-is 24 numpy calls: 14 for the forward pass, one to copy the rows' P(+1)
-into the schedule's history, and 9 for the gradient step.
+A bank's rounds are compiled: `mlp_round.c`, which `native` builds once and
+loads at the first bank. Each `MlpBank` keeps its weights in one flat
+parameter buffer, the four weight arrays being C-contiguous views of
+consecutive stretches of it, and their gradients in a flat gradient buffer
+of the same layout: the two outer-product weight gradients, the hidden error
+and the output error dz2, which is the buffer of the class probabilities. So
+a gradient step ends in one update, parameters minus gradients, which is
+exact because every gradient is computed from the weights before it. The
+bank makes its other work buffers once too. `RowSchedule.run` runs a
+stretch of rounds in one C call, which reads each round's inputs, targets
+and step sizes from the schedule's by-code tables through its codes. A round
+does what a round of numpy calls did, in the same order on the same
+buffers: its three batched products and two exponentials run numpy's own
+float64 ``matmul`` and ``exp`` loops, with the shapes and strides numpy
+passes them, and every other step is one IEEE operation per element,
+compiled without fused multiply-adds. So every score and weight has the
+bits of numpy's calls, and the floating-point exceptions a call raises are
+reported as numpy reports those of its own.
 
 The hidden layer is stored negated, as ``neg_W1`` and ``neg_b1``, so that
 the stored pair computes -z1 and the sigmoid, 1.0 / (1.0 + exp(-z1)), takes
@@ -70,18 +72,7 @@ round-to-nearest arithmetic, and a batched product with negated weights is
 the negated product, so every score and weight has the bits of the textbook
 kernel (the tests' frozen reference). `init_weights` draws the textbook
 weights and stores the hidden part negated. A round's step sizes come per
-class column, each row's size in both columns of a (rows, 2) array, so that
-one elementwise call on operands of the output error's shape scales it.
-
-A round's elementwise calls, but for the two outer products, take numpy's
-one-loop path and set up no general iterator: the two column broadcasts of
-the softmax (the outputs minus their max, the exponentials over their sum)
-are one 1-D call per class column, and the 1.0 of the sigmoid and of
-``a1 - 1`` is a 0-d array, which numpy does not convert on every call as it
-does a Python float. The two outer products run through views of their
-buffers with the row axis last, in C order, so that each inner loop runs
-over the rows, not over a row's two or three elements. Each element gets
-the same operation on the same operands either way.
+class column, each row's size in both columns.
 """
 from __future__ import annotations
 
@@ -105,16 +96,6 @@ _CLASS_INDEX = {POS: 0, NEG: 1}
 def default_hidden_size(n_features: int) -> int:
     """Half the total of input and output widths, rounded half up."""
     return int(math.floor((n_features + N_CLASSES) / 2.0 + 0.5))
-
-
-# the kernel's numpy callables, which each bank binds as it is made: a round
-# is 24 calls on small arrays, so it pays for each name it looks up
-_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
-_exp, _maximum, _matmul, _copyto = np.exp, np.maximum, np.matmul, np.copyto
-# the kernel's 1.0, read-only: numpy takes a 0-d array operand as it is, and
-# converts a Python float on every call
-_ONE = np.array(1.0)
-_ONE.flags.writeable = False
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -141,8 +122,8 @@ class MlpBank:
     views made here: an assignment such as ``bank.W2 = ...`` would take W2
     out of training.
 
-    `kernel`, bound when the bank is made, is the bank's one kernel: a pass
-    on one input row per member, in work buffers that the bank makes once.
+    `_rounds` runs the bank's rounds, in work buffers that the bank makes
+    once, and `kernel` is one of them on arrays.
     """
 
     def __init__(self, n_features, member_seeds, lr=0.1):
@@ -169,33 +150,27 @@ class MlpBank:
         self._grad_neg_W1, self._neg_dz1, self._grad_W2, self._probs = _views(
             self._grads, shapes
         )
-        # the view the kernel reads W2 through
-        self._W2_t = self.W2.transpose(0, 2, 1)
-        # forward pass: a1 is -z1's buffer, probs the softmax of z2
+        # work buffers: a round's inputs, the hidden activations (-z1 first),
+        # the output pre-activations and their exponentials, and da1
+        self._x = np.empty((m, d))
         self._a1 = np.empty((m, h))
-        self._a1_col = self._a1[:, :, None]
-        z2_col = np.empty((m, N_CLASSES, 1))
-        self._z2_col, self._z2 = z2_col, z2_col[:, :, 0]
-        self._z2_cols = (self._z2[:, 0], self._z2[:, 1])
-        self._cmax = np.empty(m)
+        self._z2 = np.empty((m, N_CLASSES))
         self._e = np.empty((m, N_CLASSES))
-        self._e_cols = (self._e[:, 0], self._e[:, 1])
-        self._csum = np.empty(m)
-        self._probs_col = self._probs[:, :, None]
-        self._probs_cols = (self._probs[:, 0], self._probs[:, 1])
-        # backward pass: da1 over the hidden units and the (a1 - 1) term
-        da1_col = np.empty((m, h, 1))
-        self._da1_col, self._da1 = da1_col, da1_col[:, :, 0]
-        self._a1_minus_one = np.empty((m, h))
-        # "_rl": views with the row axis last, through which the outer
-        # products run in C order, rows innermost: one inner loop over the
-        # rows per weight, not one of two or three elements per row
-        self._probs_rl_col = self._probs.T[:, None, :]
-        self._a1_rl = self._a1.T
-        self._neg_dz1_rl_col = self._neg_dz1.T[:, None, :]
-        self._grad_neg_W1_rl = self._grad_neg_W1.transpose(1, 2, 0)
-        self._grad_W2_rl = self._grad_W2.transpose(1, 2, 0)
-        self.kernel = self._bind_kernel()
+        self._da1 = np.empty((m, h))
+        # code r is row r's: a pass on the kernel's own arrays, row by row
+        self._each = np.arange(m, dtype=np.intp)
+        # the library is imported, built and loaded with the first bank, so
+        # an import or a set-up that makes no bank pays for none of it
+        from . import native
+
+        self._c_bank, self._c_bank_at = native.bank(
+            rows=m, d=d, h=h, size=size,
+            **{
+                name: getattr(self, "_" + name).ctypes.data
+                for name in ("params", "grads", "x", "a1", "z2", "e", "da1")
+            },
+        )
+        self._c_rounds = native.load()[0]
 
     def init_weights(self, member_seeds, first: int = 0) -> None:
         """Re-initialize members ``first`` .. ``first + len(member_seeds) - 1``."""
@@ -210,9 +185,8 @@ class MlpBank:
             np.negative(weights[:hidden], out=weights[:hidden])
             self._params[places] = weights
 
-    def _bind_kernel(self):
-        """The bank's kernel, with every buffer, view and numpy callable it
-        uses bound as a local, so that a call looks nothing up:
+    def kernel(self, X, T=None, S=None, score=None):
+        """One pass of the bank on arrays, through the C round (`_rounds`).
 
         ``kernel(X)`` is a forward pass, member i on input ``X[i]``, and
         returns the per-member (hidden activations, class probabilities),
@@ -225,67 +199,35 @@ class MlpBank:
         step size, the same in both class columns, and the step moves the
         member that many times down the gradient of its cross-entropy on
         input ``X[i]`` and one-hot target ``T[i]`` (a step of 0 leaves it as
-        it was).
-
-        The hidden layer is one batched product, which gives each member the
-        bits of a matrix-vector product on its input alone. The softmax
-        takes the max and the sum of the two class columns with one
-        elementwise call each: the values of ``max``/``sum`` over axis 1,
-        without the cost of an axis reduction. Every gradient is computed
-        from the weights before the step, so one subtraction of the gradient
-        buffer updates all four weights.
+        it was); ``T`` and ``S`` broadcast to (members, 2).
         """
-        add, subtract, multiply, divide = _add, _subtract, _multiply, _divide
-        exp, maximum, matmul, copyto, one = _exp, _maximum, _matmul, _copyto, _ONE
-        params, grads = self._params, self._grads
-        neg_W1, neg_b1, W2, b2 = self.neg_W1, self.neg_b1, self.W2, self.b2
-        W2_t = self._W2_t
-        a1, a1_col, a1_rl, a1_minus_one = (
-            self._a1, self._a1_col, self._a1_rl, self._a1_minus_one
-        )
-        z2, z2_col, (z0, z1), cmax = self._z2, self._z2_col, self._z2_cols, self._cmax
-        e, (e0, e1), csum = self._e, self._e_cols, self._csum
-        probs, (p0, p1) = self._probs, self._probs_cols
-        probs_col, probs_rl_col = self._probs_col, self._probs_rl_col
-        positive = self._probs_cols[_CLASS_INDEX[POS]]
-        da1, da1_col = self._da1, self._da1_col
-        neg_dz1, neg_dz1_rl_col = self._neg_dz1, self._neg_dz1_rl_col
-        grad_neg_W1_rl, grad_W2_rl = self._grad_neg_W1_rl, self._grad_W2_rl
+        rows = (self.n_members, N_CLASSES)
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.shape != (self.n_members, self.n_features):
+            raise ValueError(f"need one input row per member, got shape {X.shape}")
+        if T is None:
+            self._rounds(1, self._each.ctypes.data, X.ctypes.data, None, None, None)
+            return self._a1, self._probs
+        T = np.ascontiguousarray(np.broadcast_to(T, rows), dtype=float)
+        S = np.ascontiguousarray(np.broadcast_to(S, rows), dtype=float)
+        scores = np.empty(self.n_members)
+        self._rounds(1, *(a.ctypes.data for a in (self._each, X, T, S, scores)))
+        score[...] = scores
 
-        def kernel(X, T=None, S=None, score=None):
-            # -z1, from the negated hidden layer, in a1's buffer; then the
-            # sigmoid 1.0 / (1.0 + exp(-z1)) step by step
-            matmul(neg_W1, X[:, :, None], a1_col)
-            add(a1, neg_b1, a1)
-            exp(a1, a1)
-            add(a1, one, a1)
-            divide(one, a1, a1)
-            matmul(W2, a1_col, z2_col)
-            add(z2, b2, z2)
-            # a positional out is deprecated for maximum, and for it alone
-            maximum(z0, z1, out=cmax)
-            subtract(z0, cmax, z0)
-            subtract(z1, cmax, z1)
-            exp(z2, e)
-            add(e0, e1, csum)
-            divide(e0, csum, p0)
-            divide(e1, csum, p1)
-            if T is None:
-                return a1, probs
-            copyto(score, positive)
-            # dz2 = (probs - T) times the step sizes, in the probabilities
-            subtract(probs, T, probs)
-            multiply(probs, S, probs)
-            matmul(W2_t, probs_col, da1_col)
-            multiply(probs_rl_col, a1_rl, grad_W2_rl, order="C")
-            # -dz1 = da1 * a1 * (a1 - 1), the gradient of the negated layer
-            multiply(da1, a1, neg_dz1)
-            subtract(a1, one, a1_minus_one)
-            multiply(neg_dz1, a1_minus_one, neg_dz1)
-            multiply(neg_dz1_rl_col, X.T, grad_neg_W1_rl, order="C")
-            subtract(params, grads, params)
+    def _rounds(self, n, code, inputs, targets, sizes, hist) -> None:
+        """Run ``n`` rounds in one C call (`mlp_round.c`): in round j, row r
+        takes a pass on the input, one-hot target and step size (one per
+        class column) at ``code[j, r]`` in the by-code tables ``inputs``,
+        ``targets`` and ``sizes``, and its P(+1) goes to ``hist[j, r]``;
+        with no targets, one forward pass on the inputs. Each argument is
+        the address of a C-contiguous array, float64 but for the intp codes,
+        or None. The floating-point exceptions the rounds raised are
+        reported as numpy reports those of its own calls."""
+        raised = self._c_rounds(self._c_bank_at, n, code, inputs, targets, sizes, hist)
+        if raised:
+            from . import native
 
-        return kernel
+            native.warn_raised(raised)
 
 
 class OnlineEnsemble:
@@ -406,16 +348,16 @@ class RowSchedule:
     one after another: each pass is one forward pass and one gradient step on
     the step's example, of size lr, or 0 when k is 0, and the first pass of a
     step is the row's prediction of it. Round j of `run` gives every row its
-    next pass in one call of the bank's kernel and keeps the rows'
-    positive-class probabilities in a history by round. A row's passes run
-    on from block to block: a row that has taken all of its passes of one
-    block takes its first pass of the next in its next round, and only a row
-    with no planned pass left takes passes of size 0 on a zero input. A
-    row's prediction of a step reads the weights its own passes at the steps
-    before left, and rows are independent, so every row predicts and learns
-    exactly as in a step-by-step run, and a run whose busiest row never
-    waits for a block to be planned takes as many rounds as that row has
-    passes.
+    next pass, all of a `run`'s rounds in one call of the bank's C rounds,
+    and keeps the rows' positive-class probabilities in a history by round.
+    A row's passes run on from block to block: a row that has taken all of
+    its passes of one block takes its first pass of the next in its next
+    round, and only a row with no planned pass left takes passes of size 0
+    on a zero input. A row's prediction of a step reads the weights its own
+    passes at the steps before left, and rows are independent, so every row
+    predicts and learns exactly as in a step-by-step run, and a run whose
+    busiest row never waits for a block to be planned takes as many rounds
+    as that row has passes.
 
     Steps are numbered over the run. `add` plans the next block, every block
     but a run's last ``block_steps`` long, and lays its passes out after each
@@ -438,14 +380,13 @@ class RowSchedule:
     notes the position of each step's first pass, and for each ensemble the
     latest of those over its rows. The steps an ensemble has predicted are
     those whose latest first pass lies before the current round, and their
-    scores are read from the history at their first passes. `run` reads the
-    inputs, targets and step sizes of up to ``block_steps`` rounds at a time
-    by code into a window, which a layout empties.
+    scores are read from the history at their first passes. `run` hands its
+    rounds' codes to the bank, whose C rounds read the inputs, targets and
+    step sizes by code from the tables here.
 
     The codes and the history hold the positions from the earliest first
     pass of a held step on; `retire` moves them to the front of their
-    arrays, which grow only when the held steps need more positions than
-    ever before.
+    arrays, which the second block sizes for the run (`_reserve`).
     """
 
     def __init__(self, model: OnlineEnsemble, block_steps: int):
@@ -479,16 +420,12 @@ class RowSchedule:
         # the round by which every row is past the oldest block
         self._ends = np.zeros(rows, dtype=np.intp)
         self._last = self._oldest_end = 0
+        # the addresses of the by-code tables, as the bank's rounds take them
+        self._tables = [a.ctypes.data for a in (self._inputs, self._targets, self._sizes)]
         # by position from `_base` on: each row's code there, and the history
         self._base = 0
         self._code = np.empty((0, rows), dtype=np.intp)
         self._hist = np.empty((0, rows))
-        # the window: inputs, targets and step sizes of the rounds from
-        # `_window` up to `_gathered`
-        self._X = np.empty((block_steps, rows, d))
-        self._T = np.empty((block_steps, rows, N_CLASSES))
-        self._S = np.empty((block_steps, rows, N_CLASSES))
-        self._window = self._gathered = 0
         self.round = self.retired = self.planned = 0
 
     def add(self, xs, labels, ks: np.ndarray) -> None:
@@ -528,17 +465,15 @@ class RowSchedule:
             stop = self._oldest_end
         else:
             stop = min(self.round + rounds, self._last)
-        kernel = self._model._bank.kernel
-        while self.round < stop:
-            if self.round == self._gathered:
-                self._gather(stop)
-            j, w = self.round, self._window
-            end = min(stop, self._gathered)
-            at, h = slice(j - w, end - w), j - self._base
-            hist = self._hist[h : h + end - j]
-            for x, t, s, score in zip(self._X[at], self._T[at], self._S[at], hist):
-                kernel(x, t, s, score)
-            self.round = end
+        if stop > self.round:
+            j = self.round - self._base
+            self._model._bank._rounds(
+                stop - self.round,
+                self._code_at + j * self._code.strides[0],
+                *self._tables,
+                self._hist_at + j * self._hist.strides[0],
+            )
+            self.round = stop
 
     def predicted(self) -> list[int]:
         """For each ensemble, how many of the run's first steps every one of
@@ -612,8 +547,7 @@ class RowSchedule:
         each step. Rows that ``relearn`` step t, having predicted it, take
         only its k passes there. Every position from a row's start on must
         be idle or hold one of the passes laid out anew; the position arrays
-        grow to hold the positions the rows need, and the window is
-        emptied."""
+        grow to hold the positions the rows need."""
         m, n_rows, base = self._model.n_members, len(self._cols), self._base
         steps = self._slots(t, self.planned)
         ks = self._ks[rows, steps]
@@ -655,22 +589,6 @@ class RowSchedule:
         self._ends[rows] = last
         self._last = int(self._ends.max())
         self._note_oldest_end()
-        self._gathered = self.round
-
-    def _gather(self, stop: int) -> None:
-        """Read the inputs, targets and step sizes of the rounds from the
-        current one into the window, as many as it holds, up to the oldest
-        block's end; past it, where the next block is laid out once the
-        oldest retires, up to round ``stop``."""
-        j, base = self.round, self._base
-        n = min(len(self._X), (self._oldest_end if j < self._oldest_end else stop) - j)
-        code = self._code[j - base : j - base + n]
-        # every index is in range; with mode "raise", `take` would write into
-        # a copy of ``out`` first
-        np.take(self._inputs, code, axis=0, out=self._X[:n], mode="clip")
-        np.take(self._targets, code, axis=0, out=self._T[:n], mode="clip")
-        np.take(self._sizes, code, axis=0, out=self._S[:n], mode="clip")
-        self._window, self._gathered = j, j + n
 
     def _compact(self) -> None:
         """Move the positions still needed to the front of their arrays: the
@@ -691,14 +609,20 @@ class RowSchedule:
             self._base = keep
 
     def _reserve(self, length: int) -> None:
-        """Make the codes and the history hold ``length`` positions or a
-        quarter more than they held, whichever is more, keeping those they
-        hold; the new positions are idle. They grow one at a time, so that
-        no more than one is held twice."""
-        length = max(length, len(self._code) * 5 // 4)
+        """Make the codes and the history hold ``length`` positions, keeping
+        those they hold; the new positions are idle. The second block sizes
+        them for the run: twice what the two blocks need, a margin for later
+        blocks whose rates, and so passes, have grown. Otherwise they hold
+        ``length`` or a quarter more than they held, whichever is more. They
+        grow one at a time, so that no more than one is held twice."""
+        if self._block < self.planned <= 2 * self._block:
+            length *= 2
+        else:
+            length = max(length, len(self._code) * 5 // 4)
         code = np.full((length, len(self._cols)), self._idle, dtype=np.intp)
         code[: len(self._code)] = self._code
         self._code = code
         hist = np.empty((length, len(self._cols)))
         hist[: len(self._hist)] = self._hist
         self._hist = hist
+        self._code_at, self._hist_at = code.ctypes.data, hist.ctypes.data

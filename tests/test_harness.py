@@ -479,19 +479,14 @@ def count_rounds(monkeypatch):
         counts["passes"] = counts["passes"] + np.maximum(ks, 1).sum(axis=0)
         return ks
 
-    def bind_kernel(self, _bind=MlpBank._bind_kernel):
-        # a round is one call of the kernel a bank binds as it is made
-        kernel = _bind(self)
-
-        def counted(X, T=None, S=None, score=None):
-            counts["rounds"] += 1
-            return kernel(X, T, S, score)
-
-        return counted
+    def rounds(self, n, *arrays, _rounds=MlpBank._rounds):
+        # a bank's rounds all run in its C calls, n at a time
+        counts["rounds"] += n
+        return _rounds(self, n, *arrays)
 
     monkeypatch.setattr(StreamGenerator, "next_example", next_example)
     monkeypatch.setattr(OnlineEnsemble, "draw_counts", draw_counts)
-    monkeypatch.setattr(MlpBank, "_bind_kernel", bind_kernel)
+    monkeypatch.setattr(MlpBank, "_rounds", rounds)
     return counts
 
 
@@ -528,6 +523,29 @@ def test_resample_mix_run_0_takes_its_busiest_rows_rounds(monkeypatch):
     assert (cfg.base_seed, cfg.runs, engine.BLOCK_STEPS) == (0, 1, 128)
     run_once(cfg, 0)
     assert counts["rounds"] == int(counts["passes"].max()) == 4715
+
+
+@pytest.mark.parametrize("workload", ["detect-sweep", "resample-mix"])
+def test_a_workload_run_grows_its_positions_at_most_once(workload, monkeypatch):
+    # a schedule's codes and history are sized by its second block, at
+    # twice what its two blocks need; on the benchmark's workloads at
+    # base_seed 0, no run grows them more than once after that
+    growths = []
+    reserve = RowSchedule._reserve
+
+    def counted(self, length):
+        if self.planned > 2 * self._block:
+            growths[-1] += 1
+        reserve(self, length)
+
+    monkeypatch.setattr(RowSchedule, "_reserve", counted)
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    cfg = load_config(perfbench / "workloads" / f"{workload}.ini")
+    assert cfg.base_seed == 0
+    for r in range(cfg.runs):
+        growths.append(0)
+        run_once(cfg, r)
+    assert max(growths) <= 1, growths
 
 
 def test_tie_score_goes_positive(monkeypatch):

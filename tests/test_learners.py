@@ -10,6 +10,7 @@ reference through `_textbook`, and everything else on the stored weights.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy import stats
 
 from frozen_kernel import _ref_forward, _ref_init, _ref_train_rounds
 from skewstream.imbalance import ClassSizeTracker
-from skewstream import learners
+from skewstream import learners, native
 from skewstream.labels import NEG, POS
 from skewstream.learners import (
     N_CLASSES,
@@ -582,29 +583,6 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     score = np.empty(3 * members)
     bank.kernel(X, np.array([1.0, 0.0]), _steps(np.zeros(3 * members)), score)
     assert np.array_equal(bank._params, before)
-    # the kernel's rows-last views are transposes of the work buffers, so the
-    # outer products that run through them write into the gradient buffer,
-    # each gradient at its place
-    for view, buffer, axes in (
-        (bank._grad_neg_W1_rl, bank._grad_neg_W1, (2, 0, 1)),
-        (bank._grad_W2_rl, bank._grad_W2, (2, 0, 1)),
-        (bank._neg_dz1_rl_col[:, 0], bank._neg_dz1, (1, 0)),
-    ):
-        back = view.transpose(axes)
-        assert back.ctypes.data == buffer.ctypes.data
-        assert back.strides == buffer.strides and np.shares_memory(view, bank._grads)
-    # the per-column calls run through the columns of their buffers, and
-    # the output error's columns lie in the gradient buffer
-    for cols, buffer in (
-        (bank._z2_cols, bank._z2),
-        (bank._e_cols, bank._e),
-        (bank._probs_cols, bank._probs),
-    ):
-        assert len(cols) == buffer.shape[1]
-        for c, col in enumerate(cols):
-            assert col.shape == (len(buffer),) and col.strides == buffer.strides[:1]
-            assert col.ctypes.data == buffer.ctypes.data + c * buffer.strides[1]
-    assert all(np.shares_memory(col, bank._grads) for col in bank._probs_cols)
     # a pass at random step sizes: the softmax is that of the shifted outputs,
     # the score is P(+1), and the gradient buffer holds both outer products,
     # the negated layer's from -dz1, which the update subtracts from the
@@ -627,50 +605,136 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     assert np.array_equal(bank._params, before - bank._grads)
 
 
-def test_the_kernels_one_cannot_be_written():
-    # the 0-d 1.0 that every pass reads is shared by every bank
-    one = learners._ONE
-    assert one.shape == () and one.dtype == np.float64 and one == 1.0
-    assert not one.flags.writeable
-    with pytest.raises(ValueError):
-        one[...] = 2.0
-    with pytest.raises(ValueError):
-        np.add(one, one, out=one)
-    assert one == 1.0
-
-
 @pytest.mark.parametrize("d", [2, 3])
-def test_a_round_makes_24_numpy_calls(d, monkeypatch):
-    # a round is numpy calls on small arrays, each of which costs more than
-    # the arithmetic it does: the forward pass (14), the copy of the scores
-    # (1) and the gradient step (9). The kernel's numpy callables are names
-    # in `learners` that a bank binds as it is made, so counters put there
-    # before see every call a round makes
+def test_a_run_stretch_is_one_c_call_and_calls_no_numpy(d, monkeypatch):
+    # every round of a `run` stretch runs in one call of the bank's C
+    # function, which reads each round's operands by code itself: `run`
+    # makes that call and no numpy call, and the rounds give the bits of
+    # the same rounds run one call each
+    def planned():
+        ens = OnlineEnsemble(d, samplers=SAMPLERS, n_members=15, seed=4)
+        schedule = RowSchedule(ens, 8)
+        rng = np.random.default_rng(d)
+        labels = [POS if u < 0.4 else NEG for u in rng.random(8)]
+        schedule.add(rng.uniform(0, 1, (8, d)), labels, rng.poisson(2.0, (8, 45)))
+        return ens._bank, schedule
+
+    bank, schedule = planned()
     calls = []
+    c_rounds = bank._c_rounds
 
-    def counted(name, call):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return call(*args, **kwargs)
+    def counted(*args):
+        calls.append(args[1])
+        return c_rounds(*args)
 
-        return wrapper
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"a run called np.{name}")
 
-    wrapped = [
-        name
-        for name, value in vars(learners).items()
-        if name.startswith("_") and getattr(np, name[1:], None) is value
-    ]
-    assert "_copyto" in wrapped and "_matmul" in wrapped
-    for name in wrapped:
-        monkeypatch.setattr(learners, name, counted(name, getattr(learners, name)))
-    ens = OnlineEnsemble(d, samplers=SAMPLERS, n_members=15, seed=4)
-    schedule = RowSchedule(ens, 1)
-    rng = np.random.default_rng(d)
-    schedule.add(rng.uniform(0, 1, (1, d)), [POS], np.ones((1, 45), dtype=int))
-    calls.clear()
-    schedule.run(1)
-    assert schedule.round == 1
-    assert len(calls) == 24, sorted(calls)
+    monkeypatch.setattr(bank, "_c_rounds", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(learners, "np", NoNumpy())
+        schedule.run(5)
+        schedule.run(None)
+    last = schedule.round
+    assert calls == [5, last - 5] and last > 20
+    one_by_one, alone = planned()
+    for _ in range(last):
+        alone.run(1)
+    assert np.array_equal(one_by_one._params, bank._params)
+    assert np.array_equal(alone._hist[:last], schedule._hist[:last])
+
+
+def test_a_pass_on_arrays_refuses_a_wrong_shape():
+    # the C round reads one input row per member: a shape that would have it
+    # read past the array is refused before the call
+    bank = MlpBank(3, [[0, 0, i] for i in range(4)])
+    for shape in ((3, 3), (4, 2), (4,)):
+        with pytest.raises(ValueError, match="one input row per member"):
+            bank.kernel(np.ones(shape))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("rows", [15, 45, 90])
+def test_the_c_round_equals_the_frozen_reference(d, rows):
+    # 2,000 rounds of the C function against the frozen kernel, bit for bit
+    # in every score and weight: in round j each row takes, at random, a
+    # pass of code 2j (a prediction, step size 0), of code 2j + 1 (the same
+    # example with step size lr) or of the idle code (zero input and
+    # target, step size 0), as a schedule lays them out
+    n, lr = 2000, 0.1
+    h = default_hidden_size(d)
+    seeds = [[d, rows, i] for i in range(rows)]
+    bank = MlpBank(d, seeds, lr=lr)
+    rng = np.random.default_rng([d, rows])
+    xs = rng.uniform(-1.0, 1.0, (n, d))
+    labels = np.where(rng.random(n) < 0.3, POS, NEG)
+    idle = 2 * n
+    inputs = np.zeros((idle + 1, d))
+    inputs[:idle] = np.repeat(xs, 2, axis=0)
+    targets = np.zeros((idle + 1, N_CLASSES))
+    targets[:idle, 0] = np.repeat(labels == POS, 2)
+    targets[:idle, 1] = np.repeat(labels == NEG, 2)
+    sizes = np.zeros((idle + 1, N_CLASSES))
+    sizes[1:idle:2] = lr
+    kind = rng.choice(3, (n, rows), p=[0.3, 0.5, 0.2])
+    code = np.where(kind == 2, idle, 2 * np.arange(n)[:, None] + kind)
+    hist = np.empty((n, rows))
+    bank._rounds(n, *(a.ctypes.data for a in (code, inputs, targets, sizes, hist)))
+    params = _ref_init(d, h, seeds)
+    want = np.empty((n, rows))
+    for j in range(n):
+        for k in (0, 1, 2):
+            at = np.flatnonzero(kind[j] == k)
+            if not len(at):
+                continue
+            group = [w[at] for w in params]
+            x = xs[j] if k < 2 else np.zeros(d)
+            want[j, at] = _ref_forward(*group, x)[1][:, 0]
+            if k == 1:
+                _ref_train_rounds(group, x, labels[j], np.ones(len(at), int), lr)
+                for w, g in zip(params, group):
+                    w[at] = g
+    assert np.array_equal(hist, want)
+    for name, got, ref in zip(TEXTBOOK, _textbook(bank), params):
+        assert np.array_equal(got, ref), name
+
+
+def test_the_bound_exp_loop_is_np_exp():
+    # the round's exponentials run the loop read from np.exp's loop table,
+    # which gives np.exp's bits everywhere, overflow and the specials too
+    x = np.random.default_rng(7).uniform(-800.0, 800.0, 200_000)
+    x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    got = np.empty_like(x)
+    exp, _, data, _ = native.load()[1]
+    native._call(exp, data, (x, got), (x.size,), (8, 8))
+    with np.errstate(over="ignore"):
+        want = np.exp(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_an_overflowing_round_warns_as_numpy_does():
+    # a feature of 1e6 overflows the hidden layer's exponential, which numpy
+    # reports under its error state: a RuntimeWarning from the package (an
+    # error in this suite) by default, an exception where it raises and
+    # nothing where it ignores
+    def scheduled():
+        ens = OnlineEnsemble(3, samplers=("OB", "OOB"), n_members=5, seed=0)
+        schedule = RowSchedule(ens, 4)
+        schedule.add(np.full((4, 3), 1e6), [POS, NEG, POS, NEG], np.ones((4, 10), int))
+        return ens._bank, schedule
+
+    bank, schedule = scheduled()
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        schedule.run(None)
+    assert np.isfinite(schedule.scores(0, 4)).all()
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        bank.kernel(np.full((10, 3), 1e6))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        scheduled()[1].run(None)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scheduled()[1].run(None)
 
 
 @pytest.mark.parametrize("d", [4, 6])
