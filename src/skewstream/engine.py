@@ -52,7 +52,7 @@ class RunRecord:
 # Steps a run plans at a time (see `_run_once`). Against a schedule whose
 # rows waited at each block's end, a resample-mix run took 0.962x at 128 and
 # 0.957x at 256 (median paired ratios of 60 shuffled in-process repetitions
-# on a 2-vCPU VM); 256 holds twice the positions. Re-measured with the
+# on a 2-vCPU VM), 256 for tables of twice the size. Re-measured with the
 # compiled round (process CPU time of every run in-process, median ratio of
 # alternating pairs against 128): 64 took 1.035x on resample-mix (40 pairs)
 # and 1.033x on detect-sweep (30), 256 took 0.974x and 0.992x, its quartiles
@@ -143,9 +143,9 @@ def _run_once(cfg, r: int, detectors: list) -> list[RunRecord]:
     the Poisson generators read neither the predictions nor the weights, and
     a reset re-seeds the weights only, so every draw is the one a
     step-by-step run makes, in the same order on each generator. The run's
-    one `RowSchedule` lays each block out after each bank row's last planned
-    pass and trains the rows at their own paces, so no row waits for another
-    at a block's end. Every ``CATCH_UP_ROUNDS`` rounds each detector steps
+    one `RowSchedule` trains the rows at their own paces, each from its own
+    cursor, so a row done with one block runs on into the next and no row
+    waits for another at a block's end. Every ``CATCH_UP_ROUNDS`` rounds each detector steps
     through the steps that all of its pipeline's rows have predicted
     (`_catch_up`); a drift alarm at a step resets the pipeline's slice and
     rewinds only its rows to that step. The oldest block retires, its scores

@@ -30,17 +30,17 @@ same bank; each keeps its own Poisson generator, its own reset seeds and
 exactly the outputs it would have alone.
 
 A run trains its planned blocks of steps with one `RowSchedule`: each bank
-row lays out its own passes back to back, max(1, k) of them at each step (k
-its Poisson count there), the first of which is the row's prediction of the
-step, and each round runs every row's next pass. A row runs on from one
-block into the next, planned one block ahead, so no row waits for another at
-a block's end either, and a run without a reset takes as many rounds as its
-busiest row has passes over the whole run, not the sum over steps of the
-largest k. One layout serves a new block and a reset's rewind alike, and a
-step's scores are read from the history of rounds at its first passes. The
-schedule keeps its buffers for the run: its second block sizes them, with a
-margin, and they grow only when the blocks it holds need more positions
-than that.
+row takes its own passes back to back, max(1, k) of them at each step (k its
+Poisson count there), the first of which is the row's prediction of the
+step, and each round runs every row's next pass. Each row carries a cursor,
+its step and the passes it has taken there, from which a round reads its
+pass. A row runs on from one block into the next, planned one block ahead,
+so no row waits for another at a block's end either, and a run without a
+reset takes as many rounds as its busiest row has passes over the whole
+run, not the sum over steps of the largest k. A reset's rewind moves its
+rows' cursors back to a step, and a step's scores are read from a history
+by step, written at each row's first pass there. The schedule's tables and
+history are a ring of two blocks, made once for the run.
 
 A bank's rounds are compiled: `mlp_round.c`, which `native` builds once and
 loads at the first bank. Each `MlpBank` keeps its weights in one flat
@@ -51,15 +51,15 @@ and the output error dz2, which is the buffer of the class probabilities. So
 a gradient step ends in one update, parameters minus gradients, which is
 exact because every gradient is computed from the weights before it. The
 bank makes its other work buffers once too. `RowSchedule.run` runs a
-stretch of rounds in one C call, which reads each round's inputs, targets
-and step sizes from the schedule's by-code tables through its codes. A round
-does what a round of numpy calls did, in the same order on the same
-buffers: its three batched products and two exponentials run numpy's own
-float64 ``matmul`` and ``exp`` loops, with the shapes and strides numpy
-passes them, and every other step is one IEEE operation per element,
-compiled without fused multiply-adds. So every score and weight has the
-bits of numpy's calls, and the floating-point exceptions a call raises are
-reported as numpy reports those of its own.
+stretch of rounds in one C call, which derives each row's code from its
+cursor and reads the row's input, target and step size from the schedule's
+by-code tables. A round does what a round of numpy calls did, in the same
+order on the same buffers: its three batched products and two exponentials
+run numpy's own float64 ``matmul`` and ``exp`` loops, with the shapes and
+strides numpy passes them, and every other step is one IEEE operation per
+element, compiled without fused multiply-adds. So every score and weight
+has the bits of numpy's calls, and the floating-point exceptions a call
+raises are reported as numpy reports those of its own.
 
 The hidden layer is stored negated, as ``neg_W1`` and ``neg_b1``, so that
 the stored pair computes -z1 and the sigmoid, 1.0 / (1.0 + exp(-z1)), takes
@@ -77,7 +77,7 @@ class column, each row's size in both columns.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import sys
 
 import numpy as np
 
@@ -122,8 +122,9 @@ class MlpBank:
     views made here: an assignment such as ``bank.W2 = ...`` would take W2
     out of training.
 
-    `_rounds` runs the bank's rounds, in work buffers that the bank makes
-    once, and `kernel` is one of them on arrays.
+    The C rounds (`mlp_round.c`) run in work buffers that the bank makes
+    once: `kernel` is one round on arrays, and a `RowSchedule` runs
+    stretches of them.
     """
 
     def __init__(self, n_features, member_seeds, lr=0.1):
@@ -170,7 +171,7 @@ class MlpBank:
                 for name in ("params", "grads", "x", "a1", "z2", "e", "da1")
             },
         )
-        self._c_rounds = native.load()[0]
+        self._c_round = native.load()[0]
 
     def init_weights(self, member_seeds, first: int = 0) -> None:
         """Re-initialize members ``first`` .. ``first + len(member_seeds) - 1``."""
@@ -185,49 +186,48 @@ class MlpBank:
             np.negative(weights[:hidden], out=weights[:hidden])
             self._params[places] = weights
 
-    def kernel(self, X, T=None, S=None, score=None):
-        """One pass of the bank on arrays, through the C round (`_rounds`).
+    def kernel(self, X, T=None, S=None):
+        """One pass of the bank on arrays, through the C round.
 
         ``kernel(X)`` is a forward pass, member i on input ``X[i]``, and
         returns the per-member (hidden activations, class probabilities),
         left in the bank's buffers: the arrays returned are overwritten by
         the next pass.
 
-        ``kernel(X, T, S, score)`` is a whole pass, a round of a
-        `RowSchedule`: the forward pass, then each member's P(+1) copied into
-        ``score``, then one gradient step per member. ``S[i]`` is member i's
-        step size, the same in both class columns, and the step moves the
-        member that many times down the gradient of its cross-entropy on
+        ``kernel(X, T, S)`` is a whole pass, as a round of a `RowSchedule`
+        gives each row: the forward pass, then one gradient step per member.
+        It returns each member's P(+1) before the step. ``S[i]`` is member
+        i's step size, the same in both class columns, and the step moves
+        the member that many times down the gradient of its cross-entropy on
         input ``X[i]`` and one-hot target ``T[i]`` (a step of 0 leaves it as
-        it was); ``T`` and ``S`` broadcast to (members, 2).
+        it was); ``T`` and ``S`` broadcast to (members, 2), and a pass given
+        only one of them is refused before it runs.
         """
         rows = (self.n_members, N_CLASSES)
         X = np.ascontiguousarray(X, dtype=float)
         if X.shape != (self.n_members, self.n_features):
             raise ValueError(f"need one input row per member, got shape {X.shape}")
-        if T is None:
-            self._rounds(1, self._each.ctypes.data, X.ctypes.data, None, None, None)
+        if T is None and S is None:
+            _report(self._c_round(self._c_bank_at, self._each.ctypes.data,
+                                  X.ctypes.data, None, None, None))
             return self._a1, self._probs
+        if T is None or S is None:
+            raise ValueError("a pass that trains needs both targets T and step sizes S")
         T = np.ascontiguousarray(np.broadcast_to(T, rows), dtype=float)
         S = np.ascontiguousarray(np.broadcast_to(S, rows), dtype=float)
         scores = np.empty(self.n_members)
-        self._rounds(1, *(a.ctypes.data for a in (self._each, X, T, S, scores)))
-        score[...] = scores
+        _report(self._c_round(self._c_bank_at,
+                              *(a.ctypes.data for a in (self._each, X, T, S, scores))))
+        return scores
 
-    def _rounds(self, n, code, inputs, targets, sizes, hist) -> None:
-        """Run ``n`` rounds in one C call (`mlp_round.c`): in round j, row r
-        takes a pass on the input, one-hot target and step size (one per
-        class column) at ``code[j, r]`` in the by-code tables ``inputs``,
-        ``targets`` and ``sizes``, and its P(+1) goes to ``hist[j, r]``;
-        with no targets, one forward pass on the inputs. Each argument is
-        the address of a C-contiguous array, float64 but for the intp codes,
-        or None. The floating-point exceptions the rounds raised are
-        reported as numpy reports those of its own calls."""
-        raised = self._c_rounds(self._c_bank_at, n, code, inputs, targets, sizes, hist)
-        if raised:
-            from . import native
 
-            native.warn_raised(raised)
+def _report(raised: int) -> None:
+    """Report the floating-point exceptions a C call returned as numpy
+    reports those of its own calls (`native.warn_raised`)."""
+    if raised:
+        from . import native
+
+        native.warn_raised(raised)
 
 
 class OnlineEnsemble:
@@ -338,8 +338,6 @@ class OnlineEnsemble:
         )
 
 
-
-
 class RowSchedule:
     """A run's planned steps, trained row by row on an `OnlineEnsemble`, up
     to two blocks of them at a time.
@@ -347,141 +345,120 @@ class RowSchedule:
     Bank row r takes max(1, k) passes at each step, k being its count there,
     one after another: each pass is one forward pass and one gradient step on
     the step's example, of size lr, or 0 when k is 0, and the first pass of a
-    step is the row's prediction of it. Round j of `run` gives every row its
-    next pass, all of a `run`'s rounds in one call of the bank's C rounds,
-    and keeps the rows' positive-class probabilities in a history by round.
-    A row's passes run on from block to block: a row that has taken all of
-    its passes of one block takes its first pass of the next in its next
-    round, and only a row with no planned pass left takes passes of size 0
-    on a zero input. A row's prediction of a step reads the weights its own
-    passes at the steps before left, and rows are independent, so every row
-    predicts and learns exactly as in a step-by-step run, and a run whose
-    busiest row never waits for a block to be planned takes as many rounds
-    as that row has passes.
+    step is the row's prediction of it. Each row carries a cursor: its step,
+    the passes it has taken there, the steps it has predicted, and the first
+    step whose prediction is scored. A round gives every row its next pass
+    and moves its cursor on, and `run` runs a stretch of rounds in one call
+    of the bank's C function (`mlp_round.c`, ``mlp_run``), which writes each
+    row's positive-class probability at its first pass of a step into a
+    history by step. A row's passes run on from block to block: a row that
+    has taken all of its passes of one block takes its first pass of the
+    next in its next round, and only a row with no planned step left takes
+    passes of size 0 on a zero input. A row's prediction of a step reads the
+    weights its own passes at the steps before left, and rows are
+    independent, so every row predicts and learns exactly as in a
+    step-by-step run, and a run whose busiest row never waits for a block to
+    be planned takes as many rounds as that row has passes.
 
     Steps are numbered over the run. `add` plans the next block, every block
-    but a run's last ``block_steps`` long, and lays its passes out after each
-    row's last planned pass; the schedule holds at most two blocks, the
-    oldest from step `retired` and the rest to step `planned`. Once every
-    row is past the oldest block (`can_retire`), `retire` hands back its
-    scores and frees its steps. The per-step tables are a ring of two
-    blocks, step s in slot s mod 2 * ``block_steps``.
+    but a run's last ``block_steps`` long; the schedule holds at most two
+    blocks, the oldest from step `retired` and the rest to step `planned`.
+    Once every row is past the oldest block (`can_retire`), `retire` hands
+    back its scores and frees its steps. The per-step tables and the history
+    are a ring of two blocks, step s in slot s mod 2 * ``block_steps``: by
+    code (2 * slot, plus 1 where the row trains at the step), each step's
+    input, one-hot target and step size, which the C rounds read; by row and
+    slot, the Poisson counts; by slot and row, the history.
 
     A reset is the one thing that ties rows to a step: `rewind(e, t)` resets
     ensemble ``e`` after its detector has seen step ``t``, and its rows take
     their k passes at ``t`` again, without predicting it anew, then run on
     through every planned step. This is exact: a reset re-seeds the weights
     only, and the counts never read the weights.
-
-    There is one layout, `_lay_out`: it places some rows' passes position by
-    position, each row from a position of its own, as codes in an array of
-    ``(positions, rows)`` (a code is 2 * slot, plus 1 where the row trains at
-    the step; positions past a row's last pass hold the idle code). It also
-    notes the position of each step's first pass, and for each ensemble the
-    latest of those over its rows. The steps an ensemble has predicted are
-    those whose latest first pass lies before the current round, and their
-    scores are read from the history at their first passes. `run` hands its
-    rounds' codes to the bank, whose C rounds read the inputs, targets and
-    step sizes by code from the tables here.
-
-    The codes and the history hold the positions from the earliest first
-    pass of a held step on; `retire` moves them to the front of their
-    arrays, which the second block sizes for the run (`_reserve`).
     """
 
     def __init__(self, model: OnlineEnsemble, block_steps: int):
+        from . import native
+
         self._model = model
         bank = model._bank
         rows, d = bank.n_members, bank.n_features
-        self._cols = np.arange(rows)
         self._block = block_steps
         self._n_slots = slots = 2 * block_steps
-        # by row and slot: the Poisson counts, and the codes, 2 * slot + 1
-        # where the row trains (k > 0) and 2 * slot where it only predicts
+        # by row and slot, the Poisson counts
         self._ks = np.empty((rows, slots), dtype=np.intp)
-        self._codes = np.empty((rows, slots), dtype=np.intp)
-        self._evens = np.arange(0, 2 * slots, 2)
         # by code: each step's input and target (twice), and the step size,
         # lr or 0, in both class columns; the idle code 2 * slots has a zero
         # input and target and the step size 0
-        self._idle = 2 * slots
         self._inputs = np.zeros((2 * slots + 1, d))
         self._targets = np.zeros((2 * slots + 1, N_CLASSES))
         self._sizes = np.tile([[0.0], [bank.lr]], (slots + 1, N_CLASSES))
-        # by ensemble and slot, the step's first pass of each of its rows, as
-        # an index into the flat history, (position - base) * rows + row
-        m = model.n_members
-        self._first = np.empty((len(model.samplers), slots, m), dtype=np.intp)
-        # per ensemble, the latest of each held step's first passes over its
-        # rows: ascending, so the steps all of its rows have predicted by a
-        # round are the ones before a bisection at it
-        self._latest: list[list[int]] = [[] for _ in model.samplers]
-        # each row's end, where its planned passes stop, the last of them, and
-        # the round by which every row is past the oldest block
-        self._ends = np.zeros(rows, dtype=np.intp)
-        self._last = self._oldest_end = 0
-        # the addresses of the by-code tables, as the bank's rounds take them
-        self._tables = [a.ctypes.data for a in (self._inputs, self._targets, self._sizes)]
-        # by position from `_base` on: each row's code there, and the history
-        self._base = 0
-        self._code = np.empty((0, rows), dtype=np.intp)
-        self._hist = np.empty((0, rows))
-        self.round = self.retired = self.planned = 0
+        # by slot and row, the P(+1) of the row's first pass at the step
+        self._hist = np.empty((slots, rows))
+        # by row: its step, the passes it has taken there, the steps it has
+        # predicted and the first step it scores (t + 1 after a rewind at
+        # t); and the C rounds' work buffers, a round's codes and P(+1)
+        self._at, self._done, self._pred, self._unscored, self._code = (
+            np.zeros(rows, dtype=np.intp) for _ in range(5)
+        )
+        self._score = np.empty(rows)
+        self._c, self._c_at = native.schedule(
+            slots=slots,
+            **{
+                name: getattr(self, "_" + name).ctypes.data
+                for name in (
+                    "ks", "inputs", "targets", "sizes", "hist",
+                    "at", "done", "pred", "unscored", "code", "score",
+                )
+            },
+        )
+        self._c_run = native.load()[1]
+        self.retired = self.planned = 0
+
+    @property
+    def round(self) -> int:
+        """The rounds run so far."""
+        return self._c.round
 
     def add(self, xs, labels, ks: np.ndarray) -> None:
         """Plan the next block, of ``len(ks)`` steps from step `planned` on:
         row i of ``xs`` and of ``ks`` are its i-th step's input and Poisson
-        counts, and ``labels[i]`` its label. Each row's passes of the block
-        start where its planned passes stop, or at the current round."""
+        counts, and ``labels[i]`` its label. A row with no planned step left
+        takes its first pass of the block in its next round."""
         n, t = len(ks), self.planned
         if n > self._block or t % self._block or t - self.retired > self._block:
             raise ValueError("a block follows a whole one, and at most one is held")
         s = t % self._n_slots
-        at = slice(s, s + n)
-        ks_by_row = self._ks[:, at]
-        ks_by_row[...] = ks.T
-        codes = self._codes[:, at]
-        np.minimum(ks_by_row, 1, out=codes)
-        codes += self._evens[at]
+        self._ks[:, s : s + n] = ks.T
         self._inputs[2 * s : 2 * (s + n)].reshape(n, 2, -1)[...] = xs[:, None]
         positive = np.equal(labels, POS)[:, None]
         targets = self._targets[2 * s : 2 * (s + n)].reshape(n, 2, N_CLASSES)
         targets[:, :, _CLASS_INDEX[POS]] = positive
         targets[:, :, _CLASS_INDEX[NEG]] = ~positive
         self.planned += n
-        starts = np.maximum(self._ends, self.round)
-        self._lay_out(slice(0, len(self._cols)), t, starts, relearn=False)
 
     @property
     def can_retire(self) -> bool:
         """Whether a block is held and every row has taken all of its passes
         of the oldest one."""
-        return self.retired < self.planned and self.round >= self._oldest_end
+        end = min(self.retired + self._block, self.planned)
+        return self.retired < self.planned and int(self._at.min()) >= end
 
     def run(self, rounds: int | None = None) -> None:
-        """Run up to ``rounds`` more rounds, or with None until every row is
-        past the oldest block, stopping when every row is done."""
+        """Run up to ``rounds`` more rounds, stopping once every row has
+        taken all of its planned passes, or with None until every row is
+        past the oldest block; in one C call."""
         if rounds is None:
-            stop = self._oldest_end
+            rounds, stop = sys.maxsize, min(self.retired + self._block, self.planned)
         else:
-            stop = min(self.round + rounds, self._last)
-        if stop > self.round:
-            j = self.round - self._base
-            self._model._bank._rounds(
-                stop - self.round,
-                self._code_at + j * self._code.strides[0],
-                *self._tables,
-                self._hist_at + j * self._hist.strides[0],
-            )
-            self.round = stop
+            stop = self.planned
+        _report(self._c_run(self._model._bank._c_bank_at, self._c_at, rounds, stop,
+                            self.planned))
 
     def predicted(self) -> list[int]:
         """For each ensemble, how many of the run's first steps every one of
-        its rows has predicted: the retired steps, and the held steps whose
-        latest first pass over its rows lies before the current round."""
-        return [
-            self.retired + bisect_left(latest, self.round) for latest in self._latest
-        ]
+        its rows has predicted."""
+        return self._pred.reshape(-1, self._model.n_members).min(axis=1).tolist()
 
     def scores(self, lo: int, hi: int, e: int | None = None):
         """Every ensemble's scores of steps ``lo`` .. ``hi - 1``, held ones,
@@ -490,13 +467,12 @@ class RowSchedule:
         first passes, their sum over the rows divided by the members, which
         has the bits of numpy's ``mean`` over them. Every row read must have
         predicted those steps (`predicted`): the history holds nothing else
-        at a step's first pass."""
+        at a step."""
         m = self._model.n_members
-        hist = self._hist.reshape(-1)
         steps = self._slots(lo, hi)
         if e is not None:
-            return np.add.reduce(hist.take(self._first[e, steps]), 1) / m
-        return (np.add.reduce(hist.take(self._first[:, steps]), 2) / m).T
+            return np.add.reduce(self._hist[steps, e * m : (e + 1) * m], 1) / m
+        return np.add.reduce(self._hist[steps].reshape(hi - lo, -1, m), 2) / m
 
     def retire(self) -> np.ndarray:
         """Free the oldest block, which every row is past (`can_retire`), and
@@ -506,22 +482,20 @@ class RowSchedule:
         lo, hi = self.retired, min(self.retired + self._block, self.planned)
         scores = self.scores(lo, hi)
         self.retired = hi
-        for latest in self._latest:
-            del latest[: hi - lo]
-        self._compact()
-        self._note_oldest_end()
         return scores
 
     def rewind(self, e: int, t: int) -> None:
         """Reset ensemble ``e``, whose rows have all predicted step ``t``, and
-        lay out its rows' passes from ``t`` on to start at the next round: the
-        reset rows learn step t's example again, its prediction standing,
-        then predict and learn every planned step after it."""
+        move its rows back to ``t``: the reset rows learn step t's example
+        again, its prediction standing, then predict and learn every planned
+        step after it."""
         self._model.reset(e)
         m = self._model.n_members
-        # a row has passes left at t or after, none of them more than the
-        # ones laid out anew, so these cover every position its old ones held
-        self._lay_out(slice(e * m, (e + 1) * m), t, np.full(m, self.round), True)
+        rows = slice(e * m, (e + 1) * m)
+        # a row with no pass to take again at t starts at t + 1
+        self._at[rows] = t + (self._ks[rows, t % self._n_slots] == 0)
+        self._done[rows] = 0
+        self._pred[rows] = self._unscored[rows] = t + 1
 
     def _slots(self, lo: int, hi: int):
         """The slots of steps ``lo`` .. ``hi - 1``: a slice, or an index
@@ -529,100 +503,3 @@ class RowSchedule:
         a = lo % self._n_slots
         b = a + hi - lo
         return slice(a, b) if b <= self._n_slots else np.arange(a, b) % self._n_slots
-
-    def _note_oldest_end(self) -> None:
-        """Note the round by which every row has taken all of its passes of
-        the oldest block: the latest first pass of the next block's first
-        step, or with no next block planned, the last pass."""
-        t = self.retired + self._block
-        if t >= self.planned:
-            self._oldest_end = self._last
-        else:
-            latest = int(self._first[:, t % self._n_slots].max())
-            self._oldest_end = latest // len(self._cols) + self._base
-
-    def _lay_out(self, rows: slice, t: int, starts: np.ndarray, relearn: bool) -> None:
-        """Lay out the passes of ``rows``, whole ensembles, at steps t ..
-        `planned` - 1, row r's from position ``starts[r]`` on, max(1, k) at
-        each step. Rows that ``relearn`` step t, having predicted it, take
-        only its k passes there. Every position from a row's start on must
-        be idle or hold one of the passes laid out anew; the position arrays
-        grow to hold the positions the rows need."""
-        m, n_rows, base = self._model.n_members, len(self._cols), self._base
-        steps = self._slots(t, self.planned)
-        ks = self._ks[rows, steps]
-        passes = np.maximum(ks, 1)
-        if relearn:
-            passes[:, 0] = ks[:, 0]
-        ends = passes.cumsum(axis=1)
-        ends += starts[:, None]
-        # each step's first pass, by ensemble, member and step, from the
-        # first step the rows predict
-        first = t + relearn
-        n_ens = (rows.stop - rows.start) // m
-        firsts = (ends - passes)[:, relearn:].reshape(n_ens, m, self.planned - first)
-        ensembles = slice(rows.start // m, rows.stop // m)
-        for e, latest in enumerate(firsts.max(axis=1).tolist(), ensembles.start):
-            self._latest[e][first - self.retired :] = latest
-        firsts -= base
-        firsts *= n_rows
-        firsts += self._cols[rows].reshape(n_ens, m, 1)
-        self._first[ensembles, self._slots(first, self.planned)] = firsts.transpose(
-            0, 2, 1
-        )
-        last = ends[:, -1]
-        length = int(last.max()) - base
-        if length > len(self._code):
-            self._reserve(length)
-        # each row's codes, each repeated by its passes at the step, written
-        # from the row's start: row r's i-th pass goes to flat position
-        # (starts[r] - base + i) * rows + r
-        counts = last - starts
-        where = np.repeat(
-            (starts - base - (counts.cumsum() - counts)) * n_rows + self._cols[rows],
-            counts,
-        )
-        where += np.arange(len(where)) * n_rows
-        self._code.reshape(-1)[where] = np.repeat(
-            self._codes[rows, steps], passes.reshape(-1)
-        )
-        self._ends[rows] = last
-        self._last = int(self._ends.max())
-        self._note_oldest_end()
-
-    def _compact(self) -> None:
-        """Move the positions still needed to the front of their arrays: the
-        history from the earliest first pass of a held step on, and the codes
-        from the current round on."""
-        n_rows = len(self._cols)
-        keep = self.round
-        if self.retired < self.planned:
-            earliest = int(self._first[:, self.retired % self._n_slots].min())
-            keep = min(keep, earliest // n_rows + self._base)
-        shift, j = keep - self._base, self.round - self._base
-        if shift:
-            end = max(j, self._last - self._base)
-            self._hist[: j - shift] = self._hist[shift:j]
-            self._code[j - shift : end - shift] = self._code[j:end]
-            self._code[end - shift : end] = self._idle
-            self._first[:, self._slots(self.retired, self.planned)] -= shift * n_rows
-            self._base = keep
-
-    def _reserve(self, length: int) -> None:
-        """Make the codes and the history hold ``length`` positions, keeping
-        those they hold; the new positions are idle. The second block sizes
-        them for the run: twice what the two blocks need, a margin for later
-        blocks whose rates, and so passes, have grown. Otherwise they hold
-        ``length`` or a quarter more than they held, whichever is more. They
-        grow one at a time, so that no more than one is held twice."""
-        if self._block < self.planned <= 2 * self._block:
-            length *= 2
-        else:
-            length = max(length, len(self._code) * 5 // 4)
-        code = np.full((length, len(self._cols)), self._idle, dtype=np.intp)
-        code[: len(self._code)] = self._code
-        self._code = code
-        hist = np.empty((length, len(self._cols)))
-        hist[: len(self._hist)] = self._hist
-        self._hist = hist
-        self._code_at, self._hist_at = code.ctypes.data, hist.ctypes.data

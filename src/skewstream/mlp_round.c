@@ -1,5 +1,5 @@
-/* The rounds of an MLP bank (see `learners.MlpBank`), one C call for a
- * stretch of them.
+/* The rounds of an MLP bank (see `learners.MlpBank`): one round, or a
+ * stretch of a `learners.RowSchedule`'s rounds in one C call.
  *
  * A round gives each bank row one forward pass and one gradient step. It
  * makes the calls a round of numpy calls made, in the same order on the same
@@ -155,20 +155,80 @@ static void one_round(const bank_t *b, const intptr_t *code, const double *input
         b->params[i] = b->params[i] - b->grads[i];
 }
 
-/* Run n rounds: round j reads its codes from code[j * rows ...] and writes
- * its scores to hist[j * rows ...]; with no targets, one forward pass. The
- * return value holds the exceptions the rounds raised (OVERFLOW, INVALID,
- * DIVIDE), those first raised in an exponential in the low bits and the
- * rest shifted up by OTHER_SHIFT. */
-int mlp_rounds(const bank_t *b, intptr_t n, const intptr_t *code,
-               const double *inputs, const double *targets, const double *sizes,
-               double *hist)
+/* One round, as `learners.MlpBank.kernel` makes it: row r on the input,
+ * target and step size at code[r]; with no targets, only the forward pass.
+ * The return value holds the exceptions the round raised (OVERFLOW,
+ * INVALID, DIVIDE), those first raised in an exponential in the low bits
+ * and the rest shifted up by OTHER_SHIFT. */
+int mlp_round(const bank_t *b, const intptr_t *code, const double *inputs,
+              const double *targets, const double *sizes, double *score)
 {
     int exp_flags = 0;
-    intptr_t j;
     feclearexcept(WATCHED);
-    for (j = 0; j < n; j++)
-        one_round(b, code + j * b->rows, inputs, targets, sizes,
-                  hist ? hist + j * b->rows : 0, &exp_flags);
+    one_round(b, code, inputs, targets, sizes, score, &exp_flags);
+    return exp_flags | ((raised() & ~exp_flags) << OTHER_SHIFT);
+}
+
+/* the per-step tables and the rows' cursors of a `learners.RowSchedule`;
+ * step t is in slot t % slots of each table, every array is C-contiguous */
+typedef struct {
+    intptr_t slots, round; /* round: the rounds run so far */
+    const intptr_t *ks;    /* (rows, slots): each row's Poisson count */
+    /* by code, 2 * slot plus 1 where the row trains: the input, the one-hot
+     * target and the step size (both class columns); code 2 * slots is
+     * idle, a zero input and target and the step size 0 */
+    const double *inputs, *targets, *sizes;
+    double *hist;          /* (slots, rows): P(+1) at each step's first pass */
+    /* by row: its step, the passes it has taken there, the steps it has
+     * predicted, and the first step whose first pass is scored */
+    intptr_t *at, *done, *pred, *unscored;
+    intptr_t *code;        /* (rows,): work, a round's codes */
+    double *score;         /* (rows,): work, a round's P(+1) */
+} schedule_t;
+
+/* Run rounds of schedule s on bank b: up to n, stopping before a round once
+ * every row is at step `stop` or past it. In a round each row at a planned
+ * step (before `planned`) takes its next pass there, max(1, k) of them in
+ * all, of step size lr where k > 0 and 0 where k is 0; a row with no
+ * planned step left takes the idle code. A row's first pass at a step is its
+ * prediction, and its P(+1) goes to the history where the step is scored.
+ * Returns the exceptions raised, as `mlp_round` does. */
+int mlp_run(const bank_t *b, schedule_t *s, intptr_t n, intptr_t stop,
+            intptr_t planned)
+{
+    const intptr_t rows = b->rows, slots = s->slots;
+    int exp_flags = 0;
+    intptr_t j, r;
+    feclearexcept(WATCHED);
+    for (j = 0; j < n; j++) {
+        for (r = 0; r < rows && s->at[r] >= stop; r++)
+            ;
+        if (r == rows)
+            break;
+        for (r = 0; r < rows; r++) {
+            const intptr_t slot = s->at[r] % slots;
+            s->code[r] = s->at[r] < planned
+                             ? 2 * slot + (s->ks[r * slots + slot] > 0)
+                             : 2 * slots;
+        }
+        one_round(b, s->code, s->inputs, s->targets, s->sizes, s->score, &exp_flags);
+        for (r = 0; r < rows; r++) {
+            const intptr_t t = s->at[r], slot = t % slots;
+            intptr_t k;
+            if (t >= planned)
+                continue;
+            k = s->ks[r * slots + slot];
+            if (s->done[r] == 0) {
+                s->pred[r] = t + 1;
+                if (t >= s->unscored[r])
+                    s->hist[slot * rows + r] = s->score[r];
+            }
+            if (++s->done[r] >= (k > 1 ? k : 1)) {
+                s->at[r] = t + 1;
+                s->done[r] = 0;
+            }
+        }
+        s->round++;
+    }
     return exp_flags | ((raised() & ~exp_flags) << OTHER_SHIFT);
 }

@@ -41,7 +41,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _RAISED = ((1, "overflow"), (2, "invalid value"), (4, "divide by zero"))
 _ERRSTATE = {"overflow": "over", "invalid value": "invalid", "divide by zero": "divide"}
 
-_loaded = None  # (the round's C function, numpy's loops), once loaded
+_loaded = None  # (mlp_round, mlp_run, numpy's loops), once loaded
 
 
 class Bank(ctypes.Structure):
@@ -53,6 +53,20 @@ class Bank(ctypes.Structure):
         *((name, ctypes.c_ssize_t) for name in ("rows", "d", "h", "size")),
         *((name, ctypes.c_void_p)
           for name in ("params", "grads", "x", "a1", "z2", "e", "da1")),
+    ]
+
+
+class Schedule(ctypes.Structure):
+    """``schedule_t`` of `mlp_round.c`: the ring's size, the rounds run, and
+    the addresses of a `learners.RowSchedule`'s tables, cursors and work
+    buffers."""
+
+    _fields_ = [
+        ("slots", ctypes.c_ssize_t), ("round", ctypes.c_ssize_t),
+        *((name, ctypes.c_void_p) for name in (
+            "ks", "inputs", "targets", "sizes", "hist",
+            "at", "done", "pred", "unscored", "code", "score",
+        )),
     ]
 
 
@@ -83,8 +97,8 @@ def compiler() -> str | None:
 
 
 def load():
-    """``(mlp_rounds, loops)``: the library's round function, with its
-    argument types set, and numpy's loops as `Bank` takes them. Built,
+    """``(mlp_round, mlp_run, loops)``: the library's two functions, with
+    their argument types set, and numpy's loops as `Bank` takes them. Built,
     loaded and checked at the first call."""
     global _loaded
     if _loaded is None:
@@ -102,11 +116,12 @@ def load():
                 f"cannot load the MLP round library {path}: {exc}; delete it to "
                 "have it rebuilt"
             ) from exc
-        rounds = lib.mlp_rounds
-        ptr = ctypes.c_void_p
-        rounds.argtypes = [ptr, ctypes.c_ssize_t, ptr, ptr, ptr, ptr, ptr]
-        rounds.restype = ctypes.c_int
-        _loaded = (rounds, _checked_loops())
+        ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+        one, run = lib.mlp_round, lib.mlp_run
+        one.argtypes = [ptr] * 6
+        run.argtypes = [ptr, ptr, size, size, size]
+        one.restype = run.restype = ctypes.c_int
+        _loaded = (one, run, _checked_loops())
     return _loaded
 
 
@@ -114,7 +129,15 @@ def bank(**fields) -> tuple[Bank, int]:
     """A `Bank` of these fields and numpy's loops, and its address, which
     the round takes. The caller keeps the structure, and the arrays it
     points into, alive."""
-    made = Bank(*load()[1], **fields)
+    made = Bank(*load()[2], **fields)
+    return made, ctypes.addressof(made)
+
+
+def schedule(**fields) -> tuple[Schedule, int]:
+    """A `Schedule` of these fields, and its address, which ``mlp_run``
+    takes. The caller keeps the structure, and the arrays it points into,
+    alive."""
+    made = Schedule(**fields)
     return made, ctypes.addressof(made)
 
 

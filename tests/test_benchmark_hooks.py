@@ -37,8 +37,9 @@ from skewstream.streams import StreamGenerator
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 # the spans of deleted one-step calls: the engine plans a block's class sizes
-# with `track` and `designate`, trains it with a `RowSchedule` and hands each
-# detector a stretch of steps with `catch_up`
+# with `track` and `designate`, trains its bank rows with `RowSchedule.run`,
+# one C call per stretch of rounds in which each row steps its own cursor,
+# and hands each detector a stretch of steps with `catch_up`
 RETIRED = (
     "imbalance.update",
     "imbalance.status",

@@ -448,8 +448,8 @@ def test_rewinds_at_block_edges_equal_per_pipeline_runs(
 
     def recording(self, e, t, _rewind=RowSchedule.rewind):
         nxt = (t // block + 1) * block
-        first = int(self._first[:, nxt % (2 * block)].min()) // len(self._cols)
-        entered = nxt < self.planned and first + self._base < self.round
+        # a row has entered step nxt once it is past it or has taken a pass there
+        entered = nxt < self.planned and (self._at + (self._done > 0) > nxt).any()
         rewinds.append((e, t + 1, self.retired < t // block * block, entered))
         _rewind(self, e, t)
 
@@ -479,14 +479,15 @@ def count_rounds(monkeypatch):
         counts["passes"] = counts["passes"] + np.maximum(ks, 1).sum(axis=0)
         return ks
 
-    def rounds(self, n, *arrays, _rounds=MlpBank._rounds):
-        # a bank's rounds all run in its C calls, n at a time
-        counts["rounds"] += n
-        return _rounds(self, n, *arrays)
+    def run(self, rounds=None, _run=RowSchedule.run):
+        # a run's rounds all run in its schedule's `run` stretches
+        before = self.round
+        _run(self, rounds)
+        counts["rounds"] += self.round - before
 
     monkeypatch.setattr(StreamGenerator, "next_example", next_example)
     monkeypatch.setattr(OnlineEnsemble, "draw_counts", draw_counts)
-    monkeypatch.setattr(MlpBank, "_rounds", rounds)
+    monkeypatch.setattr(RowSchedule, "run", run)
     return counts
 
 
@@ -525,29 +526,6 @@ def test_resample_mix_run_0_takes_its_busiest_rows_rounds(monkeypatch):
     assert counts["rounds"] == int(counts["passes"].max()) == 4715
 
 
-@pytest.mark.parametrize("workload", ["detect-sweep", "resample-mix"])
-def test_a_workload_run_grows_its_positions_at_most_once(workload, monkeypatch):
-    # a schedule's codes and history are sized by its second block, at
-    # twice what its two blocks need; on the benchmark's workloads at
-    # base_seed 0, no run grows them more than once after that
-    growths = []
-    reserve = RowSchedule._reserve
-
-    def counted(self, length):
-        if self.planned > 2 * self._block:
-            growths[-1] += 1
-        reserve(self, length)
-
-    monkeypatch.setattr(RowSchedule, "_reserve", counted)
-    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-    cfg = load_config(perfbench / "workloads" / f"{workload}.ini")
-    assert cfg.base_seed == 0
-    for r in range(cfg.runs):
-        growths.append(0)
-        run_once(cfg, r)
-    assert max(growths) <= 1, growths
-
-
 def test_tie_score_goes_positive(monkeypatch):
     # with every output layer at zero and no learning, each row's P(+1) is
     # exactly 0.5, and so is every score: a detector is handed POS as each
@@ -584,10 +562,11 @@ def test_tie_score_goes_positive(monkeypatch):
 def test_catch_ups_read_only_the_steps_a_pipeline_has_predicted(
     monkeypatch, poison
 ):
-    # every history position that no round has written yet is poisoned as
-    # a block or a rewind is laid out: a read of one would hand back a score
-    # that is no probability, or overflow in the mean, and a RuntimeWarning
-    # is an error here
+    # every history slot that no round has written yet is poisoned: a new
+    # block's slots as it is added, and a rewound ensemble's slots past the
+    # step it is rewound to. A read of one would hand back a score that is
+    # no probability, or overflow in the mean, and a RuntimeWarning is an
+    # error here
     pipelines = [
         PipelineSpec("OB+ddm", "OB", "ddm-oci"),
         PipelineSpec("OOB+lfr", "OOB", "lfr"),
@@ -596,14 +575,20 @@ def test_catch_ups_read_only_the_steps_a_pipeline_has_predicted(
     cfg = tiny_config(pipelines=pipelines, runs=1, steps=1200)
     names = [pipe.name for pipe in pipelines]
     want = dict(zip(names, ([rec] for rec in run_once(cfg, 0))))
-    # rewinds, whose layouts are poisoned too
+    # rewinds, whose slots are poisoned too
     assert want["OOB+lfr"][0].alarms
-    lay_out, scores = RowSchedule._lay_out, RowSchedule.scores
+    add, rewind, scores = RowSchedule.add, RowSchedule.rewind, RowSchedule.scores
     reads = 0
 
-    def poisoned(self, rows, t, starts, relearn):
-        lay_out(self, rows, t, starts, relearn)
-        self._hist[self.round - self._base :] = poison
+    def poisoned_add(self, xs, labels, ks):
+        t = self.planned
+        add(self, xs, labels, ks)
+        self._hist[self._slots(t, self.planned)] = poison
+
+    def poisoned_rewind(self, e, t):
+        rewind(self, e, t)
+        m = self._model.n_members
+        self._hist[self._slots(t + 1, self.planned), e * m : (e + 1) * m] = poison
 
     def checked(self, *args):
         nonlocal reads
@@ -612,7 +597,8 @@ def test_catch_ups_read_only_the_steps_a_pipeline_has_predicted(
         reads += 1
         return got
 
-    monkeypatch.setattr(RowSchedule, "_lay_out", poisoned)
+    monkeypatch.setattr(RowSchedule, "add", poisoned_add)
+    monkeypatch.setattr(RowSchedule, "rewind", poisoned_rewind)
     monkeypatch.setattr(RowSchedule, "scores", checked)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -71,9 +71,8 @@ def _rounds(bank, x, label, ks):
     of the kernel, in which a row whose k is spent takes step size 0."""
     X, ks = _rows(bank, x), np.asarray(ks)
     T = np.array([1.0, 0.0] if label == POS else [0.0, 1.0])
-    score = np.empty(bank.n_members)
     for j in range(int(ks.max(initial=0))):
-        bank.kernel(X, T, _steps(np.where(ks > j, bank.lr, 0.0)), score)
+        bank.kernel(X, T, _steps(np.where(ks > j, bank.lr, 0.0)))
 
 
 def _positive_prob(bank, x):
@@ -580,8 +579,7 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     before = bank._params.copy()
     rng = np.random.default_rng(d)
     X = rng.uniform(0, 1, (3 * members, d))
-    score = np.empty(3 * members)
-    bank.kernel(X, np.array([1.0, 0.0]), _steps(np.zeros(3 * members)), score)
+    bank.kernel(X, np.array([1.0, 0.0]), _steps(np.zeros(3 * members)))
     assert np.array_equal(bank._params, before)
     # a pass at random step sizes: the softmax is that of the shifted outputs,
     # the score is P(+1), and the gradient buffer holds both outer products,
@@ -594,7 +592,7 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
     assert np.array_equal(probs, e / e.sum(axis=1, keepdims=True))
     steps, T = rng.uniform(0.0, 0.5, 3 * members), np.array([0.0, 1.0])
     before = bank._params.copy()
-    bank.kernel(X, T, _steps(steps), score)
+    score = bank.kernel(X, T, _steps(steps))
     assert np.array_equal(score, probs[:, 0])
     dz2 = (probs - T) * steps[:, None]
     assert np.array_equal(bank._probs, dz2)
@@ -607,10 +605,10 @@ def test_bank_weights_and_gradients_are_views_of_two_flat_buffers(d, members):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_run_stretch_is_one_c_call_and_calls_no_numpy(d, monkeypatch):
-    # every round of a `run` stretch runs in one call of the bank's C
-    # function, which reads each round's operands by code itself: `run`
-    # makes that call and no numpy call, and the rounds give the bits of
-    # the same rounds run one call each
+    # every round of a `run` stretch runs in one call of the C function,
+    # which reads each round's operands by code, derived from the rows'
+    # cursors, itself: `run` makes that call and no numpy call, and the
+    # rounds give the bits of the same rounds run one call each
     def planned():
         ens = OnlineEnsemble(d, samplers=SAMPLERS, n_members=15, seed=4)
         schedule = RowSchedule(ens, 8)
@@ -621,28 +619,47 @@ def test_a_run_stretch_is_one_c_call_and_calls_no_numpy(d, monkeypatch):
 
     bank, schedule = planned()
     calls = []
-    c_rounds = bank._c_rounds
+    c_run = schedule._c_run
 
     def counted(*args):
-        calls.append(args[1])
-        return c_rounds(*args)
+        calls.append(args[2])
+        return c_run(*args)
 
     class NoNumpy:
         def __getattr__(self, name):
             raise AssertionError(f"a run called np.{name}")
 
-    monkeypatch.setattr(bank, "_c_rounds", counted)
+    monkeypatch.setattr(schedule, "_c_run", counted)
     with monkeypatch.context() as patch:
         patch.setattr(learners, "np", NoNumpy())
         schedule.run(5)
+        assert schedule.round == 5
         schedule.run(None)
     last = schedule.round
-    assert calls == [5, last - 5] and last > 20
+    assert len(calls) == 2 and calls[0] == 5 and last > 20
+    assert schedule.can_retire and (schedule._at == 8).all()
     one_by_one, alone = planned()
     for _ in range(last):
         alone.run(1)
+    assert alone.round == last
     assert np.array_equal(one_by_one._params, bank._params)
-    assert np.array_equal(alone._hist[:last], schedule._hist[:last])
+    assert np.array_equal(alone._hist[:8], schedule._hist[:8])
+
+
+def test_a_training_pass_on_arrays_needs_targets_and_step_sizes():
+    # a pass given targets without step sizes, or step sizes without
+    # targets, is refused before the C round runs: the weights stay put
+    bank = MlpBank(2, [[0, 0, i] for i in range(3)])
+    X, T, S = np.ones((3, 2)), np.array([1.0, 0.0]), _steps([0.1, 0.1, 0.1])
+    before = bank._params.copy()
+    for args in ((X, T), (X, None, S)):
+        with pytest.raises(ValueError, match="needs both targets T and step sizes S"):
+            bank.kernel(*args)
+        assert np.array_equal(bank._params, before)
+    # a whole pass returns each row's P(+1) before its step
+    probs = bank.kernel(X)[1][:, 0].copy()
+    assert np.array_equal(bank.kernel(X, T, S), probs)
+    assert not np.array_equal(bank._params, before)
 
 
 def test_a_pass_on_arrays_refuses_a_wrong_shape():
@@ -661,7 +678,7 @@ def test_the_c_round_equals_the_frozen_reference(d, rows):
     # in every score and weight: in round j each row takes, at random, a
     # pass of code 2j (a prediction, step size 0), of code 2j + 1 (the same
     # example with step size lr) or of the idle code (zero input and
-    # target, step size 0), as a schedule lays them out
+    # target, step size 0), as a schedule's rows take them
     n, lr = 2000, 0.1
     h = default_hidden_size(d)
     seeds = [[d, rows, i] for i in range(rows)]
@@ -680,7 +697,12 @@ def test_the_c_round_equals_the_frozen_reference(d, rows):
     kind = rng.choice(3, (n, rows), p=[0.3, 0.5, 0.2])
     code = np.where(kind == 2, idle, 2 * np.arange(n)[:, None] + kind)
     hist = np.empty((n, rows))
-    bank._rounds(n, *(a.ctypes.data for a in (code, inputs, targets, sizes, hist)))
+    for j in range(n):
+        raised = bank._c_round(
+            bank._c_bank_at,
+            *(a.ctypes.data for a in (code[j], inputs, targets, sizes, hist[j])),
+        )
+        assert raised == 0
     params = _ref_init(d, h, seeds)
     want = np.empty((n, rows))
     for j in range(n):
@@ -706,7 +728,7 @@ def test_the_bound_exp_loop_is_np_exp():
     x = np.random.default_rng(7).uniform(-800.0, 800.0, 200_000)
     x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, np.nan]])
     got = np.empty_like(x)
-    exp, _, data, _ = native.load()[1]
+    exp, _, data, _ = native.load()[2]
     native._call(exp, data, (x, got), (x.size,), (8, 8))
     with np.errstate(over="ignore"):
         want = np.exp(x)
@@ -774,7 +796,7 @@ def test_step_kernel_equals_frozen_reference(d, members, samplers):
     # the kernel a step at a time: a schedule of one-step blocks, which is a
     # run at a block size of 1. A drift alarm between a step's prediction and
     # its training (a rewind), an input that the caller changes once the
-    # step is laid out, and steps at which no row trains all predict and
+    # step is added, and steps at which no row trains all predict and
     # learn as the frozen kernel does
     tracker = ClassSizeTracker()
     tracker.w = {POS: 0.05, NEG: 0.95}  # pinned: POS is the minority
@@ -857,22 +879,53 @@ def test_a_schedule_holds_two_whole_blocks_and_retires_only_passed_ones():
         schedule.add(*block(4))
 
 
+def test_a_rewind_takes_back_the_predictions_past_its_step():
+    # rows that predicted past step t on weights a reset throws away have,
+    # once rewound to t, predicted through t alone: `predicted` falls back
+    # to t + 1, and the next score read is the reset rows' own, after they
+    # learn step t's example again (a row with k = 0 there starts at t + 1)
+    d, m, lr, seed, t = 2, 4, 0.1, 9, 2
+    ens = OnlineEnsemble(d, samplers=("OB", "OOB"), n_members=m, seed=seed, lr=lr)
+    schedule = RowSchedule(ens, 8)
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0, 1, (8, d))
+    labels = [POS, NEG, POS, NEG, NEG, POS, NEG, NEG]
+    ks = rng.poisson(1.5, (8, 2 * m))
+    ks[t, :m] = [0, 2, 1, 3]
+    schedule.add(xs, labels, ks)
+    schedule.run(None)
+    assert schedule.predicted() == [8, 8]
+    stale = schedule.scores(t + 1, t + 2, 0)[0]
+    schedule.rewind(0, t)
+    assert schedule.predicted() == [t + 1, 8]
+    assert schedule.predicted() == brute_force_predicted(schedule)
+    while schedule.predicted()[0] == t + 1:
+        schedule.run(1)
+    assert schedule.predicted() == [t + 2, 8]
+    params = _ref_init(d, ens._bank.hidden, [[seed, 1, i] for i in range(m)])
+    _ref_train_rounds(params, xs[t], labels[t], ks[t, :m], lr)
+    want = np.mean(_ref_forward(*params, xs[t + 1])[1][:, 0])
+    assert schedule.scores(t + 1, t + 2, 0)[0] == want != stale
+
+
 def brute_force_predicted(schedule):
     """For each ensemble, the steps all of its rows have predicted: the
-    retired ones, and of the held ones those whose first pass lies before
-    the current round, counted row by row."""
-    rows = len(schedule._cols)
-    slots = [t % schedule._n_slots for t in range(schedule.retired, schedule.planned)]
-    # by ensemble, each held step's first pass of each row, as a position
-    first = schedule._first[:, slots] // rows + schedule._base
-    held = (first < schedule.round).sum(axis=1).min(axis=1)
-    return (schedule.retired + held).tolist()
+    retired ones, and of the held ones those that every row has, counted
+    step by step from the rows' cursors. A row has predicted the steps
+    before its own, its own once it has taken a pass there, and, rewound at
+    a step, every step up to that one."""
+    m = schedule._model.n_members
+    past = np.maximum(schedule._at + (schedule._done > 0), schedule._unscored)
+    held = range(schedule.retired, schedule.planned)
+    done = np.array([[t < p for t in held] for p in past], dtype=bool)
+    done = done.reshape(-1, m, len(held)).all(axis=1)
+    # a step counts only once every step before it does
+    return (schedule.retired + np.cumprod(done, axis=1).sum(axis=1)).tolist()
 
 
 def entered(schedule, t):
     """Whether some row has taken its first pass of held step ``t``."""
-    first = int(schedule._first[:, t % schedule._n_slots].min())
-    return first // len(schedule._cols) + schedule._base < schedule.round
+    return bool((schedule._at + (schedule._done > 0) > t).any())
 
 
 def _train_with_alarms(schedule, blocks, alarms, rounds):
@@ -885,18 +938,17 @@ def _train_with_alarms(schedule, blocks, alarms, rounds):
     count, and the held steps an ensemble has been checked at keep their
     scores across a rewind.
 
-    Returns the scores as (steps, ensembles); by rewind, (t, e, whether the
-    block before t's was still held, whether some row had entered the block
-    after t's); and by block added, the codes and history before and after.
+    Returns the scores as (steps, ensembles), and by rewind, (t, e, whether
+    the block before t's was still held, whether some row had entered the
+    block after t's).
     """
     block, steps = schedule._block, sum(len(ks) for _, _, ks in blocks)
     seen = [0, 0, 0]  # the steps each ensemble has been checked for alarms at
-    scores, rewinds, adds = [], [], []
+    scores, rewinds, added = [], [], 0
     while schedule.retired < steps:
-        while len(adds) < len(blocks) and schedule.planned < schedule.retired + 2 * block:
-            before = schedule._code, schedule._hist
-            schedule.add(*blocks[len(adds)])
-            adds.append((before, (schedule._code, schedule._hist)))
+        while added < len(blocks) and schedule.planned < schedule.retired + 2 * block:
+            schedule.add(*blocks[added])
+            added += 1
         schedule.run(rounds)
         assert schedule.predicted() == brute_force_predicted(schedule)
         for e, ready in enumerate(schedule.predicted()):
@@ -923,7 +975,7 @@ def _train_with_alarms(schedule, blocks, alarms, rounds):
                     break
         if schedule.can_retire and min(seen) >= min(schedule.retired + block, steps):
             scores.append(schedule.retire())
-    return np.concatenate(scores), rewinds, adds
+    return np.concatenate(scores), rewinds
 
 
 @pytest.mark.parametrize(
@@ -934,8 +986,7 @@ def _train_with_alarms(schedule, blocks, alarms, rounds):
 def test_row_schedule_equals_frozen_reference(d, rounds, members):
     # one run's schedule through three blocks of up to 30 steps, two held at
     # a time and each row running on from one into the next: a block, one
-    # with more passes, which grows the positions, and a short last one,
-    # laid out into the positions kept. Resets at a block's first and last
+    # with more passes, and a short last one. Resets at a block's first and last
     # step, at two steps in a row, at a step where no row of the reset
     # ensemble trains, at a step of a block while the one before is held,
     # at a block's last step once faster rows have entered the next, and
@@ -958,7 +1009,7 @@ def test_row_schedule_equals_frozen_reference(d, rounds, members):
     }
     ens = OnlineEnsemble(d, samplers=samplers, n_members=members, seed=seed, lr=lr)
     schedule = RowSchedule(ens, block)
-    scores, rewinds, adds = _train_with_alarms(schedule, blocks, alarms, rounds)
+    scores, rewinds = _train_with_alarms(schedule, blocks, alarms, rounds)
     assert sorted((t, e) for t, e, _, _ in rewinds) == sorted(alarms)
     # a step of a block rewound while the one before was held, and the
     # first block's last step once some row had entered the second
@@ -968,11 +1019,6 @@ def test_row_schedule_equals_frozen_reference(d, rounds, members):
     # past the busiest row's planned passes
     ks = np.concatenate([ks for _, _, ks in blocks])
     assert schedule.round > np.maximum(ks, 1).sum(axis=0).max()
-    # the second block grew the positions; the last was laid out into them
-    (code0, hist0), (code1, hist1) = adds[1]
-    assert len(hist1) > len(hist0) and len(code1) == len(hist1)
-    (code0, hist0), (code1, hist1) = adds[2]
-    assert code1 is code0 and hist1 is hist0
     h = ens._bank.hidden
     params = _ref_init(d, h, [[seed, 0, i] for i in range(members)] * 3)
     reset_counts = [0, 0, 0]
